@@ -165,6 +165,45 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
+# Default text output of the variational quantities at the FAST config, pinned
+# byte for byte. A change to the search or the objectives that moves any
+# printed digit shows up here.
+GOLDEN_ROWS = {
+    ("one-way-ci", "w"): ["one-way-ci(A;B>C) = 1.584963 bits (lower-est)"],
+    ("one-way-ci", "ghz"): ["one-way-ci(A;B>C) = 2.000000 bits (lower-est)"],
+    ("discord", "w"): ["discord(A+B|C) = 0.918296 bits (upper-est)"],
+    ("discord", "ghz"): ["discord(A+B|C) = 1.000000 bits (upper-est)"],
+    ("eoa", "w"): ["eoa(A:B+C) = 0.918296 bits (lower-est)"],
+    ("eoa", "ghz"): ["eoa(A:B+C) = 1.000000 bits (lower-est)"],
+    ("eof", "w"): ["eof(A:B+C) = 0.918296 bits (upper-est)"],
+    ("eof", "ghz"): ["eof(A:B+C) = 1.000000 bits (upper-est)"],
+    ("kw-discord", "w"): ["discord(A+B|C) = 0.918296 bits (upper-est)"],
+    ("kw-discord", "ghz"): ["discord(A+B|C) = 1.000000 bits (upper-est)"],
+    ("ci-bounds", "w"): [
+        "ci-lower[optimized-one-way] = 1.584963 bits (lower-est)",
+        "ci-upper[total-mutual-info] = 1.836592 bits (upper-est)",
+    ],
+    ("ci-bounds", "ghz"): [
+        "ci-lower[optimized-one-way] = 2.000000 bits (lower-est)",
+        "ci-upper[entropy-plus-distillable] = 2.000000 bits (upper-est)",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "quantity,preset", list(GOLDEN_ROWS), ids=[f"{q}-{p}" for q, p in GOLDEN_ROWS]
+)
+def test_golden_text_output(quantity, preset, capsys):
+    code, out, err = _run(["compute", quantity, "--preset", preset] + FAST, capsys)
+    assert code == 0, err
+    expected = [
+        f"# ci-toolkit compute {quantity}",
+        f"# state: A:2,B:2,C:2 (preset {preset})",
+        "# config: seed=7 restarts=4 tol=1e-05 max-iters=400",
+    ] + GOLDEN_ROWS[quantity, preset]
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_state_file_input(tmp_path, capsys):
     path = tmp_path / "bell.json"
     path.write_text(json.dumps(_bell_doc()))
