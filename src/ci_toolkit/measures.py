@@ -222,7 +222,7 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
     stack, where w are the eigenvalues (clipped at zero)."""
     n = mats.shape[-1]
     rng = np.arange(n)
-    offdiag = np.abs(mats).copy()
+    offdiag = np.abs(mats)
     offdiag[..., rng, rng] = 0.0
     if offdiag.size == 0 or float(offdiag.max()) < _DIAG_TOL:
         w = np.real(mats[..., rng, rng])

@@ -12,9 +12,15 @@ covers the whole unitary group (the factorization is constructive, see
 for arbitrary real angles.
 
 `maximize` runs a compass pattern search over the angles: every iteration
-polls all coordinates at +/- step around the base point, moves to the best
-candidate that clears a sufficient-decrease margin, and halves the step
-when none does.
+polls every live coordinate at +/- step around the base point, moves to the
+best candidate that clears a sufficient-decrease margin, and halves the step
+when none does. Only the first `columns` columns of U are ever decoded, so
+the live coordinates are the phases of those columns and the rotations
+(j, k) with j < columns, a prefix of the pair order. The other
+(dim - columns)^2 angles are dead: a phase l >= columns scales a dropped
+column, and a rotation with columns <= j < k mixes rows that are still zero
+when it acts. Moving a dead angle reproduces the base block exactly, so its
+candidate could never clear the margin and is not polled.
 Restarts are seeded Haar unitaries, reduced deterministically (strict
 improvement keeps the lowest restart index). With a vectorized objective
 all restarts advance in lockstep — each follows its own trajectory, but
@@ -281,7 +287,12 @@ class _BatchEngine:
         self.n = dim
         self.cols = cols
         self.pairs = np.array(rotation_pairs(dim), dtype=np.intp).reshape(-1, 2)
-        self.m = len(self.pairs)
+        # live coordinates (see the module docstring): the phase slots of the
+        # kept columns and the rotations (j, k) with j < cols, which are the
+        # first `live` pairs
+        self.slots = min(dim, cols)
+        self.live = int(np.count_nonzero(self.pairs[:, 0] < cols))
+        self.width = 2 * self.slots + 4 * self.live
 
     def _eval(self, blocks: np.ndarray) -> np.ndarray:
         total = blocks.shape[0]
@@ -321,15 +332,18 @@ class _BatchEngine:
 
     def _chains(self, angles: np.ndarray):
         """Running products of the rotation chain for a stack of angle
-        vectors, gathered down to what a poll needs: for every rotation r
-        the two prefix columns pre_r[:, (j, k)] and the two suffix rows
-        suf_{r+1}[(j, k), :], plus the fully assembled base block."""
-        n, m, cols = self.n, self.m, self.cols
+        vectors, gathered down to what a poll needs: for every live rotation
+        r the two prefix columns pre_r[:, (j, k)] and the two suffix rows
+        suf_{r+1}[(j, k), :], plus the fully assembled base block. The dead
+        rotations past the live prefix act on zero rows, so both chains stop
+        at the last live one."""
+        n, m, cols = self.n, self.live, self.cols
         nr = angles.shape[0]
         phases = angles[:, :n]
-        cos_t = np.cos(angles[:, n::2])
-        sin_t = np.sin(angles[:, n::2])
-        eph = np.exp(1j * angles[:, n + 1 :: 2])
+        stop = n + 2 * m
+        cos_t = np.cos(angles[:, n:stop:2])
+        sin_t = np.sin(angles[:, n:stop:2])
+        eph = np.exp(1j * angles[:, n + 1 : stop : 2])
         g2 = self._g2(cos_t, sin_t, eph)  # (R, m, 2, 2)
         pg = np.empty((nr, m, n, 2), dtype=np.complex128)
         cur = np.empty((nr, n, n), dtype=np.complex128)
@@ -341,7 +355,7 @@ class _BatchEngine:
             cur[:, :, jk] = blk @ g2[:, r]
         sg = np.empty((nr, m, 2, cols), dtype=np.complex128)
         tail = np.zeros((nr, n, cols), dtype=np.complex128)
-        for l in range(min(n, cols)):
+        for l in range(self.slots):
             tail[:, l, l] = np.exp(1j * phases[:, l])
         for r in range(m - 1, -1, -1):
             jk = self.pairs[r]
@@ -363,24 +377,25 @@ class _BatchEngine:
     def poll(self, angles: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Candidate values for a stack of poll points.
 
-        angles is (R, n*n), steps is (R,); returns (R, 2*n*n) in the fixed
-        candidate order (phase +/- per column slot, then theta+/theta-/
-        phi+/phi- per rotation).
+        angles is (R, n*n), steps is (R,); returns (R, width) in the fixed
+        candidate order (phase +/- per kept column slot, then theta+/theta-/
+        phi+/phi- per live rotation). width = 2 (n^2 - (n - cols)^2): the
+        dead angles are left out, since moving one reproduces the base block.
         """
-        n, m, cols = self.n, self.m, self.cols
+        n, m, cols, p = self.n, self.live, self.cols, self.slots
         nr = angles.shape[0]
         pg, sg, base, g0, cos_t, sin_t, eph = self._chains(angles)
 
-        cands = np.empty((nr, 2 * n * n, n, cols), dtype=np.complex128)
+        cands = np.empty((nr, self.width, n, cols), dtype=np.complex128)
         # phase coordinates: scaling one kept column of the base
-        cands[:, : 2 * n] = base[:, None]
+        cands[:, : 2 * p] = base[:, None]
         up = np.exp(1j * steps)
-        for l in range(min(n, cols)):
+        for l in range(p):
             cands[:, 2 * l, :, l] *= up[:, None]
             cands[:, 2 * l + 1, :, l] *= np.conj(up)[:, None]
 
         if m:
-            th = angles[:, n::2]
+            th = angles[:, n : n + 2 * m : 2]
             st = steps[:, None]
             twist = np.exp(1j * st)
             variants = np.stack(
@@ -395,16 +410,17 @@ class _BatchEngine:
             dg = variants - g0[:, :, None]
             inner = np.matmul(dg, sg[:, :, None])  # (R, m, 4, 2, cols)
             delta = np.matmul(pg[:, :, None], inner)  # (R, m, 4, n, cols)
-            cands[:, 2 * n :] = base[:, None] + delta.reshape(nr, 4 * m, n, cols)
+            cands[:, 2 * p :] = base[:, None] + delta.reshape(nr, 4 * m, n, cols)
 
-        flat = cands.reshape(nr * 2 * n * n, n, cols)
-        return self._eval(flat).reshape(nr, 2 * n * n)
+        flat = cands.reshape(nr * self.width, n, cols)
+        return self._eval(flat).reshape(nr, self.width)
 
     def candidate_delta(self, idx: int, step: float) -> tuple[int, float]:
-        n = self.n
-        if idx < 2 * n:
+        """Angle index and signed step of poll candidate `idx`."""
+        n, p = self.n, self.slots
+        if idx < 2 * p:
             return idx // 2, step if idx % 2 == 0 else -step
-        idx -= 2 * n
+        idx -= 2 * p
         r, v = divmod(idx, 4)
         coord = n + 2 * r + (0 if v < 2 else 1)
         return coord, step if v % 2 == 0 else -step

@@ -166,14 +166,45 @@ def test_batch_poll_matches_brute_force_candidates():
     angles = rng.uniform(-2.0, 2.0, (3, dim * dim))
     steps = np.array([0.5, 0.25, 0.125])
     polled = engine.poll(angles, steps)
-    assert polled.shape == (3, 2 * dim * dim)
+    # only the live coordinates are polled: 2 (K^2 - (K - c)^2) candidates
+    width = 2 * (dim * dim - (dim - cols) ** 2)
+    assert polled.shape == (3, width)
     for r in range(3):
-        for idx in range(2 * dim * dim):
+        for idx in range(width):
             coord, delta = engine.candidate_delta(idx, float(steps[r]))
             cand = angles[r].copy()
             cand[coord] += delta
             block = decode_unitary(UnitaryParam(dim, cand), columns=cols)
             assert np.isclose(polled[r, idx], f(block[None])[0], atol=1e-10)
+
+
+@pytest.mark.parametrize("dim,cols", [(3, 2), (4, 1), (4, 2), (4, 4), (9, 3), (16, 4)])
+def test_skipped_poll_coordinates_are_dead(dim, cols):
+    engine = _BatchEngine(None, dim, cols)
+    polled = [engine.candidate_delta(idx, 0.5) for idx in range(engine.width)]
+    # every polled angle appears once at +step and once at -step
+    coords = sorted({coord for coord, _ in polled})
+    assert sorted(polled) == sorted([(q, -0.5) for q in coords] + [(q, 0.5) for q in coords])
+    # the angles the poll skips, by the rule: phases of dropped columns and
+    # the rotations (j, k) with j >= cols
+    skipped = list(range(cols, dim))
+    for r, (j, _) in enumerate(rotation_pairs(dim)):
+        if j >= cols:
+            skipped += [dim + 2 * r, dim + 2 * r + 1]
+    assert sorted(coords + skipped) == list(range(dim * dim))
+    assert len(coords) == dim * dim - (dim - cols) ** 2
+
+    rng = np.random.default_rng(100 * dim + cols)
+    angles = rng.uniform(-3.0, 3.0, dim * dim)
+    base = decode_unitary(UnitaryParam(dim, angles), columns=cols)
+    for q in skipped:
+        moved = angles.copy()
+        moved[q] += rng.uniform(0.1, 3.0)
+        assert np.array_equal(decode_unitary(UnitaryParam(dim, moved), columns=cols), base)
+    for q in coords:
+        moved = angles.copy()
+        moved[q] += 0.5
+        assert not np.array_equal(decode_unitary(UnitaryParam(dim, moved), columns=cols), base)
 
 
 def test_lockstep_restarts_equal_isolated_runs():
