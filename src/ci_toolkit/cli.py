@@ -427,7 +427,14 @@ def _cmd_sweep(args) -> int:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7, help="base seed for all randomness")
     p.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
-    p.add_argument("--tol", type=float, default=1e-6, help="optimizer step tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-6,
+        help="optimizer step tolerance, and the stall threshold: a restart "
+        "pauses when its best value gains less than this over W iterations, "
+        "W being the candidates in one poll",
+    )
     p.add_argument("--max-iters", type=int, default=2000, help="optimizer iteration cap")
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument(
@@ -472,9 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse keeps no state between parse_args calls, so one parser serves
+    # every call in the process; building it costs more than most commands
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _CAP_ERRORS as exc:

@@ -172,7 +172,9 @@ def mi_continuity_bound(t: float, total_dim: int) -> float:
     """Bound on |I(rho) - I(sigma)| given trace distance t and total dimension.
 
     Value is 3 t log2(d) + 3 h(t). The derivation behind it assumes
-    t <= 1/2; callers should flag larger t (the CLI does).
+    t <= 1/2, which this function does not check; callers should flag
+    larger t. No CLI path calls it, and the `continuity` suite only draws
+    pairs at trace distance below 1/2.
     """
     if not (0.0 <= t <= 1.0):
         raise InvalidArgument(f"mi_continuity_bound: trace distance {t} outside [0, 1]")

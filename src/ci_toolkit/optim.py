@@ -22,11 +22,19 @@ column, and a rotation with columns <= j < k mixes rows that are still zero
 when it acts. Moving a dead angle reproduces the base block exactly, so its
 candidate could never clear the margin and is not polled.
 Restarts are seeded Haar unitaries, reduced deterministically (strict
-improvement keeps the lowest restart index). With a vectorized objective
-all restarts advance in lockstep — each follows its own trajectory, but
-every iteration's polls are pooled into batched objective calls — and the
-index-ordered reduction keeps the result equivalent to running them one at
-a time. The search is deterministic for a fixed seed and config.
+improvement keeps the lowest restart index). All restarts advance in
+lockstep — each follows its own trajectory, but every iteration's polls are
+pooled into batched objective calls.
+
+A restart stops when its step falls below `tol` or at `max_iters`, and it
+goes dormant when it stalls: after more than W polls, W being the number of
+candidates in one poll, its incumbent has gained less than `tol` over the
+last W polls. Restarts that crawl along a flat ridge thus stop early. When
+no restart is live, the one with the highest incumbent is resumed alone,
+without the stall rule, until it stops. Up to its dormancy each restart's
+trajectory equals that of running it on its own, so the resumed leader
+ends exactly where an unstalled run of it ends. The search is
+deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -245,12 +253,15 @@ def rank1_povm(u, party_dim: int) -> Povm:
 
 
 class _ScalarEngine:
-    """Reference evaluation path: one objective call per candidate."""
+    """Reference evaluation path: one objective call per candidate, polling
+    every angle (the objective sees the whole UnitaryParam, so no angle is
+    known to be dead)."""
 
     def __init__(self, objective, dim: int):
         self.objective = objective
         self.dim = dim
         self.n_angles = angle_count(dim)
+        self.width = 2 * self.n_angles
 
     def value(self, angles: np.ndarray) -> float:
         param = UnitaryParam(self.dim, angles)
@@ -259,13 +270,19 @@ class _ScalarEngine:
             raise ObjectiveError(f"objective returned non-finite value {v}", param=param)
         return v
 
-    def poll(self, angles: np.ndarray, step: float) -> np.ndarray:
-        out = np.empty(2 * self.n_angles)
-        for q in range(self.n_angles):
-            for s, delta in enumerate((step, -step)):
-                cand = angles.copy()
+    def values(self, angles_stack: np.ndarray) -> np.ndarray:
+        return np.array([self.value(a) for a in angles_stack])
+
+    def poll(self, angles: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Candidate values (R, 2 n^2) for a stack of poll points: angle q
+        at +step in column 2q and at -step in column 2q + 1."""
+        out = np.empty((angles.shape[0], self.width))
+        for t, (base, step) in enumerate(zip(angles, steps)):
+            for idx in range(self.width):
+                q, delta = self.candidate_delta(idx, float(step))
+                cand = base.copy()
                 cand[q] += delta
-                out[2 * q + s] = self.value(cand)
+                out[t, idx] = self.value(cand)
         return out
 
     @staticmethod
@@ -435,35 +452,22 @@ def _forcing(step: float) -> float:
     return 1e-4 * step * step + 1e-12
 
 
-def _pattern_search(engine, start: np.ndarray, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
-    angles = np.array(start, dtype=np.float64)
-    best = engine.value(angles)
-    step = cfg.initial_step
-    iters = 0
-    while iters < cfg.max_iters and step >= cfg.tol:
-        iters += 1
-        vals = engine.poll(angles, step)
-        q = int(np.argmax(vals))
-        if vals[q] > best + _forcing(step):
-            coord, delta = engine.candidate_delta(q, step)
-            angles = angles.copy()
-            angles[coord] += delta
-            best = vals[q]
-        else:
-            step *= cfg.shrink_factor
-    # Re-evaluate through the single-point path so the reported value is
-    # exactly what the returned parameters give, not the incremental
-    # bookkeeping of the poll loop.
-    return engine.value(angles), angles
-
-
 def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
     """Advance every restart's compass search in lockstep.
 
     Each restart follows exactly the trajectory it would follow on its own
-    (own incumbent, own step, own iteration count); only the objective
-    evaluations are pooled across the live restarts. Returns a list of
-    (value, angles) in restart order.
+    (own incumbent, own step, own iteration count) up to its dormancy; only
+    the objective evaluations are pooled across the live restarts.
+
+    A restart ends when its step falls below `tol` or it reaches
+    `max_iters`. It also goes dormant, keeping its state, when it stalls:
+    from poll W + 1 on, with W = `engine.width` the candidates per poll, its
+    incumbent beats the one it held W polls earlier by less than `tol`. Once
+    no restart is live, the one with the highest incumbent (lowest index on
+    ties) is resumed alone, without the stall rule, until it ends. Its polls
+    do not depend on the rest of the batch, so the leader finishes on the
+    exact trajectory of an unstalled run. Returns a list of (value, angles)
+    in restart order.
     """
     nr = starts.shape[0]
     angles = np.array(starts, dtype=np.float64)
@@ -471,10 +475,14 @@ def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
     steps = np.full(nr, cfg.initial_step)
     iters = np.zeros(nr, dtype=np.intp)
     live = np.ones(nr, dtype=bool)
-    while True:
-        idx = np.nonzero(live)[0]
-        if idx.size == 0:
-            break
+    window = engine.width
+    # incumbent after poll t in slot t % window (slot 0 starts with poll 0,
+    # the start value), so a slot holds the incumbent of `window` polls ago
+    # until it is overwritten
+    history = np.empty((nr, window))
+    history[:, 0] = best
+
+    def advance(idx: np.ndarray, stall: bool) -> None:
         vals = engine.poll(angles[idx], steps[idx])
         picks = np.argmax(vals, axis=1)
         for t, r in enumerate(idx):
@@ -489,6 +497,21 @@ def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
             iters[r] += 1
             if iters[r] >= cfg.max_iters or steps[r] < cfg.tol:
                 live[r] = False
+            elif stall:
+                slot = iters[r] % window
+                if iters[r] > window and best[r] - history[r, slot] < cfg.tol:
+                    live[r] = False
+                history[r, slot] = best[r]
+
+    while live.any():
+        advance(np.nonzero(live)[0], stall=True)
+    # a leader that went dormant instead of ending runs on alone
+    lead = int(np.argmax(best))
+    while iters[lead] < cfg.max_iters and steps[lead] >= cfg.tol:
+        advance(np.array([lead]), stall=False)
+    # Re-evaluate through the single-point path so the reported value is
+    # exactly what the returned parameters give, not the incremental
+    # bookkeeping of the poll loop.
     return [(engine.value(angles[r]), angles[r].copy()) for r in range(nr)]
 
 
@@ -531,11 +554,7 @@ def maximize(
 
     starts = [encode_unitary(np.asarray(w)).angles for w in warm_starts]
     starts += [encode_unitary(haar_unitary(n, int(s))).angles for s in _restart_seeds(cfg)]
-
-    if isinstance(engine, _BatchEngine):
-        results = _pattern_search_many(engine, np.stack(starts), cfg)
-    else:
-        results = [_pattern_search(engine, start, cfg) for start in starts]
+    results = _pattern_search_many(engine, np.stack(starts), cfg)
 
     best_val = -math.inf
     best_angles = None

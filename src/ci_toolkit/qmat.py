@@ -1,10 +1,11 @@
 """Dense complex-matrix kernel: Hermitian eigensolves, PSD square roots,
 trace norms and Kronecker products.
 
-Everything downstream funnels its linear algebra through these four
-functions, so their tolerances set the numerical floor for the whole
-package: eigenvector residuals and PSD clipping live at 1e-10, eigenvalue
-zero-clipping at 1e-12.
+Of these four functions the package itself calls only `psd_sqrt` and
+`trace_norm` (from `info`, for fidelity and trace distance); the other
+modules run their own NumPy eigensolves. `herm_eigen` and `kron` are public
+helpers for callers. Here eigenvector residuals and PSD clipping live at
+1e-10, eigenvalue zero-clipping at 1e-12.
 """
 
 from __future__ import annotations

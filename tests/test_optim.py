@@ -7,6 +7,7 @@ from ci_toolkit.optim import (
     Povm,
     UnitaryParam,
     _BatchEngine,
+    _forcing,
     _pattern_search_many,
     angle_count,
     complete_isometry,
@@ -220,6 +221,118 @@ def test_lockstep_restarts_equal_isolated_runs():
         val, angles = _pattern_search_many(engine, starts[r : r + 1], cfg)[0]
         assert together[r][0] == val
         assert np.array_equal(together[r][1], angles)
+
+
+def _ridge_batch(blocks):
+    # Curved ridge in the Bloch coordinates (x, y) of the first column's top
+    # two entries: its crest y = x^2 peaks at 0 at x = 1/2, y = 1/4, and
+    # about 0.01 lower near x = -1/2. Compass search crawls along the crest.
+    c = blocks[:, 0, 0].conj() * blocks[:, 1, 0]
+    x, y = 2 * c.real, 2 * c.imag
+    return -(100.0 * (y - x * x) ** 2 + (x * x - 0.25) ** 2 + 0.01 * (x - 0.5) ** 2)
+
+
+def _ridge_top() -> np.ndarray:
+    # angles of a 4x4 unitary whose first column sits at the ridge's maximum
+    a = 0.5 * np.arcsin(np.hypot(0.5, 0.25))
+    phi = np.arctan2(0.25, 0.5)
+    block = np.array(
+        [[np.cos(a), 0], [np.exp(1j * phi) * np.sin(a), 0], [0, 1], [0, 0]]
+    )
+    return encode_unitary(complete_isometry(block)).angles.copy()
+
+
+def _compass(engine, start, cfg):
+    """Unstalled compass loop on one restart: (value, angles, polls)."""
+    angles = np.array(start, dtype=np.float64)
+    best = engine.values(angles[None])[0]
+    step, polls = cfg.initial_step, 0
+    while polls < cfg.max_iters and step >= cfg.tol:
+        vals = engine.poll(angles[None], np.array([step]))[0]
+        polls += 1
+        q = int(np.argmax(vals))
+        if vals[q] > best + _forcing(step):
+            coord, delta = engine.candidate_delta(q, step)
+            angles[coord] += delta
+            best = vals[q]
+        else:
+            step *= cfg.shrink_factor
+    return engine.value(angles), angles, polls
+
+
+def _counted(engine):
+    # wrap engine.poll to count restart-polls (rows), live or resumed
+    polls = [0]
+    poll = engine.poll
+
+    def counting(angles, steps):
+        polls[0] += angles.shape[0]
+        return poll(angles, steps)
+
+    engine.poll = counting
+    return polls
+
+
+RIDGE = OptimizerConfig(restarts=8, max_iters=2000, tol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def ridge_runs():
+    engine = _BatchEngine(_ridge_batch, 4, 2)
+    starts = np.stack(
+        [encode_unitary(haar_unitary(4, s)).angles for s in range(RIDGE.restarts)]
+    )
+    reference = [_compass(engine, s, RIDGE) for s in starts]
+    polls = _counted(engine)
+    lockstep = _pattern_search_many(engine, starts, RIDGE)
+    return reference, lockstep, polls[0]
+
+
+def test_stall_rule_cuts_crawling_restarts(ridge_runs):
+    reference, _, polls = ridge_runs
+    # unstalled, most restarts crawl for hundreds of polls, far past W = 24
+    assert sum(p > 400 for _, _, p in reference) >= 5
+    assert polls < RIDGE.restarts * RIDGE.max_iters
+    assert polls < 0.7 * sum(p for _, _, p in reference)
+
+
+def test_reported_restart_matches_unstalled_compass_loop(ridge_runs):
+    reference, lockstep, _ = ridge_runs
+    # the reduction maximize applies: strict improvement, lowest index first
+    lead = int(np.argmax([val for val, _ in lockstep]))
+    val, angles, _ = reference[lead]
+    assert lockstep[lead][0] == val
+    assert np.array_equal(lockstep[lead][1], angles)
+    # here the leader is also the unstalled winner, so the search reports
+    # exactly what it reported without the stall rule
+    assert lead == int(np.argmax([v for v, _, _ in reference]))
+    # while other crawling restarts went dormant short of their unstalled end
+    assert any(
+        not np.array_equal(lockstep[r][1], reference[r][1])
+        for r in range(RIDGE.restarts)
+        if r != lead
+    )
+
+
+def test_restart_ending_within_one_window_is_unaffected():
+    engine = _BatchEngine(_ridge_batch, 4, 2)
+    top = _ridge_top()
+    near = top.copy()
+    near[6] += 0.375
+    near[4] += 0.0625
+    val, angles, polls = _compass(engine, near, RIDGE)
+    # it climbs back toward the top, its last moves coming after several
+    # halvings, and halves its step down to tol within W polls, so the stall
+    # rule never looks at it
+    assert 0 < polls <= engine.width
+    assert not np.array_equal(angles, near)
+    # restart 0 starts on the top, so restart 1 is never the resumed leader
+    starts = np.stack(
+        [top, near] + [encode_unitary(haar_unitary(4, s)).angles for s in (1, 2)]
+    )
+    together = _pattern_search_many(engine, starts, RIDGE)
+    assert together[1][0] == val
+    assert np.array_equal(together[1][1], angles)
 
 
 def test_maximize_recovers_target_state():
