@@ -252,6 +252,66 @@ def _weight_term(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pure_entropy_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weight p = ||X||^2 and unnormalized entropy -sum w log2 w of the
+    reduced state X X^dagger (whose nonzero spectrum X^dagger X shares) for
+    each amplitude matrix in a (..., m, n) stack.
+
+    A 2x2 spectrum is fixed by p and |det X|^2: w+ = p/2 + sqrt(p^2/4 -
+    |det X|^2) and w- = |det X|^2 / w+, which avoids the cancellation in
+    p/2 - sqrt(...).  Other shapes diagonalize the Gram matrix on the
+    smaller side.
+    """
+    m, n = x.shape[-2:]
+    flat = x.reshape(x.shape[:-2] + (m * n,))
+    p = np.sum(flat.real**2 + flat.imag**2, axis=-1)
+    if m == 2 and n == 2:
+        det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+        d2 = det.real**2 + det.imag**2
+        half = 0.5 * p
+        hi = half + np.sqrt(np.maximum(half * half - d2, 0.0))
+        # hi = 0 only for X = 0, where det = 0 too
+        lo = d2 / np.where(hi > 0.0, hi, 1.0)
+        return p, -(_weight_term(hi) + _weight_term(lo))
+    xh = np.conj(np.swapaxes(x, -1, -2))
+    gram = np.matmul(x, xh) if m <= n else np.matmul(xh, x)
+    return p, _entropy_stack(gram)
+
+
+def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Factor each PSD block of a (dx, dy, dy) stack as R_x = L_x L_x^dagger,
+    dropping eigenvalues at or below the weight floor as `purify` does.
+
+    Returns conj(L) of every block side by side, (dy, total rank), so that
+    a row v gives <v|R_x|v> = ||L_x^dagger v||^2 as the squared moduli of
+    v @ factors summed over block x's columns; and the first column of each
+    block of nonzero rank, or None when no block has rank above one (then
+    each column is its own block).  Blocks of rank zero get no column.
+    """
+    w, u = np.linalg.eigh(blocks)
+    cols = []
+    ranks = []
+    for wx, ux in zip(w, u):
+        keep = wx > _WEIGHT_FLOOR
+        ranks.append(int(np.count_nonzero(keep)))
+        cols.append(ux[:, keep] * np.sqrt(wx[keep]))
+    factors = np.ascontiguousarray(np.concatenate(cols, axis=1).conj())
+    nonzero = [r for r in ranks if r]
+    if max(nonzero) == 1:
+        return factors, None
+    return factors, np.concatenate(([0], np.cumsum(nonzero[:-1])))
+
+
+def _block_weights(
+    rows: np.ndarray, factors: np.ndarray, starts: np.ndarray | None
+) -> np.ndarray:
+    """Weights <v|R_x|v> of every row v in a (rows, dy) stack, one column per
+    block of nonzero rank, from `_block_factors`; nonnegative by construction."""
+    amp = rows @ factors
+    q = amp.real**2 + amp.imag**2
+    return q if starts is None else np.add.reduceat(q, starts, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # measured mutual information, maximized over rank-one POVMs
 
@@ -295,25 +355,17 @@ def one_way_ci(
         )
 
     if merged.purity() > 1.0 - 1e-12:
-        # Pure input: each conditional block on alice+charlie is the outer
-        # product of a partial inner product of the state vector, so its
-        # entropy term needs only a squared norm, and only the small
-        # charlie-side Gram matrices ever get diagonalized.
+        # Pure input: each conditional block on alice+charlie is pure, with
+        # the (alice, charlie) amplitude matrix of a partial inner product of
+        # the state vector, so the term per outcome is the steering one with
+        # bob in the ancilla's place.
         w_eig, u_eig = np.linalg.eigh(merged.matrix)
         amp = u_eig[:, -1] * math.sqrt(max(float(w_eig[-1]), 0.0))
-        pm = np.ascontiguousarray(
-            amp.reshape(da, db, dc).transpose(1, 0, 2).reshape(db, da * dc)
-        )
+        psi_mat = amp.reshape(da, db, dc).transpose(0, 2, 1).reshape(da * dc, db)
+        steer = _steering_batch(psi_mat, da, dc)
 
         def batch(vstack: np.ndarray) -> np.ndarray:
-            b, kk, _ = vstack.shape
-            flat = vstack.reshape(b * kk, db)
-            chi = flat.conj() @ pm  # (rows, da*dc)
-            p = np.real(np.sum(chi.conj() * chi, axis=-1))
-            xs = chi.reshape(-1, da, dc)
-            sig_c = np.matmul(xs.transpose(0, 2, 1), xs.conj())
-            h_c = _entropy_stack(sig_c.reshape(b, kk, dc, dc))
-            return s_a + np.sum(h_c + _weight_term(p).reshape(b, kk), axis=-1)
+            return s_a + steer(vstack)
 
     else:
         # [(y, z), (a, c, w, d)] rearrangement of the state, so the
@@ -336,12 +388,8 @@ def one_way_ci(
             h_c = _entropy_stack(sig_c)
             return s_a + np.sum(h_c - h_ac, axis=-1)
 
-    def scalar(param: UnitaryParam) -> float:
-        w = decode_unitary(param, columns=db)
-        return float(batch(w[None, :, :])[0])
-
     _, param = maximize(
-        scalar,
+        None,
         k,
         cfg,
         batch_objective=batch,
@@ -409,17 +457,14 @@ def discord(
 
     if x_classical:
         # conditional states are diagonal in the x basis, so the objective
-        # needs only outcome distributions q[., x] = <v| R_x |v>: with the
-        # per-row Gram vectors g[(y,y')] = conj(v[y]) v[y'] that is one real
-        # matrix product, which is what keeps two-copy polls affordable.
-        t2 = np.ascontiguousarray(np.einsum("xyxz->yzx", t4).reshape(dy * dy, dx))
+        # needs only outcome distributions q[., x] = <v| R_x |v>.  With each
+        # block R_x factored once here, that is one complex matrix product
+        # per poll, which is what keeps two-copy polls affordable.
+        factors, starts = _block_factors(np.einsum("xyxz->xyz", t4))
 
         def batch(vstack: np.ndarray) -> np.ndarray:
             b, kk, _ = vstack.shape
-            flat = vstack.reshape(b * kk, dy)
-            gram = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(-1, dy * dy)
-            q = np.real(gram @ t2)
-            np.clip(q, 0.0, None, out=q)
+            q = _block_weights(vstack.reshape(b * kk, dy), factors, starts)
             p = np.sum(q, axis=-1)
             h_cond = -np.sum(_weight_term(q), axis=-1)
             per = (h_cond + _weight_term(p)).reshape(b, kk)
@@ -438,12 +483,8 @@ def discord(
             h_cond = _entropy_stack(sig)
             return s_x - np.sum(h_cond + _weight_term(p), axis=-1)
 
-    def scalar(param: UnitaryParam) -> float:
-        w = decode_unitary(param, columns=dy)
-        return float(batch(w[None, :, :])[0])
-
     _, param = maximize(
-        scalar,
+        None,
         k,
         cfg,
         batch_objective=batch,
@@ -497,12 +538,14 @@ def _steering_setup(
 
 
 def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
+    """Batch objective sum_i (S(chi_i) + p_i log2 p_i) over the outcome rows,
+    where chi_i is the unnormalized (da, dc) amplitude that outcome i steers
+    ``psi_mat`` (system, ancilla) into."""
+    rows = np.ascontiguousarray(psi_mat.T)
+
     def batch(vstack: np.ndarray) -> np.ndarray:
-        chi = np.matmul(vstack.conj(), psi_mat.T)  # (batch, K, da*dc)
-        chi = chi.reshape(chi.shape[:2] + (da, dc))
-        gram = np.einsum("bixc,biyc->bixy", chi, chi.conj())
-        p = np.real(np.einsum("bixx->bi", gram))
-        h = _entropy_stack(gram)
+        chi = np.matmul(vstack.conj(), rows)  # (batch, K, da*dc)
+        p, h = _pure_entropy_stack(chi.reshape(chi.shape[:2] + (da, dc)))
         return np.sum(h + _weight_term(p), axis=-1)
 
     return batch
@@ -555,17 +598,11 @@ def eoa(
         raise InvalidArgument(
             f"povm_outcomes={k} cannot form a rank-one POVM on dimension {r}"
         )
-    batch = _steering_batch(psi_mat, da, dc)
-
-    def scalar(param: UnitaryParam) -> float:
-        w = decode_unitary(param, columns=r)
-        return float(batch(w[None, :, :])[0])
-
     _, param = maximize(
-        scalar,
+        None,
         k,
         cfg,
-        batch_objective=batch,
+        batch_objective=_steering_batch(psi_mat, da, dc),
         columns=r,
         warm_starts=warm_starts,
         progress=progress,
@@ -600,17 +637,11 @@ def eof(
         raise InvalidArgument(
             f"povm_outcomes={k} cannot form a rank-one POVM on dimension {r}"
         )
-    batch = _steering_batch(psi_mat, da, dc)
-
-    def scalar(param: UnitaryParam) -> float:
-        w = decode_unitary(param, columns=r)
-        return float(batch(w[None, :, :])[0])
-
     _, param = minimize(
-        scalar,
+        None,
         k,
         cfg,
-        batch_objective=batch,
+        batch_objective=_steering_batch(psi_mat, da, dc),
         columns=r,
         warm_starts=warm_starts,
         progress=progress,

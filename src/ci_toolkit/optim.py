@@ -425,9 +425,15 @@ class _BatchEngine:
                 axis=2,
             )  # (R, m, 4, 2, 2)
             dg = variants - g0[:, :, None]
-            inner = np.matmul(dg, sg[:, :, None])  # (R, m, 4, 2, cols)
-            delta = np.matmul(pg[:, :, None], inner)  # (R, m, 4, n, cols)
-            cands[:, 2 * p :] = base[:, None] + delta.reshape(nr, 4 * m, n, cols)
+            # pre @ dg @ suf, both products spelled out over their inner
+            # dimension of 2, which beats stacked matmuls of such small blocks
+            suf = sg[:, :, None]  # (R, m, 1, 2, cols)
+            inner = dg[..., 0:1] * suf[..., 0:1, :] + dg[..., 1:2] * suf[..., 1:2, :]
+            pre = pg[:, :, None]  # (R, m, 1, n, 2)
+            out = cands[:, 2 * p :].reshape(nr, m, 4, n, cols)
+            np.multiply(pre[..., 0:1], inner[..., 0:1, :], out=out)
+            out += pre[..., 1:2] * inner[..., 1:2, :]
+            out += base[:, None, None]
 
         flat = cands.reshape(nr * self.width, n, cols)
         return self._eval(flat).reshape(nr, self.width)
@@ -534,7 +540,8 @@ def maximize(
     objective maps a UnitaryParam to a float. When `batch_objective` is
     given it must map a (B, dim, columns) stack of decoded first-column
     blocks to B values consistent with `objective`; the search then
-    evaluates whole polls vectorized. `warm_starts` are explicit unitaries
+    evaluates whole polls vectorized and `objective` may be None. Passing
+    neither raises InvalidArgument. `warm_starts` are explicit unitaries
     searched before the seeded Haar restarts (they occupy the lowest restart
     indices). Ties between restarts keep the lowest index; two runs with the
     same seed and config return identical results.
@@ -546,6 +553,8 @@ def maximize(
     cols = n if columns is None else int(columns)
     if not (1 <= cols <= n):
         raise InvalidArgument(f"maximize: columns must be in [1, {n}]")
+    if objective is None and batch_objective is None:
+        raise InvalidArgument("maximize: needs an objective or a batch_objective")
 
     if batch_objective is not None:
         engine = _BatchEngine(batch_objective, n, cols)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -202,6 +203,25 @@ def test_golden_text_output(quantity, preset, capsys):
         "# config: seed=7 restarts=4 tol=1e-05 max-iters=400",
     ] + GOLDEN_ROWS[quantity, preset]
     assert out == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("quantity", ["one-way-ci", "eoa", "discord"])
+def test_csv_output_independent_of_blas_threads(quantity):
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ci_toolkit.cli", "compute", quantity,
+             "--preset", "w", *FAST, "--format", "csv"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=SUBPROCESS_TIMEOUT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()[-1].split(",")) == 3
 
 
 def test_state_file_input(tmp_path, capsys):

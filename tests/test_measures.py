@@ -9,7 +9,10 @@ from ci_toolkit.measures import (
     EXACT,
     LOWER,
     UPPER,
+    _block_factors,
+    _block_weights,
     _entropy_stack,
+    _pure_entropy_stack,
     _weight_term,
     coherent_info_lower,
     discord,
@@ -141,6 +144,42 @@ def test_discord_pure_state_equals_entanglement_entropy():
     s_a = vn_entropy(partial_trace(rho, "B"))
     est = discord(rho, "A", "B", QUICK)
     assert abs(est.value - s_a) <= 5e-3
+
+
+def test_discord_rank_two_blocks_match_generic_branch(monkeypatch):
+    # classical on X = (A, C), with conditional states on B of rank 2, 1, 0
+    # and 2, so the factored objective sums factor columns per block; a
+    # local unitary on X adds coherences between the x-blocks, which sends
+    # the copy through the generic branch, and leaves the discord unchanged
+    rng = np.random.default_rng(314)
+    blocks = []
+    for weight, rank in zip((0.35, 0.25, 0.0, 0.4), (2, 1, 0, 2)):
+        g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+        r = g @ g.conj().T
+        blocks.append(weight * r / max(np.real(np.trace(r)), 1e-300))
+    mat = np.zeros((8, 8), dtype=complex)
+    view = mat.reshape(4, 2, 4, 2)
+    for x, r in enumerate(blocks):
+        view[x, :, x, :] = r
+    layout = SystemLayout((("A", 2), ("C", 2), ("B", 2)))
+    cq = Mstate(layout, mat)
+    u = np.kron(haar_unitary(4, 27), np.eye(2))
+    rotated = Mstate(layout, u @ mat @ u.conj().T)
+
+    calls = []
+    real_factors = _block_factors
+
+    def spy(stack):
+        calls.append(stack.shape)
+        return real_factors(stack)
+
+    monkeypatch.setattr("ci_toolkit.measures._block_factors", spy)
+    a = discord(cq, ("A", "C"), "B", QUICK)
+    assert calls == [(4, 2, 2)]
+    b = discord(rotated, ("A", "C"), "B", QUICK)
+    assert len(calls) == 1
+    assert a.value > 1e-3
+    assert abs(a.value - b.value) <= QUICK.tol
 
 
 def test_discord_accepts_pure_state_and_rejects_groups():
@@ -329,6 +368,76 @@ def test_entropy_stack_diagonal_fast_path():
     out = _entropy_stack(mats)
     assert np.isclose(out[0], 1.0, atol=1e-12)
     assert abs(out[1]) <= 1e-12
+
+
+def _gram_entropy(x):
+    w = np.linalg.eigvalsh(x @ x.conj().T)
+    return -np.sum(_weight_term(np.clip(w, 0.0, None)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 4), (4, 1)])
+def test_pure_entropy_kernel_matches_gram_spectrum(shape):
+    rng = np.random.default_rng(202)
+    x = 0.4 * (rng.standard_normal((5, 7) + shape) + 1j * rng.standard_normal((5, 7) + shape))
+    p, h = _pure_entropy_stack(x)
+    assert p.shape == h.shape == (5, 7)
+    for b in range(5):
+        for k in range(7):
+            assert abs(p[b, k] - np.sum(np.abs(x[b, k]) ** 2)) <= 1e-12
+            assert abs(h[b, k] - _gram_entropy(x[b, k])) <= 1e-12
+
+
+def test_pure_entropy_kernel_edge_rows():
+    rng = np.random.default_rng(203)
+    a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    c = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    product = 0.5 * np.einsum("ix,iy->ixy", a, c)  # det = 0: one nonzero weight
+    entangled = np.stack([0.6 * haar_unitary(2, 40 + i) / math.sqrt(2) for i in range(6)])
+    for stack in (product, entangled):
+        p, h = _pure_entropy_stack(stack)
+        for row, pr, hr in zip(stack, p, h):
+            assert abs(hr - _gram_entropy(row)) <= 1e-12
+            assert abs(pr - np.sum(np.abs(row) ** 2)) <= 1e-12
+    p, h = _pure_entropy_stack(product)
+    assert np.allclose(h, -_weight_term(p), rtol=0.0, atol=1e-12)
+    # maximally entangled: the degenerate spectrum p/2, p/2
+    p, h = _pure_entropy_stack(entangled)
+    assert np.allclose(p, 0.36, rtol=0.0, atol=1e-12)
+    assert np.allclose(h, -2.0 * _weight_term(np.full(6, 0.18)), rtol=0.0, atol=1e-12)
+    for shape in ((2, 2), (2, 3), (3, 2), (1, 4)):
+        p, h = _pure_entropy_stack(np.zeros((3,) + shape, dtype=complex))
+        assert np.all(np.isfinite(h))
+        assert np.all(p == 0.0)
+        assert np.all(h == 0.0)
+
+
+def _psd_blocks(ranks, dy, rng):
+    out = np.zeros((len(ranks), dy, dy), dtype=complex)
+    for x, r in enumerate(ranks):
+        g = rng.standard_normal((dy, r)) + 1j * rng.standard_normal((dy, r))
+        out[x] = 0.3 * g @ g.conj().T
+    return out
+
+
+@pytest.mark.parametrize("ranks", [(0, 1, 2), (1, 0, 1), (2, 2), (2, 0, 1, 2)])
+def test_block_weights_match_gram_product(ranks):
+    rng = np.random.default_rng(204)
+    dy = 3
+    blocks = _psd_blocks(ranks, dy, rng)
+    rows = rng.standard_normal((40, dy)) + 1j * rng.standard_normal((40, dy))
+    # the per-row Gram vectors against the blocks, as one matrix product
+    t2 = np.ascontiguousarray(blocks.transpose(1, 2, 0).reshape(dy * dy, -1))
+    gram = (rows.conj()[:, :, None] * rows[:, None, :]).reshape(-1, dy * dy)
+    old = np.real(gram @ t2)
+    factors, starts = _block_factors(blocks)
+    assert factors.shape == (dy, sum(ranks))
+    assert (starts is None) == (max(ranks) == 1)
+    q = _block_weights(rows, factors, starts)
+    kept = [x for x, r in enumerate(ranks) if r]
+    assert q.shape == (40, len(kept))
+    assert np.all(q >= 0.0)
+    assert np.allclose(q, old[:, kept], rtol=0.0, atol=1e-12)
+    assert np.allclose(old[:, [x for x, r in enumerate(ranks) if not r]], 0.0, atol=1e-12)
 
 
 def test_weight_term_zero_limit():

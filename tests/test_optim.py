@@ -437,3 +437,10 @@ def test_maximize_validates_arguments():
         maximize(lambda p: 0.0, 0, QUICK)
     with pytest.raises(InvalidArgument):
         maximize(None, 2, QUICK, batch_objective=lambda b: np.zeros(len(b)), columns=3)
+
+
+def test_maximize_needs_an_objective():
+    with pytest.raises(InvalidArgument):
+        maximize(None, 2, QUICK)
+    with pytest.raises(InvalidArgument):
+        minimize(None, 2, QUICK, columns=1)
