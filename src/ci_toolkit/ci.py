@@ -113,12 +113,8 @@ def resolve_tripartite(
     return a, b, c
 
 
-def _as_mstate(state) -> Mstate:
-    return state.to_mstate() if isinstance(state, PureState) else state
-
-
 def _require_pure(state) -> Mstate:
-    rho = _as_mstate(state)
+    rho = state.to_mstate()
     if rho.purity() < 1.0 - _PURITY_TOL:
         raise NotPure(
             f"global state has purity {rho.purity():.9f}; this quantity "
@@ -180,7 +176,7 @@ def ci_upper(
     """Information-theoretic cap on the concentrated information: the total
     mutual information, or the reference entropy plus what is distillable
     across the receiver cut, whichever is smaller."""
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     return _upper_candidates(rho, a, b, c)[0]
 
@@ -196,36 +192,30 @@ def ci_lower(
 ) -> CiReport:
     """Achievable lower bound, reported next to the upper cap.
 
-    Three candidate protocols compete: announce nothing (the bare
-    reference-receiver mutual information), the discord-gap value (what the
-    helper's best measurement provably leaves, computed from the
-    helper-side discord), and the explicitly optimized one-round protocol.
-    The report keeps all candidates; ``lower`` is their maximum.  The
-    bracket invariant lower <= upper is enforced and its violation raises,
-    since it would mean an implementation bug rather than a loose bound.
+    Two candidate protocols compete: announce nothing (the bare
+    reference-receiver mutual information) and the explicitly optimized
+    one-round protocol.  The helper-side classical correlation
+    I(A:B) - discord is no further candidate: it is the one-round value
+    with the receiver ignored, and for every POVM data processing gives
+    I(A:CR) >= I(A:R), so the optimized protocol already bounds it.  The
+    report keeps both candidates; ``lower`` is their maximum.  The bracket
+    invariant lower <= upper is enforced and its violation raises, since it
+    would mean an implementation bug rather than a loose bound.
     """
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     cfg = config or OptimizerConfig()
 
     merged, (la, lb, lc) = _merged_state(rho, (a, b, c))
     trivial = mutual_info(merged, Partition((la,), (lc,)))
 
-    rho_ab = partial_trace(merged, lc)
-    disc = discord(rho_ab, la, lb, cfg)
-    gap_value = disc.info["mutual_info"] - disc.value
-
     ow = one_way_ci(merged, la, lb, lc, cfg, progress=progress)
 
     cands = (
         BoundCandidate("trivial-protocol", trivial),
-        BoundCandidate("discord-gap", gap_value),
         BoundCandidate("optimized-one-way", ow.value),
     )
-    best = cands[0]
-    for cand in cands[1:]:
-        if cand.value > best.value:
-            best = cand
+    best = max(cands, key=lambda k: k.value)  # ties keep the earlier one
 
     upper, upper_source, upper_cands, detail = _upper_candidates(rho, a, b, c)
     if best.value > upper + 1e-9:
@@ -234,7 +224,6 @@ def ci_lower(
         )
     detail = dict(detail)
     detail["one_way"] = ow
-    detail["helper_discord"] = disc
     return CiReport(
         lower=best.value,
         lower_source=best.name,
@@ -318,7 +307,7 @@ def ci_product_regularized(
     ``ShapeMismatch`` if the state does not factor, ``NotPure`` if the
     first factor is mixed.
     """
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     a = as_labels(alice)
     b1 = as_labels(bob_inner)
     b2 = as_labels(bob_outer)
@@ -358,7 +347,7 @@ def discord_via_ci(
     receiver, optimize the one-round protocol (which then equals the
     classical correlation), and subtract from the mutual information.
     Agrees with `measures.discord` up to optimizer convergence."""
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     x = as_labels(unmeasured)
     y = as_labels(measured)
     if len(y) != 1:
@@ -394,7 +383,7 @@ def lqsm_fidelity_lower(
     value: 2^(-(I_total - ci)/2), where I_total is the mutual information
     between the reference and everyone else.  ``ci_value`` above I_total
     (beyond 1e-9 slack) is rejected; the gap is floored at zero."""
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     a = as_labels(alice) if alice is not None else (rho.layout.labels[0],)
     rest = tuple(l for l in rho.layout.labels if l not in a)
     if not rest:
@@ -430,7 +419,7 @@ def oneway_ci_upper(
     convergence slack; pass ``discord_value`` to substitute an externally
     certified number.
     """
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     merged, (la, lb, lc) = _merged_state(rho, (a, b, c))
     i_total = mutual_info(merged, Partition((la,), (lb, lc)))
@@ -456,7 +445,7 @@ def merge_conditional_entropy_check(
     """Whether the helper's share can be merged to the receiver at no
     communication cost: true iff the helper's entropy conditioned on the
     receiver is non-positive (within 1e-9)."""
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     ce = conditional_entropy(rho, bob, charlie)
     return MergeFeasibility(ce <= 1e-9, ce)
 
@@ -477,7 +466,7 @@ def monotone_necessary_check(
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
 ) -> MonotoneCheck:
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     lhs = log_negativity(rho, Partition(a + b, c))
     rhs = log_negativity(rho, Partition(a, b + c))
@@ -634,7 +623,7 @@ def discord_additivity_check(
     itself, so the reported two-copy value is never worse than the product
     strategy it is compared against.
     """
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     x = as_labels(unmeasured)
     y = as_labels(measured)
     if len(y) != 1:
@@ -728,7 +717,7 @@ def dilated_protocol_state(
     fresh two-dimensional registers in |0>.  Elements of rank above one
     raise ``NotRankOne``.
     """
-    rho = _as_mstate(rho)
+    rho = rho.to_mstate()
     layout = rho.layout
     d = layout.dim_of(bob)
     if povm.party_dim != d:

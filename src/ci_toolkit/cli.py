@@ -57,7 +57,7 @@ from .measures import (
     one_way_ci,
 )
 from .optim import OptimizerConfig
-from .states import PureState, load_state_file, partial_trace, preset
+from .states import load_state_file, partial_trace, preset
 from .suites import SUITES, run_suites
 
 _INPUT_ERRORS = (
@@ -168,7 +168,7 @@ class _Row:
 
 
 def _marginal_entropy(state, labels) -> float:
-    rho = state.to_mstate() if isinstance(state, PureState) else state
+    rho = state.to_mstate()
     drop = [l for l in rho.layout.labels if l not in labels]
     return vn_entropy(partial_trace(rho, drop) if drop else rho)
 
@@ -236,16 +236,12 @@ def _compute_rows(quantity, state, args, cfg):
 
     if quantity == "log-neg":
         x, y = _xy_defaults(layout, args)
-        v = log_negativity(
-            rho.to_mstate() if isinstance(rho, PureState) else rho, Partition(x, y)
-        )
+        v = log_negativity(rho.to_mstate(), Partition(x, y))
         return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, "exact")]
 
     if quantity == "ed-interval":
         x, y = _xy_defaults(layout, args)
-        band = ed_interval(
-            rho.to_mstate() if isinstance(rho, PureState) else rho, Partition(x, y)
-        )
+        band = ed_interval(rho.to_mstate(), Partition(x, y))
         name = f"distillable({_gname(x)}:{_gname(y)})"
         if band.exact:
             return [_Row(name, band.lower, "exact")]
@@ -393,9 +389,7 @@ def _sweep_rows(args, cfg):
         ptext = format(pval, ".17g")
         if args.quantity == "entropy":
             state = preset(args.preset, (pval,))
-            v = vn_entropy(
-                state.to_mstate() if isinstance(state, PureState) else state
-            )
+            v = vn_entropy(state.to_mstate())
             rows.append(f"{ptext},{format(v, '.17g')},,,exact,{cfg.seed}")
         elif args.quantity == "ci-bounds":
             state = preset(args.preset, (pval,))

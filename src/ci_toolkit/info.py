@@ -37,6 +37,12 @@ class Partition:
         if not self.left or not self.right:
             raise InvalidPartition("both sides of a cut must be non-empty")
 
+    def restrict(self, rho: Mstate) -> Mstate:
+        """Validate the cut against ``rho`` and trace out the parties
+        outside it."""
+        self.validate(rho.layout)
+        return _keep(rho, self.left + self.right)
+
 
 def spectrum_entropy(w) -> float:
     """Shannon entropy (bits) of a spectrum; values <= 1e-12 contribute 0."""
@@ -66,15 +72,13 @@ def vn_entropy(state: Mstate | PureState) -> float:
     return matrix_entropy(state.matrix)
 
 
-def _as_mstate(state) -> Mstate:
-    return state.to_mstate() if isinstance(state, PureState) else state
+def _keep(rho: Mstate, labels) -> Mstate:
+    drop = [l for l in rho.layout.labels if l not in labels]
+    return partial_trace(rho, drop) if drop else rho
 
 
 def _group_entropy(rho: Mstate, labels) -> float:
-    labels = as_labels(labels)
-    drop = [l for l in rho.layout.labels if l not in labels]
-    reduced = partial_trace(rho, drop) if drop else rho
-    return matrix_entropy(reduced.matrix)
+    return matrix_entropy(_keep(rho, as_labels(labels)).matrix)
 
 
 def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
@@ -82,12 +86,7 @@ def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
 
     Parties outside the cut are traced out first.
     """
-    rho = _as_mstate(state)
-    cut.validate(rho.layout)
-    inside = set(cut.left) | set(cut.right)
-    extra = [l for l in rho.layout.labels if l not in inside]
-    if extra:
-        rho = partial_trace(rho, extra)
+    rho = cut.restrict(state.to_mstate())
     s_l = _group_entropy(rho, cut.left)
     s_r = _group_entropy(rho, cut.right)
     s_lr = matrix_entropy(rho.matrix)
@@ -96,7 +95,7 @@ def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
 
 def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
     """S(target | given) = S(target, given) - S(given)."""
-    rho = _as_mstate(state)
+    rho = state.to_mstate()
     t = as_labels(target)
     g = as_labels(given) if given else ()
     for l in t + g:
@@ -112,7 +111,7 @@ def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
 
 def conditional_mutual_info(state: Mstate | PureState, x, y, z=()) -> float:
     """I(x : y | z) = S(x,z) + S(y,z) - S(z) - S(x,y,z); z may be empty."""
-    rho = _as_mstate(state)
+    rho = state.to_mstate()
     xs, ys = as_labels(x), as_labels(y)
     zs = as_labels(z) if z else ()
     groups = (xs, ys, zs)
@@ -135,7 +134,7 @@ def conditional_mutual_info(state: Mstate | PureState, x, y, z=()) -> float:
 
 def uhlmann_fidelity(a: Mstate | PureState, b: Mstate | PureState) -> float:
     """Fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
-    ra, rb = _as_mstate(a), _as_mstate(b)
+    ra, rb = a.to_mstate(), b.to_mstate()
     if ra.layout.parties != rb.layout.parties:
         raise LayoutMismatch(
             f"fidelity: layouts differ ({ra.layout.describe()} vs {rb.layout.describe()})"
@@ -148,7 +147,7 @@ def uhlmann_fidelity(a: Mstate | PureState, b: Mstate | PureState) -> float:
 
 def trace_distance(a: Mstate | PureState, b: Mstate | PureState) -> float:
     """Half the trace norm of the difference; in [0, 1]."""
-    ra, rb = _as_mstate(a), _as_mstate(b)
+    ra, rb = a.to_mstate(), b.to_mstate()
     if ra.layout.parties != rb.layout.parties:
         raise LayoutMismatch(
             f"trace_distance: layouts differ ({ra.layout.describe()} vs {rb.layout.describe()})"

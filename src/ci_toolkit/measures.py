@@ -14,7 +14,7 @@ POVM or ensemble so results can be re-checked independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .optim import (
     UnitaryParam,
     decode_unitary,
     maximize,
-    minimize,
     rank1_povm,
 )
 from .states import (
@@ -52,7 +51,6 @@ from .states import (
     partial_transpose,
     permute_parties,
     purify,
-    tensor,
 )
 
 _WEIGHT_FLOOR = 1e-12
@@ -154,8 +152,7 @@ def flag_state(ensemble: Ensemble, register_label: str = "R") -> Mstate:
     out = np.zeros((dsys * reg, dsys * reg), dtype=complex)
     view = out.reshape(dsys, reg, dsys, reg)
     for i, (w, member) in enumerate(zip(ensemble.weights, ensemble.members)):
-        mat = member.matrix if isinstance(member, Mstate) else member.to_mstate().matrix
-        view[:, i, :, i] = w * mat
+        view[:, i, :, i] = w * member.to_mstate().matrix
     return Mstate(SystemLayout(layout.parties + ((register_label, reg),)), out)
 
 
@@ -312,6 +309,28 @@ def _block_weights(
     return q if starts is None else np.add.reduceat(q, starts, axis=1)
 
 
+def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
+    """Search the K-outcome rank-one POVMs on a party of dimension ``d``,
+    with K = ``cfg.povm_outcomes`` or d^2: ``batch`` scores (B, K, d) stacks
+    of outcome rows. Returns K and the angles of the best K x K unitary,
+    whose first d columns hold the outcome vectors."""
+    k = cfg.povm_outcomes or d * d
+    if k < d:
+        raise InvalidArgument(
+            f"povm_outcomes={k} cannot form a rank-one POVM on dimension {d}"
+        )
+    _, param = maximize(
+        batch_objective=batch,
+        dim=k,
+        config=cfg,
+        columns=d,
+        sense=sense,
+        warm_starts=warm_starts,
+        progress=progress,
+    )
+    return k, param
+
+
 # ---------------------------------------------------------------------------
 # measured mutual information, maximized over rank-one POVMs
 
@@ -336,8 +355,7 @@ def one_way_ci(
     pipeline at the optimal point, so it is achievable by construction and
     the estimate can only err downward.
     """
-    if isinstance(rho, PureState):
-        rho = rho.to_mstate()
+    rho = rho.to_mstate()
     a_labels = as_labels(alice)
     b_labels = as_labels(bob)
     c_labels = as_labels(charlie)
@@ -348,11 +366,6 @@ def one_way_ci(
     da, db, dc = merged.layout.dims
     t6 = merged.matrix.reshape(da, db, dc, da, db, dc)
     s_a = matrix_entropy(np.einsum("aycwyc->aw", t6))
-    k = cfg.povm_outcomes or db * db
-    if k < db:
-        raise InvalidArgument(
-            f"povm_outcomes={k} cannot form a rank-one POVM on dimension {db}"
-        )
 
     if merged.purity() > 1.0 - 1e-12:
         # Pure input: each conditional block on alice+charlie is pure, with
@@ -388,15 +401,7 @@ def one_way_ci(
             h_c = _entropy_stack(sig_c)
             return s_a + np.sum(h_c - h_ac, axis=-1)
 
-    _, param = maximize(
-        None,
-        k,
-        cfg,
-        batch_objective=batch,
-        columns=db,
-        warm_starts=warm_starts,
-        progress=progress,
-    )
+    k, param = _povm_search(batch, db, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), db)
     ens = measure_ensemble(merged, achiever, lb)
     reg = _fresh_label(merged.layout, "R")
@@ -427,8 +432,7 @@ def discord(
     the inner maximization is variational, so the reported discord is an
     upper-bound estimate (it can only decrease as the search improves).
     """
-    if isinstance(rho, PureState):
-        rho = rho.to_mstate()
+    rho = rho.to_mstate()
     x_labels = as_labels(unmeasured)
     y_labels = as_labels(measured)
     if len(y_labels) != 1:
@@ -439,11 +443,6 @@ def discord(
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
     s_x = matrix_entropy(np.einsum("xywy->xw", t4))
     i_xy = mutual_info(merged, Partition((lx,), (ly,)))
-    k = cfg.povm_outcomes or dy * dy
-    if k < dy:
-        raise InvalidArgument(
-            f"povm_outcomes={k} cannot form a rank-one POVM on dimension {dy}"
-        )
 
     # When the unmeasured marginal index is classical (no coherences between
     # x-blocks) every conditional state is diagonal in the x basis and the
@@ -483,15 +482,7 @@ def discord(
             h_cond = _entropy_stack(sig)
             return s_x - np.sum(h_cond + _weight_term(p), axis=-1)
 
-    _, param = maximize(
-        None,
-        k,
-        cfg,
-        batch_objective=batch,
-        columns=dy,
-        warm_starts=warm_starts,
-        progress=progress,
-    )
+    k, param = _povm_search(batch, dy, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), dy)
     classical = povm_flag_mutual_info(merged, achiever, ly)
     value = max(i_xy - classical, 0.0)
@@ -513,30 +504,6 @@ def discord(
 # entanglement of assistance / formation via purification steering
 
 
-def _steering_setup(
-    rho: Mstate, alice: str | Sequence[str]
-) -> tuple[np.ndarray, int, int, int, Mstate, tuple[str, ...]]:
-    """Purify ``rho`` (alice parties first) and return the amplitude matrix
-    reshaped to (system, ancilla) together with the split dimensions."""
-    if isinstance(rho, PureState):
-        rho = rho.to_mstate()
-    a_labels = as_labels(alice)
-    rest = tuple(l for l in rho.layout.labels if l not in a_labels)
-    if not rest:
-        raise LayoutMismatch("need at least one party besides the steered side")
-    for l in a_labels:
-        if l not in rho.layout.labels:
-            raise LayoutMismatch(f"state has no party {l!r}")
-    ordered = permute_parties(rho, a_labels + rest)
-    anc = _fresh_label(ordered.layout, "Z")
-    psi = purify(ordered, anc)
-    r = psi.layout.dim_of(anc)
-    da = ordered.layout.group_dim(a_labels)
-    dc = ordered.layout.total_dim // da
-    psi_mat = psi.amplitudes.reshape(da * dc, r)
-    return psi_mat, da, dc, r, ordered, a_labels
-
-
 def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
     """Batch objective sum_i (S(chi_i) + p_i log2 p_i) over the outcome rows,
     where chi_i is the unnormalized (da, dc) amplitude that outcome i steers
@@ -551,29 +518,54 @@ def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
     return batch
 
 
-def _steered_ensemble(
-    psi_mat: np.ndarray, param: UnitaryParam, r: int, layout: SystemLayout
-) -> Ensemble:
-    v = decode_unitary(param, columns=r)  # (K, r): row i is outcome i's vector
+def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
+    """Shared body of `eoa` (``sense="max"``) and `eof` (``sense="min"``).
+
+    Purify ``rho`` (alice parties first), search rank-one POVMs on the
+    purifying system for the extreme average entanglement entropy of the
+    pure-state ensemble they steer, and recompute that average from the
+    explicit ensemble."""
+    rho = rho.to_mstate()
+    a_labels = as_labels(alice)
+    rest = tuple(l for l in rho.layout.labels if l not in a_labels)
+    if not rest:
+        raise LayoutMismatch("need at least one party besides the steered side")
+    for l in a_labels:
+        if l not in rho.layout.labels:
+            raise LayoutMismatch(f"state has no party {l!r}")
+    ordered = permute_parties(rho, a_labels + rest)
+    anc = _fresh_label(ordered.layout, "Z")
+    psi = purify(ordered, anc)
+    r = psi.layout.dim_of(anc)
+    da = ordered.layout.group_dim(a_labels)
+    dc = ordered.layout.total_dim // da
+    psi_mat = psi.amplitudes.reshape(da * dc, r)  # (system, ancilla)
+    cfg = config or OptimizerConfig()
+    k, param = _povm_search(
+        _steering_batch(psi_mat, da, dc), r, cfg, warm_starts, progress, sense
+    )
     weights = []
     members = []
-    for row in v:
+    for row in decode_unitary(param, columns=r):  # row i is outcome i's vector
         chi = psi_mat @ row.conj()
         p = float(np.real(np.vdot(chi, chi)))
         if p < _WEIGHT_FLOOR:
             continue
         weights.append(p)
-        members.append(PureState(layout, chi / math.sqrt(p)))
+        members.append(PureState(ordered.layout, chi / math.sqrt(p)))
     total = sum(weights)
-    return Ensemble(tuple(w / total for w in weights), tuple(members))
-
-
-def _ensemble_marginal_entropy(ens: Ensemble, da: int, dc: int) -> float:
+    ens = Ensemble(tuple(w / total for w in weights), tuple(members))
     value = 0.0
     for w, member in zip(ens.weights, ens.members):
         amp = member.amplitudes.reshape(da, dc)
         value += w * matrix_entropy(amp @ amp.conj().T)
-    return value
+    return MeasureEstimate(
+        value=value,
+        direction=LOWER if sense == "max" else UPPER,
+        config=cfg,
+        achiever=ens,
+        info={"ancilla_dim": r, "outcomes": k},
+    )
 
 
 def eoa(
@@ -591,31 +583,7 @@ def eoa(
     ensemble average of the entanglement entropy, maximized.  Variational,
     hence a lower-bound estimate of the true assisted entanglement.
     """
-    psi_mat, da, dc, r, ordered, _ = _steering_setup(rho, alice)
-    cfg = config or OptimizerConfig()
-    k = cfg.povm_outcomes or r * r
-    if k < r:
-        raise InvalidArgument(
-            f"povm_outcomes={k} cannot form a rank-one POVM on dimension {r}"
-        )
-    _, param = maximize(
-        None,
-        k,
-        cfg,
-        batch_objective=_steering_batch(psi_mat, da, dc),
-        columns=r,
-        warm_starts=warm_starts,
-        progress=progress,
-    )
-    ens = _steered_ensemble(psi_mat, param, r, ordered.layout)
-    value = _ensemble_marginal_entropy(ens, da, dc)
-    return MeasureEstimate(
-        value=value,
-        direction=LOWER,
-        config=cfg,
-        achiever=ens,
-        info={"ancilla_dim": r, "outcomes": k},
-    )
+    return _steered_entanglement(rho, alice, config, warm_starts, progress, "max")
 
 
 def eof(
@@ -630,31 +598,7 @@ def eof(
     over pure-state decompositions, of the average entanglement entropy.
     Same steering parametrization as :func:`eoa` but minimized, so the
     estimate can only sit above the true value."""
-    psi_mat, da, dc, r, ordered, _ = _steering_setup(rho, alice)
-    cfg = config or OptimizerConfig()
-    k = cfg.povm_outcomes or r * r
-    if k < r:
-        raise InvalidArgument(
-            f"povm_outcomes={k} cannot form a rank-one POVM on dimension {r}"
-        )
-    _, param = minimize(
-        None,
-        k,
-        cfg,
-        batch_objective=_steering_batch(psi_mat, da, dc),
-        columns=r,
-        warm_starts=warm_starts,
-        progress=progress,
-    )
-    ens = _steered_ensemble(psi_mat, param, r, ordered.layout)
-    value = _ensemble_marginal_entropy(ens, da, dc)
-    return MeasureEstimate(
-        value=value,
-        direction=UPPER,
-        config=cfg,
-        achiever=ens,
-        info={"ancilla_dim": r, "outcomes": k},
-    )
+    return _steered_entanglement(rho, alice, config, warm_starts, progress, "min")
 
 
 def kw_discord(
@@ -674,8 +618,7 @@ def kw_discord(
     purifying system is capped at dimension 8 (``AncillaTooLarge`` beyond),
     because the steering search space grows with its square.
     """
-    if isinstance(rho, PureState):
-        rho = rho.to_mstate()
+    rho = rho.to_mstate()
     x_labels = as_labels(unmeasured)
     y_labels = as_labels(measured)
     _group_cover(rho.layout, (x_labels, y_labels))
@@ -710,11 +653,7 @@ def kw_discord(
 def log_negativity(rho: Mstate, cut: Partition) -> float:
     """log2 of the trace norm of the partial transpose across ``cut``.
     Parties outside the cut are traced out first."""
-    cut.validate(rho.layout)
-    extras = tuple(
-        l for l in rho.layout.labels if l not in cut.left and l not in cut.right
-    )
-    reduced = partial_trace(rho, extras) if extras else rho
+    reduced = cut.restrict(rho)
     pt = partial_transpose(reduced, cut.left)
     sv = np.linalg.svd(pt, compute_uv=False)
     return max(float(np.log2(np.sum(sv))), 0.0)
@@ -723,11 +662,7 @@ def log_negativity(rho: Mstate, cut: Partition) -> float:
 def coherent_info_lower(rho: Mstate, cut: Partition) -> float:
     """Hashing-type lower bound on distillable entanglement across ``cut``:
     the larger of the two coherent informations, floored at zero."""
-    cut.validate(rho.layout)
-    extras = tuple(
-        l for l in rho.layout.labels if l not in cut.left and l not in cut.right
-    )
-    reduced = partial_trace(rho, extras) if extras else rho
+    reduced = cut.restrict(rho)
     s_left = vn_entropy(partial_trace(reduced, cut.right))
     s_right = vn_entropy(partial_trace(reduced, cut.left))
     s_both = vn_entropy(reduced)
@@ -762,25 +697,22 @@ def ed_interval(rho: Mstate, cut: Partition) -> EdInterval:
     distillable entanglement, so both endpoints collapse onto it and
     ``exact`` is set.
     """
-    cut.validate(rho.layout)
-    extras = tuple(
-        l for l in rho.layout.labels if l not in cut.left and l not in cut.right
-    )
-    reduced = partial_trace(rho, extras) if extras else rho
+    reduced = cut.restrict(rho)
     a = _max_correlated_pattern(reduced, cut)
     if a is not None:
         value = max(
             spectrum_entropy(np.real(np.diag(a))) - matrix_entropy(a), 0.0
         )
         return EdInterval(value, value, True)
-    return EdInterval(coherent_info_lower(rho, cut), log_negativity(rho, cut), False)
+    return EdInterval(
+        coherent_info_lower(reduced, cut), log_negativity(reduced, cut), False
+    )
 
 
 def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> float:
     """Many-copy-rate assisted entanglement across ``alice`` vs the rest:
     min of the two marginal entropies.  Exact, no optimization."""
-    if isinstance(rho, PureState):
-        rho = rho.to_mstate()
+    rho = rho.to_mstate()
     a_labels = as_labels(alice) if alice is not None else (rho.layout.labels[0],)
     rest = tuple(l for l in rho.layout.labels if l not in a_labels)
     if not rest or len(a_labels) + len(rest) != len(rho.layout.labels):

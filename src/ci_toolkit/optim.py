@@ -11,7 +11,9 @@ covers the whole unitary group (the factorization is constructive, see
 `encode_unitary`), and `decode_unitary` returns an exactly unitary matrix
 for arbitrary real angles.
 
-`maximize` runs a compass pattern search over the angles: every iteration
+`maximize` is the one search; it minimizes with `sense="min"`. It runs a
+compass pattern search over the angles, with every poll of every restart
+evaluated by one batch objective on the decoded blocks: every iteration
 polls every live coordinate at +/- step around the base point, moves to the
 best candidate that clears a sufficient-decrease margin, and halves the step
 when none does. Only the first `columns` columns of U are ever decoded, so
@@ -252,46 +254,8 @@ def rank1_povm(u, party_dim: int) -> Povm:
 # pattern search
 
 
-class _ScalarEngine:
-    """Reference evaluation path: one objective call per candidate, polling
-    every angle (the objective sees the whole UnitaryParam, so no angle is
-    known to be dead)."""
-
-    def __init__(self, objective, dim: int):
-        self.objective = objective
-        self.dim = dim
-        self.n_angles = angle_count(dim)
-        self.width = 2 * self.n_angles
-
-    def value(self, angles: np.ndarray) -> float:
-        param = UnitaryParam(self.dim, angles)
-        v = float(self.objective(param))
-        if not np.isfinite(v):
-            raise ObjectiveError(f"objective returned non-finite value {v}", param=param)
-        return v
-
-    def values(self, angles_stack: np.ndarray) -> np.ndarray:
-        return np.array([self.value(a) for a in angles_stack])
-
-    def poll(self, angles: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Candidate values (R, 2 n^2) for a stack of poll points: angle q
-        at +step in column 2q and at -step in column 2q + 1."""
-        out = np.empty((angles.shape[0], self.width))
-        for t, (base, step) in enumerate(zip(angles, steps)):
-            for idx in range(self.width):
-                q, delta = self.candidate_delta(idx, float(step))
-                cand = base.copy()
-                cand[q] += delta
-                out[t, idx] = self.value(cand)
-        return out
-
-    @staticmethod
-    def candidate_delta(idx: int, step: float) -> tuple[int, float]:
-        return idx // 2, step if idx % 2 == 0 else -step
-
-
 class _BatchEngine:
-    """Fast path: candidates for the polls of every live restart are
+    """Poll evaluation: candidates for the polls of every live restart are
     assembled as rank-2 updates of each base isometry and evaluated in a
     handful of vectorized objective calls."""
 
@@ -526,25 +490,25 @@ def _restart_seeds(cfg: OptimizerConfig) -> np.ndarray:
 
 
 def maximize(
-    objective,
+    batch_objective,
     dim: int,
     config: OptimizerConfig | None = None,
     *,
-    batch_objective=None,
     columns: int | None = None,
+    sense: str = "max",
     warm_starts=(),
     progress=None,
 ) -> tuple[float, UnitaryParam]:
-    """Maximize a real objective over dim x dim unitaries.
+    """Maximize a real objective over the first `columns` columns of
+    dim x dim unitaries, or minimize it with ``sense="min"``.
 
-    objective maps a UnitaryParam to a float. When `batch_objective` is
-    given it must map a (B, dim, columns) stack of decoded first-column
-    blocks to B values consistent with `objective`; the search then
-    evaluates whole polls vectorized and `objective` may be None. Passing
-    neither raises InvalidArgument. `warm_starts` are explicit unitaries
-    searched before the seeded Haar restarts (they occupy the lowest restart
-    indices). Ties between restarts keep the lowest index; two runs with the
-    same seed and config return identical results.
+    batch_objective maps a (B, dim, columns) stack of decoded blocks to B
+    values. Minimizing is exactly maximizing the negated objective: the
+    returned value and the `progress` values are negated back. `warm_starts`
+    are explicit unitaries searched before the seeded Haar restarts (they
+    occupy the lowest restart indices). Ties between restarts keep the
+    lowest index; two runs with the same seed and config return identical
+    results.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = int(dim)
@@ -553,13 +517,13 @@ def maximize(
     cols = n if columns is None else int(columns)
     if not (1 <= cols <= n):
         raise InvalidArgument(f"maximize: columns must be in [1, {n}]")
-    if objective is None and batch_objective is None:
-        raise InvalidArgument("maximize: needs an objective or a batch_objective")
-
-    if batch_objective is not None:
-        engine = _BatchEngine(batch_objective, n, cols)
-    else:
-        engine = _ScalarEngine(objective, n)
+    if batch_objective is None:
+        raise InvalidArgument("maximize: needs a batch_objective")
+    sign = {"max": 1.0, "min": -1.0}.get(sense)
+    if sign is None:
+        raise InvalidArgument(f"maximize: sense must be 'max' or 'min', got {sense!r}")
+    f = batch_objective if sign > 0 else (lambda v: -np.asarray(batch_objective(v)))
+    engine = _BatchEngine(f, n, cols)
 
     starts = [encode_unitary(np.asarray(w)).angles for w in warm_starts]
     starts += [encode_unitary(haar_unitary(n, int(s))).angles for s in _restart_seeds(cfg)]
@@ -571,31 +535,5 @@ def maximize(
         if val > best_val:
             best_val, best_angles = val, angles
         if progress is not None:
-            progress(r, best_val)
-    return best_val, UnitaryParam(n, best_angles)
-
-
-def minimize(
-    objective,
-    dim: int,
-    config: OptimizerConfig | None = None,
-    *,
-    batch_objective=None,
-    columns: int | None = None,
-    warm_starts=(),
-    progress=None,
-) -> tuple[float, UnitaryParam]:
-    """Minimize: exactly `maximize` of the negated objective, sign-corrected."""
-    neg = None if objective is None else (lambda p: -objective(p))
-    negb = None if batch_objective is None else (lambda v: -np.asarray(batch_objective(v)))
-    track = None if progress is None else (lambda r, best: progress(r, -best))
-    val, param = maximize(
-        neg,
-        dim,
-        config,
-        batch_objective=negb,
-        columns=columns,
-        warm_starts=warm_starts,
-        progress=track,
-    )
-    return -val, param
+            progress(r, sign * best_val)
+    return sign * best_val, UnitaryParam(n, best_angles)

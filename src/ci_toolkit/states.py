@@ -156,6 +156,9 @@ class Mstate:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
+    def to_mstate(self) -> Mstate:
+        return self
+
 
 @dataclass(frozen=True)
 class PureState:
@@ -212,8 +215,7 @@ class Ensemble:
     def average(self) -> Mstate:
         acc = np.zeros((self.layout.total_dim,) * 2, dtype=np.complex128)
         for w, m in zip(self.weights, self.members):
-            dm = m.to_mstate().matrix if isinstance(m, PureState) else m.matrix
-            acc += w * dm
+            acc += w * m.to_mstate().matrix
         return Mstate(self.layout, acc)
 
 

@@ -95,11 +95,10 @@ def test_ci_lower_report_on_ghz():
     assert report.lower <= report.upper + 1e-9
     assert report.lower >= 2.0 - 5e-3
     assert report.lower_source == "optimized-one-way"
-    assert {c.name for c in report.lower_candidates} == {
+    assert [c.name for c in report.lower_candidates] == [
         "trivial-protocol",
-        "discord-gap",
         "optimized-one-way",
-    }
+    ]
     assert {c.name for c in report.upper_candidates} == {
         "total-mutual-info",
         "entropy-plus-distillable",
@@ -117,6 +116,26 @@ def test_ci_lower_bracket_on_random_mixed():
     trivial = [c for c in report.lower_candidates if c.name == "trivial-protocol"][0]
     assert report.lower >= trivial.value - 1e-12
     assert report.details["ed_upper"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["w", "ghz", "product_eq10", "random-5", "random-11"],
+)
+def test_ci_lower_dominates_helper_classical_correlation(name):
+    # I(A:B) - discord(A|B) is the one-round value with the receiver
+    # ignored; data processing, I(A:CR) >= I(A:R) for every POVM, puts the
+    # optimized one-round protocol above it
+    if name.startswith("random-"):
+        layout = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        rho = random_mixed_state(layout, int(name[7:]), rank=3)
+    else:
+        rho = preset(name, (0.75,) if name == "product_eq10" else ())
+    report = ci_lower(rho, config=CFG)
+    a, b, c = resolve_tripartite(rho.layout)
+    rho_ab = partial_trace(rho.to_mstate(), c)
+    classical = mutual_info(rho_ab, Partition(a, b)) - discord(rho_ab, a, b[0], CFG).value
+    assert report.lower >= classical - 1e-6
 
 
 def test_ci_pure_oneway_ghz():

@@ -205,6 +205,17 @@ def test_golden_text_output(quantity, preset, capsys):
     assert out == "\n".join(expected) + "\n"
 
 
+def test_ci_bounds_names_the_one_way_protocol_on_product_eq10(capsys):
+    code, out, err = _run(
+        ["compute", "ci-bounds", "--preset", "product_eq10", "--param", "0.75"], capsys
+    )
+    assert code == 0, err
+    assert out.splitlines()[3:] == [
+        "ci-lower[optimized-one-way] = 1.000000 bits (lower-est)",
+        "ci-upper[entropy-plus-distillable] = 1.000000 bits (upper-est)",
+    ]
+
+
 @pytest.mark.parametrize("quantity", ["one-way-ci", "eoa", "discord"])
 def test_csv_output_independent_of_blas_threads(quantity):
     outputs = []

@@ -15,7 +15,6 @@ from ci_toolkit.optim import (
     encode_unitary,
     haar_unitary,
     maximize,
-    minimize,
     rank1_povm,
     rotation_pairs,
 )
@@ -338,9 +337,7 @@ def test_restart_ending_within_one_window_is_unaffected():
 def test_maximize_recovers_target_state():
     target = haar_unitary(2, 31)[:, :1]
     cfg = OptimizerConfig(restarts=8, max_iters=2000, tol=1e-6, seed=2)
-    val, param = maximize(
-        None, 2, cfg, batch_objective=_overlap_batch(target), columns=1
-    )
+    val, param = maximize(_overlap_batch(target), 2, cfg, columns=1)
     assert val >= 1.0 - 1e-6
     block = decode_unitary(param, columns=1)
     assert abs(np.vdot(target, block)) >= 1.0 - 1e-6
@@ -349,8 +346,8 @@ def test_maximize_recovers_target_state():
 def test_maximize_deterministic():
     target = haar_unitary(3, 8)[:, :2]
     f = _overlap_batch(target)
-    a = maximize(None, 3, QUICK, batch_objective=f, columns=2)
-    b = maximize(None, 3, QUICK, batch_objective=f, columns=2)
+    a = maximize(f, 3, QUICK, columns=2)
+    b = maximize(f, 3, QUICK, columns=2)
     assert a[0] == b[0]
     assert np.array_equal(a[1].angles, b[1].angles)
 
@@ -359,8 +356,8 @@ def test_tie_break_keeps_lowest_restart_index():
     def const(blocks):
         return np.zeros(blocks.shape[0])
 
-    one = maximize(None, 2, OptimizerConfig(restarts=1, seed=6), batch_objective=const)
-    eight = maximize(None, 2, OptimizerConfig(restarts=8, seed=6), batch_objective=const)
+    one = maximize(const, 2, OptimizerConfig(restarts=1, seed=6))
+    eight = maximize(const, 2, OptimizerConfig(restarts=8, seed=6))
     assert one[0] == eight[0] == 0.0
     assert np.array_equal(one[1].angles, eight[1].angles)
 
@@ -369,39 +366,38 @@ def test_warm_start_searched_first_and_never_lost():
     target = haar_unitary(3, 27)[:, :2]
     f = _overlap_batch(target)
     warm = complete_isometry(target)
-    val, param = maximize(
-        None, 3, QUICK, batch_objective=f, columns=2, warm_starts=(warm,)
-    )
+    val, param = maximize(f, 3, QUICK, columns=2, warm_starts=(warm,))
     # the warm start already achieves the global optimum
     assert val >= f(target[None])[0] - 1e-12
 
     def const(blocks):
         return np.zeros(blocks.shape[0])
 
-    _, param = maximize(None, 3, QUICK, batch_objective=const, columns=2, warm_starts=(warm,))
+    _, param = maximize(const, 3, QUICK, columns=2, warm_starts=(warm,))
     assert np.array_equal(param.angles, encode_unitary(warm).angles)
 
 
-def test_scalar_and_batch_paths_agree():
-    target = haar_unitary(2, 63)[:, :1]
-    f = _overlap_batch(target)
-
-    def scalar(param):
-        return float(f(decode_unitary(param, columns=1)[None])[0])
-
-    cfg = OptimizerConfig(restarts=4, max_iters=400, tol=1e-5, seed=5)
-    vb, _ = maximize(None, 2, cfg, batch_objective=f, columns=1)
-    vs, _ = maximize(scalar, 2, cfg, columns=1)
-    assert abs(vb - vs) <= 1e-6
-
-
-def test_minimize_is_negated_maximize():
+def test_sense_min_is_negated_maximize():
     target = haar_unitary(2, 12)[:, :1]
     f = _overlap_batch(target)
-    val, param = minimize(None, 2, QUICK, batch_objective=f, columns=1)
+    seen = []
+    val, param = maximize(
+        f,
+        2,
+        QUICK,
+        columns=1,
+        sense="min",
+        progress=lambda r, best: seen.append(best),
+    )
+    neg_val, neg_param = maximize(lambda b: -f(b), 2, QUICK, columns=1)
+    assert val == -neg_val
+    assert np.array_equal(param.angles, neg_param.angles)
     assert val <= 1e-6
     achieved = f(decode_unitary(param, columns=1)[None])[0]
     assert abs(val - achieved) <= 1e-12
+    assert len(seen) == QUICK.restarts
+    assert all(seen[i + 1] <= seen[i] for i in range(len(seen) - 1))
+    assert seen[-1] == val
 
 
 def test_progress_reports_running_best():
@@ -409,10 +405,9 @@ def test_progress_reports_running_best():
     seen = []
     cfg = OptimizerConfig(restarts=5, max_iters=60, tol=1e-4, seed=4)
     maximize(
-        None,
+        _overlap_batch(target),
         2,
         cfg,
-        batch_objective=_overlap_batch(target),
         columns=1,
         progress=lambda r, best: seen.append((r, best)),
     )
@@ -422,25 +417,31 @@ def test_progress_reports_running_best():
 
 
 def test_objective_errors_are_reported():
+    def nan(blocks):
+        return np.full(blocks.shape[0], np.nan)
+
     with pytest.raises(ObjectiveError):
-        maximize(lambda p: float("nan"), 2, OptimizerConfig(restarts=1))
+        maximize(nan, 2, OptimizerConfig(restarts=1))
 
     def short(blocks):
         return np.zeros(max(blocks.shape[0] - 1, 0))
 
     with pytest.raises(ObjectiveError):
-        maximize(None, 2, OptimizerConfig(restarts=1), batch_objective=short)
+        maximize(short, 2, OptimizerConfig(restarts=1))
 
 
 def test_maximize_validates_arguments():
+    zero = lambda b: np.zeros(len(b))
     with pytest.raises(InvalidArgument):
-        maximize(lambda p: 0.0, 0, QUICK)
+        maximize(zero, 0, QUICK)
     with pytest.raises(InvalidArgument):
-        maximize(None, 2, QUICK, batch_objective=lambda b: np.zeros(len(b)), columns=3)
+        maximize(zero, 2, QUICK, columns=3)
+    with pytest.raises(InvalidArgument):
+        maximize(zero, 2, QUICK, sense="lowest")
 
 
 def test_maximize_needs_an_objective():
     with pytest.raises(InvalidArgument):
         maximize(None, 2, QUICK)
     with pytest.raises(InvalidArgument):
-        minimize(None, 2, QUICK, columns=1)
+        maximize(batch_objective=None, dim=2, config=QUICK, columns=1, sense="min")
