@@ -618,7 +618,8 @@ def discord_additivity_check(
     conditional states on the measured side -- the shape for which two-copy
     additivity is the interesting question -- and a qubit measured party
     (the two-copy search space grows as the fourth power of its dimension).
-    Both optimizations run at doubled restarts; the two-copy search is
+    Both optimizations run at a doubled restart ceiling (more restarts open
+    only when the first eight disagree); the two-copy search is
     additionally warm-started at the single-copy achiever paired with
     itself, so the reported two-copy value is never worse than the product
     strategy it is compared against.

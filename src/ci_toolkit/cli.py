@@ -420,7 +420,13 @@ def _cmd_sweep(args) -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7, help="base seed for all randomness")
-    p.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=32,
+        help="most optimizer restarts; past the first eight, the rest run only "
+        "when fewer than four of those end within --tol of the best",
+    )
     p.add_argument(
         "--tol",
         type=float,

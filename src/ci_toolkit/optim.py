@@ -24,19 +24,27 @@ column, and a rotation with columns <= j < k mixes rows that are still zero
 when it acts. Moving a dead angle reproduces the base block exactly, so its
 candidate could never clear the margin and is not polled.
 Restarts are seeded Haar unitaries, reduced deterministically (strict
-improvement keeps the lowest restart index). All restarts advance in
+improvement keeps the lowest restart index). The restarts that run advance in
 lockstep — each follows its own trajectory, but every iteration's polls are
 pooled into batched objective calls.
 
 A restart stops when its step falls below `tol` or at `max_iters`, and it
 goes dormant when it stalls: after more than W polls, W being the number of
 candidates in one poll, its incumbent has gained less than `tol` over the
-last W polls. Restarts that crawl along a flat ridge thus stop early. When
-no restart is live, the one with the highest incumbent is resumed alone,
-without the stall rule, until it stops. Up to its dormancy each restart's
-trajectory equals that of running it on its own, so the resumed leader
-ends exactly where an unstalled run of it ends. The search is
-deterministic for a fixed seed and config.
+last W polls. Restarts that crawl along a flat ridge thus stop early. From
+the same poll on a restart is also retired when, at twice its gain rate over
+the last W polls, it could not reach the best incumbent of the opened restarts
+before `max_iters` (successive elimination).
+
+`restarts` is a ceiling. The first eight starts (warm starts first, then the
+Haar restarts in seed order) scout in lockstep; once none of them is live,
+the rest open only if fewer than four scouts ended within `tol` of the best
+incumbent, and then all of them open at once. When no restart is live, the
+one with the highest incumbent is resumed alone, without the stall or racing
+rules, until it stops. Up to its dormancy or retirement each restart's
+trajectory equals that of running it on its own, so the resumed leader ends
+exactly where an unstalled run of it ends. The search is deterministic for
+a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -274,6 +282,10 @@ class _BatchEngine:
         self.slots = min(dim, cols)
         self.live = int(np.count_nonzero(self.pairs[:, 0] < cols))
         self.width = 2 * self.slots + 4 * self.live
+        # candidate -> (angle index, sign of the step), for whole polls at once
+        moves = [self.candidate_delta(idx, 1.0) for idx in range(self.width)]
+        self.move_coords = np.array([c for c, _ in moves], dtype=np.intp)
+        self.move_signs = np.array([d for _, d in moves])
 
     def _eval(self, blocks: np.ndarray) -> np.ndarray:
         total = blocks.shape[0]
@@ -422,67 +434,95 @@ def _forcing(step: float) -> float:
     return 1e-4 * step * step + 1e-12
 
 
+# The scout: how many starts run first, and how many of them must end
+# within tol of the best incumbent for the remaining starts never to open.
+_SCOUT = 8
+_AGREE = 4
+
+
 def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
-    """Advance every restart's compass search in lockstep.
+    """Advance the restarts' compass searches in lockstep.
 
     Each restart follows exactly the trajectory it would follow on its own
-    (own incumbent, own step, own iteration count) up to its dormancy; only
-    the objective evaluations are pooled across the live restarts.
+    (own incumbent, own step, own iteration count) up to its dormancy or
+    retirement; only the objective evaluations are pooled across the live
+    restarts.
 
     A restart ends when its step falls below `tol` or it reaches
-    `max_iters`. It also goes dormant, keeping its state, when it stalls:
-    from poll W + 1 on, with W = `engine.width` the candidates per poll, its
-    incumbent beats the one it held W polls earlier by less than `tol`. Once
-    no restart is live, the one with the highest incumbent (lowest index on
-    ties) is resumed alone, without the stall rule, until it ends. Its polls
-    do not depend on the rest of the batch, so the leader finishes on the
-    exact trajectory of an unstalled run. Returns a list of (value, angles)
-    in restart order.
+    `max_iters`. From poll W + 1 on, with W = `engine.width` the candidates
+    per poll, it goes dormant, keeping its state, when it stalls: its
+    incumbent beats the one it held W polls earlier by less than `tol`. From
+    the same poll on it is retired when it cannot catch the leader: its
+    incumbent plus twice its gain over the last W polls, scaled to the polls
+    it has left, stays below the best incumbent of the opened restarts. The
+    leader never meets that test.
+
+    The first `_SCOUT` starts open together. Once none is live, the rest
+    open in one batch, unless `_AGREE` of the opened restarts already hold
+    incumbents within `tol` of the best. Once no restart is live, the one
+    with the highest incumbent (lowest index on ties) is resumed alone,
+    without either rule, until it ends. Its polls do not depend on the rest
+    of the batch, so the leader finishes on the exact trajectory of an
+    unstalled run. Returns a list of (value, angles) in restart order, one
+    entry per opened restart.
     """
     nr = starts.shape[0]
     angles = np.array(starts, dtype=np.float64)
-    best = engine.values(angles)
+    best = np.full(nr, -np.inf)
     steps = np.full(nr, cfg.initial_step)
     iters = np.zeros(nr, dtype=np.intp)
-    live = np.ones(nr, dtype=bool)
+    live = np.zeros(nr, dtype=bool)
     window = engine.width
     # incumbent after poll t in slot t % window (slot 0 starts with poll 0,
     # the start value), so a slot holds the incumbent of `window` polls ago
     # until it is overwritten
-    history = np.empty((nr, window))
-    history[:, 0] = best
+    history = np.zeros((nr, window))
 
-    def advance(idx: np.ndarray, stall: bool) -> None:
-        vals = engine.poll(angles[idx], steps[idx])
+    def open_starts(lo: int, hi: int) -> None:
+        best[lo:hi] = engine.values(angles[lo:hi])
+        history[lo:hi, 0] = best[lo:hi]
+        live[lo:hi] = True
+
+    def advance(idx: np.ndarray, race: bool) -> None:
+        step, inc = steps[idx], best[idx]
+        vals = engine.poll(angles[idx], step)
         picks = np.argmax(vals, axis=1)
-        for t, r in enumerate(idx):
-            step = float(steps[r])
-            v = float(vals[t, picks[t]])
-            if v > best[r] + _forcing(step):
-                coord, delta = engine.candidate_delta(int(picks[t]), step)
-                angles[r, coord] += delta
-                best[r] = v
-            else:
-                steps[r] *= cfg.shrink_factor
-            iters[r] += 1
-            if iters[r] >= cfg.max_iters or steps[r] < cfg.tol:
-                live[r] = False
-            elif stall:
-                slot = iters[r] % window
-                if iters[r] > window and best[r] - history[r, slot] < cfg.tol:
-                    live[r] = False
-                history[r, slot] = best[r]
+        top = np.max(vals, axis=1)
+        moved = top > inc + _forcing(step)
+        hit, pick = idx[moved], picks[moved]
+        angles[hit, engine.move_coords[pick]] += engine.move_signs[pick] * step[moved]
+        inc = np.where(moved, top, inc)
+        step = np.where(moved, step, step * cfg.shrink_factor)
+        n = iters[idx] + 1
+        best[idx], steps[idx], iters[idx] = inc, step, n
+        if not race:
+            return
+        # past poll W, stalled or unable to catch the leader: dormant
+        slot = n % window
+        gain = inc - history[idx, slot]
+        reach = inc + 2.0 * gain * (cfg.max_iters - n) / window
+        keep = (n <= window) | ((gain >= cfg.tol) & (reach >= best.max()))
+        live[idx] = (n < cfg.max_iters) & (step >= cfg.tol) & keep
+        history[idx, slot] = inc
 
-    while live.any():
-        advance(np.nonzero(live)[0], stall=True)
+    opened = min(nr, _SCOUT)
+    open_starts(0, opened)
+    while True:
+        while live.any():
+            advance(np.nonzero(live)[0], race=True)
+        agree = np.count_nonzero(best.max() - best[:opened] <= cfg.tol)
+        if opened == nr or agree >= _AGREE:
+            break
+        open_starts(opened, nr)
+        opened = nr
     # a leader that went dormant instead of ending runs on alone
     lead = int(np.argmax(best))
     while iters[lead] < cfg.max_iters and steps[lead] >= cfg.tol:
-        advance(np.array([lead]), stall=False)
+        advance(np.array([lead]), race=False)
     # Re-evaluate through the single-point path so the reported value is
     # exactly what the returned parameters give, not the incremental
     # bookkeeping of the poll loop.
-    return [(engine.value(angles[r]), angles[r].copy()) for r in range(nr)]
+    return [(engine.value(angles[r]), angles[r].copy()) for r in range(opened)]
 
 
 def _restart_seeds(cfg: OptimizerConfig) -> np.ndarray:
@@ -506,9 +546,12 @@ def maximize(
     values. Minimizing is exactly maximizing the negated objective: the
     returned value and the `progress` values are negated back. `warm_starts`
     are explicit unitaries searched before the seeded Haar restarts (they
-    occupy the lowest restart indices). Ties between restarts keep the
-    lowest index; two runs with the same seed and config return identical
-    results.
+    occupy the lowest restart indices). `restarts` is a ceiling: the other
+    starts open only when the first eight disagree (see the module
+    docstring). `progress(r, best)` fires once per restart that ran, in
+    restart order, with the best value so far. Ties between restarts keep
+    the lowest index; two runs with the same seed and config return
+    identical results.
     """
     cfg = config if config is not None else OptimizerConfig()
     n = int(dim)

@@ -139,13 +139,14 @@ class Mstate:
             raise InvalidMatrix(
                 f"Mstate: matrix shape {m.shape} does not match layout dimension {d}"
             )
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
+        # each check is written so that a NaN anywhere fails it
+        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
             raise InvalidMatrix("Mstate: matrix is not Hermitian within 1e-10")
         tr = m.trace()
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if not abs(tr - 1.0) <= _TRACE_TOL:
             raise InvalidMatrix(f"Mstate: trace {tr:.12g} is not 1 within 1e-10")
         low = float(np.linalg.eigvalsh(m)[0])
-        if low < -_PSD_TOL:
+        if not low >= -_PSD_TOL:
             raise NotPSD(f"Mstate: eigenvalue {low:.3e} below -1e-10")
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -174,7 +175,7 @@ class PureState:
                 f"PureState: vector length {v.shape[0]} does not match layout "
                 f"dimension {self.layout.total_dim}"
             )
-        if abs(np.linalg.norm(v) - 1.0) > _NORM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
             raise InvalidMatrix("PureState: vector is not normalized within 1e-12")
         object.__setattr__(self, "amplitudes", _freeze(v))
 
@@ -196,9 +197,9 @@ class Ensemble:
             raise InvalidArgument("Ensemble: weights and members disagree in length")
         if w.size == 0:
             raise InvalidArgument("Ensemble: empty")
-        if np.min(w) < -1e-12:
+        if not np.min(w) >= -1e-12:
             raise InvalidArgument(f"Ensemble: negative weight {np.min(w):.3e}")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if not abs(w.sum() - 1.0) <= 1e-9:
             raise InvalidArgument(f"Ensemble: weights sum to {w.sum():.12g}, not 1")
         layouts = {m.layout for m in self.members}
         if len(layouts) != 1:
@@ -538,6 +539,10 @@ def _file_complex_pairs(raw, where: str, count: int) -> np.ndarray:
             flat[i] = float(pair[0]) + 1j * float(pair[1])
         except (TypeError, ValueError):
             raise StateFileError(f"{where}[{i}]: entries must be numbers")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        i = int(bad[0])
+        raise StateFileError(f"{where}[{i}]: entries must be finite, got {raw[i]}")
     return flat
 
 
@@ -602,6 +607,8 @@ def state_from_dict(doc: dict) -> Mstate | PureState:
             w = float(w)
         except (TypeError, ValueError):
             raise StateFileError(f"ensemble.weights[{i}]: must be a number")
+        if not math.isfinite(w):
+            raise StateFileError(f"ensemble.weights[{i}]: must be finite, got {w}")
         if w < -1e-12:
             raise StateFileError(f"ensemble.weights[{i}]: negative weight {w}")
         v = _file_complex_pairs(vec, f"ensemble.vectors[{i}]", d)

@@ -216,14 +216,12 @@ def test_ci_bounds_names_the_one_way_protocol_on_product_eq10(capsys):
     ]
 
 
-@pytest.mark.parametrize("quantity", ["one-way-ci", "eoa", "discord"])
-def test_csv_output_independent_of_blas_threads(quantity):
+def _csv_at_blas_threads(argv):
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "ci_toolkit.cli", "compute", quantity,
-             "--preset", "w", *FAST, "--format", "csv"],
+            [sys.executable, "-m", "ci_toolkit.cli", *argv, "--format", "csv"],
             capture_output=True,
             text=True,
             env=env,
@@ -231,8 +229,25 @@ def test_csv_output_independent_of_blas_threads(quantity):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
+    return outputs
+
+
+@pytest.mark.parametrize("quantity", ["one-way-ci", "eoa", "discord"])
+def test_csv_output_independent_of_blas_threads(quantity):
+    outputs = _csv_at_blas_threads(["compute", quantity, "--preset", "w", *FAST])
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()[-1].split(",")) == 3
+
+
+def test_csv_output_independent_of_blas_threads_past_the_scout():
+    # 16 restarts: the first eight scout, and their agreement decides
+    # whether the other eight run
+    outputs = _csv_at_blas_threads(
+        ["compute", "one-way-ci", "--preset", "family15", "--param", "0.92",
+         "--restarts", "16", "--max-iters", "400", "--tol", "1e-5"]
+    )
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-1].startswith("one-way-ci(")
 
 
 def test_state_file_input(tmp_path, capsys):
@@ -258,6 +273,65 @@ def test_state_file_errors_exit_2(tmp_path, capsys):
     code, _, err = _run(["compute", "entropy", "--state", str(bad)], capsys)
     assert code == 2
     assert "parties" in err
+
+
+def _ensemble_doc():
+    return {
+        "parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}],
+        "ensemble": {
+            "weights": [0.5, 0.5],
+            "vectors": [
+                [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+            ],
+        },
+    }
+
+
+def _nan_diagonal():
+    doc = _bell_doc()
+    doc["matrix"][0] = [float("nan"), 0.0]
+    return doc, "matrix[0]"
+
+
+def _nan_off_diagonal():
+    doc = _bell_doc()
+    doc["matrix"][3] = [float("nan"), 0.0]
+    return doc, "matrix[3]"
+
+
+def _infinite_entry():
+    doc = _bell_doc()
+    doc["matrix"][5] = [0.0, float("inf")]
+    return doc, "matrix[5]"
+
+
+def _nan_weight():
+    doc = _ensemble_doc()
+    doc["ensemble"]["weights"][1] = float("nan")
+    return doc, "ensemble.weights[1]"
+
+
+def _nan_amplitude():
+    doc = _ensemble_doc()
+    doc["ensemble"]["vectors"][0][2] = [float("nan"), 0.0]
+    return doc, "ensemble.vectors[0][2]"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_nan_diagonal, _nan_off_diagonal, _infinite_entry, _nan_weight, _nan_amplitude],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_non_finite_state_file_exits_2(make, tmp_path, capsys):
+    doc, field = make()
+    path = tmp_path / "state.json"
+    # json writes NaN and Infinity literals, which json.load reads back
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["compute", "entropy", "--state", str(path), "--x", "A"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err
 
 
 def test_state_source_must_be_unique(capsys, tmp_path):

@@ -132,6 +132,53 @@ def test_discord_bell_is_one():
     )
 
 
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]).astype(complex),
+)
+
+
+def _bell_diagonal_eigenvalues(c):
+    c1, c2, c3 = c
+    return np.array(
+        [1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3]
+    ) / 4
+
+
+def _luo_discord(c):
+    """Luo's closed form (PRA 77, 042303) for (I + sum_j c_j s_j x s_j) / 4."""
+    lam = _bell_diagonal_eigenvalues(c)
+    lam = lam[lam > 0]
+    mutual = 2.0 + float(np.sum(lam * np.log2(lam)))
+    m = float(np.max(np.abs(c)))
+    classical = sum((1 + s * m) / 2 * math.log2(1 + s * m) for s in (1, -1) if 1 + s * m > 0)
+    return mutual - classical
+
+
+def _bell_diagonal_states():
+    rng = np.random.default_rng(42)
+    cs = []
+    while len(cs) < 4:
+        c = rng.uniform(-1.0, 1.0, 3)
+        if _bell_diagonal_eigenvalues(c).min() > 0:
+            cs.append(c)
+    # its winning POVM has an outcome of weight 2e-12, at the edge of the
+    # eigenvalue cut of spectrum_entropy
+    cs.append(np.array([0.397, -0.103, 0.598]))
+    return cs
+
+
+@pytest.mark.parametrize("c", _bell_diagonal_states(), ids=lambda c: str(np.round(c, 3)))
+def test_discord_matches_luo_on_bell_diagonal_states(c):
+    matrix = (np.eye(4) + sum(cj * np.kron(s, s) for cj, s in zip(c, _PAULIS))) / 4
+    # the default config: 32 restarts, so the scout decides how many run
+    est = discord(Mstate(TWO, matrix), "A", "B")
+    assert est.direction == UPPER
+    exact = _luo_discord(c)
+    assert exact - 1e-9 <= est.value <= exact + 1e-6
+
+
 def test_discord_classical_state_is_zero():
     warm = complete_isometry(np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=complex))
     est = discord(preset("classical_classical"), "A", "B", QUICK, warm_starts=(warm,))

@@ -272,15 +272,19 @@ def _counted(engine):
     return polls
 
 
+def _starts(dim, restarts):
+    return np.stack(
+        [encode_unitary(haar_unitary(dim, s)).angles for s in range(restarts)]
+    )
+
+
 RIDGE = OptimizerConfig(restarts=8, max_iters=2000, tol=1e-6)
 
 
 @pytest.fixture(scope="module")
 def ridge_runs():
     engine = _BatchEngine(_ridge_batch, 4, 2)
-    starts = np.stack(
-        [encode_unitary(haar_unitary(4, s)).angles for s in range(RIDGE.restarts)]
-    )
+    starts = _starts(4, RIDGE.restarts)
     reference = [_compass(engine, s, RIDGE) for s in starts]
     polls = _counted(engine)
     lockstep = _pattern_search_many(engine, starts, RIDGE)
@@ -332,6 +336,94 @@ def test_restart_ending_within_one_window_is_unaffected():
     together = _pattern_search_many(engine, starts, RIDGE)
     assert together[1][0] == val
     assert np.array_equal(together[1][1], angles)
+
+
+def test_agreeing_scouts_open_no_more_restarts():
+    # one optimum, so the eight scouts all end on it
+    engine = _BatchEngine(_overlap_batch(haar_unitary(2, 31)[:, :1]), 2, 1)
+    cfg = OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6)
+    rows = []
+    poll = engine.poll
+
+    def recording(angles, steps):
+        rows.append(angles.shape[0])
+        return poll(angles, steps)
+
+    engine.poll = recording
+    results = _pattern_search_many(engine, _starts(2, 32), cfg)
+    assert len(results) == 8
+    # the eight scouts poll together, and no other restart ever polls
+    assert rows[0] == 8 and max(rows) == 8
+    seen = []
+    maximize(
+        _overlap_batch(haar_unitary(2, 31)[:, :1]),
+        2,
+        cfg,
+        columns=1,
+        progress=lambda r, best: seen.append(r),
+    )
+    assert seen == list(range(8))
+
+
+def test_disagreeing_scouts_open_every_restart(ridge_runs):
+    _, lockstep, _ = ridge_runs
+    # the ridge's eight restarts stall on different points of the crest,
+    # fewer than four of them within tol of the best
+    ends = np.array([val for val, _ in lockstep])
+    assert np.count_nonzero(ends.max() - ends <= RIDGE.tol) < 4
+    engine = _BatchEngine(_ridge_batch, 4, 2)
+    results = _pattern_search_many(engine, _starts(4, 16), RIDGE)
+    assert len(results) == 16
+
+
+class _LineEngine(_BatchEngine):
+    """One angle x, scored directly rather than through a decoded block: a
+    peak of height 10 at x = 100, and the line slope * x below x = 50. A
+    crawler on the line moves +0.5 every poll at the initial step and never
+    stalls; W = 2."""
+
+    def __init__(self, slope):
+        super().__init__(None, 1, 1)
+        self.slope = slope
+
+    def score(self, x):
+        return np.where(x > 50.0, 10.0 - (x - 100.0) ** 2, self.slope * x)
+
+    def values(self, angles_stack):
+        return self.score(angles_stack[:, 0])
+
+    def value(self, angles):
+        return float(self.score(angles[0]))
+
+    def poll(self, angles, steps):
+        return self.score(angles[:, :1] + self.move_signs * steps[:, None])
+
+
+LINE = OptimizerConfig(restarts=2, max_iters=40, tol=1e-3)
+LINE_STARTS = np.array([[100.0], [0.0]])
+
+
+def test_far_behind_crawler_is_retired():
+    engine = _LineEngine(slope=0.01)
+    lead_val, lead_angles, _ = _compass(engine, LINE_STARTS[0], LINE)
+    _, crawl_angles, crawl_polls = _compass(engine, LINE_STARTS[1], LINE)
+    assert crawl_polls == LINE.max_iters and crawl_angles[0] == 20.0
+    results = _pattern_search_many(engine, LINE_STARTS, LINE)
+    # gaining 0.01 per window, it could add 2 * 0.01 * 37 / 2 = 0.37 by the
+    # cap, far short of the leader's 10: retired at its first racing poll
+    assert results[1][1][0] == 0.5 * (engine.width + 1)
+    # the leader stalls at once and finishes alone on its unstalled path
+    assert results[0][0] == lead_val
+    assert np.array_equal(results[0][1], lead_angles)
+
+
+def test_racing_extrapolates_twice_the_window_gain():
+    engine = _LineEngine(slope=0.3)
+    results = _pattern_search_many(engine, LINE_STARTS, LINE)
+    # after n polls the crawler holds 0.15 n and gains 0.3 per window. At
+    # that rate it would end at 6 < 10, but at twice the rate it reaches
+    # 0.15 n + 0.3 (40 - n) >= 10 for every n up to 13: retired at poll 14
+    assert results[1][1][0] == 0.5 * 14
 
 
 def test_maximize_recovers_target_state():

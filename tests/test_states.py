@@ -140,6 +140,24 @@ def test_ensemble_validation_and_average():
         Ensemble((0.5, 0.5), (psi0, other))
 
 
+def test_non_finite_input_is_rejected():
+    bad = _bell().matrix.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(InvalidMatrix):
+        Mstate(TWO, bad)
+    bad = _bell().matrix.copy()
+    bad[0, 3] = bad[3, 0] = np.nan
+    with pytest.raises(InvalidMatrix):
+        Mstate(TWO, bad)
+    with pytest.raises(InvalidMatrix):
+        PureState(TWO, [np.nan, 0, 0, 1])
+    psi0 = PureState(TWO, [1, 0, 0, 0])
+    psi3 = PureState(TWO, [0, 0, 0, 1])
+    for weights in ((np.nan, 0.5), (np.inf, 0.5)):
+        with pytest.raises(InvalidArgument):
+            Ensemble(weights, (psi0, psi3))
+
+
 # --- structural operations --------------------------------------------------
 
 
