@@ -48,9 +48,6 @@ from .measures import (
     LOWER,
     UPPER,
     MeasureEstimate,
-    _fresh_label,
-    _group_cover,
-    _merged_state,
     discord,
     ed_interval,
     eoa,
@@ -71,15 +68,17 @@ from .states import (
     PureState,
     SystemLayout,
     as_labels,
+    check_group_cover,
     family15_bob_states,
+    fresh_label,
+    merge_groups,
     merge_parties,
     partial_trace,
     permute_parties,
     preset,
     tensor,
 )
-
-_PURITY_TOL = 1e-9
+from .tolerances import SLACK, VALIDATE, ZERO
 
 
 def resolve_tripartite(
@@ -107,7 +106,7 @@ def resolve_tripartite(
         c = as_labels(charlie)
     else:
         c = tuple(l for l in labels if l not in a + b)
-    _group_cover(layout, (a, b, c))
+    check_group_cover(layout, (a, b, c))
     if not a or not b or not c:
         raise LayoutMismatch("each of the three groups must be non-empty")
     return a, b, c
@@ -115,7 +114,7 @@ def resolve_tripartite(
 
 def _require_pure(state) -> Mstate:
     rho = state.to_mstate()
-    if rho.purity() < 1.0 - _PURITY_TOL:
+    if rho.purity() < 1.0 - SLACK:
         raise NotPure(
             f"global state has purity {rho.purity():.9f}; this quantity "
             "is only defined for pure inputs"
@@ -206,7 +205,7 @@ def ci_lower(
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     cfg = config or OptimizerConfig()
 
-    merged, (la, lb, lc) = _merged_state(rho, (a, b, c))
+    merged, (la, lb, lc) = merge_groups(rho, (a, b, c))
     trivial = mutual_info(merged, Partition((la,), (lc,)))
 
     ow = one_way_ci(merged, la, lb, lc, cfg, progress=progress)
@@ -218,7 +217,7 @@ def ci_lower(
     best = max(cands, key=lambda k: k.value)  # ties keep the earlier one
 
     upper, upper_source, upper_cands, detail = _upper_candidates(rho, a, b, c)
-    if best.value > upper + 1e-9:
+    if best.value > upper + SLACK:
         raise InternalInvariantError(
             f"lower bound {best.value:.12g} exceeds upper bound {upper:.12g}"
         )
@@ -312,18 +311,18 @@ def ci_product_regularized(
     b1 = as_labels(bob_inner)
     b2 = as_labels(bob_outer)
     c = as_labels(charlie)
-    _group_cover(rho.layout, (a, b1, b2, c))
+    check_group_cover(rho.layout, (a, b1, b2, c))
     ordered = permute_parties(rho, a + b1 + b2 + c)
     left = partial_trace(ordered, b2 + c)
     right = partial_trace(ordered, a + b1)
     product = tensor(left, right)
     residual = float(np.max(np.abs(product.matrix - ordered.matrix)))
-    if residual > 1e-9:
+    if residual > SLACK:
         raise ShapeMismatch(
             f"state does not factor across (reference, helper-inner) vs "
             f"(helper-outer, receiver); residual {residual:.3e}"
         )
-    if left.purity() < 1.0 - _PURITY_TOL:
+    if left.purity() < 1.0 - SLACK:
         raise NotPure(
             f"the (reference, helper-inner) factor has purity {left.purity():.9f}, "
             "but the closed form needs it pure"
@@ -332,7 +331,7 @@ def ci_product_regularized(
     ed = ed_interval(right, Partition(b2, c))
     lo = s_a + min(s_a, ed.lower)
     hi = s_a + min(s_a, ed.upper)
-    return RegularizedBand(lo, hi, ed.exact or hi - lo <= 1e-12)
+    return RegularizedBand(lo, hi, ed.exact or hi - lo <= ZERO)
 
 
 def discord_via_ci(
@@ -352,8 +351,8 @@ def discord_via_ci(
     y = as_labels(measured)
     if len(y) != 1:
         raise LayoutMismatch("the measured party must be a single label; merge first")
-    _group_cover(rho.layout, (x, y))
-    aux = _fresh_label(rho.layout, "C")
+    check_group_cover(rho.layout, (x, y))
+    aux = fresh_label(rho.layout, "C")
     vac = Mstate(
         SystemLayout(((aux, 2),)),
         np.diag([1.0, 0.0]).astype(complex),
@@ -381,8 +380,11 @@ def lqsm_fidelity_lower(
 ) -> float:
     """Guaranteed state-merging fidelity from a concentrated-information
     value: 2^(-(I_total - ci)/2), where I_total is the mutual information
-    between the reference and everyone else.  ``ci_value`` above I_total
-    (beyond 1e-9 slack) is rejected; the gap is floored at zero."""
+    between the reference and everyone else.  A non-finite ``ci_value``, or
+    one above I_total (beyond 1e-9 slack), is rejected; the gap is floored
+    at zero."""
+    if not math.isfinite(ci_value):
+        raise InvalidArgument(f"concentrated information must be finite, got {ci_value}")
     rho = rho.to_mstate()
     a = as_labels(alice) if alice is not None else (rho.layout.labels[0],)
     rest = tuple(l for l in rho.layout.labels if l not in a)
@@ -391,7 +393,7 @@ def lqsm_fidelity_lower(
     for l in a:
         rho.layout.index(l)
     total = mutual_info(rho, Partition(a, rest))
-    if ci_value > total + 1e-9:
+    if ci_value > total + SLACK:
         raise InvalidArgument(
             f"concentrated information {ci_value:.12g} exceeds the total "
             f"mutual information {total:.12g}"
@@ -421,7 +423,7 @@ def oneway_ci_upper(
     """
     rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    merged, (la, lb, lc) = _merged_state(rho, (a, b, c))
+    merged, (la, lb, lc) = merge_groups(rho, (a, b, c))
     i_total = mutual_info(merged, Partition((la,), (lb, lc)))
     i_bc = mutual_info(merged, Partition((lb,), (lc,)))
     if discord_value is None:
@@ -447,7 +449,7 @@ def merge_conditional_entropy_check(
     receiver is non-positive (within 1e-9)."""
     rho = rho.to_mstate()
     ce = conditional_entropy(rho, bob, charlie)
-    return MergeFeasibility(ce <= 1e-9, ce)
+    return MergeFeasibility(ce <= SLACK, ce)
 
 
 class MonotoneCheck(NamedTuple):
@@ -470,7 +472,7 @@ def monotone_necessary_check(
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     lhs = log_negativity(rho, Partition(a + b, c))
     rhs = log_negativity(rho, Partition(a, b + c))
-    return MonotoneCheck(lhs, rhs, lhs >= rhs - 1e-9)
+    return MonotoneCheck(lhs, rhs, lhs >= rhs - SLACK)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +632,7 @@ def discord_additivity_check(
     if len(y) != 1:
         raise LayoutMismatch("the measured party must be a single label; merge first")
     cfg = config or OptimizerConfig()
-    merged, (lx, ly) = _merged_state(rho, (x, y))
+    merged, (lx, ly) = merge_groups(rho, (x, y))
     dx, dy = merged.layout.dims
     if dy > 2:
         raise DimensionTooLarge(
@@ -641,7 +643,7 @@ def discord_additivity_check(
     off = np.array(t4, copy=True)
     for i in range(dx):
         off[i, :, i, :] = 0.0
-    if float(np.max(np.abs(off))) > 1e-9:
+    if float(np.max(np.abs(off))) > SLACK:
         raise ShapeMismatch(
             "unmeasured side is not classical: off-block coherences up to "
             f"{float(np.max(np.abs(off))):.3e}"
@@ -649,9 +651,9 @@ def discord_additivity_check(
     for i in range(dx):
         block = t4[i, :, i, :]
         tr = float(np.real(np.trace(block)))
-        if tr > 1e-12:
+        if tr > ZERO:
             top = float(np.linalg.eigvalsh(block)[-1])
-            if top < tr - 1e-9:
+            if top < tr - SLACK:
                 raise ShapeMismatch(
                     f"conditional state in classical branch {i} is not pure"
                 )
@@ -666,11 +668,12 @@ def discord_additivity_check(
     pair = merge_parties(pair, (lx1, lx2), lx + lx)
     pair = merge_parties(pair, (ly1, ly2), ly + ly)
 
-    k1 = cfg.povm_outcomes or dy * dy
+    # single-copy POVMs have k1 = dy^2 outcomes; the pair's measured party
+    # has dimension dy^2, so its search runs over k1^2 of them
+    k1 = single.info["outcomes"]
     v1 = single.achiever.vectors
     warm = complete_isometry(np.kron(v1, v1))
-    doubled = replace(cfg, restarts=2 * cfg.restarts, povm_outcomes=k1 * k1)
-    double = discord(pair, lx + lx, ly + ly, doubled, warm_starts=(warm,), progress=progress)
+    double = discord(pair, lx + lx, ly + ly, boosted, warm_starts=(warm,), progress=progress)
 
     i_double = double.info["mutual_info"]
     product_values = [
@@ -743,7 +746,7 @@ def dilated_protocol_state(
         rows = []
         for i, e in enumerate(povm.elements):
             w, u = np.linalg.eigh(e)
-            if w.shape[0] > 1 and w[-2] > 1e-10:
+            if w.shape[0] > 1 and w[-2] > VALIDATE:
                 raise NotRankOne(f"POVM element {i} has rank above one")
             rows.append(math.sqrt(max(float(w[-1]), 0.0)) * u[:, -1])
         vecs = np.array(rows)

@@ -57,7 +57,7 @@ from .measures import (
     one_way_ci,
 )
 from .optim import OptimizerConfig
-from .states import load_state_file, partial_trace, preset
+from .states import load_state_file, preset
 from .suites import SUITES, run_suites
 
 _INPUT_ERRORS = (
@@ -141,6 +141,13 @@ def _config(args) -> OptimizerConfig:
     )
 
 
+def _config_line(cfg: OptimizerConfig) -> str:
+    return (
+        f"# config: seed={cfg.seed} restarts={cfg.restarts} "
+        f"tol={format(cfg.tol, 'g')} max-iters={cfg.max_iters}"
+    )
+
+
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -167,12 +174,6 @@ class _Row:
         return f"{self.label},{format(self.value, '.17g')},{self.tag}"
 
 
-def _marginal_entropy(state, labels) -> float:
-    rho = state.to_mstate()
-    drop = [l for l in rho.layout.labels if l not in labels]
-    return vn_entropy(partial_trace(rho, drop) if drop else rho)
-
-
 def _xy_defaults(layout, args, x_all_but_last=False):
     labels = layout.labels
     x = _group(args.x)
@@ -190,7 +191,7 @@ def _compute_rows(quantity, state, args, cfg):
 
     if quantity == "entropy":
         target = _group(args.x) or layout.labels
-        return [_Row(f"S({_gname(target)})", _marginal_entropy(rho, target), "exact")]
+        return [_Row(f"S({_gname(target)})", conditional_entropy(rho, target), "exact")]
 
     if quantity == "mutual-info":
         x, y = _xy_defaults(layout, args)
@@ -348,10 +349,7 @@ def _cmd_compute(args) -> int:
     if args.format == "text":
         lines.append(f"# ci-toolkit compute {args.quantity}")
         lines.append(f"# state: {state.layout.describe()} ({origin})")
-        lines.append(
-            f"# config: seed={cfg.seed} restarts={cfg.restarts} "
-            f"tol={format(cfg.tol, 'g')} max-iters={cfg.max_iters}"
-        )
+        lines.append(_config_line(cfg))
         lines.extend(r.text() if isinstance(r, _Row) else r for r in rows)
     else:
         lines.append("name,value,direction")
@@ -363,11 +361,7 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _config(args)
     results = run_suites(args.suite, cfg)
-    lines = [
-        f"# ci-toolkit verify {args.suite}",
-        f"# config: seed={cfg.seed} restarts={cfg.restarts} "
-        f"tol={format(cfg.tol, 'g')} max-iters={cfg.max_iters}",
-    ]
+    lines = [f"# ci-toolkit verify {args.suite}", _config_line(cfg)]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"{status}  {r.suite}/{r.name}: {r.detail}")
@@ -418,24 +412,34 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_DEFAULTS = OptimizerConfig()
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=7, help="base seed for all randomness")
+    p.add_argument(
+        "--seed", type=int, default=_DEFAULTS.seed, help="base seed for all randomness"
+    )
     p.add_argument(
         "--restarts",
         type=int,
-        default=32,
+        default=_DEFAULTS.restarts,
         help="most optimizer restarts; past the first eight, the rest run only "
         "when fewer than four of those end within --tol of the best",
     )
     p.add_argument(
         "--tol",
         type=float,
-        default=1e-6,
+        default=_DEFAULTS.tol,
         help="optimizer step tolerance, and the stall threshold: a restart "
         "pauses when its best value gains less than this over W iterations, "
         "W being the candidates in one poll",
     )
-    p.add_argument("--max-iters", type=int, default=2000, help="optimizer iteration cap")
+    p.add_argument(
+        "--max-iters",
+        type=int,
+        default=_DEFAULTS.max_iters,
+        help="optimizer iteration cap",
+    )
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument(
         "--format", choices=("text", "csv"), default="text", help="output format"

@@ -12,9 +12,7 @@ import numpy as np
 from . import qmat
 from .errors import InvalidArgument, InvalidPartition, LayoutMismatch, UnknownParty
 from .states import Mstate, PureState, as_labels, partial_trace
-
-_EIG_CLIP = 1e-12
-_DIAG_TOL = 1e-13
+from .tolerances import DIAG, ZERO
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ class Partition:
 def spectrum_entropy(w) -> float:
     """Shannon entropy (bits) of a spectrum; values <= 1e-12 contribute 0."""
     w = np.clip(np.asarray(w, dtype=np.float64), 0.0, None)
-    w = w[w > _EIG_CLIP]
+    w = w[w > ZERO]
     if w.size == 0:
         return 0.0
     return float(max(-(w * np.log2(w)).sum(), 0.0))
@@ -60,7 +58,7 @@ def matrix_entropy(m: np.ndarray) -> float:
     eigensolve; the result is identical up to that tolerance.
     """
     off = m - np.diag(np.diagonal(m))
-    if np.max(np.abs(off)) < _DIAG_TOL:
+    if np.max(np.abs(off)) < DIAG:
         return spectrum_entropy(np.real(np.diagonal(m)))
     return spectrum_entropy(np.linalg.eigvalsh(m))
 

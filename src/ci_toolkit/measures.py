@@ -23,7 +23,6 @@ from .errors import (
     AncillaTooLarge,
     DuplicateParty,
     InternalInvariantError,
-    InvalidArgument,
     LayoutMismatch,
 )
 from .info import (
@@ -36,7 +35,6 @@ from .info import (
 from .optim import (
     OptimizerConfig,
     Povm,
-    UnitaryParam,
     decode_unitary,
     maximize,
     rank1_povm,
@@ -47,14 +45,15 @@ from .states import (
     PureState,
     SystemLayout,
     as_labels,
+    check_group_cover,
+    fresh_label,
+    merge_groups,
     partial_trace,
     partial_transpose,
     permute_parties,
     purify,
 )
-
-_WEIGHT_FLOOR = 1e-12
-_DIAG_TOL = 1e-13
+from .tolerances import DIAG, VALIDATE, ZERO
 
 LOWER = "lower_bound_estimate"
 UPPER = "upper_bound_estimate"
@@ -125,7 +124,7 @@ def measure_ensemble(rho: Mstate, povm: Povm, party: str) -> Ensemble:
     for m in povm.elements:
         sub = np.einsum("...yz,zy->...", t, m).reshape(dk, dk)
         p = float(np.real(np.trace(sub)))
-        if p < _WEIGHT_FLOOR:
+        if p < ZERO:
             continue
         weights.append(p)
         members.append(Mstate(kept_layout, sub / p))
@@ -160,58 +159,14 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     """Mutual information between the unmeasured parties and a register
     recording the outcome of ``povm`` applied to ``party``."""
     ens = measure_ensemble(rho, povm, party)
-    reg = _fresh_label(rho.layout, "R")
+    reg = fresh_label(rho.layout, "R")
     flagged = flag_state(ens, reg)
     kept = tuple(l for l in rho.layout.labels if l != party)
     return mutual_info(flagged, Partition(kept, (reg,)))
 
 
 # ---------------------------------------------------------------------------
-# internal arrangement helpers
-
-
-def _fresh_label(layout: SystemLayout, base: str) -> str:
-    label = base
-    while label in layout.labels:
-        label += "'"
-    return label
-
-
-def _group_cover(layout: SystemLayout, groups: Sequence[Sequence[str]]) -> None:
-    flat: list[str] = []
-    for g in groups:
-        flat.extend(g)
-    if len(set(flat)) != len(flat):
-        raise LayoutMismatch(f"party groups overlap: {flat}")
-    if sorted(flat) != sorted(layout.labels):
-        raise LayoutMismatch(
-            f"party groups {flat} do not cover the layout {list(layout.labels)}"
-        )
-
-
-def _merged_state(
-    rho: Mstate, groups: Sequence[Sequence[str]]
-) -> tuple[Mstate, tuple[str, ...]]:
-    """Permute ``rho`` so the groups are contiguous and merge each multi-party
-    group into a single composite party.  Returns the merged state and the
-    per-group labels (composites get a synthesized parenthesized name)."""
-    _group_cover(rho.layout, groups)
-    order = [l for g in groups for l in g]
-    state = permute_parties(rho, order)
-    new_parties: list[tuple[str, int]] = []
-    new_labels: list[str] = []
-    for g in groups:
-        dim = state.layout.group_dim(g)
-        if len(g) == 1:
-            label = g[0]
-        else:
-            label = "(" + "+".join(g) + ")"
-            while any(label == l for l in new_labels) or label in rho.layout.labels:
-                label += "'"
-        new_parties.append((label, dim))
-        new_labels.append(label)
-    merged = Mstate(SystemLayout(tuple(new_parties)), state.matrix)
-    return merged, tuple(new_labels)
+# batch objective kernels
 
 
 def _entropy_stack(mats: np.ndarray) -> np.ndarray:
@@ -221,7 +176,7 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
     rng = np.arange(n)
     offdiag = np.abs(mats)
     offdiag[..., rng, rng] = 0.0
-    if offdiag.size == 0 or float(offdiag.max()) < _DIAG_TOL:
+    if offdiag.size == 0 or float(offdiag.max()) < DIAG:
         w = np.real(mats[..., rng, rng])
     elif n == 2:
         # closed-form Hermitian eigenvalues, mean +/- radius; much cheaper
@@ -244,7 +199,7 @@ def _weight_term(p: np.ndarray) -> np.ndarray:
     Weights below the floor are evaluated at the floor's log, which keeps
     the zero limit exact while avoiding a branch over the array.
     """
-    out = np.log2(np.maximum(p, _WEIGHT_FLOOR))
+    out = np.log2(np.maximum(p, ZERO))
     out *= p
     return out
 
@@ -289,7 +244,7 @@ def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     cols = []
     ranks = []
     for wx, ux in zip(w, u):
-        keep = wx > _WEIGHT_FLOOR
+        keep = wx > ZERO
         ranks.append(int(np.count_nonzero(keep)))
         cols.append(ux[:, keep] * np.sqrt(wx[keep]))
     factors = np.ascontiguousarray(np.concatenate(cols, axis=1).conj())
@@ -310,15 +265,15 @@ def _block_weights(
 
 
 def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
-    """Search the K-outcome rank-one POVMs on a party of dimension ``d``,
-    with K = ``cfg.povm_outcomes`` or d^2: ``batch`` scores (B, K, d) stacks
-    of outcome rows. Returns K and the angles of the best K x K unitary,
-    whose first d columns hold the outcome vectors."""
-    k = cfg.povm_outcomes or d * d
-    if k < d:
-        raise InvalidArgument(
-            f"povm_outcomes={k} cannot form a rank-one POVM on dimension {d}"
-        )
+    """Search the K = d^2 outcome rank-one POVMs on a party of dimension
+    ``d``: ``batch`` scores (B, K, d) stacks of outcome rows. Rank-one POVMs
+    with at most d^2 outcomes already reach the supremum over all
+    measurements of every measured quantity here (Davies, IEEE TIT 24, 596,
+    1978; Hamieh, Kobeissi & Zaraket, PRA 70, 052325, 2004), so a larger K
+    buys nothing. ``warm_starts`` are K x K unitaries searched first.
+    Returns K and the angles of the best K x K unitary, whose first d
+    columns hold the outcome vectors."""
+    k = d * d
     _, param = maximize(
         batch_objective=batch,
         dim=k,
@@ -342,15 +297,17 @@ def one_way_ci(
     charlie: str | Sequence[str],
     config: OptimizerConfig | None = None,
     *,
-    warm_starts: Sequence[UnitaryParam] = (),
+    warm_starts: Sequence[np.ndarray] = (),
     progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Best mutual information between ``alice`` and ``charlie`` plus an
     outcome register, over rank-one POVMs measured on ``bob``.
 
     ``bob`` must be a single party (merge first if needed).  The search is
-    over K-outcome rank-one POVMs with K = ``config.povm_outcomes`` or the
-    squared dimension of ``bob`` by default.  The returned value is
+    over rank-one POVMs with K = d^2 outcomes, d the dimension of ``bob``,
+    which reach the supremum over all POVMs; ``warm_starts`` are K x K
+    unitary arrays whose first d columns hold outcome vectors, searched
+    before the seeded restarts.  The returned value is
     recomputed through the explicit measure -> flag -> mutual-information
     pipeline at the optimal point, so it is achievable by construction and
     the estimate can only err downward.
@@ -362,12 +319,12 @@ def one_way_ci(
     if len(b_labels) != 1:
         raise LayoutMismatch("the measured party must be a single label; merge first")
     cfg = config or OptimizerConfig()
-    merged, (la, lb, lc) = _merged_state(rho, (a_labels, b_labels, c_labels))
+    merged, (la, lb, lc) = merge_groups(rho, (a_labels, b_labels, c_labels))
     da, db, dc = merged.layout.dims
     t6 = merged.matrix.reshape(da, db, dc, da, db, dc)
     s_a = matrix_entropy(np.einsum("aycwyc->aw", t6))
 
-    if merged.purity() > 1.0 - 1e-12:
+    if merged.purity() > 1.0 - ZERO:
         # Pure input: each conditional block on alice+charlie is pure, with
         # the (alice, charlie) amplitude matrix of a partial inner product of
         # the state vector, so the term per outcome is the steering one with
@@ -404,7 +361,7 @@ def one_way_ci(
     k, param = _povm_search(batch, db, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), db)
     ens = measure_ensemble(merged, achiever, lb)
-    reg = _fresh_label(merged.layout, "R")
+    reg = fresh_label(merged.layout, "R")
     flagged = flag_state(ens, reg)
     value = mutual_info(flagged, Partition((la,), (lc, reg)))
     return MeasureEstimate(
@@ -422,7 +379,7 @@ def discord(
     measured: str,
     config: OptimizerConfig | None = None,
     *,
-    warm_starts: Sequence[UnitaryParam] = (),
+    warm_starts: Sequence[np.ndarray] = (),
     progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Quantum discord of ``rho`` with the measurement on ``measured``.
@@ -431,6 +388,8 @@ def discord(
     classical correlation extractable by a rank-one POVM on ``measured``:
     the inner maximization is variational, so the reported discord is an
     upper-bound estimate (it can only decrease as the search improves).
+    ``warm_starts`` are K x K unitary arrays, K = d^2 for the dimension d of
+    ``measured``, as in :func:`one_way_ci`.
     """
     rho = rho.to_mstate()
     x_labels = as_labels(unmeasured)
@@ -438,7 +397,7 @@ def discord(
     if len(y_labels) != 1:
         raise LayoutMismatch("the measured party must be a single label; merge first")
     cfg = config or OptimizerConfig()
-    merged, (lx, ly) = _merged_state(rho, (x_labels, y_labels))
+    merged, (lx, ly) = merge_groups(rho, (x_labels, y_labels))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
     s_x = matrix_entropy(np.einsum("xywy->xw", t4))
@@ -452,7 +411,7 @@ def discord(
     blocks = np.array(t4, copy=True)
     for x in range(dx):
         blocks[x, :, x, :] = 0.0
-    x_classical = float(np.max(np.abs(blocks))) < _DIAG_TOL
+    x_classical = float(np.max(np.abs(blocks))) < DIAG
 
     if x_classical:
         # conditional states are diagonal in the x basis, so the objective
@@ -534,7 +493,7 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
         if l not in rho.layout.labels:
             raise LayoutMismatch(f"state has no party {l!r}")
     ordered = permute_parties(rho, a_labels + rest)
-    anc = _fresh_label(ordered.layout, "Z")
+    anc = fresh_label(ordered.layout, "Z")
     psi = purify(ordered, anc)
     r = psi.layout.dim_of(anc)
     da = ordered.layout.group_dim(a_labels)
@@ -549,7 +508,7 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
     for row in decode_unitary(param, columns=r):  # row i is outcome i's vector
         chi = psi_mat @ row.conj()
         p = float(np.real(np.vdot(chi, chi)))
-        if p < _WEIGHT_FLOOR:
+        if p < ZERO:
             continue
         weights.append(p)
         members.append(PureState(ordered.layout, chi / math.sqrt(p)))
@@ -573,7 +532,7 @@ def eoa(
     alice: str | Sequence[str],
     config: OptimizerConfig | None = None,
     *,
-    warm_starts: Sequence[UnitaryParam] = (),
+    warm_starts: Sequence[np.ndarray] = (),
     progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Entanglement of assistance across ``alice`` vs the rest.
@@ -582,6 +541,8 @@ def eoa(
     steering the state into a pure-state ensemble; the objective is the
     ensemble average of the entanglement entropy, maximized.  Variational,
     hence a lower-bound estimate of the true assisted entanglement.
+    ``warm_starts`` are K x K unitary arrays, K = r^2 for the dimension r of
+    the purifying system.
     """
     return _steered_entanglement(rho, alice, config, warm_starts, progress, "max")
 
@@ -591,13 +552,14 @@ def eof(
     alice: str | Sequence[str],
     config: OptimizerConfig | None = None,
     *,
-    warm_starts: Sequence[UnitaryParam] = (),
+    warm_starts: Sequence[np.ndarray] = (),
     progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Entanglement of formation across ``alice`` vs the rest: the minimum,
     over pure-state decompositions, of the average entanglement entropy.
     Same steering parametrization as :func:`eoa` but minimized, so the
-    estimate can only sit above the true value."""
+    estimate can only sit above the true value; ``warm_starts`` as in
+    :func:`eoa`."""
     return _steered_entanglement(rho, alice, config, warm_starts, progress, "min")
 
 
@@ -621,16 +583,16 @@ def kw_discord(
     rho = rho.to_mstate()
     x_labels = as_labels(unmeasured)
     y_labels = as_labels(measured)
-    _group_cover(rho.layout, (x_labels, y_labels))
+    check_group_cover(rho.layout, (x_labels, y_labels))
     cfg = config or OptimizerConfig()
     ordered = permute_parties(rho, x_labels + y_labels)
-    rank = int(np.sum(np.linalg.eigvalsh(ordered.matrix) > _WEIGHT_FLOOR))
+    rank = int(np.sum(np.linalg.eigvalsh(ordered.matrix) > ZERO))
     anc_dim = max(rank, 2)
     if anc_dim > 8:
         raise AncillaTooLarge(
             f"purifying system of dimension {anc_dim} exceeds the supported 8"
         )
-    anc = _fresh_label(ordered.layout, "Z")
+    anc = fresh_label(ordered.layout, "Z")
     psi = purify(ordered, anc)
     rho_xz = partial_trace(psi.to_mstate(), y_labels)
     ef = eof(rho_xz, x_labels, cfg, progress=progress)
@@ -683,7 +645,7 @@ def _max_correlated_pattern(reduced: Mstate, cut: Partition) -> np.ndarray | Non
     a = m[np.ix_(ii, ii)]
     residual = np.array(m, copy=True)
     residual[np.ix_(ii, ii)] = 0.0
-    if float(np.max(np.abs(residual))) > 1e-10:
+    if float(np.max(np.abs(residual))) > VALIDATE:
         return None
     return a
 

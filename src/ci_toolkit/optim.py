@@ -55,16 +55,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NotPSD, ObjectiveError
+from .tolerances import SLACK, VALIDATE, ZERO
 
-_UNITARY_TOL = 1e-9
+# Every restart's compass step starts here and halves on each failed poll.
+_INITIAL_STEP = 0.5
+_SHRINK = 0.5
 
 
 def rotation_pairs(dim: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(dim) for k in range(j + 1, dim)]
-
-
-def angle_count(dim: int) -> int:
-    return dim * dim
 
 
 @dataclass(frozen=True)
@@ -95,25 +94,16 @@ class OptimizerConfig:
 
     restarts: int = 32
     max_iters: int = 2000
-    initial_step: float = 0.5
-    shrink_factor: float = 0.5
     tol: float = 1e-6
     seed: int = 7
-    povm_outcomes: int | None = None
 
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidArgument("OptimizerConfig: restarts must be >= 1")
         if self.max_iters < 1:
             raise InvalidArgument("OptimizerConfig: max_iters must be >= 1")
-        if not (self.initial_step > 0.0):
-            raise InvalidArgument("OptimizerConfig: initial_step must be positive")
-        if not (0.0 < self.shrink_factor < 1.0):
-            raise InvalidArgument("OptimizerConfig: shrink_factor must lie in (0, 1)")
         if not (self.tol > 0.0):
             raise InvalidArgument("OptimizerConfig: tol must be positive")
-        if self.povm_outcomes is not None and self.povm_outcomes < 1:
-            raise InvalidArgument("OptimizerConfig: povm_outcomes must be >= 1")
 
 
 def _split_angles(dim: int, angles: np.ndarray):
@@ -153,7 +143,7 @@ def encode_unitary(u) -> UnitaryParam:
         raise InvalidArgument(f"encode_unitary: expected a square matrix, got {m.shape}")
     n = m.shape[0]
     dev = np.max(np.abs(m.conj().T @ m - np.eye(n)))
-    if dev > _UNITARY_TOL:
+    if dev > SLACK:
         raise InvalidArgument(f"encode_unitary: matrix is not unitary (deviation {dev:.3e})")
     work = m.copy()
     pairs = rotation_pairs(n)
@@ -195,7 +185,7 @@ def complete_isometry(v) -> np.ndarray:
         raise InvalidArgument(f"complete_isometry: bad shape {v.shape}")
     k, d = v.shape
     dev = np.max(np.abs(v.conj().T @ v - np.eye(d)))
-    if dev > _UNITARY_TOL:
+    if dev > SLACK:
         raise InvalidArgument(f"complete_isometry: columns not orthonormal ({dev:.3e})")
     q, _ = np.linalg.qr(v, mode="complete")
     u = np.array(q)
@@ -227,13 +217,15 @@ class Povm:
         for i, e in enumerate(elems):
             if e.shape != (d, d):
                 raise InvalidArgument(f"Povm: element {i} has shape {e.shape}, expected {(d, d)}")
-            if np.max(np.abs(e - e.conj().T)) > 1e-9:
+            if np.max(np.abs(e - e.conj().T)) > SLACK:
                 raise InvalidArgument(f"Povm: element {i} is not Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -1e-10:
+            if np.linalg.eigvalsh(e)[0] < -VALIDATE:
                 raise NotPSD(f"Povm: element {i} has a negative eigenvalue")
             total += e
-        if np.max(np.abs(total - np.eye(d))) > 1e-9:
-            raise InvalidArgument("Povm: elements do not sum to the identity within 1e-9")
+        if np.max(np.abs(total - np.eye(d))) > SLACK:
+            raise InvalidArgument(
+                f"Povm: elements do not sum to the identity within {SLACK:g}"
+            )
         object.__setattr__(self, "party_dim", d)
         object.__setattr__(self, "elements", elems)
         if self.vectors is not None:
@@ -282,10 +274,15 @@ class _BatchEngine:
         self.slots = min(dim, cols)
         self.live = int(np.count_nonzero(self.pairs[:, 0] < cols))
         self.width = 2 * self.slots + 4 * self.live
-        # candidate -> (angle index, sign of the step), for whole polls at once
-        moves = [self.candidate_delta(idx, 1.0) for idx in range(self.width)]
-        self.move_coords = np.array([c for c, _ in moves], dtype=np.intp)
-        self.move_signs = np.array([d for _, d in moves])
+        # candidate -> (angle index, sign of the step), in the poll order:
+        # phase +/- per kept column, then theta +/- and phi +/- per rotation
+        self.move_coords = np.concatenate(
+            [
+                np.repeat(np.arange(self.slots), 2),
+                dim + np.repeat(np.arange(2 * self.live), 2),
+            ]
+        )
+        self.move_signs = np.tile([1.0, -1.0], self.slots + 2 * self.live)
 
     def _eval(self, blocks: np.ndarray) -> np.ndarray:
         total = blocks.shape[0]
@@ -414,16 +411,6 @@ class _BatchEngine:
         flat = cands.reshape(nr * self.width, n, cols)
         return self._eval(flat).reshape(nr, self.width)
 
-    def candidate_delta(self, idx: int, step: float) -> tuple[int, float]:
-        """Angle index and signed step of poll candidate `idx`."""
-        n, p = self.n, self.slots
-        if idx < 2 * p:
-            return idx // 2, step if idx % 2 == 0 else -step
-        idx -= 2 * p
-        r, v = divmod(idx, 4)
-        coord = n + 2 * r + (0 if v < 2 else 1)
-        return coord, step if v % 2 == 0 else -step
-
 
 def _forcing(step: float) -> float:
     # Sufficient-decrease margin: a move must beat the incumbent by this or
@@ -431,7 +418,7 @@ def _forcing(step: float) -> float:
     # accuracy reachable at tol, but it stops noise-level improvements from
     # pinning the step at a coarse level for the whole iteration budget; the
     # floor keeps round-off wiggle from ever counting as progress.
-    return 1e-4 * step * step + 1e-12
+    return 1e-4 * step * step + ZERO
 
 
 # The scout: how many starts run first, and how many of them must end
@@ -469,7 +456,7 @@ def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
     nr = starts.shape[0]
     angles = np.array(starts, dtype=np.float64)
     best = np.full(nr, -np.inf)
-    steps = np.full(nr, cfg.initial_step)
+    steps = np.full(nr, _INITIAL_STEP)
     iters = np.zeros(nr, dtype=np.intp)
     live = np.zeros(nr, dtype=bool)
     window = engine.width
@@ -492,7 +479,7 @@ def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
         hit, pick = idx[moved], picks[moved]
         angles[hit, engine.move_coords[pick]] += engine.move_signs[pick] * step[moved]
         inc = np.where(moved, top, inc)
-        step = np.where(moved, step, step * cfg.shrink_factor)
+        step = np.where(moved, step, step * _SHRINK)
         n = iters[idx] + 1
         best[idx], steps[idx], iters[idx] = inc, step, n
         if not race:

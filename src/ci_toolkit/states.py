@@ -2,7 +2,7 @@
 
 A state lives on a `SystemLayout`: an ordered tuple of (label, dim) parties,
 leftmost party most significant in the flat index (row-major, matching
-`qmat.kron`). Density operators are `Mstate`, pure vectors `PureState`,
+`np.kron`). Density operators are `Mstate`, pure vectors `PureState`,
 weighted collections `Ensemble`.
 
 The JSON state-file format consumed by the CLI is defined by
@@ -24,17 +24,14 @@ from .errors import (
     InvalidArgument,
     InvalidMatrix,
     InvalidPreset,
+    LayoutMismatch,
     NotPSD,
     StateFileError,
     UnknownParty,
 )
+from .tolerances import SLACK, VALIDATE, ZERO
 
 DEFAULT_DIM_CAP = 64
-_HERM_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_PSD_TOL = 1e-10
-_NORM_TOL = 1e-12
-_RANK_CUT = 1e-12
 
 
 def dimension_cap() -> int:
@@ -140,14 +137,14 @@ class Mstate:
                 f"Mstate: matrix shape {m.shape} does not match layout dimension {d}"
             )
         # each check is written so that a NaN anywhere fails it
-        if not np.max(np.abs(m - m.conj().T)) <= _HERM_TOL:
-            raise InvalidMatrix("Mstate: matrix is not Hermitian within 1e-10")
+        if not np.max(np.abs(m - m.conj().T)) <= VALIDATE:
+            raise InvalidMatrix(f"Mstate: matrix is not Hermitian within {VALIDATE:g}")
         tr = m.trace()
-        if not abs(tr - 1.0) <= _TRACE_TOL:
-            raise InvalidMatrix(f"Mstate: trace {tr:.12g} is not 1 within 1e-10")
+        if not abs(tr - 1.0) <= VALIDATE:
+            raise InvalidMatrix(f"Mstate: trace {tr:.12g} is not 1 within {VALIDATE:g}")
         low = float(np.linalg.eigvalsh(m)[0])
-        if not low >= -_PSD_TOL:
-            raise NotPSD(f"Mstate: eigenvalue {low:.3e} below -1e-10")
+        if not low >= -VALIDATE:
+            raise NotPSD(f"Mstate: eigenvalue {low:.3e} below -{VALIDATE:g}")
         object.__setattr__(self, "matrix", _freeze(m))
 
     @property
@@ -175,8 +172,8 @@ class PureState:
                 f"PureState: vector length {v.shape[0]} does not match layout "
                 f"dimension {self.layout.total_dim}"
             )
-        if not abs(np.linalg.norm(v) - 1.0) <= _NORM_TOL:
-            raise InvalidMatrix("PureState: vector is not normalized within 1e-12")
+        if not abs(np.linalg.norm(v) - 1.0) <= ZERO:
+            raise InvalidMatrix(f"PureState: vector is not normalized within {ZERO:g}")
         object.__setattr__(self, "amplitudes", _freeze(v))
 
     def to_mstate(self) -> Mstate:
@@ -197,9 +194,9 @@ class Ensemble:
             raise InvalidArgument("Ensemble: weights and members disagree in length")
         if w.size == 0:
             raise InvalidArgument("Ensemble: empty")
-        if not np.min(w) >= -1e-12:
+        if not np.min(w) >= -ZERO:
             raise InvalidArgument(f"Ensemble: negative weight {np.min(w):.3e}")
-        if not abs(w.sum() - 1.0) <= 1e-9:
+        if not abs(w.sum() - 1.0) <= SLACK:
             raise InvalidArgument(f"Ensemble: weights sum to {w.sum():.12g}, not 1")
         layouts = {m.layout for m in self.members}
         if len(layouts) != 1:
@@ -325,6 +322,52 @@ def merge_parties(state, labels, new_label: str) -> Mstate | PureState:
     return Mstate(layout, state.matrix)
 
 
+def fresh_label(layout: SystemLayout, base: str) -> str:
+    """``base`` with primes appended until no party of ``layout`` has it."""
+    label = base
+    while label in layout.labels:
+        label += "'"
+    return label
+
+
+def check_group_cover(layout: SystemLayout, groups) -> None:
+    """Raise LayoutMismatch unless the groups of labels are disjoint and
+    together name every party of ``layout``."""
+    flat: list[str] = []
+    for g in groups:
+        flat.extend(g)
+    if len(set(flat)) != len(flat):
+        raise LayoutMismatch(f"party groups overlap: {flat}")
+    if sorted(flat) != sorted(layout.labels):
+        raise LayoutMismatch(
+            f"party groups {flat} do not cover the layout {list(layout.labels)}"
+        )
+
+
+def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
+    """Permute ``rho`` so the groups (which must cover its layout) are
+    contiguous and merge each multi-party group into a single composite
+    party.  Returns the merged state and the per-group labels (composites get
+    a synthesized parenthesized name)."""
+    check_group_cover(rho.layout, groups)
+    order = [l for g in groups for l in g]
+    state = permute_parties(rho, order)
+    new_parties: list[tuple[str, int]] = []
+    new_labels: list[str] = []
+    for g in groups:
+        dim = state.layout.group_dim(g)
+        if len(g) == 1:
+            label = g[0]
+        else:
+            label = "(" + "+".join(g) + ")"
+            while any(label == l for l in new_labels) or label in rho.layout.labels:
+                label += "'"
+        new_parties.append((label, dim))
+        new_labels.append(label)
+    merged = Mstate(SystemLayout(tuple(new_parties)), state.matrix)
+    return merged, tuple(new_labels)
+
+
 def purify(rho: Mstate, ancilla_label: str) -> PureState:
     """Purification with the smallest usable ancilla.
 
@@ -336,7 +379,7 @@ def purify(rho: Mstate, ancilla_label: str) -> PureState:
         raise DuplicateParty(f"purify: ancilla label {ancilla_label!r} already present")
     w, v = np.linalg.eigh(rho.matrix)
     w, v = w[::-1], v[:, ::-1]
-    rank = max(int(np.sum(w > _RANK_CUT)), 1)
+    rank = max(int(np.sum(w > ZERO)), 1)
     anc = max(rank, 2)
     d = rho.layout.total_dim
     psi = np.zeros((d, anc), dtype=np.complex128)
@@ -427,7 +470,7 @@ def _preset_classical_classical(params):
     if params and len(params) != 4:
         raise InvalidPreset("classical_classical: expected 4 joint probabilities")
     p = np.asarray(params if params else [0.5, 0.0, 0.0, 0.5], dtype=np.float64)
-    if np.min(p) < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
+    if np.min(p) < -ZERO or abs(p.sum() - 1.0) > SLACK:
         raise InvalidPreset("classical_classical: params must be probabilities summing to 1")
     return Mstate(SystemLayout((("A", 2), ("B", 2))), np.diag(p.astype(np.complex128)))
 
@@ -443,11 +486,11 @@ def _preset_max_correlated(params):
     if m * m != n2 or m < 2:
         raise InvalidPreset(f"max_correlated: {n2} coefficients do not form an mxm matrix, m>=2")
     a = (flat[0::2] + 1j * flat[1::2]).reshape(m, m)
-    if np.max(np.abs(a - a.conj().T)) > 1e-9:
+    if np.max(np.abs(a - a.conj().T)) > SLACK:
         raise InvalidPreset("max_correlated: coefficient matrix is not Hermitian")
-    if abs(np.trace(a).real - 1.0) > 1e-9:
+    if abs(np.trace(a).real - 1.0) > SLACK:
         raise InvalidPreset("max_correlated: coefficient matrix trace is not 1")
-    if np.linalg.eigvalsh(a)[0] < -1e-9:
+    if np.linalg.eigvalsh(a)[0] < -SLACK:
         raise InvalidPreset("max_correlated: coefficient matrix is not PSD")
     d = m * m
     rho = np.zeros((d, d), dtype=np.complex128)
@@ -609,16 +652,16 @@ def state_from_dict(doc: dict) -> Mstate | PureState:
             raise StateFileError(f"ensemble.weights[{i}]: must be a number")
         if not math.isfinite(w):
             raise StateFileError(f"ensemble.weights[{i}]: must be finite, got {w}")
-        if w < -1e-12:
+        if w < -ZERO:
             raise StateFileError(f"ensemble.weights[{i}]: negative weight {w}")
         v = _file_complex_pairs(vec, f"ensemble.vectors[{i}]", d)
         n = np.linalg.norm(v)
-        if n < 1e-12:
+        if n < ZERO:
             raise StateFileError(f"ensemble.vectors[{i}]: zero vector")
         v = v / n
         acc += w * np.outer(v, v.conj())
         total += w
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > SLACK:
         raise StateFileError(f"ensemble.weights: sum to {total:.12g}, not 1")
     try:
         return Mstate(layout, acc)

@@ -215,6 +215,12 @@ def test_lqsm_fidelity_lower():
         lqsm_fidelity_lower(lonely, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lqsm_fidelity_lower_rejects_non_finite(bad):
+    with pytest.raises(InvalidArgument, match="finite"):
+        lqsm_fidelity_lower(preset("ghz"), bad)
+
+
 def test_lqsm_fidelity_monotone_in_ci():
     ghz = preset("ghz")
     grid = np.linspace(0.0, 2.0, 21)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import ci_toolkit.cli as cli
-from ci_toolkit.cli import QUANTITIES, SWEEP_QUANTITIES, main
+from ci_toolkit.cli import QUANTITIES, SWEEP_QUANTITIES, build_parser, main
+from ci_toolkit.optim import OptimizerConfig
 from ci_toolkit.suites import CheckResult
 
 FAST = ["--restarts", "4", "--max-iters", "400", "--tol", "1e-5"]
@@ -46,6 +48,27 @@ def test_entropy_defaults_to_whole_system(capsys):
     code, out, _ = _run(["compute", "entropy", "--preset", "ghz"], capsys)
     assert code == 0
     assert "S(A+B+C) = 0.000000 bits (exact)" in out
+
+
+@pytest.mark.parametrize(
+    "group,row",
+    [
+        ([], "S(A+B1+B2+C),1.8303011919214169,exact"),
+        (["--x", "B2,C"], "S(B2+C),1.8303011919214169,exact"),
+    ],
+)
+def test_entropy_csv_rows_are_pinned(group, row, capsys):
+    argv = ["compute", "entropy", "--preset", "product_eq10", "--param", "0.3"]
+    code, out, _ = _run(argv + group + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out == f"name,value,direction\n{row}\n"
+
+
+def test_entropy_rejects_unknown_label(capsys):
+    code, out, err = _run(["compute", "entropy", "--preset", "ghz", "--x", "A,Q"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "'Q'" in err
 
 
 def test_mutual_info_csv(capsys):
@@ -138,6 +161,16 @@ def test_lqsm_bound(capsys):
     code, _, err = _run(["compute", "lqsm-bound", "--preset", "ghz"], capsys)
     assert code == 2
     assert "--ci-value" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_lqsm_bound_rejects_non_finite_ci_value(value, capsys):
+    code, out, err = _run(
+        ["compute", "lqsm-bound", "--preset", "ghz", f"--ci-value={value}"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_merge_check_verdict(capsys):
@@ -444,6 +477,21 @@ def test_sweep_rejects_nonpositive_steps(capsys):
     )
     assert code == 2
     assert "--steps" in err
+
+
+def test_optimizer_knobs_and_their_flag_defaults():
+    names = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    assert names == ["restarts", "max_iters", "tol", "seed"]
+    defaults = OptimizerConfig()
+    parser = build_parser()
+    for argv in (
+        ["compute", "entropy"],
+        ["verify", "family15"],
+        ["sweep", "entropy", "--start", "0", "--stop", "1", "--steps", "1"],
+    ):
+        args = parser.parse_args(argv)
+        for name in names:
+            assert getattr(args, name) == getattr(defaults, name), (argv, name)
 
 
 def test_quantity_lists_are_stable():

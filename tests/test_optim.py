@@ -6,10 +6,11 @@ from ci_toolkit.optim import (
     OptimizerConfig,
     Povm,
     UnitaryParam,
+    _INITIAL_STEP,
+    _SHRINK,
     _BatchEngine,
     _forcing,
     _pattern_search_many,
-    angle_count,
     complete_isometry,
     decode_unitary,
     encode_unitary,
@@ -37,7 +38,8 @@ def _overlap_batch(target):
 
 def test_rotation_pairs_and_angle_count():
     assert rotation_pairs(3) == [(0, 1), (0, 2), (1, 2)]
-    assert angle_count(4) == 16
+    # dim phases plus two angles per pair: dim^2 angles in all
+    assert encode_unitary(haar_unitary(4, 0)).angles.shape == (16,)
 
 
 def test_unitary_param_validation():
@@ -148,10 +150,7 @@ def test_optimizer_config_validation():
     for kw in (
         {"restarts": 0},
         {"max_iters": 0},
-        {"initial_step": 0.0},
-        {"shrink_factor": 1.0},
         {"tol": 0.0},
-        {"povm_outcomes": 0},
     ):
         with pytest.raises(InvalidArgument):
             OptimizerConfig(**kw)
@@ -171,9 +170,8 @@ def test_batch_poll_matches_brute_force_candidates():
     assert polled.shape == (3, width)
     for r in range(3):
         for idx in range(width):
-            coord, delta = engine.candidate_delta(idx, float(steps[r]))
             cand = angles[r].copy()
-            cand[coord] += delta
+            cand[engine.move_coords[idx]] += engine.move_signs[idx] * steps[r]
             block = decode_unitary(UnitaryParam(dim, cand), columns=cols)
             assert np.isclose(polled[r, idx], f(block[None])[0], atol=1e-10)
 
@@ -181,7 +179,10 @@ def test_batch_poll_matches_brute_force_candidates():
 @pytest.mark.parametrize("dim,cols", [(3, 2), (4, 1), (4, 2), (4, 4), (9, 3), (16, 4)])
 def test_skipped_poll_coordinates_are_dead(dim, cols):
     engine = _BatchEngine(None, dim, cols)
-    polled = [engine.candidate_delta(idx, 0.5) for idx in range(engine.width)]
+    assert engine.move_coords.shape == engine.move_signs.shape == (engine.width,)
+    polled = [
+        (int(q), 0.5 * sign) for q, sign in zip(engine.move_coords, engine.move_signs)
+    ]
     # every polled angle appears once at +step and once at -step
     coords = sorted({coord for coord, _ in polled})
     assert sorted(polled) == sorted([(q, -0.5) for q in coords] + [(q, 0.5) for q in coords])
@@ -245,17 +246,16 @@ def _compass(engine, start, cfg):
     """Unstalled compass loop on one restart: (value, angles, polls)."""
     angles = np.array(start, dtype=np.float64)
     best = engine.values(angles[None])[0]
-    step, polls = cfg.initial_step, 0
+    step, polls = _INITIAL_STEP, 0
     while polls < cfg.max_iters and step >= cfg.tol:
         vals = engine.poll(angles[None], np.array([step]))[0]
         polls += 1
         q = int(np.argmax(vals))
         if vals[q] > best + _forcing(step):
-            coord, delta = engine.candidate_delta(q, step)
-            angles[coord] += delta
+            angles[engine.move_coords[q]] += engine.move_signs[q] * step
             best = vals[q]
         else:
-            step *= cfg.shrink_factor
+            step *= _SHRINK
     return engine.value(angles), angles, polls
 
 

@@ -11,36 +11,21 @@ def _random_hermitian(dim, seed):
     return 0.5 * (g + g.conj().T)
 
 
-def test_herm_eigen_reconstructs_input():
-    for dim in (2, 3, 5, 8, 16):
-        m = _random_hermitian(dim, 100 + dim)
-        w, v = qmat.herm_eigen(m)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-10
-        assert np.all(np.diff(w) >= -1e-14)
-
-
-def test_herm_eigen_result_fields():
-    res = qmat.herm_eigen(np.diag([2.0, 1.0]))
-    assert np.allclose(res.eigenvalues, [1.0, 2.0])
-    assert res.eigenvectors.shape == (2, 2)
-
-
-def test_herm_eigen_rejects_non_square():
+def test_psd_sqrt_rejects_non_square():
     with pytest.raises(InvalidMatrix):
-        qmat.herm_eigen(np.zeros((2, 3)))
+        qmat.psd_sqrt(np.zeros((2, 3)))
 
 
-def test_herm_eigen_rejects_non_hermitian():
+def test_psd_sqrt_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(InvalidMatrix):
-        qmat.herm_eigen(m)
+        qmat.psd_sqrt(m)
 
 
-def test_herm_eigen_accepts_tiny_asymmetry():
+def test_psd_sqrt_accepts_tiny_asymmetry():
     m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-    w, v = qmat.herm_eigen(m)
-    assert np.isclose(w.sum(), 2.0)
+    root = qmat.psd_sqrt(m)
+    assert np.max(np.abs(root @ root - 0.5 * (m + m.T))) <= 1e-12
 
 
 def test_psd_sqrt_squares_back():
@@ -78,11 +63,3 @@ def test_trace_norm_hermitian_is_abs_eigenvalue_sum():
 def test_trace_norm_rejects_non_square():
     with pytest.raises(InvalidMatrix):
         qmat.trace_norm(np.zeros((3, 2)))
-
-
-def test_kron_left_factor_most_significant():
-    a = np.diag([1.0, 0.0])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = qmat.kron(a, b)
-    assert np.allclose(out[:2, :2], b)
-    assert np.allclose(out[2:, 2:], 0.0)
