@@ -67,15 +67,17 @@ from .states import (
     Mstate,
     PureState,
     SystemLayout,
-    as_labels,
     check_group_cover,
+    check_groups,
     family15_bob_states,
     fresh_label,
+    measured_label,
     merge_groups,
     merge_parties,
     partial_trace,
     permute_parties,
     preset,
+    rest_of,
     tensor,
 )
 from .tolerances import SLACK, VALIDATE, ZERO
@@ -100,16 +102,10 @@ def resolve_tripartite(
                 "default tripartite grouping needs at least three parties; "
                 "pass the groups explicitly"
             )
-    a = as_labels(alice) if alice is not None else (labels[0],)
-    b = as_labels(bob) if bob is not None else (labels[1],)
-    if charlie is not None:
-        c = as_labels(charlie)
-    else:
-        c = tuple(l for l in labels if l not in a + b)
-    check_group_cover(layout, (a, b, c))
-    if not a or not b or not c:
-        raise LayoutMismatch("each of the three groups must be non-empty")
-    return a, b, c
+    a = labels[0] if alice is None else alice
+    b = labels[1] if bob is None else bob
+    c = rest_of(layout, a, b) if charlie is None else charlie
+    return check_group_cover(layout, a, b, c)
 
 
 def _require_pure(state) -> Mstate:
@@ -307,11 +303,7 @@ def ci_product_regularized(
     first factor is mixed.
     """
     rho = rho.to_mstate()
-    a = as_labels(alice)
-    b1 = as_labels(bob_inner)
-    b2 = as_labels(bob_outer)
-    c = as_labels(charlie)
-    check_group_cover(rho.layout, (a, b1, b2, c))
+    a, b1, b2, c = check_group_cover(rho.layout, alice, bob_inner, bob_outer, charlie)
     ordered = permute_parties(rho, a + b1 + b2 + c)
     left = partial_trace(ordered, b2 + c)
     right = partial_trace(ordered, a + b1)
@@ -347,11 +339,9 @@ def discord_via_ci(
     classical correlation), and subtract from the mutual information.
     Agrees with `measures.discord` up to optimizer convergence."""
     rho = rho.to_mstate()
-    x = as_labels(unmeasured)
-    y = as_labels(measured)
-    if len(y) != 1:
-        raise LayoutMismatch("the measured party must be a single label; merge first")
-    check_group_cover(rho.layout, (x, y))
+    x, y = check_group_cover(
+        rho.layout, unmeasured, measured_label(rho.layout, measured)
+    )
     aux = fresh_label(rho.layout, "C")
     vac = Mstate(
         SystemLayout(((aux, 2),)),
@@ -386,12 +376,12 @@ def lqsm_fidelity_lower(
     if not math.isfinite(ci_value):
         raise InvalidArgument(f"concentrated information must be finite, got {ci_value}")
     rho = rho.to_mstate()
-    a = as_labels(alice) if alice is not None else (rho.layout.labels[0],)
-    rest = tuple(l for l in rho.layout.labels if l not in a)
+    if alice is None:
+        alice = rho.layout.labels[0]
+    (a,) = check_groups(rho.layout, alice)
+    rest = rest_of(rho.layout, a)
     if not rest:
         raise LayoutMismatch("the reference cannot be the whole system")
-    for l in a:
-        rho.layout.index(l)
     total = mutual_info(rho, Partition(a, rest))
     if ci_value > total + SLACK:
         raise InvalidArgument(
@@ -627,12 +617,9 @@ def discord_additivity_check(
     strategy it is compared against.
     """
     rho = rho.to_mstate()
-    x = as_labels(unmeasured)
-    y = as_labels(measured)
-    if len(y) != 1:
-        raise LayoutMismatch("the measured party must be a single label; merge first")
+    measured = measured_label(rho.layout, measured)
     cfg = config or OptimizerConfig()
-    merged, (lx, ly) = merge_groups(rho, (x, y))
+    merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     if dy > 2:
         raise DimensionTooLarge(

@@ -29,7 +29,6 @@ from .errors import (
     InternalInvariantError,
     InvalidArgument,
     InvalidMatrix,
-    InvalidPartition,
     InvalidPreset,
     LayoutMismatch,
     NotPSD,
@@ -38,7 +37,6 @@ from .errors import (
     ObjectiveError,
     ShapeMismatch,
     StateFileError,
-    UnknownParty,
 )
 from .info import (
     Partition,
@@ -57,7 +55,7 @@ from .measures import (
     one_way_ci,
 )
 from .optim import OptimizerConfig
-from .states import load_state_file, preset
+from .states import load_state_file, measured_label, preset, rest_of
 from .suites import SUITES, run_suites
 
 _INPUT_ERRORS = (
@@ -66,8 +64,6 @@ _INPUT_ERRORS = (
     NotPure,
     NotRankOne,
     DuplicateParty,
-    UnknownParty,
-    InvalidPartition,
     LayoutMismatch,
     ShapeMismatch,
     InvalidPreset,
@@ -181,7 +177,7 @@ def _xy_defaults(layout, args, x_all_but_last=False):
     if x is None:
         x = labels[:-1] if x_all_but_last else (labels[0],)
     if y is None:
-        y = tuple(l for l in labels if l not in x)
+        y = rest_of(layout, x)
     return x, y
 
 
@@ -209,22 +205,21 @@ def _compute_rows(quantity, state, args, cfg):
         y = _group(args.y) or (labels[1],)
         z = _group(args.z)
         if z is None:
-            z = tuple(l for l in labels if l not in x + y)
+            z = rest_of(layout, x, y)
         v = conditional_mutual_info(rho, x, y, z)
         zs = _gname(z) if z else "-"
         return [_Row(f"I({_gname(x)}:{_gname(y)}|{zs})", v, "exact")]
 
     if quantity in ("discord", "kw-discord"):
         x, y = _xy_defaults(layout, args, x_all_but_last=True)
-        if len(y) != 1:
-            raise InvalidArgument("the measured group must be a single party")
+        y = measured_label(layout, y)
         fn = discord if quantity == "discord" else kw_discord
-        est = fn(rho, x, y[0], cfg)
-        return [_Row(f"discord({_gname(x)}|{y[0]})", est.value, _TAGS[est.direction])]
+        est = fn(rho, x, y, cfg)
+        return [_Row(f"discord({_gname(x)}|{y})", est.value, _TAGS[est.direction])]
 
     if quantity in ("eoa", "eof"):
         a = _group(args.alice) or (layout.labels[0],)
-        rest = tuple(l for l in layout.labels if l not in a)
+        rest = rest_of(layout, a)
         fn = eoa if quantity == "eoa" else eof
         est = fn(rho, a, cfg)
         return [
@@ -288,9 +283,7 @@ def _compute_rows(quantity, state, args, cfg):
         a = _group(args.alice) or (labels[0],)
         b1 = _group(args.bob1) or (labels[1],)
         b2 = _group(args.bob2) or (labels[2],)
-        c = _group(args.charlie) or tuple(
-            l for l in labels if l not in a + b1 + b2
-        )
+        c = _group(args.charlie) or rest_of(layout, a, b1, b2)
         band = ci_product_regularized(rho, a, b1, b2, c)
         if band.exact:
             return [_Row("ci-product-regularized", band.lower, "exact, closed form")]
@@ -309,9 +302,7 @@ def _compute_rows(quantity, state, args, cfg):
     if quantity == "merge-check":
         labels = layout.labels
         b = _group(args.bob) or (labels[1],)
-        c = _group(args.charlie) or tuple(
-            l for l in labels if l not in b and l != labels[0]
-        )
+        c = _group(args.charlie) or rest_of(layout, labels[0], b)
         res = merge_conditional_entropy_check(rho, b, c)
         row = _Row(
             f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"

@@ -27,16 +27,17 @@ class DuplicateParty(ToolkitError):
     """Two parties in a layout share a label."""
 
 
-class UnknownParty(ToolkitError):
+class LayoutMismatch(ToolkitError):
+    """Two states (or a state and an operation) disagree on the layout."""
+
+
+class UnknownParty(LayoutMismatch):
     """A label does not occur in the state's layout."""
 
 
-class InvalidPartition(ToolkitError):
-    """Partition sides overlap or do not form a valid cut."""
-
-
-class LayoutMismatch(ToolkitError):
-    """Two states (or a state and an operation) disagree on the layout."""
+class InvalidPartition(LayoutMismatch):
+    """Party groups are not a valid grouping of a layout's labels: a label
+    appears twice (within one group or across groups), or a group is empty."""
 
 
 class ShapeMismatch(ToolkitError):

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmat
-from .errors import InvalidArgument, InvalidPartition, LayoutMismatch, UnknownParty
-from .states import Mstate, PureState, as_labels, partial_trace
+from .errors import InvalidArgument, LayoutMismatch
+from .states import Mstate, PureState, as_labels, check_groups, partial_trace, rest_of
 from .tolerances import DIAG, ZERO
 
 
@@ -27,13 +27,7 @@ class Partition:
         object.__setattr__(self, "right", as_labels(right))
 
     def validate(self, layout) -> None:
-        for l in self.left + self.right:
-            layout.index(l)  # raises UnknownParty
-        overlap = set(self.left) & set(self.right)
-        if overlap:
-            raise InvalidPartition(f"cut sides overlap on {sorted(overlap)}")
-        if not self.left or not self.right:
-            raise InvalidPartition("both sides of a cut must be non-empty")
+        check_groups(layout, self.left, self.right)
 
     def restrict(self, rho: Mstate) -> Mstate:
         """Validate the cut against ``rho`` and trace out the parties
@@ -71,12 +65,12 @@ def vn_entropy(state: Mstate | PureState) -> float:
 
 
 def _keep(rho: Mstate, labels) -> Mstate:
-    drop = [l for l in rho.layout.labels if l not in labels]
+    drop = rest_of(rho.layout, labels)
     return partial_trace(rho, drop) if drop else rho
 
 
 def _group_entropy(rho: Mstate, labels) -> float:
-    return matrix_entropy(_keep(rho, as_labels(labels)).matrix)
+    return matrix_entropy(_keep(rho, labels).matrix)
 
 
 def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
@@ -94,14 +88,11 @@ def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
 def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
     """S(target | given) = S(target, given) - S(given)."""
     rho = state.to_mstate()
-    t = as_labels(target)
-    g = as_labels(given) if given else ()
-    for l in t + g:
-        rho.layout.index(l)
-    if set(t) & set(g):
-        raise InvalidPartition(f"target and given overlap on {sorted(set(t) & set(g))}")
-    if not t:
-        raise InvalidPartition("conditional_entropy: empty target")
+    if given:
+        t, g = check_groups(rho.layout, target, given)
+    else:
+        (t,) = check_groups(rho.layout, target)
+        g = ()
     s_tg = _group_entropy(rho, t + g)
     s_g = _group_entropy(rho, g) if g else 0.0
     return s_tg - s_g
@@ -110,23 +101,15 @@ def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
 def conditional_mutual_info(state: Mstate | PureState, x, y, z=()) -> float:
     """I(x : y | z) = S(x,z) + S(y,z) - S(z) - S(x,y,z); z may be empty."""
     rho = state.to_mstate()
-    xs, ys = as_labels(x), as_labels(y)
-    zs = as_labels(z) if z else ()
-    groups = (xs, ys, zs)
-    flat = xs + ys + zs
-    for l in flat:
-        rho.layout.index(l)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            overlap = set(groups[i]) & set(groups[j])
-            if overlap:
-                raise InvalidPartition(f"groups overlap on {sorted(overlap)}")
-    if not xs or not ys:
-        raise InvalidPartition("conditional_mutual_info: x and y must be non-empty")
+    if z:
+        xs, ys, zs = check_groups(rho.layout, x, y, z)
+    else:
+        xs, ys = check_groups(rho.layout, x, y)
+        zs = ()
     s_xz = _group_entropy(rho, xs + zs)
     s_yz = _group_entropy(rho, ys + zs)
     s_z = _group_entropy(rho, zs) if zs else 0.0
-    s_xyz = _group_entropy(rho, flat)
+    s_xyz = _group_entropy(rho, xs + ys + zs)
     return s_xz + s_yz - s_z - s_xyz
 
 

@@ -44,14 +44,16 @@ from .states import (
     Mstate,
     PureState,
     SystemLayout,
-    as_labels,
     check_group_cover,
+    check_groups,
     fresh_label,
+    measured_label,
     merge_groups,
     partial_trace,
     partial_transpose,
     permute_parties,
     purify,
+    rest_of,
 )
 from .tolerances import DIAG, VALIDATE, ZERO
 
@@ -102,8 +104,7 @@ def measure_ensemble(rho: Mstate, povm: Povm, party: str) -> Ensemble:
     dropped and the surviving weights renormalized.
     """
     layout = rho.layout
-    if party not in layout.labels:
-        raise LayoutMismatch(f"state has no party {party!r}")
+    party = measured_label(layout, party)
     idx = layout.index(party)
     d = layout.dim_of(party)
     if povm.party_dim != d:
@@ -161,8 +162,7 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     ens = measure_ensemble(rho, povm, party)
     reg = fresh_label(rho.layout, "R")
     flagged = flag_state(ens, reg)
-    kept = tuple(l for l in rho.layout.labels if l != party)
-    return mutual_info(flagged, Partition(kept, (reg,)))
+    return mutual_info(flagged, Partition(rest_of(rho.layout, party), (reg,)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +313,9 @@ def one_way_ci(
     the estimate can only err downward.
     """
     rho = rho.to_mstate()
-    a_labels = as_labels(alice)
-    b_labels = as_labels(bob)
-    c_labels = as_labels(charlie)
-    if len(b_labels) != 1:
-        raise LayoutMismatch("the measured party must be a single label; merge first")
+    bob = measured_label(rho.layout, bob)
     cfg = config or OptimizerConfig()
-    merged, (la, lb, lc) = merge_groups(rho, (a_labels, b_labels, c_labels))
+    merged, (la, lb, lc) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
     t6 = merged.matrix.reshape(da, db, dc, da, db, dc)
     s_a = matrix_entropy(np.einsum("aycwyc->aw", t6))
@@ -392,12 +388,9 @@ def discord(
     ``measured``, as in :func:`one_way_ci`.
     """
     rho = rho.to_mstate()
-    x_labels = as_labels(unmeasured)
-    y_labels = as_labels(measured)
-    if len(y_labels) != 1:
-        raise LayoutMismatch("the measured party must be a single label; merge first")
+    measured = measured_label(rho.layout, measured)
     cfg = config or OptimizerConfig()
-    merged, (lx, ly) = merge_groups(rho, (x_labels, y_labels))
+    merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
     s_x = matrix_entropy(np.einsum("xywy->xw", t4))
@@ -485,13 +478,10 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
     pure-state ensemble they steer, and recompute that average from the
     explicit ensemble."""
     rho = rho.to_mstate()
-    a_labels = as_labels(alice)
-    rest = tuple(l for l in rho.layout.labels if l not in a_labels)
+    (a_labels,) = check_groups(rho.layout, alice)
+    rest = rest_of(rho.layout, a_labels)
     if not rest:
         raise LayoutMismatch("need at least one party besides the steered side")
-    for l in a_labels:
-        if l not in rho.layout.labels:
-            raise LayoutMismatch(f"state has no party {l!r}")
     ordered = permute_parties(rho, a_labels + rest)
     anc = fresh_label(ordered.layout, "Z")
     psi = purify(ordered, anc)
@@ -581,9 +571,7 @@ def kw_discord(
     because the steering search space grows with its square.
     """
     rho = rho.to_mstate()
-    x_labels = as_labels(unmeasured)
-    y_labels = as_labels(measured)
-    check_group_cover(rho.layout, (x_labels, y_labels))
+    x_labels, y_labels = check_group_cover(rho.layout, unmeasured, measured)
     cfg = config or OptimizerConfig()
     ordered = permute_parties(rho, x_labels + y_labels)
     rank = int(np.sum(np.linalg.eigvalsh(ordered.matrix) > ZERO))
@@ -675,13 +663,12 @@ def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> fl
     """Many-copy-rate assisted entanglement across ``alice`` vs the rest:
     min of the two marginal entropies.  Exact, no optimization."""
     rho = rho.to_mstate()
-    a_labels = as_labels(alice) if alice is not None else (rho.layout.labels[0],)
-    rest = tuple(l for l in rho.layout.labels if l not in a_labels)
-    if not rest or len(a_labels) + len(rest) != len(rho.layout.labels):
+    if alice is None:
+        alice = rho.layout.labels[0]
+    (a_labels,) = check_groups(rho.layout, alice)
+    rest = rest_of(rho.layout, a_labels)
+    if not rest:
         raise LayoutMismatch("need a proper bipartition")
-    for l in a_labels:
-        if l not in rho.layout.labels:
-            raise LayoutMismatch(f"state has no party {l!r}")
     s_a = vn_entropy(partial_trace(rho, rest))
     s_c = vn_entropy(partial_trace(rho, a_labels))
     return min(s_a, s_c)

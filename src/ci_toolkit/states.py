@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     DuplicateParty,
     InvalidArgument,
     InvalidMatrix,
+    InvalidPartition,
     InvalidPreset,
     LayoutMismatch,
     NotPSD,
@@ -62,8 +64,9 @@ def as_labels(spec) -> tuple[str, ...]:
     if isinstance(spec, str):
         return (spec,)
     labels = tuple(spec)
-    if not all(isinstance(x, str) for x in labels):
-        raise InvalidArgument(f"party labels must be strings, got {labels!r}")
+    for x in labels:
+        if not isinstance(x, str):
+            raise InvalidArgument(f"party labels must be strings, got {labels!r}")
     return labels
 
 
@@ -84,11 +87,12 @@ class SystemLayout:
             if dim < 2:
                 raise InvalidArgument(f"party {label!r}: dim must be >= 2, got {dim}")
 
-    @property
+    # cached: every party-group check reads the labels
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(l for l, _ in self.parties)
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.parties)
 
@@ -110,6 +114,60 @@ class SystemLayout:
 
     def describe(self) -> str:
         return ",".join(f"{l}:{d}" for l, d in self.parties)
+
+
+# ---------------------------------------------------------------------------
+# party groups: the one place a grouping of a layout's labels is checked
+
+
+def check_groups(layout: SystemLayout, *groups) -> tuple[tuple[str, ...], ...]:
+    """Normalize each group with `as_labels` and check it against ``layout``.
+
+    Raises UnknownParty for a label the layout lacks, and InvalidPartition
+    for a label named twice (within one group or across groups) or for an
+    empty group.  Returns the normalized groups.
+    """
+    checked = tuple(as_labels(g) for g in groups)
+    known = layout.labels
+    seen: set[str] = set()
+    for g in checked:
+        if not g:
+            raise InvalidPartition(f"empty party group in {checked}")
+        for l in g:
+            if l not in known:
+                raise UnknownParty(f"party {l!r} not in layout {known}")
+            if l in seen:
+                raise InvalidPartition(f"party {l!r} appears twice in {checked}")
+            seen.add(l)
+    return checked
+
+
+def rest_of(layout: SystemLayout, *groups) -> tuple[str, ...]:
+    """The labels of ``layout`` that no group names, in layout order."""
+    named = {l for g in groups for l in as_labels(g)}
+    return tuple(l for l in layout.labels if l not in named)
+
+
+def check_group_cover(layout: SystemLayout, *groups) -> tuple[tuple[str, ...], ...]:
+    """`check_groups`, and raise LayoutMismatch unless the groups together
+    name every party of ``layout``.  Returns the normalized groups."""
+    checked = check_groups(layout, *groups)
+    missing = rest_of(layout, *checked)
+    if missing:
+        raise LayoutMismatch(
+            f"party groups {checked} do not cover the layout; missing {missing}"
+        )
+    return checked
+
+
+def measured_label(layout: SystemLayout, group) -> str:
+    """The one label of a measured ``group``, checked against ``layout``.
+    Measurements act on a single party, so a composite must be merged
+    first (`merge_groups`)."""
+    (labels,) = check_groups(layout, group)
+    if len(labels) != 1:
+        raise LayoutMismatch("the measured party must be a single label; merge first")
+    return labels[0]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -239,12 +297,8 @@ def partial_trace(rho: Mstate, discard) -> Mstate:
     drop = as_labels(discard)
     if not drop:
         raise InvalidArgument("partial_trace: nothing to discard")
-    for l in drop:
-        rho.layout.index(l)  # raises UnknownParty
-    if len(set(drop)) != len(drop):
-        raise InvalidArgument(f"partial_trace: repeated label in {drop}")
-    keep = [p for p in rho.layout.parties if p[0] not in drop]
-    if not keep:
+    check_groups(rho.layout, drop)
+    if len(drop) == len(rho.layout.parties):
         raise InvalidArgument("partial_trace: cannot discard every party")
     dims = list(rho.layout.dims)
     t = _tensor_view(rho.matrix, tuple(dims))
@@ -256,7 +310,7 @@ def partial_trace(rho: Mstate, discard) -> Mstate:
         labels.pop(i)
         dims.pop(i)
     d = int(np.prod(dims))
-    return Mstate(SystemLayout(tuple(keep)), t.reshape(d, d))
+    return Mstate(SystemLayout(tuple(zip(labels, dims))), t.reshape(d, d))
 
 
 def partial_transpose(rho: Mstate, parties) -> np.ndarray:
@@ -265,6 +319,7 @@ def partial_transpose(rho: Mstate, parties) -> np.ndarray:
     labels = as_labels(parties)
     if not labels:
         raise InvalidArgument("partial_transpose: nothing to transpose")
+    check_groups(rho.layout, labels)
     n = len(rho.layout.parties)
     t = _tensor_view(rho.matrix, rho.layout.dims)
     for l in labels:
@@ -330,26 +385,12 @@ def fresh_label(layout: SystemLayout, base: str) -> str:
     return label
 
 
-def check_group_cover(layout: SystemLayout, groups) -> None:
-    """Raise LayoutMismatch unless the groups of labels are disjoint and
-    together name every party of ``layout``."""
-    flat: list[str] = []
-    for g in groups:
-        flat.extend(g)
-    if len(set(flat)) != len(flat):
-        raise LayoutMismatch(f"party groups overlap: {flat}")
-    if sorted(flat) != sorted(layout.labels):
-        raise LayoutMismatch(
-            f"party groups {flat} do not cover the layout {list(layout.labels)}"
-        )
-
-
 def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
     """Permute ``rho`` so the groups (which must cover its layout) are
     contiguous and merge each multi-party group into a single composite
     party.  Returns the merged state and the per-group labels (composites get
     a synthesized parenthesized name)."""
-    check_group_cover(rho.layout, groups)
+    groups = check_group_cover(rho.layout, *groups)
     order = [l for g in groups for l in g]
     state = permute_parties(rho, order)
     new_parties: list[tuple[str, int]] = []

@@ -71,6 +71,26 @@ def test_entropy_rejects_unknown_label(capsys):
     assert "'Q'" in err
 
 
+@pytest.mark.parametrize(
+    "argv,label",
+    [
+        (["entropy", "--preset", "ghz", "--x", "A,A"], "A"),
+        (["mutual-info", "--preset", "ghz", "--x", "A,A", "--y", "B"], "A"),
+        (["cmi", "--preset", "ghz", "--y", "B,B"], "B"),
+        (["cond-entropy", "--preset", "ghz", "--x", "A,A", "--y", "B"], "A"),
+        (["log-neg", "--preset", "bell", "--x", "A,A", "--y", "B"], "A"),
+        (["merge-check", "--preset", "ghz", "--bob", "B,B", "--charlie", "C"], "B"),
+        (["lqsm-bound", "--preset", "ghz", "--alice", "A,A", "--ci-value", "1"], "A"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_repeated_label_is_an_input_error(argv, label, capsys):
+    code, out, err = _run(["compute", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert repr(label) in err
+
+
 def test_mutual_info_csv(capsys):
     code, out, _ = _run(
         ["compute", "mutual-info", "--preset", "bell", "--format", "csv"], capsys

@@ -1,0 +1,115 @@
+"""Every grouping of a layout's party labels is checked once, in
+`ci_toolkit.states` (`check_groups`, `rest_of`, `check_group_cover`,
+`measured_label`). The guard below fails, naming file and line, when another
+module raises the group errors itself or validates a label by calling
+`.index(` for its side effect."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from ci_toolkit import states
+from ci_toolkit.ci import lqsm_fidelity_lower, resolve_tripartite
+from ci_toolkit.errors import InvalidPartition, LayoutMismatch, UnknownParty
+from ci_toolkit.info import conditional_mutual_info
+from ci_toolkit.measures import eoa
+from ci_toolkit.optim import OptimizerConfig
+from ci_toolkit.states import (
+    SystemLayout,
+    check_group_cover,
+    check_groups,
+    measured_label,
+    preset,
+    rest_of,
+)
+
+PACKAGE = Path(states.__file__).resolve().parent
+GROUP_ERRORS = {"UnknownParty", "InvalidPartition"}
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_only_states_checks_party_groups():
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and _raised_name(node) in GROUP_ERRORS:
+                hits.append(f"{path.name}:{node.lineno}: raise {_raised_name(node)}")
+            if (
+                isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr == "index"
+            ):
+                hits.append(f"{path.name}:{node.lineno}: bare .index( call")
+    assert not hits, "check party groups with ci_toolkit.states:\n" + "\n".join(hits)
+
+
+THREE = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+
+
+def test_group_errors_are_layout_mismatches():
+    assert issubclass(UnknownParty, LayoutMismatch)
+    assert issubclass(InvalidPartition, LayoutMismatch)
+
+
+def test_check_groups_normalizes_and_rejects():
+    assert check_groups(THREE, "A", ("C", "B")) == (("A",), ("C", "B"))
+    assert check_groups(THREE) == ()
+    with pytest.raises(InvalidPartition, match="'A'"):
+        check_groups(THREE, ("A", "A"))
+    with pytest.raises(InvalidPartition, match="'B'"):
+        check_groups(THREE, ("A", "B"), "B")
+    with pytest.raises(InvalidPartition, match="empty"):
+        check_groups(THREE, "A", ())
+    with pytest.raises(UnknownParty, match="'Q'"):
+        check_groups(THREE, "A", ("B", "Q"))
+
+
+def test_rest_of_keeps_layout_order():
+    assert rest_of(THREE, "C", ("A",)) == ("B",)
+    assert rest_of(THREE, "B") == ("A", "C")
+    assert rest_of(THREE) == ("A", "B", "C")
+    assert rest_of(THREE, ("C", "A", "B")) == ()
+
+
+def test_check_group_cover_requires_every_party():
+    assert check_group_cover(THREE, ("C", "A"), "B") == (("C", "A"), ("B",))
+    with pytest.raises(LayoutMismatch, match="'C'"):
+        check_group_cover(THREE, "A", "B")
+    with pytest.raises(InvalidPartition):
+        check_group_cover(THREE, "A", ("B", "C"), "A")
+
+
+def test_measured_label_is_one_known_label():
+    assert measured_label(THREE, "B") == "B"
+    assert measured_label(THREE, ("B",)) == "B"
+    with pytest.raises(LayoutMismatch, match="merge first"):
+        measured_label(THREE, ("B", "C"))
+    with pytest.raises(UnknownParty):
+        measured_label(THREE, "Q")
+
+
+QUICK = OptimizerConfig(restarts=1, max_iters=10, tol=1e-3)
+GHZ = preset("ghz")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eoa(GHZ, ("A", "Q"), QUICK),
+        lambda: lqsm_fidelity_lower(GHZ, 0.0, "Q"),
+        lambda: resolve_tripartite(GHZ.layout, "A", "B", ("C", "Q")),
+        lambda: conditional_mutual_info(GHZ, "A", "B", "Q"),
+    ],
+    ids=["eoa", "lqsm_fidelity_lower", "resolve_tripartite", "conditional_mutual_info"],
+)
+def test_unknown_label_raises_unknown_party(call):
+    with pytest.raises(UnknownParty, match="'Q'"):
+        call()

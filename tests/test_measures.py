@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ci_toolkit.errors import AncillaTooLarge, DuplicateParty, LayoutMismatch
+from ci_toolkit.errors import (
+    AncillaTooLarge,
+    DuplicateParty,
+    InvalidPartition,
+    LayoutMismatch,
+    UnknownParty,
+)
 from ci_toolkit.info import Partition, mutual_info, spectrum_entropy, vn_entropy
 from ci_toolkit.measures import (
     EXACT,
@@ -80,7 +86,7 @@ def test_measure_ensemble_drops_zero_weight_outcomes():
 
 def test_measure_ensemble_layout_errors():
     rho = preset("classical_classical")
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(UnknownParty):
         measure_ensemble(rho, COMPUTATIONAL, "Q")
     wide = rank1_povm(haar_unitary(3, 1), 3)
     with pytest.raises(LayoutMismatch):
@@ -341,6 +347,8 @@ def test_log_negativity():
     ghz = preset("ghz").to_mstate()
     assert log_negativity(ghz, Partition("A", "B")) <= 1e-12  # traced marginal
     assert np.isclose(log_negativity(ghz, Partition("A", ("B", "C"))), 1.0, atol=1e-12)
+    with pytest.raises(InvalidPartition):
+        log_negativity(bell, Partition(("A", "A"), "B"))
 
 
 def test_coherent_info_lower():
@@ -388,7 +396,7 @@ def test_regularized_eoa():
     assert np.isclose(regularized_eoa(rho_ac), 1.0, atol=1e-12)  # first party default
     with pytest.raises(LayoutMismatch):
         regularized_eoa(rho_ac, ("A", "C"))
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(UnknownParty):
         regularized_eoa(rho_ac, "Q")
 
 

@@ -9,6 +9,7 @@ from ci_toolkit.errors import (
     DuplicateParty,
     InvalidArgument,
     InvalidMatrix,
+    InvalidPartition,
     InvalidPreset,
     NotPSD,
     StateFileError,
@@ -191,7 +192,7 @@ def test_partial_trace_errors():
         partial_trace(_bell(), ())
     with pytest.raises(InvalidArgument):
         partial_trace(_bell(), ("A", "B"))
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(InvalidPartition):
         partial_trace(_bell(), ("A", "A"))
 
 
@@ -203,6 +204,12 @@ def test_partial_transpose_bell_has_negative_eigenvalue():
     # transposing both subsystems is a full transpose
     both = partial_transpose(_bell(), ("A", "B"))
     assert np.allclose(both, _bell().matrix.T)
+
+
+def test_partial_transpose_rejects_repeated_label():
+    # transposing A twice would undo the transpose and hide the entanglement
+    with pytest.raises(InvalidPartition):
+        partial_transpose(_bell(), ("A", "A"))
 
 
 def test_permute_parties_round_trip():
