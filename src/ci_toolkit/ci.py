@@ -67,6 +67,7 @@ from .states import (
     Mstate,
     PureState,
     SystemLayout,
+    check_dimension_cap,
     check_group_cover,
     check_groups,
     family15_bob_states,
@@ -696,20 +697,25 @@ def dilated_protocol_state(
 ) -> Mstate:
     """Replace a rank-one measurement on ``bob`` by its isometric dilation.
 
-    The helper's qubit is mapped through V|b> = sum_i conj(v_i[b])
-    |i>_helper |i>_register |i>_env, so the outcome appears coherently in
-    three places: the helper's replaced system, a register headed to the
-    receiver, and an environment keeping the global state pure-compatible.
-    Register and environment are appended after the existing parties.
-    Tracing out helper+environment recovers the flagged post-measurement
-    state exactly.
+    Bob's system is mapped through V|b> = sum_i conj(v_i[b]) |i>_{B'E}
+    |i>_R, an isometry because sum_i v_i v_i^dag = I.  The outcome appears
+    coherently twice: in a register R (dimension k, the number of
+    outcomes) headed to the receiver, and in one environment copy held
+    jointly by B' and E.  B' keeps Bob's label and dimension d, E has
+    dimension e = max(2, ceil(k/d)), and copy index i sits at the flat
+    B'(x)E position i (positions k .. d*e-1 stay empty).  R and E are
+    appended after the existing parties.  Tracing out B' and E recovers
+    the flagged post-measurement state exactly; quantities that treat B'
+    and E jointly, such as I(A:B'E|CR), are those of any other dilation.
 
     A single-outcome POVM (necessarily the identity) dilates trivially to
     fresh two-dimensional registers in |0>.  Elements of rank above one
-    raise ``NotRankOne``.
+    raise ``NotRankOne``; a dilation above the dimension cap raises
+    ``DimensionTooLarge``.
     """
     rho = rho.to_mstate()
     layout = rho.layout
+    bob = measured_label(layout, bob)
     d = layout.dim_of(bob)
     if povm.party_dim != d:
         raise LayoutMismatch(
@@ -721,6 +727,10 @@ def dilated_protocol_state(
     if register_label == env_label:
         raise DuplicateParty("register and environment need distinct labels")
     k = len(povm)
+    reg = max(k, 2)
+    de = max(2, -(-k // d))
+    total = layout.total_dim * reg * de
+    check_dimension_cap(total, "dilated_protocol_state")
 
     if k == 1:
         vac = np.diag([1.0, 0.0]).astype(complex)
@@ -738,28 +748,19 @@ def dilated_protocol_state(
             rows.append(math.sqrt(max(float(w[-1]), 0.0)) * u[:, -1])
         vecs = np.array(rows)
 
-    w_iso = np.zeros((k * k * k, d), dtype=complex)
-    for i in range(k):
-        w_iso[(i * k + i) * k + i, :] = vecs[i].conj()
+    # rows ordered (B', E, R); row (i, i) carries copy i
+    w_iso = np.zeros((d * de, k, d), dtype=complex)
+    w_iso[np.arange(k), np.arange(k)] = vecs.conj()
+    w_iso = w_iso.reshape(d * de * k, d)
 
     idx = layout.index(bob)
-    pre = 1
-    for _, dd in layout.parties[:idx]:
-        pre *= dd
-    post = 1
-    for _, dd in layout.parties[idx + 1 :]:
-        post *= dd
-    t6 = rho.matrix.reshape(pre, d, post, pre, d, post)
-    out7 = np.einsum("wb,xbyXBY,WB->xwyXWY", w_iso, t6, w_iso.conj())
-    full = out7.reshape(pre, k, k, k, post, pre, k, k, k, post)
-    full = full.transpose(0, 1, 4, 2, 3, 5, 6, 9, 7, 8)
-    total = pre * k * post * k * k
-    parties = (
-        layout.parties[:idx]
-        + ((bob, k),)
-        + layout.parties[idx + 1 :]
-        + ((register_label, k), (env_label, k))
-    )
+    pre = math.prod(layout.dims[:idx])
+    post = math.prod(layout.dims[idx + 1 :])
+    left = w_iso @ rho.matrix.reshape(pre, d, -1)
+    both = w_iso.conj() @ left.reshape(-1, d, post)
+    full = both.reshape(pre, d, de, k, post, pre, d, de, k, post)
+    full = full.transpose(0, 1, 4, 3, 2, 5, 6, 9, 8, 7)
+    parties = layout.parties + ((register_label, k), (env_label, de))
     return Mstate(SystemLayout(parties), full.reshape(total, total))
 
 

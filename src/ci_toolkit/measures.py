@@ -158,11 +158,14 @@ def flag_state(ensemble: Ensemble, register_label: str = "R") -> Mstate:
 
 def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     """Mutual information between the unmeasured parties and a register
-    recording the outcome of ``povm`` applied to ``party``."""
+    recording the outcome of ``povm`` applied to ``party``.
+
+    For the flagged state sum_i w_i rho_i (x) |i><i| this is the Holevo
+    quantity S(sum_i w_i rho_i) - sum_i w_i S(rho_i), computed from the
+    post-measurement ensemble, so the flagged state is never built."""
     ens = measure_ensemble(rho, povm, party)
-    reg = fresh_label(rho.layout, "R")
-    flagged = flag_state(ens, reg)
-    return mutual_info(flagged, Partition(rest_of(rho.layout, party), (reg,)))
+    held = sum(w * vn_entropy(m) for w, m in zip(ens.weights, ens.members))
+    return vn_entropy(ens.average()) - held
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ class Povm:
         object.__setattr__(self, "elements", elems)
         if self.vectors is not None:
             vec = np.asarray(self.vectors, dtype=np.complex128)
+            if vec.shape != (len(elems), d):
+                raise InvalidArgument(
+                    f"Povm: vectors have shape {vec.shape}, expected {(len(elems), d)}"
+                )
+            outers = vec[:, :, None] * vec[:, None, :].conj()
+            bad = np.max(np.abs(outers - np.array(elems)), axis=(1, 2)) > SLACK
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise InvalidArgument(f"Povm: vector {i} does not give element {i}")
             object.__setattr__(self, "vectors", vec)
 
     def __len__(self) -> int:

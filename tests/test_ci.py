@@ -33,6 +33,7 @@ from ci_toolkit.info import (
     Partition,
     binary_entropy,
     conditional_mutual_info,
+    matrix_entropy,
     mutual_info,
 )
 from ci_toolkit.measures import (
@@ -45,6 +46,7 @@ from ci_toolkit.measures import (
 )
 from ci_toolkit.optim import OptimizerConfig, Povm, haar_unitary, rank1_povm
 from ci_toolkit.states import (
+    DEFAULT_DIM_CAP,
     Mstate,
     SystemLayout,
     partial_trace,
@@ -329,11 +331,79 @@ def test_dilated_protocol_state_four_outcomes():
     rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 31, rank=2)
     povm = rank1_povm(haar_unitary(4, 33), 2)
     dil = dilated_protocol_state(rho, povm, "B")
-    assert dil.layout.dim_of("B") == 4
-    assert dil.layout.dim_of("R") == 4
+    # B keeps its dimension; the environment copy spans B (x) E, 2 * 2 = 4
+    assert dil.layout.parties == (("A", 2), ("B", 2), ("C", 2), ("R", 4), ("E", 2))
+    assert dil.layout.total_dim == 64
     back = partial_trace(dil, ("B", "E"))
     flagged = flag_state(measure_ensemble(rho, povm, "B"), "R")
     assert np.max(np.abs(back.matrix - flagged.matrix)) <= 1e-10
+
+
+def _three_copy_dilation(rho, vecs):
+    """Reference dilation V|b> = sum_i conj(v_i[b]) |i>_B' |i>_R |i>_E of a
+    qubit B on a three-qubit state, as a bare matrix ordered A, B', C, R, E.
+    It is kept off `Mstate`: at four outcomes it is 256-dimensional."""
+    k = vecs.shape[0]
+    w = np.zeros((k, k, k, 2), dtype=complex)
+    for i in range(k):
+        w[i, i, i] = vecs[i].conj()
+    w = w.reshape(k**3, 2)
+    t = np.einsum("wb,xbyXBY,WB->xwyXWY", w, rho.matrix.reshape((2,) * 6), w.conj())
+    t = t.reshape(2, k, k, k, 2, 2, k, k, k, 2).transpose(0, 1, 4, 2, 3, 5, 6, 9, 7, 8)
+    return t.reshape(4 * k**3, 4 * k**3)
+
+
+def _reduced_entropy(matrix, dims, keep):
+    n = len(dims)
+    rows = "abcdefghij"[:n]
+    cols = "".join("klmnopqrst"[i] if i in keep else rows[i] for i in range(n))
+    out = "".join(rows[i] for i in keep) + "".join(cols[i] for i in keep)
+    reduced = np.einsum(f"{rows}{cols}->{out}", matrix.reshape(dims + dims))
+    m = math.prod(dims[i] for i in keep)
+    return matrix_entropy(reduced.reshape(m, m))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dilated_protocol_state_matches_three_copy_dilation(k):
+    # parties A, B', C, R, E at positions 0..4 of the reference
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 40 + k)
+    povm = rank1_povm(haar_unitary(k, 50 + k), 2)
+    dil = dilated_protocol_state(rho, povm, "B")
+    ref = _three_copy_dilation(rho, povm.vectors)
+    dims = (2, k, 2, k, k)
+
+    def s(*keep):
+        return _reduced_entropy(ref, dims, keep)
+
+    ref_cmi = s(0, 2, 3) + s(1, 2, 3, 4) - s(2, 3) - s(0, 1, 2, 3, 4)
+    ref_kept = s(0) + s(2, 3) - s(0, 2, 3)
+    cmi = conditional_mutual_info(dil, "A", ("B", "E"), ("C", "R"))
+    kept = mutual_info(dil, Partition("A", ("C", "R")))
+    assert abs(cmi - ref_cmi) <= 1e-12
+    assert abs(kept - ref_kept) <= 1e-12
+
+    pure = dilated_protocol_state(preset("ghz"), povm, "B")
+    assert pure.purity() > 1.0 - 1e-12
+
+
+def test_dilated_protocol_state_reads_bob_as_a_measured_label():
+    ghz = preset("ghz").to_mstate()
+    povm = rank1_povm(haar_unitary(4, 35), 2)
+    plain = dilated_protocol_state(ghz, povm, "B")
+    assert np.array_equal(dilated_protocol_state(ghz, povm, ("B",)).matrix, plain.matrix)
+    with pytest.raises(LayoutMismatch, match="merge first"):
+        dilated_protocol_state(ghz, povm, ("B", "C"))
+
+
+def test_dilated_protocol_state_checks_the_cap(monkeypatch):
+    monkeypatch.delenv("CI_TOOLKIT_DIM_CAP", raising=False)
+    # qutrit Bob, 9 outcomes: 2 * 3 * 2 * R 9 * E 3 = 324
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 3), ("C", 2))), 61)
+    with pytest.raises(DimensionTooLarge, match="dilated_protocol_state"):
+        dilated_protocol_state(rho, rank1_povm(haar_unitary(9, 62), 3), "B")
+    three = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 63)
+    dil = dilated_protocol_state(three, rank1_povm(haar_unitary(4, 64), 2), "B")
+    assert dil.layout.total_dim == DEFAULT_DIM_CAP
 
 
 def test_dilated_information_balance():

@@ -10,7 +10,13 @@ from ci_toolkit.errors import (
     LayoutMismatch,
     UnknownParty,
 )
-from ci_toolkit.info import Partition, mutual_info, spectrum_entropy, vn_entropy
+from ci_toolkit.info import (
+    Partition,
+    matrix_entropy,
+    mutual_info,
+    spectrum_entropy,
+    vn_entropy,
+)
 from ci_toolkit.measures import (
     EXACT,
     LOWER,
@@ -119,6 +125,40 @@ def test_povm_flag_mutual_info_reads_out_a_bit():
     )
     bell = preset("bell").to_mstate()
     assert np.isclose(povm_flag_mutual_info(bell, COMPUTATIONAL, "B"), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("outcomes", [2, 4])
+def test_povm_flag_mutual_info_equals_the_flag_state_value(seed, outcomes):
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), seed)
+    povm = rank1_povm(haar_unitary(outcomes, 10 + seed), 2)
+    flagged = flag_state(measure_ensemble(rho, povm, "B"), "R")
+    expected = mutual_info(flagged, Partition(("A", "C"), "R"))
+    assert abs(povm_flag_mutual_info(rho, povm, "B") - expected) <= 1e-12
+
+
+def test_povm_flag_mutual_info_on_the_family15_two_copy_pair():
+    # two copies of family15 with A,C merged into X and B into Y, ordered
+    # X1 X2 Y1 Y2; the 16-outcome flagged state is 256-dimensional, so the
+    # reference is the bare block-diagonal matrix, one 256 x 256 eigensolve
+    one = preset("family15", (math.cos(math.pi / 8.0),)).to_mstate().matrix
+    one = one.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+    two = np.kron(one, one).reshape(4, 2, 4, 2, 4, 2, 4, 2)
+    pair = Mstate(
+        SystemLayout((("X", 16), ("Y", 4))),
+        two.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(64, 64),
+    )
+    povm = rank1_povm(haar_unitary(16, 21), 4)
+    ens = measure_ensemble(pair, povm, "Y")
+    joint = np.zeros((16 * len(ens.members),) * 2, dtype=complex)
+    for i, (w, m) in enumerate(zip(ens.weights, ens.members)):
+        joint[16 * i : 16 * (i + 1), 16 * i : 16 * (i + 1)] = w * m.matrix
+    expected = (
+        vn_entropy(ens.average())
+        + spectrum_entropy(np.asarray(ens.weights))
+        - matrix_entropy(joint)
+    )
+    assert abs(povm_flag_mutual_info(pair, povm, "Y") - expected) <= 1e-12
 
 
 # --- discord -------------------------------------------------------------------

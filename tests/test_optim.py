@@ -127,6 +127,16 @@ def test_povm_validation():
         Povm(2, (np.eye(2) * 0.5, np.eye(2) * 0.4))
 
 
+def test_povm_rejects_vectors_that_contradict_elements():
+    halves = (np.eye(2) * 0.5, np.eye(2) * 0.5)
+    with pytest.raises(InvalidArgument, match="vector 0"):
+        Povm(2, halves, vectors=np.eye(2))
+    with pytest.raises(InvalidArgument, match="shape"):
+        Povm(2, halves, vectors=np.zeros((5, 7)))
+    basis = rank1_povm(np.eye(2, dtype=complex), 2)
+    assert Povm(2, basis.elements, vectors=basis.vectors).vectors.shape == (2, 2)
+
+
 def test_rank1_povm_completeness():
     u = haar_unitary(4, 5)
     povm = rank1_povm(u, 2)

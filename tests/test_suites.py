@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 import ci_toolkit.suites as suites
+from ci_toolkit.ci import discord_additivity_check
 from ci_toolkit.optim import OptimizerConfig
+from ci_toolkit.states import DEFAULT_DIM_CAP, Mstate, preset
 from ci_toolkit.suites import (
     CheckResult,
     run_suites,
@@ -78,6 +82,23 @@ def test_suite_cmi_identity_small():
     results = suite_cmi_identity(QUICK, samples=2)
     _all_green(results, "cmi-identity")
     assert [r.name for r in results] == ["balance[00]", "balance[01]"]
+
+
+def test_bookkeeping_states_stay_under_the_cap(monkeypatch):
+    # the dilation (4 outcomes on three qubits) and the two-copy flag
+    # information are the largest intermediate states the suites need
+    sizes = []
+    validate = Mstate.__post_init__
+
+    def spy(state):
+        sizes.append(state.layout.total_dim)
+        validate(state)
+
+    monkeypatch.setattr(Mstate, "__post_init__", spy)
+    suite_cmi_identity(QUICK, samples=2)
+    family15 = preset("family15", (math.cos(math.pi / 8.0),))
+    discord_additivity_check(family15, ("A", "C"), "B", QUICK)
+    assert max(sizes) <= DEFAULT_DIM_CAP
 
 
 def test_suite_continuity_small():
