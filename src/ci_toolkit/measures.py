@@ -27,6 +27,9 @@ from .errors import (
 )
 from .info import (
     Partition,
+    _entropy_stack,
+    _plogp,
+    _pure_entropy_stack,
     matrix_entropy,
     mutual_info,
     spectrum_entropy,
@@ -94,6 +97,37 @@ class EdInterval(NamedTuple):
 # ensembles from measurements
 
 
+def _outcome_blocks(rho: Mstate, povm: Povm, party: str):
+    """Layout of the other parties, their unnormalized outcome blocks
+    sigma_i = Tr_party[(M_i on party) rho] as one (K, n, n) contraction over
+    the stacked elements, and the probabilities p_i = Tr sigma_i (>= 0)."""
+    layout = rho.layout
+    party = measured_label(layout, party)
+    idx = layout.index(party)
+    d = layout.dim_of(party)
+    if povm.party_dim != d:
+        raise LayoutMismatch(
+            f"POVM acts on dimension {povm.party_dim}, party {party!r} has dimension {d}"
+        )
+    before = math.prod(layout.dims[:idx])
+    dk = layout.total_dim // d
+    t = rho.matrix.reshape(before, d, dk // before, before, d, dk // before)
+    sig = np.einsum("iyajzb,kzy->kiajb", t, np.array(povm.elements))
+    sig = sig.reshape(len(povm), dk, dk)
+    p = np.clip(np.real(np.trace(sig, axis1=1, axis2=2)), 0.0, None)
+    return SystemLayout(tuple(q for q in layout.parties if q[0] != party)), sig, p
+
+
+def _kept_ensemble(p: np.ndarray, member: Callable[[int], object]) -> Ensemble:
+    """Ensemble of the outcomes of weight at least 1e-12, renormalized;
+    ``member(i)`` is outcome i's normalized state."""
+    keep = [i for i in range(len(p)) if p[i] >= ZERO]
+    if not keep:
+        raise InternalInvariantError("POVM produced no outcome with nonzero weight")
+    total = sum(float(p[i]) for i in keep)
+    return Ensemble(tuple(float(p[i]) / total for i in keep), tuple(map(member, keep)))
+
+
 def measure_ensemble(rho: Mstate, povm: Povm, party: str) -> Ensemble:
     """Measure ``party`` with ``povm`` and return the post-measurement
     ensemble on the remaining parties.
@@ -103,36 +137,8 @@ def measure_ensemble(rho: Mstate, povm: Povm, party: str) -> Ensemble:
     ``(M_i on party) rho``.  Outcomes with probability below 1e-12 are
     dropped and the surviving weights renormalized.
     """
-    layout = rho.layout
-    party = measured_label(layout, party)
-    idx = layout.index(party)
-    d = layout.dim_of(party)
-    if povm.party_dim != d:
-        raise LayoutMismatch(
-            f"POVM acts on dimension {povm.party_dim}, party {party!r} has dimension {d}"
-        )
-    dims = layout.dims
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    t = np.moveaxis(t, (idx, n + idx), (2 * n - 2, 2 * n - 1))
-    kept = tuple(p for p in layout.parties if p[0] != party)
-    dk = 1
-    for _, dd in kept:
-        dk *= dd
-    kept_layout = SystemLayout(kept)
-    weights = []
-    members = []
-    for m in povm.elements:
-        sub = np.einsum("...yz,zy->...", t, m).reshape(dk, dk)
-        p = float(np.real(np.trace(sub)))
-        if p < ZERO:
-            continue
-        weights.append(p)
-        members.append(Mstate(kept_layout, sub / p))
-    total = sum(weights)
-    if not members or total <= 0:
-        raise InternalInvariantError("POVM produced no outcome with nonzero weight")
-    return Ensemble(tuple(w / total for w in weights), tuple(members))
+    kept, sig, p = _outcome_blocks(rho, povm, party)
+    return _kept_ensemble(p, lambda i: Mstate(kept, sig[i] / p[i]))
 
 
 def flag_state(ensemble: Ensemble, register_label: str = "R") -> Mstate:
@@ -160,77 +166,17 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     """Mutual information between the unmeasured parties and a register
     recording the outcome of ``povm`` applied to ``party``.
 
-    For the flagged state sum_i w_i rho_i (x) |i><i| this is the Holevo
-    quantity S(sum_i w_i rho_i) - sum_i w_i S(rho_i), computed from the
-    post-measurement ensemble, so the flagged state is never built."""
-    ens = measure_ensemble(rho, povm, party)
-    held = sum(w * vn_entropy(m) for w, m in zip(ens.weights, ens.members))
-    return vn_entropy(ens.average()) - held
+    For the flagged state sum_i p_i rho_i (x) |i><i| this is the Holevo
+    quantity S(sum_i sigma_i) - sum_i [h(sigma_i) + p_i log2 p_i] on the
+    outcome blocks sigma_i = p_i rho_i: no outcome is dropped, and no
+    flagged state is built."""
+    _, sig, p = _outcome_blocks(rho, povm, party)
+    held = np.sum(_entropy_stack(sig) + _plogp(p))
+    return matrix_entropy(np.sum(sig, axis=0)) - float(held)
 
 
 # ---------------------------------------------------------------------------
 # batch objective kernels
-
-
-def _entropy_stack(mats: np.ndarray) -> np.ndarray:
-    """Unnormalized entropy -sum w log2 w of each matrix in a (..., n, n)
-    stack, where w are the eigenvalues (clipped at zero)."""
-    n = mats.shape[-1]
-    rng = np.arange(n)
-    offdiag = np.abs(mats)
-    offdiag[..., rng, rng] = 0.0
-    if offdiag.size == 0 or float(offdiag.max()) < DIAG:
-        w = np.real(mats[..., rng, rng])
-    elif n == 2:
-        # closed-form Hermitian eigenvalues, mean +/- radius; much cheaper
-        # than LAPACK over the huge stacks a poll produces
-        a = np.real(mats[..., 0, 0])
-        d = np.real(mats[..., 1, 1])
-        b = mats[..., 0, 1]
-        mean = 0.5 * (a + d)
-        rad = np.sqrt(0.25 * (a - d) ** 2 + np.real(b) ** 2 + np.imag(b) ** 2)
-        w = np.stack([mean - rad, mean + rad], axis=-1)
-    else:
-        w = np.linalg.eigvalsh(mats)
-    w = np.clip(w, 0.0, None)
-    return -np.sum(_weight_term(w), axis=-1)
-
-
-def _weight_term(p: np.ndarray) -> np.ndarray:
-    """p log2 p with the continuous extension 0 log 0 = 0.
-
-    Weights below the floor are evaluated at the floor's log, which keeps
-    the zero limit exact while avoiding a branch over the array.
-    """
-    out = np.log2(np.maximum(p, ZERO))
-    out *= p
-    return out
-
-
-def _pure_entropy_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weight p = ||X||^2 and unnormalized entropy -sum w log2 w of the
-    reduced state X X^dagger (whose nonzero spectrum X^dagger X shares) for
-    each amplitude matrix in a (..., m, n) stack.
-
-    A 2x2 spectrum is fixed by p and |det X|^2: w+ = p/2 + sqrt(p^2/4 -
-    |det X|^2) and w- = |det X|^2 / w+, which avoids the cancellation in
-    p/2 - sqrt(...).  Other shapes diagonalize the Gram matrix on the
-    smaller side.
-    """
-    m, n = x.shape[-2:]
-    flat = x.reshape(x.shape[:-2] + (m * n,))
-    p = np.sum(flat.real**2 + flat.imag**2, axis=-1)
-    if m == 2 and n == 2:
-        det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
-        d2 = det.real**2 + det.imag**2
-        half = 0.5 * p
-        hi = half + np.sqrt(np.maximum(half * half - d2, 0.0))
-        # hi = 0 only for X = 0, where det = 0 too
-        lo = d2 / np.where(hi > 0.0, hi, 1.0)
-        return p, -(_weight_term(hi) + _weight_term(lo))
-    xh = np.conj(np.swapaxes(x, -1, -2))
-    gram = np.matmul(x, xh) if m <= n else np.matmul(xh, x)
-    return p, _entropy_stack(gram)
 
 
 def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -293,6 +239,18 @@ def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
 # measured mutual information, maximized over rank-one POVMs
 
 
+def _register_info(merged: Mstate, povm: Povm) -> float:
+    """I(A : C R) of a merged (A, B, C) state when ``povm`` measures B into
+    the register R: S(A) + sum_i [h(sigma_C,i) - h(sigma_AC,i)] over the
+    outcome blocks, as the p_i log2 p_i terms of S(CR) and S(ACR) cancel."""
+    da, _, dc = merged.layout.dims
+    _, sig, _ = _outcome_blocks(merged, povm, merged.layout.labels[1])
+    blocks = sig.reshape(-1, da, dc, da, dc)
+    s_a = matrix_entropy(np.einsum("kacbc->ab", blocks))
+    h_c = _entropy_stack(np.einsum("kacad->kcd", blocks))
+    return s_a + float(np.sum(h_c - _entropy_stack(sig)))
+
+
 def one_way_ci(
     rho: Mstate,
     alice: str | Sequence[str],
@@ -310,15 +268,13 @@ def one_way_ci(
     over rank-one POVMs with K = d^2 outcomes, d the dimension of ``bob``,
     which reach the supremum over all POVMs; ``warm_starts`` are K x K
     unitary arrays whose first d columns hold outcome vectors, searched
-    before the seeded restarts.  The returned value is
-    recomputed through the explicit measure -> flag -> mutual-information
-    pipeline at the optimal point, so it is achievable by construction and
-    the estimate can only err downward.
+    before the seeded restarts.  The value is recomputed at the achieving
+    POVM, so it is achievable by construction and can only err downward.
     """
     rho = rho.to_mstate()
     bob = measured_label(rho.layout, bob)
     cfg = config or OptimizerConfig()
-    merged, (la, lb, lc) = merge_groups(rho, (alice, bob, charlie))
+    merged, (_, lb, _) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
     t6 = merged.matrix.reshape(da, db, dc, da, db, dc)
     s_a = matrix_entropy(np.einsum("aycwyc->aw", t6))
@@ -359,12 +315,8 @@ def one_way_ci(
 
     k, param = _povm_search(batch, db, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), db)
-    ens = measure_ensemble(merged, achiever, lb)
-    reg = fresh_label(merged.layout, "R")
-    flagged = flag_state(ens, reg)
-    value = mutual_info(flagged, Partition((la,), (lc, reg)))
     return MeasureEstimate(
-        value=value,
+        value=_register_info(merged, achiever),
         direction=LOWER,
         config=cfg,
         achiever=achiever,
@@ -420,8 +372,8 @@ def discord(
             b, kk, _ = vstack.shape
             q = _block_weights(vstack.reshape(b * kk, dy), factors, starts)
             p = np.sum(q, axis=-1)
-            h_cond = -np.sum(_weight_term(q), axis=-1)
-            per = (h_cond + _weight_term(p)).reshape(b, kk)
+            h_cond = -np.sum(_plogp(q), axis=-1)
+            per = (h_cond + _plogp(p)).reshape(b, kk)
             return s_x - np.sum(per, axis=-1)
 
     else:
@@ -435,7 +387,7 @@ def discord(
             sig = (gram @ tg).reshape(b, kk, dx, dx)
             p = np.real(np.sum(sig[..., rng, rng], axis=-1))
             h_cond = _entropy_stack(sig)
-            return s_x - np.sum(h_cond + _weight_term(p), axis=-1)
+            return s_x - np.sum(h_cond + _plogp(p), axis=-1)
 
     k, param = _povm_search(batch, dy, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), dy)
@@ -468,7 +420,7 @@ def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
     def batch(vstack: np.ndarray) -> np.ndarray:
         chi = np.matmul(vstack.conj(), rows)  # (batch, K, da*dc)
         p, h = _pure_entropy_stack(chi.reshape(chi.shape[:2] + (da, dc)))
-        return np.sum(h + _weight_term(p), axis=-1)
+        return np.sum(h + _plogp(p), axis=-1)
 
     return batch
 
@@ -478,8 +430,8 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
 
     Purify ``rho`` (alice parties first), search rank-one POVMs on the
     purifying system for the extreme average entanglement entropy of the
-    pure-state ensemble they steer, and recompute that average from the
-    explicit ensemble."""
+    pure-state ensemble they steer, and recompute that average, with the
+    achieving ensemble, from the steered amplitudes of the best POVM."""
     rho = rho.to_mstate()
     (a_labels,) = check_groups(rho.layout, alice)
     rest = rest_of(rho.layout, a_labels)
@@ -496,23 +448,13 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
     k, param = _povm_search(
         _steering_batch(psi_mat, da, dc), r, cfg, warm_starts, progress, sense
     )
-    weights = []
-    members = []
-    for row in decode_unitary(param, columns=r):  # row i is outcome i's vector
-        chi = psi_mat @ row.conj()
-        p = float(np.real(np.vdot(chi, chi)))
-        if p < ZERO:
-            continue
-        weights.append(p)
-        members.append(PureState(ordered.layout, chi / math.sqrt(p)))
-    total = sum(weights)
-    ens = Ensemble(tuple(w / total for w in weights), tuple(members))
-    value = 0.0
-    for w, member in zip(ens.weights, ens.members):
-        amp = member.amplitudes.reshape(da, dc)
-        value += w * matrix_entropy(amp @ amp.conj().T)
+    chi = decode_unitary(param, columns=r).conj() @ psi_mat.T
+    p, h = _pure_entropy_stack(chi.reshape(k, da, dc))
+    ens = _kept_ensemble(
+        p, lambda i: PureState(ordered.layout, chi[i] / math.sqrt(p[i]))
+    )
     return MeasureEstimate(
-        value=value,
+        value=max(float(np.sum(h + _plogp(p))), 0.0),
         direction=LOWER if sense == "max" else UPPER,
         config=cfg,
         achiever=ens,

@@ -53,7 +53,7 @@ def test_entropy_defaults_to_whole_system(capsys):
 @pytest.mark.parametrize(
     "group,row",
     [
-        ([], "S(A+B1+B2+C),1.8303011919214169,exact"),
+        ([], "S(A+B1+B2+C),1.8303011919214212,exact"),
         (["--x", "B2,C"], "S(B2+C),1.8303011919214169,exact"),
     ],
 )
@@ -62,6 +62,9 @@ def test_entropy_csv_rows_are_pinned(group, row, capsys):
     code, out, _ = _run(argv + group + ["--format", "csv"], capsys)
     assert code == 0
     assert out == f"name,value,direction\n{row}\n"
+    # the spectrum is 0.175 (three times) and 0.475 on B2+C, the rest pure:
+    # 3 h(0.175) + h(0.475) with h(x) = -x log2 x
+    assert abs(float(row.split(",")[1]) - 1.830301191921417082) <= 1e-14
 
 
 def test_entropy_rejects_unknown_label(capsys):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ from ci_toolkit.errors import (
     LayoutMismatch,
     UnknownParty,
 )
+from ci_toolkit import info
 from ci_toolkit.info import (
     Partition,
+    _entropy_stack,
+    _pure_entropy_stack,
     binary_entropy,
     conditional_entropy,
     conditional_mutual_info,
@@ -43,6 +48,72 @@ def test_spectrum_entropy_clips_tiny_and_negative():
     assert spectrum_entropy([1.0 - 1e-13, 1e-13]) <= 1e-10
     assert spectrum_entropy([-0.1, 1.1]) == 0.0
     assert spectrum_entropy([]) == 0.0
+
+
+def test_spectrum_entropy_keeps_small_weights():
+    # no cut: a weight of 1e-13 contributes its -p log2 p, about 4.3e-12
+    tiny = 1e-13
+    exact = -tiny * math.log2(tiny) - (1.0 - tiny) * math.log2(1.0 - tiny)
+    assert abs(spectrum_entropy([1.0 - tiny, tiny]) - exact) <= 1e-24
+    assert spectrum_entropy([0.5, 0.5, 0.0, -1e-17]) == 1.0
+
+
+def _density(n, rank, rng):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@pytest.mark.parametrize("t", [1e-14, 1e-12, 1e-9, 0.3])
+def test_kernel_is_homogeneous(t):
+    # h(t sigma) = t h(sigma) - t log2 t for a density matrix sigma: the
+    # identity that makes splitting an outcome change nothing
+    rng = np.random.default_rng(505)
+    sigmas = [
+        _density(2, 2, rng),
+        _density(4, 4, rng),
+        _density(4, 2, rng),
+        np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex),
+    ]
+    # a lone matrix and a one-matrix stack, which take different eigensolvers
+    for sigma in sigmas + [s[None] for s in sigmas]:
+        expected = t * _entropy_stack(sigma) - t * math.log2(t)
+        assert np.all(abs(_entropy_stack(t * sigma) - expected) <= 1e-9 * expected)
+    for shape in ((2, 2), (2, 3)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x /= np.linalg.norm(x)
+        _, h = _pure_entropy_stack(math.sqrt(t) * x)
+        expected = t * _pure_entropy_stack(x)[1] - t * math.log2(t)
+        assert abs(h - expected) <= 1e-9 * expected
+
+
+def test_only_info_takes_logs():
+    # every entropy comes from the kernel in info; log_negativity's log2 of
+    # a trace norm is the one log outside it
+    logs = {("np", "log2"), ("np", "log"), ("math", "log2"), ("math", "log")}
+    exempt = {("measures.py", "log_negativity")}
+    hits = []
+    for path in sorted(Path(info.__file__).resolve().parent.glob("*.py")):
+        if path.name == "info.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in exempt
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and (node.func.value.id, node.func.attr) in logs
+                and id(node) not in allowed
+            ):
+                name = f"{node.func.value.id}.{node.func.attr}"
+                hits.append(f"{path.name}:{node.lineno}: {name}")
+    assert not hits, "take entropies with ci_toolkit.info:\n" + "\n".join(hits)
 
 
 def test_matrix_entropy_diagonal_fast_path_matches_eigen():

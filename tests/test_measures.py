@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ci_toolkit import measures
 from ci_toolkit.errors import (
     AncillaTooLarge,
     DuplicateParty,
@@ -12,6 +13,9 @@ from ci_toolkit.errors import (
 )
 from ci_toolkit.info import (
     Partition,
+    _entropy_stack,
+    _plogp,
+    _pure_entropy_stack,
     matrix_entropy,
     mutual_info,
     spectrum_entropy,
@@ -23,9 +27,7 @@ from ci_toolkit.measures import (
     UPPER,
     _block_factors,
     _block_weights,
-    _entropy_stack,
-    _pure_entropy_stack,
-    _weight_term,
+    _register_info,
     coherent_info_lower,
     discord,
     ed_interval,
@@ -39,7 +41,13 @@ from ci_toolkit.measures import (
     povm_flag_mutual_info,
     regularized_eoa,
 )
-from ci_toolkit.optim import OptimizerConfig, complete_isometry, haar_unitary, rank1_povm
+from ci_toolkit.optim import (
+    OptimizerConfig,
+    Povm,
+    complete_isometry,
+    haar_unitary,
+    rank1_povm,
+)
 from ci_toolkit.states import (
     Ensemble,
     Mstate,
@@ -50,6 +58,7 @@ from ci_toolkit.states import (
     random_mixed_state,
     random_pure_state,
 )
+from ci_toolkit.tolerances import ZERO
 
 QUICK = OptimizerConfig(restarts=4, max_iters=500, tol=1e-5, seed=13)
 TWO = SystemLayout((("A", 2), ("B", 2)))
@@ -159,6 +168,24 @@ def test_povm_flag_mutual_info_on_the_family15_two_copy_pair():
         - matrix_entropy(joint)
     )
     assert abs(povm_flag_mutual_info(pair, povm, "Y") - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("weight", [1e-13, 5e-13, 1.4e-12, 2.4e-12, 4.7e-12, 5e-11])
+def test_splitting_an_outcome_leaves_the_measured_information_unchanged(weight):
+    # M_0 -> t M_0, (1 - t) M_0 has the same posterior on both halves, so the
+    # register carries no more information; the split-off half has
+    # probability ``weight``, down where an eigenvalue cut at 1e-12 would bite
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 311)
+    base = rank1_povm(haar_unitary(4, 312), 2)
+    v = base.vectors
+    rho_b = np.einsum("aybazb->yz", rho.matrix.reshape((2,) * 6))
+    t = weight / float(np.real(v[0].conj() @ rho_b @ v[0]))
+    vecs = np.vstack([math.sqrt(t) * v[0], math.sqrt(1.0 - t) * v[0], v[1:]])
+    split = Povm(2, tuple(np.outer(x, x.conj()) for x in vecs), vectors=vecs)
+    # what one_way_ci reports for a POVM on B between A and C
+    assert abs(_register_info(rho, split) - _register_info(rho, base)) <= 1e-13
+    unsplit = povm_flag_mutual_info(rho, base, "B")
+    assert abs(povm_flag_mutual_info(rho, split, "B") - unsplit) <= 1e-13
 
 
 # --- discord -------------------------------------------------------------------
@@ -370,6 +397,47 @@ def test_one_way_ci_pure_and_mixed_paths_agree():
     assert abs(a.value - b.value) <= 1e-6
 
 
+def test_register_info_equals_the_flag_state_value():
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 8)
+    povm = rank1_povm(haar_unitary(4, 9), 2)
+    flagged = flag_state(measure_ensemble(rho, povm, "B"), "R")
+    expected = mutual_info(flagged, Partition("A", ("C", "R")))
+    assert abs(_register_info(rho, povm) - expected) <= 1e-12
+    # and it is the value one_way_ci reports at its achiever
+    est = one_way_ci(rho, "A", "B", "C", QUICK)
+    assert est.value == _register_info(rho, est.achiever)
+
+
+def test_one_way_ci_reaches_the_computational_basis_value_on_w():
+    # measuring B of the W state in the computational basis gives log2 3
+    est = one_way_ci(preset("w").to_mstate(), "A", "B", "C")
+    assert est.value >= math.log2(3.0) - 1e-11
+
+
+def test_one_way_ci_agrees_across_the_purity_switch():
+    # (1 - eps) W + eps I/8 has purity about 1 - 1.75 eps, so the pure-input
+    # objective serves eps = 4e-13 and the mixed one eps = 7e-13
+    w = preset("w").to_mstate()
+    values = []
+    for eps, pure_path in ((4e-13, True), (7e-13, False)):
+        rho = Mstate(w.layout, (1.0 - eps) * w.matrix + eps * np.eye(8) / 8.0)
+        assert (rho.purity() > 1.0 - ZERO) == pure_path
+        values.append(one_way_ci(rho, "A", "B", "C").value)
+    assert abs(values[0] - values[1]) <= 1e-10
+
+
+def test_variational_measures_build_no_flagged_state(monkeypatch):
+    calls = []
+    monkeypatch.setattr(measures, "flag_state", lambda *a, **k: calls.append(a))
+    # rank 2, so the steering searches run on a qubit ancilla
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 12, rank=2)
+    one_way_ci(rho, "A", "B", "C", QUICK)
+    discord(rho, ("A", "C"), "B", QUICK)
+    eoa(rho, "A", QUICK)
+    eof(rho, "A", QUICK)
+    assert calls == []
+
+
 def test_one_way_ci_rejects_group_helper():
     ghz = preset("ghz")
     with pytest.raises(LayoutMismatch):
@@ -440,7 +508,7 @@ def test_regularized_eoa():
         regularized_eoa(rho_ac, "Q")
 
 
-# --- entropy kernels used by the batched objectives -------------------------------
+# --- the entropy kernel of `info`, as the batched objectives use it ---------------
 
 
 def test_entropy_stack_matches_reference():
@@ -452,7 +520,7 @@ def test_entropy_stack_matches_reference():
         for b in range(6):
             for k in range(4):
                 w = np.linalg.eigvalsh(mats[b, k])
-                expected = -np.sum(_weight_term(np.clip(w, 0.0, None)))
+                expected = -np.sum(_plogp(np.clip(w, 0.0, None)))
                 assert abs(out[b, k] - expected) <= 1e-10
 
 
@@ -467,7 +535,7 @@ def test_entropy_stack_diagonal_fast_path():
 
 def _gram_entropy(x):
     w = np.linalg.eigvalsh(x @ x.conj().T)
-    return -np.sum(_weight_term(np.clip(w, 0.0, None)))
+    return -np.sum(_plogp(np.clip(w, 0.0, None)))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (1, 4), (4, 1)])
@@ -494,11 +562,11 @@ def test_pure_entropy_kernel_edge_rows():
             assert abs(hr - _gram_entropy(row)) <= 1e-12
             assert abs(pr - np.sum(np.abs(row) ** 2)) <= 1e-12
     p, h = _pure_entropy_stack(product)
-    assert np.allclose(h, -_weight_term(p), rtol=0.0, atol=1e-12)
+    assert np.allclose(h, -_plogp(p), rtol=0.0, atol=1e-12)
     # maximally entangled: the degenerate spectrum p/2, p/2
     p, h = _pure_entropy_stack(entangled)
     assert np.allclose(p, 0.36, rtol=0.0, atol=1e-12)
-    assert np.allclose(h, -2.0 * _weight_term(np.full(6, 0.18)), rtol=0.0, atol=1e-12)
+    assert np.allclose(h, -2.0 * _plogp(np.full(6, 0.18)), rtol=0.0, atol=1e-12)
     for shape in ((2, 2), (2, 3), (3, 2), (1, 4)):
         p, h = _pure_entropy_stack(np.zeros((3,) + shape, dtype=complex))
         assert np.all(np.isfinite(h))
@@ -536,7 +604,7 @@ def test_block_weights_match_gram_product(ranks):
 
 
 def test_weight_term_zero_limit():
-    out = _weight_term(np.array([0.0, 0.5, 1.0]))
+    out = _plogp(np.array([0.0, 0.5, 1.0]))
     assert out[0] == 0.0
     assert np.isclose(out[1], -0.5)
     assert out[2] == 0.0
