@@ -6,6 +6,11 @@ support rule: each weight or eigenvalue p adds -p log2 p, with 0 log 0 = 0;
 negative eigenvalues (rounding) are clipped to 0; no small value is cut.
 On unnormalized matrices it keeps h(t sigma) = t h(sigma) - t Tr(sigma)
 log2 t, so splitting a measurement outcome changes no measured quantity.
+
+The entropy of an `Mstate` reads the spectrum the state stored when it was
+built, which is exactly what the kernel computes from its matrix, and a
+marginal comes from `partial_trace`, which builds each reduction of a state
+once.  So no state's matrix is diagonalized twice.
 """
 
 from __future__ import annotations
@@ -17,8 +22,15 @@ import numpy as np
 
 from . import qmat
 from .errors import InvalidArgument, LayoutMismatch
-from .states import Mstate, PureState, as_labels, check_groups, partial_trace, rest_of
-from .tolerances import DIAG
+from .states import (
+    Mstate,
+    PureState,
+    _read_diagonal,
+    as_labels,
+    check_groups,
+    partial_trace,
+    rest_of,
+)
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -61,13 +73,10 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
     """Unnormalized entropy -sum w log2 w of the eigenvalues w of each matrix
     in a (..., n, n) stack; a stack whose off-diagonal entries are at most
     DIAG times its largest diagonal one is read as diagonal."""
-    n = mats.shape[-1]
-    diag = np.diagonal(mats, axis1=-2, axis2=-1).real
-    offdiag = np.abs(mats)
-    offdiag[..., np.arange(n), np.arange(n)] = 0.0
-    if offdiag.size == 0 or offdiag.max() <= DIAG * diag.max():
-        w = diag
-    elif n == 2 and mats.ndim > 2:
+    w = _read_diagonal(mats)
+    if w is not None:
+        return _spectrum_h(w)
+    if mats.shape[-1] == 2 and mats.ndim > 2:
         # closed-form Hermitian eigenvalues, mean +/- radius: much cheaper than
         # LAPACK over a poll's stacks, dearer for one matrix
         a = np.real(mats[..., 0, 0])
@@ -113,10 +122,11 @@ def matrix_entropy(m: np.ndarray) -> float:
 
 
 def vn_entropy(state: Mstate | PureState) -> float:
-    """Von Neumann entropy in bits; 0 for a PureState."""
+    """Von Neumann entropy in bits; 0 for a PureState.  An `Mstate`'s is
+    read from its stored spectrum, bit for bit `matrix_entropy(matrix)`."""
     if isinstance(state, PureState):
         return 0.0
-    return matrix_entropy(state.matrix)
+    return float(max(_spectrum_h(state.spectrum), 0.0))
 
 
 def _keep(rho: Mstate, labels) -> Mstate:
@@ -125,7 +135,7 @@ def _keep(rho: Mstate, labels) -> Mstate:
 
 
 def _group_entropy(rho: Mstate, labels) -> float:
-    return matrix_entropy(_keep(rho, labels).matrix)
+    return vn_entropy(_keep(rho, labels))
 
 
 def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
@@ -136,7 +146,7 @@ def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
     rho = cut.restrict(state.to_mstate())
     s_l = _group_entropy(rho, cut.left)
     s_r = _group_entropy(rho, cut.right)
-    s_lr = matrix_entropy(rho.matrix)
+    s_lr = vn_entropy(rho)
     return s_l + s_r - s_lr
 
 

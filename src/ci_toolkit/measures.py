@@ -200,7 +200,8 @@ def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     nonzero = [r for r in ranks if r]
     if max(nonzero) == 1:
         return factors, None
-    return factors, np.concatenate(([0], np.cumsum(nonzero[:-1])))
+    # intp even when only one block has nonzero rank: reduceat needs integers
+    return factors, np.concatenate(([0], np.cumsum(nonzero[:-1], dtype=np.intp)))
 
 
 def _block_weights(
@@ -519,7 +520,7 @@ def kw_discord(
     x_labels, y_labels = check_group_cover(rho.layout, unmeasured, measured)
     cfg = config or OptimizerConfig()
     ordered = permute_parties(rho, x_labels + y_labels)
-    rank = int(np.sum(np.linalg.eigvalsh(ordered.matrix) > ZERO))
+    rank = int(np.sum(ordered.spectrum > ZERO))
     anc_dim = max(rank, 2)
     if anc_dim > 8:
         raise AncillaTooLarge(

@@ -39,12 +39,12 @@ before `max_iters` (successive elimination).
 `restarts` is a ceiling. The first eight starts (warm starts first, then the
 Haar restarts in seed order) scout in lockstep; once none of them is live,
 the rest open only if fewer than four scouts ended within `tol` of the best
-incumbent, and then all of them open at once. When no restart is live, the
-one with the highest incumbent is resumed alone, without the stall or racing
-rules, until it stops. Up to its dormancy or retirement each restart's
-trajectory equals that of running it on its own, so the resumed leader ends
-exactly where an unstalled run of it ends. The search is deterministic for
-a fixed seed and config.
+incumbent, and then all of them open at once; a Haar start is drawn only
+when it opens. When no restart is live, the one with the highest incumbent
+is resumed alone, without the stall or racing rules, until it stops. Up to
+its dormancy or retirement each restart's trajectory equals that of running
+it on its own, so the resumed leader ends exactly where an unstalled run of
+it ends. The search is deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -436,7 +436,7 @@ _SCOUT = 8
 _AGREE = 4
 
 
-def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
+def _pattern_search_many(engine, starts: np.ndarray | _Starts, cfg: OptimizerConfig):
     """Advance the restarts' compass searches in lockstep.
 
     Each restart follows exactly the trajectory it would follow on its own
@@ -461,9 +461,12 @@ def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
     of the batch, so the leader finishes on the exact trajectory of an
     unstalled run. Returns a list of (value, angles) in restart order, one
     entry per opened restart.
+
+    ``starts`` is indexed only when a restart opens: an (R, dim^2) array,
+    or a sequence such as `_Starts` that draws each start on access.
     """
-    nr = starts.shape[0]
-    angles = np.array(starts, dtype=np.float64)
+    nr = len(starts)
+    angles = np.zeros((nr, engine.n * engine.n))
     best = np.full(nr, -np.inf)
     steps = np.full(nr, _INITIAL_STEP)
     iters = np.zeros(nr, dtype=np.intp)
@@ -475,6 +478,8 @@ def _pattern_search_many(engine, starts: np.ndarray, cfg: OptimizerConfig):
     history = np.zeros((nr, window))
 
     def open_starts(lo: int, hi: int) -> None:
+        for r in range(lo, hi):
+            angles[r] = starts[r]
         best[lo:hi] = engine.values(angles[lo:hi])
         history[lo:hi, 0] = best[lo:hi]
         live[lo:hi] = True
@@ -525,6 +530,26 @@ def _restart_seeds(cfg: OptimizerConfig) -> np.ndarray:
     return np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
 
 
+class _Starts:
+    """Start angles in restart order: the warm starts, then one seeded Haar
+    unitary per restart seed.  A Haar start is drawn and encoded only when
+    it is indexed, so the restarts a search never opens cost nothing."""
+
+    def __init__(self, warm_starts, dim: int, cfg: OptimizerConfig):
+        self._warm = [encode_unitary(np.asarray(w)).angles for w in warm_starts]
+        self._dim = dim
+        self._seeds = _restart_seeds(cfg)
+
+    def __len__(self) -> int:
+        return len(self._warm) + len(self._seeds)
+
+    def __getitem__(self, r: int) -> np.ndarray:
+        if r < len(self._warm):
+            return self._warm[r]
+        seed = int(self._seeds[r - len(self._warm)])
+        return encode_unitary(haar_unitary(self._dim, seed)).angles
+
+
 def maximize(
     batch_objective,
     dim: int,
@@ -564,9 +589,7 @@ def maximize(
     f = batch_objective if sign > 0 else (lambda v: -np.asarray(batch_objective(v)))
     engine = _BatchEngine(f, n, cols)
 
-    starts = [encode_unitary(np.asarray(w)).angles for w in warm_starts]
-    starts += [encode_unitary(haar_unitary(n, int(s))).angles for s in _restart_seeds(cfg)]
-    results = _pattern_search_many(engine, np.stack(starts), cfg)
+    results = _pattern_search_many(engine, _Starts(warm_starts, n, cfg), cfg)
 
     best_val = -math.inf
     best_angles = None

@@ -5,6 +5,14 @@ leftmost party most significant in the flat index (row-major, matching
 `np.kron`). Density operators are `Mstate`, pure vectors `PureState`,
 weighted collections `Ensemble`.
 
+Each state is derived once. An `Mstate` keeps the spectrum its PSD check
+computes, in the form the entropy kernel in `info` reads it, so no entropy
+diagonalizes a state's matrix again. `partial_trace` keeps each reduction
+on the state it came from, keyed by the set of dropped labels, so asking
+for the same marginal twice builds it once. The party-group checks run on
+every call, before that lookup. A `PureState` builds its density operator
+once, on the first `to_mstate()`.
+
 The JSON state-file format consumed by the CLI is defined by
 `load_state_file` / `state_from_dict` at the bottom of this module.
 """
@@ -31,7 +39,7 @@ from .errors import (
     StateFileError,
     UnknownParty,
 )
-from .tolerances import SLACK, VALIDATE, ZERO
+from .tolerances import DIAG, SLACK, VALIDATE, ZERO
 
 DEFAULT_DIM_CAP = 64
 
@@ -98,7 +106,7 @@ class SystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims)) if self.parties else 1
+        return math.prod(self.dims)
 
     def index(self, label: str) -> int:
         for i, (l, _) in enumerate(self.parties):
@@ -110,7 +118,7 @@ class SystemLayout:
         return self.parties[self.index(label)][1]
 
     def group_dim(self, labels) -> int:
-        return int(np.prod([self.dim_of(l) for l in as_labels(labels)])) if labels else 1
+        return math.prod(self.dim_of(l) for l in as_labels(labels)) if labels else 1
 
     def describe(self) -> str:
         return ",".join(f"{l}:{d}" for l, d in self.parties)
@@ -176,16 +184,45 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _read_diagonal(mats: np.ndarray) -> np.ndarray | None:
+    """The diagonals of a (..., n, n) stack if it reads as diagonal, else
+    None.  The stack reads as diagonal when every off-diagonal entry is at
+    most DIAG times its largest diagonal entry; this is the entropy kernel's
+    rule, shared with `Mstate` so a stored spectrum is what the kernel would
+    compute."""
+    n = mats.shape[-1]
+    diag = mats.diagonal(0, -2, -1).real
+    offdiag = np.abs(mats.reshape(mats.shape[:-2] + (n * n,)))
+    offdiag[..., :: n + 1] = 0.0
+    if offdiag.size == 0 or offdiag.max() <= DIAG * diag.max():
+        return diag
+    return None
+
+
 @dataclass(frozen=True)
 class Mstate:
     """Density operator on a layout.
 
     Validated on construction: square matrix of the layout's total dimension,
     Hermitian within 1e-10, unit trace within 1e-10, eigenvalues >= -1e-10.
+    A reduction made by `partial_trace` may go lower by what its parent's
+    own smallest eigenvalue allows (see there), and a copy that permutes or
+    merges parties allows the smallest eigenvalue of the state it copies.
+
+    ``spectrum`` is stored from that check: the diagonal when the matrix
+    reads as diagonal (`_read_diagonal`), otherwise the ascending
+    `eigvalsh` values.  It is exactly what the entropy kernel computes from
+    ``matrix``, so `info.vn_entropy` reads it instead of diagonalizing again.
+    The reductions `partial_trace` makes of the state are kept with it.
     """
 
     layout: SystemLayout
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _reductions: dict = field(init=False, repr=False, compare=False)
+    # eigenvalue allowance past -VALIDATE; only `partial_trace` and the
+    # party-reordering copies set it
+    _psd_slack: float = field(default=0.0, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -195,15 +232,22 @@ class Mstate:
                 f"Mstate: matrix shape {m.shape} does not match layout dimension {d}"
             )
         # each check is written so that a NaN anywhere fails it
-        if not np.max(np.abs(m - m.conj().T)) <= VALIDATE:
+        if not np.abs(m - m.conj().T).max() <= VALIDATE:
             raise InvalidMatrix(f"Mstate: matrix is not Hermitian within {VALIDATE:g}")
         tr = m.trace()
         if not abs(tr - 1.0) <= VALIDATE:
             raise InvalidMatrix(f"Mstate: trace {tr:.12g} is not 1 within {VALIDATE:g}")
-        low = float(np.linalg.eigvalsh(m)[0])
-        if not low >= -VALIDATE:
-            raise NotPSD(f"Mstate: eigenvalue {low:.3e} below -{VALIDATE:g}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        m = _freeze(m)
+        w = np.linalg.eigvalsh(m)
+        floor = VALIDATE + self._psd_slack
+        if not w[0] >= -floor:
+            raise NotPSD(f"Mstate: eigenvalue {w[0]:.3e} below -{floor:g}")
+        diag = _read_diagonal(m)
+        spectrum = w if diag is None else diag
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_reductions", {})
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -218,7 +262,11 @@ class Mstate:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit vector on a layout (norm within 1e-12 of 1)."""
+    """Unit vector on a layout (norm within 1e-12 of 1).
+
+    Its density operator is built on the first `to_mstate()` and kept, so
+    every later call returns the same `Mstate`.
+    """
 
     layout: SystemLayout
     amplitudes: np.ndarray
@@ -234,9 +282,13 @@ class PureState:
             raise InvalidMatrix(f"PureState: vector is not normalized within {ZERO:g}")
         object.__setattr__(self, "amplitudes", _freeze(v))
 
-    def to_mstate(self) -> Mstate:
+    @cached_property
+    def _density(self) -> Mstate:
         v = self.amplitudes
         return Mstate(self.layout, np.outer(v, v.conj()))
+
+    def to_mstate(self) -> Mstate:
+        return self._density
 
 
 @dataclass(frozen=True)
@@ -293,24 +345,58 @@ def _tensor_view(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 
 def partial_trace(rho: Mstate, discard) -> Mstate:
-    """Trace out the listed parties; the kept parties keep their order."""
+    """Trace out the listed parties; the kept parties keep their order.
+
+    The group checks run on every call.  The reduction is then kept on
+    ``rho``, keyed by the set of dropped labels, and a later call for the
+    same set returns the same object.  Parties are traced in layout order,
+    whatever order ``discard`` names them in.
+
+    The reduction's PSD check allows eigenvalues down to -(VALIDATE +
+    d_dropped * max(0, -lambda_min(rho))), lambda_min read from ``rho``'s
+    stored spectrum: tracing out d_dropped dimensions can scale a negative
+    eigenvalue that ``rho``'s own check accepted by up to d_dropped.  For a
+    PSD ``rho`` that is the plain -VALIDATE check.
+    """
     drop = as_labels(discard)
     if not drop:
         raise InvalidArgument("partial_trace: nothing to discard")
     check_groups(rho.layout, drop)
     if len(drop) == len(rho.layout.parties):
         raise InvalidArgument("partial_trace: cannot discard every party")
+    key = frozenset(drop)
+    reduced = rho._reductions.get(key)
+    if reduced is None:
+        reduced = _reduce(rho, key)
+        rho._reductions[key] = reduced
+    return reduced
+
+
+def _reduce(rho: Mstate, drop: frozenset) -> Mstate:
     dims = list(rho.layout.dims)
     t = _tensor_view(rho.matrix, tuple(dims))
     labels = list(rho.layout.labels)
-    for l in drop:
-        i = labels.index(l)
-        n = len(labels)
-        t = np.trace(t, axis1=i, axis2=n + i)
-        labels.pop(i)
-        dims.pop(i)
-    d = int(np.prod(dims))
-    return Mstate(SystemLayout(tuple(zip(labels, dims))), t.reshape(d, d))
+    dropped = 1
+    for l in rho.layout.labels:
+        if l in drop:
+            i = labels.index(l)
+            t = np.trace(t, axis1=i, axis2=len(labels) + i)
+            dropped *= dims[i]
+            labels.pop(i)
+            dims.pop(i)
+    d = math.prod(dims)
+    layout = SystemLayout(tuple(zip(labels, dims)))
+    return Mstate(layout, t.reshape(d, d), _psd_slack=dropped * _slack_of(rho))
+
+
+def _slack_of(rho: Mstate) -> float:
+    return max(0.0, -float(rho.spectrum.min()))
+
+
+def _relaid(rho: Mstate, layout: SystemLayout, matrix: np.ndarray) -> Mstate:
+    """``rho``'s operator on a new layout or party order.  Its eigenvalues
+    are ``rho``'s, so its PSD check allows ``rho``'s smallest one."""
+    return Mstate(layout, matrix, _psd_slack=_slack_of(rho))
 
 
 def partial_transpose(rho: Mstate, parties) -> np.ndarray:
@@ -330,12 +416,15 @@ def partial_transpose(rho: Mstate, parties) -> np.ndarray:
 
 
 def permute_parties(state, order) -> Mstate | PureState:
-    """Reorder parties to the given label sequence (a permutation)."""
+    """Reorder parties to the given label sequence (a permutation).  The
+    identity order returns ``state`` itself."""
     labels = as_labels(order)
     if sorted(labels) != sorted(state.layout.labels):
         raise InvalidArgument(
             f"permute_parties: {labels} is not a permutation of {state.layout.labels}"
         )
+    if labels == state.layout.labels:
+        return state
     perm = [state.layout.index(l) for l in labels]
     dims = state.layout.dims
     new_layout = SystemLayout(tuple(state.layout.parties[i] for i in perm))
@@ -345,7 +434,7 @@ def permute_parties(state, order) -> Mstate | PureState:
     n = len(dims)
     t = _tensor_view(state.matrix, dims).transpose(perm + [n + i for i in perm])
     d = state.layout.total_dim
-    return Mstate(new_layout, t.reshape(d, d))
+    return _relaid(state, new_layout, t.reshape(d, d))
 
 
 def merge_parties(state, labels, new_label: str) -> Mstate | PureState:
@@ -374,7 +463,7 @@ def merge_parties(state, labels, new_label: str) -> Mstate | PureState:
     layout = SystemLayout(parties)
     if isinstance(state, PureState):
         return PureState(layout, state.amplitudes)
-    return Mstate(layout, state.matrix)
+    return _relaid(state, layout, state.matrix)
 
 
 def fresh_label(layout: SystemLayout, base: str) -> str:
@@ -405,7 +494,7 @@ def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
                 label += "'"
         new_parties.append((label, dim))
         new_labels.append(label)
-    merged = Mstate(SystemLayout(tuple(new_parties)), state.matrix)
+    merged = _relaid(state, SystemLayout(tuple(new_parties)), state.matrix)
     return merged, tuple(new_labels)
 
 

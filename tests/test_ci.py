@@ -52,6 +52,7 @@ from ci_toolkit.states import (
     partial_trace,
     preset,
     random_mixed_state,
+    random_pure_state,
 )
 
 CFG = OptimizerConfig(restarts=8, max_iters=600, tol=1e-5, seed=17)
@@ -438,3 +439,21 @@ def test_dilated_protocol_state_errors():
         dilated_protocol_state(ghz, two, "B", register_label="A")
     with pytest.raises(DuplicateParty):
         dilated_protocol_state(ghz, two, "B", register_label="Q", env_label="Q")
+
+
+PURE_PANEL = {
+    "ghz": lambda: preset("ghz"),
+    "w": lambda: preset("w"),
+    "random-41": lambda: random_pure_state((("A", 2), ("B", 2), ("C", 2)), 41),
+    "random-42": lambda: random_pure_state((("A", 2), ("B", 2), ("C", 2)), 42),
+    "qutrit": lambda: random_pure_state((("A", 3), ("B", 2), ("C", 2)), 43),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURE_PANEL))
+def test_ci_pure_oneway_never_exceeds_the_regularized_rate(name):
+    # the lower-est tag: one round concentrates no more than the many-copy
+    # rate, which GHZ reaches
+    psi = PURE_PANEL[name]()
+    one_round = ci_pure_oneway(psi, "A", "B", "C", CFG).value
+    assert one_round <= ci_pure_regularized(psi, "A", "B", "C") + 1e-12

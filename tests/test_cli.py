@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ci_toolkit.cli as cli
@@ -388,6 +390,24 @@ def test_non_finite_state_file_exits_2(make, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and field in err
+
+
+def test_marginal_of_an_accepted_state_file_is_accepted(tmp_path, capsys):
+    # lambda_min = -9e-11 passes the state check; Tr_B scales it by d_B = 4
+    eps = 9e-11
+    m = np.kron(np.diag([(1 + 4 * eps) / 4, -eps]), np.eye(4))
+    doc = {
+        "parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 4}],
+        "matrix": [[float(x), 0.0] for x in m.reshape(-1)],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    for quantity in ("entropy", "mutual-info"):
+        code, out, err = _run(
+            ["compute", quantity, "--state", str(path), "--format", "csv"], capsys
+        )
+        assert code == 0, err
+        assert math.isfinite(float(out.splitlines()[-1].split(",")[1]))
 
 
 def test_state_source_must_be_unique(capsys, tmp_path):

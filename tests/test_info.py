@@ -1,5 +1,7 @@
 import ast
+import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +29,13 @@ from ci_toolkit.info import (
     uhlmann_fidelity,
     vn_entropy,
 )
+from ci_toolkit.measures import ed_interval
 from ci_toolkit.states import (
     Mstate,
     PureState,
     SystemLayout,
+    load_state_file,
+    partial_trace,
     preset,
     random_mixed_state,
 )
@@ -126,6 +131,54 @@ def test_matrix_entropy_diagonal_fast_path_matches_eigen():
     q, _ = np.linalg.qr(g)
     rotated = q @ diag @ q.conj().T
     assert np.isclose(matrix_entropy(rotated), spectrum_entropy(p), atol=1e-10)
+
+
+def _entropy_panel():
+    rng = np.random.default_rng(2024)
+    qutrit = SystemLayout((("A", 3), ("B", 2)))
+    states = [random_mixed_state(THREE, seed) for seed in (1, 2, 3)]
+    states += [random_mixed_state(qutrit, 4), random_mixed_state(qutrit, 5, rank=2)]
+    states += [random_mixed_state(THREE, seed, rank=r) for seed, r in ((6, 1), (7, 3))]
+    for k in (3, 5, 8):
+        p = rng.random(8)
+        p[k:] = 0.0
+        states.append(Mstate(THREE, np.diag(p / p.sum())))
+    pure = random_mixed_state(THREE, 8, rank=1).matrix
+    for eps in (1e-13, 1e-9, 1e-4):
+        states.append(Mstate(THREE, (1 - eps) * pure + eps * np.eye(8) / 8))
+    return states
+
+
+def test_vn_entropy_reads_exactly_what_matrix_entropy_computes():
+    for rho in _entropy_panel():
+        parts = [rho] + [partial_trace(rho, l) for l in rho.layout.labels]
+        for s in parts:
+            assert vn_entropy(s) == matrix_entropy(s.matrix)
+
+
+def test_marginals_are_built_once_across_calls(tmp_path, monkeypatch):
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2))), 12)
+    pairs = [[float(x.real), float(x.imag)] for x in rho.matrix.reshape(-1)]
+    path = tmp_path / "two.json"
+    path.write_text(
+        json.dumps(
+            {"parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}], "matrix": pairs}
+        )
+    )
+    loaded = load_state_file(path)
+    builds = Counter()
+    build = Mstate.__post_init__
+
+    def counting(self):
+        builds[self.layout.labels] += 1
+        build(self)
+
+    monkeypatch.setattr(Mstate, "__post_init__", counting)
+    cut = Partition("A", "B")
+    mutual_info(loaded, cut)
+    conditional_entropy(loaded, "A", "B")
+    ed_interval(loaded, cut)
+    assert builds == {("A",): 1, ("B",): 1}
 
 
 def test_vn_entropy_pure_state_is_zero():

@@ -258,6 +258,12 @@ def test_discord_classical_state_is_zero():
     assert est.value <= 1e-6
 
 
+def test_discord_with_one_nonzero_block_of_rank_two():
+    # |0><0| x I/2: the x-classical path factors one block of rank 2
+    rho = Mstate(SystemLayout((("A", 2), ("B", 2))), np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
+    assert abs(discord(rho, "A", "B", QUICK).value) <= 1e-12
+
+
 def test_discord_pure_state_equals_entanglement_entropy():
     psi = random_pure_state(TWO, 55)
     rho = psi.to_mstate()
@@ -506,6 +512,27 @@ def test_regularized_eoa():
         regularized_eoa(rho_ac, ("A", "C"))
     with pytest.raises(UnknownParty):
         regularized_eoa(rho_ac, "Q")
+
+
+# seeded states on each side of equality: eoa reaches min(S(A), S(C)) on
+# pure states, on the GHZ marginal and on products
+EOA_PANEL = {
+    "ghz-marginal": lambda: partial_trace(preset("ghz").to_mstate(), "B"),
+    "pure": lambda: random_pure_state((("A", 2), ("C", 2)), 31).to_mstate(),
+    "product": lambda: Mstate(
+        SystemLayout((("A", 2), ("C", 2))), np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+    ),
+    "rank-2": lambda: random_mixed_state((("A", 2), ("C", 2)), 32, rank=2),
+    "rank-3": lambda: random_mixed_state((("A", 2), ("C", 2)), 33, rank=3),
+    "qutrit": lambda: random_mixed_state((("A", 3), ("C", 2)), 34, rank=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EOA_PANEL))
+def test_eoa_never_exceeds_regularized_eoa(name):
+    # the lower-est tag: every steered ensemble averages at most the rate
+    rho = EOA_PANEL[name]()
+    assert eoa(rho, "A", QUICK).value <= regularized_eoa(rho, "A") + 1e-12
 
 
 # --- the entropy kernel of `info`, as the batched objectives use it ---------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ci_toolkit import optim
 from ci_toolkit.errors import InvalidArgument, NotPSD, ObjectiveError
 from ci_toolkit.optim import (
     OptimizerConfig,
@@ -9,6 +10,8 @@ from ci_toolkit.optim import (
     _INITIAL_STEP,
     _SHRINK,
     _BatchEngine,
+    _restart_seeds,
+    _Starts,
     _forcing,
     _pattern_search_many,
     complete_isometry,
@@ -373,6 +376,37 @@ def test_agreeing_scouts_open_no_more_restarts():
         progress=lambda r, best: seen.append(r),
     )
     assert seen == list(range(8))
+
+
+def test_unopened_restarts_are_never_drawn(monkeypatch):
+    # the scouts agree, so 8 of 32 restarts open: each is drawn and encoded
+    # once, and the other 24 are never drawn
+    draws, encodes = [], []
+    haar, encode = optim.haar_unitary, optim.encode_unitary
+    monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
+    monkeypatch.setattr(optim, "encode_unitary", lambda u: encodes.append(1) or encode(u))
+    opened = []
+    maximize(
+        _overlap_batch(haar_unitary(2, 31)[:, :1]),
+        2,
+        OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6),
+        columns=1,
+        progress=lambda r, best: opened.append(r),
+    )
+    assert opened == list(range(8))
+    assert len(encodes) == len(draws) == len(opened)
+
+
+def test_lazy_starts_keep_the_eager_angles():
+    cfg = OptimizerConfig(restarts=5, seed=11)
+    warm = haar_unitary(3, 2)
+    starts = _Starts([warm], 3, cfg)
+    eager = [encode_unitary(warm).angles] + [
+        encode_unitary(haar_unitary(3, int(s))).angles for s in _restart_seeds(cfg)
+    ]
+    assert len(starts) == len(eager) == 6
+    for r in reversed(range(6)):
+        assert np.array_equal(starts[r], eager[r])
 
 
 def test_disagreeing_scouts_open_every_restart(ridge_runs):

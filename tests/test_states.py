@@ -1,9 +1,12 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ci_toolkit import states
 from ci_toolkit.errors import (
     DimensionTooLarge,
     DuplicateParty,
@@ -34,6 +37,7 @@ from ci_toolkit.states import (
     state_from_dict,
     tensor,
 )
+from ci_toolkit.tolerances import VALIDATE
 
 THREE = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
 TWO = SystemLayout((("A", 2), ("B", 2)))
@@ -194,6 +198,100 @@ def test_partial_trace_errors():
         partial_trace(_bell(), ("A", "B"))
     with pytest.raises(InvalidPartition):
         partial_trace(_bell(), ("A", "A"))
+
+
+def test_partial_trace_is_kept_on_its_state():
+    rho = random_mixed_state(THREE, 5)
+    red = partial_trace(rho, ("B", "C"))
+    assert partial_trace(rho, ("C", "B")) is red
+    assert partial_trace(rho, "B") is partial_trace(rho, ("B",))
+    # the group checks still run on every call, before the lookup
+    with pytest.raises(UnknownParty):
+        partial_trace(rho, ("B", "Q"))
+    with pytest.raises(InvalidPartition):
+        partial_trace(rho, ("B", "B"))
+    with pytest.raises(InvalidArgument):
+        partial_trace(rho, ("C", "A", "B"))
+    assert partial_trace(rho, ("C", "B")) is red
+
+
+def test_partial_trace_ignores_the_order_parties_are_named_in():
+    # parties are traced in layout order, so the first call's order cannot
+    # decide the bits every later call reads
+    first = partial_trace(random_mixed_state(THREE, 6), ("C", "A"))
+    second = partial_trace(random_mixed_state(THREE, 6), ("A", "C"))
+    assert np.array_equal(first.matrix, second.matrix)
+
+
+# A:2 x B:4 with lambda_min = -9e-11: accepted, but Tr_B scales that
+# eigenvalue by d_B = 4, below the -1e-10 of a user-supplied matrix
+EPS = 9e-11
+SLIGHTLY_NEGATIVE = np.kron(np.diag([(1 + 4 * EPS) / 4, -EPS]), np.eye(4))
+
+
+def test_reduction_of_an_accepted_state_is_accepted():
+    rho = Mstate(SystemLayout((("A", 2), ("B", 4))), SLIGHTLY_NEGATIVE)
+    assert rho.spectrum.min() == pytest.approx(-EPS, rel=1e-6)
+    red = partial_trace(rho, "B")
+    assert red.spectrum.min() == pytest.approx(-4 * EPS, rel=1e-6)
+    assert np.allclose(partial_trace(rho, "A").matrix, np.eye(4) / 4)
+    # each reduction's bound follows its own parent's eigenvalue, so a
+    # reduction of a reduction is accepted too
+    delta = 4 * EPS
+    nested = Mstate(THREE, np.kron(np.diag([1 + delta, -delta]), np.eye(4) / 4))
+    step = partial_trace(partial_trace(nested, "C"), "B")
+    assert step.spectrum.min() == pytest.approx(-delta, rel=1e-6)
+    assert np.array_equal(step.matrix, partial_trace(nested, ("B", "C")).matrix)
+    # reordering or merging the parties of a reduction keeps its allowance
+    pair = partial_trace(nested, "C")
+    assert pair.spectrum.min() < -VALIDATE
+    assert permute_parties(pair, ("B", "A")).spectrum.min() == pytest.approx(-delta / 2)
+    assert merge_parties(pair, ("A", "B"), "AB").layout.dims == (4,)
+    # a user-supplied matrix still meets the plain -1e-10 check
+    with pytest.raises(NotPSD, match="below -1e-10"):
+        Mstate(SystemLayout((("A", 2),)), red.matrix)
+
+
+def test_spectrum_is_stored_in_kernel_form():
+    generic = random_mixed_state(TWO, 8)
+    assert np.array_equal(generic.spectrum, np.linalg.eigvalsh(generic.matrix))
+    diag = Mstate(TWO, np.diag([0.4, 0.3, 0.2, 0.1]))
+    assert np.array_equal(diag.spectrum, [0.4, 0.3, 0.2, 0.1])
+    with pytest.raises(ValueError):
+        generic.spectrum[0] = 0.0
+
+
+def test_only_states_diagonalizes_a_state():
+    # a state's spectrum is stored when it is built; `eigh` calls that need
+    # eigenvectors are out of this guard's scope
+    hits = []
+    for path in sorted(Path(states.__file__).resolve().parent.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "eigvalsh"
+                and any(
+                    isinstance(arg, ast.Attribute) and arg.attr == "matrix"
+                    for arg in node.args
+                )
+            ):
+                hits.append(f"{path.name}:{node.lineno}: eigvalsh of .matrix")
+    assert not hits, "read Mstate.spectrum instead:\n" + "\n".join(hits)
+
+
+def test_pure_state_builds_its_density_once():
+    psi = preset("ghz")
+    assert psi.to_mstate() is psi.to_mstate()
+
+
+def test_permute_parties_identity_returns_the_input():
+    rho = random_mixed_state(THREE, 9)
+    assert permute_parties(rho, ("A", "B", "C")) is rho
+    psi = preset("w")
+    assert permute_parties(psi, ("A", "B", "C")) is psi
 
 
 def test_partial_transpose_bell_has_negative_eigenvalue():
