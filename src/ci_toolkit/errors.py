@@ -67,10 +67,6 @@ class StateFileError(ToolkitError):
 class ObjectiveError(ToolkitError):
     """Objective returned a non-finite value during optimization."""
 
-    def __init__(self, message: str, param=None):
-        super().__init__(message)
-        self.param = param
-
 
 class InternalInvariantError(ToolkitError):
     """A mathematical invariant the code guarantees was violated (a bug)."""

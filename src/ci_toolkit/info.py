@@ -65,8 +65,9 @@ def _plogp(p: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_h(w: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over the last axis, negative values clipped to 0."""
-    return -_plogp(np.maximum(w, 0.0)).sum(axis=-1)
+    """-sum p log2 p over the last axis, negative values clipped to 0; taken
+    as 0.0 - sum, so a pure spectrum gives +0.0, not -0.0."""
+    return 0.0 - _plogp(np.maximum(w, 0.0)).sum(axis=-1)
 
 
 def _entropy_stack(mats: np.ndarray) -> np.ndarray:

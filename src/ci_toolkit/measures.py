@@ -9,6 +9,12 @@ parametrized family of rank-one POVMs.  Each estimate is returned as a
 :class:`MeasureEstimate` carrying its direction (is the true value above
 or below the number?), the optimizer configuration, and the achieving
 POVM or ensemble so results can be re-checked independently.
+
+The outcome blocks sigma_i = Tr_party[(M_i on party) rho] of a measurement
+come from one contraction against `_operand`, for a POVM's elements and a
+poll's candidate rows alike, and two formulas on them serve both the search
+and the reported value: `_holevo` (discord, flag information) and
+`_one_way` (one-way concentrated information).
 """
 
 from __future__ import annotations
@@ -97,23 +103,40 @@ class EdInterval(NamedTuple):
 # ensembles from measurements
 
 
+def _operand(rho: Mstate, party: str) -> np.ndarray:
+    """The (d^2, n, n) rearrangement T of ``rho`` for a party of dimension d,
+    n the dimension of the other parties, such that the row vec(M^T)
+    contracted with T is Tr_party[(M on party) rho].  For M = v v^dagger
+    that row is the Gram row conj(v[y]) v[z] of `_gram_rows`."""
+    layout = rho.layout
+    idx = layout.index(party)
+    d = layout.dim_of(party)
+    before = math.prod(layout.dims[:idx])
+    n = layout.total_dim // d
+    t = rho.matrix.reshape(before, d, n // before, before, d, n // before)
+    return np.ascontiguousarray(t.transpose(1, 4, 0, 2, 3, 5).reshape(d * d, n, n))
+
+
+def _gram_rows(vstack: np.ndarray) -> np.ndarray:
+    """The rows vec(M^T) of the elements M = v v^dagger of a (..., d) stack
+    of outcome rows v."""
+    gram = vstack.conj()[..., :, None] * vstack[..., None, :]
+    return gram.reshape(gram.shape[:-2] + (-1,))
+
+
 def _outcome_blocks(rho: Mstate, povm: Povm, party: str):
     """Layout of the other parties, their unnormalized outcome blocks
-    sigma_i = Tr_party[(M_i on party) rho] as one (K, n, n) contraction over
-    the stacked elements, and the probabilities p_i = Tr sigma_i (>= 0)."""
+    sigma_i = Tr_party[(M_i on party) rho] as a (K, n, n) stack, and the
+    probabilities p_i = Tr sigma_i (>= 0)."""
     layout = rho.layout
     party = measured_label(layout, party)
-    idx = layout.index(party)
     d = layout.dim_of(party)
     if povm.party_dim != d:
         raise LayoutMismatch(
             f"POVM acts on dimension {povm.party_dim}, party {party!r} has dimension {d}"
         )
-    before = math.prod(layout.dims[:idx])
-    dk = layout.total_dim // d
-    t = rho.matrix.reshape(before, d, dk // before, before, d, dk // before)
-    sig = np.einsum("iyajzb,kzy->kiajb", t, np.array(povm.elements))
-    sig = sig.reshape(len(povm), dk, dk)
+    rows = np.array(povm.elements).transpose(0, 2, 1).reshape(len(povm), d * d)
+    sig = np.tensordot(rows, _operand(rho, party), 1)
     p = np.clip(np.real(np.trace(sig, axis1=1, axis2=2)), 0.0, None)
     return SystemLayout(tuple(q for q in layout.parties if q[0] != party)), sig, p
 
@@ -167,16 +190,33 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     recording the outcome of ``povm`` applied to ``party``.
 
     For the flagged state sum_i p_i rho_i (x) |i><i| this is the Holevo
-    quantity S(sum_i sigma_i) - sum_i [h(sigma_i) + p_i log2 p_i] on the
-    outcome blocks sigma_i = p_i rho_i: no outcome is dropped, and no
-    flagged state is built."""
-    _, sig, p = _outcome_blocks(rho, povm, party)
-    held = np.sum(_entropy_stack(sig) + _plogp(p))
-    return matrix_entropy(np.sum(sig, axis=0)) - float(held)
+    form `_holevo` on the outcome blocks sigma_i = p_i rho_i: no outcome is
+    dropped, and no flagged state is built."""
+    _, sig, _ = _outcome_blocks(rho, povm, party)
+    return float(_holevo(vn_entropy(partial_trace(rho, party)), sig))
 
 
 # ---------------------------------------------------------------------------
 # batch objective kernels
+
+
+def _holevo(s_rest: float, sig: np.ndarray) -> np.ndarray:
+    """S(rest) - sum_i [h(sigma_i) + p_i log2 p_i] over the outcome blocks
+    sigma_i on the last three axes of ``sig``, p_i = Tr sigma_i: what a
+    register of the outcomes holds about the unmeasured rest."""
+    p = np.real(np.trace(sig, axis1=-2, axis2=-1))
+    return s_rest - np.sum(_entropy_stack(sig) + _plogp(p), axis=-1)
+
+
+def _one_way(s_a: float, sig: np.ndarray, da: int, dc: int) -> np.ndarray:
+    """S(A) + sum_i [h(sigma_C,i) - h(sigma_AC,i)] over the outcome blocks
+    sigma_AC,i on (A, C), the last three axes of ``sig``: I(A : C R) for the
+    outcome register R, as the p_i log2 p_i terms of S(CR) and S(ACR) cancel."""
+    blocks = sig.reshape(sig.shape[:-2] + (da, dc, da, dc))
+    sig_c = blocks[..., 0, :, 0, :].copy()
+    for a in range(1, da):
+        sig_c += blocks[..., a, :, a, :]
+    return s_a + np.sum(_entropy_stack(sig_c) - _entropy_stack(sig), axis=-1)
 
 
 def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -242,14 +282,11 @@ def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
 
 def _register_info(merged: Mstate, povm: Povm) -> float:
     """I(A : C R) of a merged (A, B, C) state when ``povm`` measures B into
-    the register R: S(A) + sum_i [h(sigma_C,i) - h(sigma_AC,i)] over the
-    outcome blocks, as the p_i log2 p_i terms of S(CR) and S(ACR) cancel."""
+    the register R, by the one-way form `_one_way`."""
     da, _, dc = merged.layout.dims
     _, sig, _ = _outcome_blocks(merged, povm, merged.layout.labels[1])
-    blocks = sig.reshape(-1, da, dc, da, dc)
-    s_a = matrix_entropy(np.einsum("kacbc->ab", blocks))
-    h_c = _entropy_stack(np.einsum("kacad->kcd", blocks))
-    return s_a + float(np.sum(h_c - _entropy_stack(sig)))
+    s_a = vn_entropy(partial_trace(merged, merged.layout.labels[1:]))
+    return float(_one_way(s_a, sig, da, dc))
 
 
 def one_way_ci(
@@ -275,10 +312,9 @@ def one_way_ci(
     rho = rho.to_mstate()
     bob = measured_label(rho.layout, bob)
     cfg = config or OptimizerConfig()
-    merged, (_, lb, _) = merge_groups(rho, (alice, bob, charlie))
+    merged, (_, lb, lc) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
-    t6 = merged.matrix.reshape(da, db, dc, da, db, dc)
-    s_a = matrix_entropy(np.einsum("aycwyc->aw", t6))
+    s_a = vn_entropy(partial_trace(merged, (lb, lc)))
 
     if merged.purity() > 1.0 - ZERO:
         # Pure input: each conditional block on alice+charlie is pure, with
@@ -294,25 +330,10 @@ def one_way_ci(
             return s_a + steer(vstack)
 
     else:
-        # [(y, z), (a, c, w, d)] rearrangement of the state, so the
-        # conditional blocks of a whole poll come out of one matrix product
-        # against the per-row Gram vectors conj(v[y]) v[z]
-        tg = np.ascontiguousarray(
-            t6.transpose(1, 4, 0, 2, 3, 5).reshape(db * db, da * dc * da * dc)
-        )
+        op = _operand(merged, lb)
 
         def batch(vstack: np.ndarray) -> np.ndarray:
-            # vstack: (batch, K, db) rows of candidate isometries
-            b, kk, _ = vstack.shape
-            flat = vstack.reshape(b * kk, db)
-            gram = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(-1, db * db)
-            sig = (gram @ tg).reshape(b, kk, da, dc, da, dc)
-            sig_c = sig[:, :, 0, :, 0, :].copy()
-            for a in range(1, da):
-                sig_c += sig[:, :, a, :, a, :]
-            h_ac = _entropy_stack(sig.reshape(b, kk, da * dc, da * dc))
-            h_c = _entropy_stack(sig_c)
-            return s_a + np.sum(h_c - h_ac, axis=-1)
+            return _one_way(s_a, np.tensordot(_gram_rows(vstack), op, 1), da, dc)
 
     k, param = _povm_search(batch, db, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), db)
@@ -349,24 +370,21 @@ def discord(
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
-    s_x = matrix_entropy(np.einsum("xywy->xw", t4))
+    s_x = vn_entropy(partial_trace(merged, (ly,)))
     i_xy = mutual_info(merged, Partition((lx,), (ly,)))
 
     # When the unmeasured marginal index is classical (no coherences between
-    # x-blocks) every conditional state is diagonal in the x basis and the
-    # objective needs only Shannon entropies.  This is the regime of the
-    # classical-quantum presets and of their two-copy products, where the
-    # eigendecomposition per candidate would dominate the runtime.
+    # x-blocks) every conditional state is diagonal in the x basis, so the
+    # objective needs only the outcome distributions q[., x] = <v| R_x |v>:
+    # with each block R_x factored once here, one complex matrix product per
+    # poll.  That is what keeps the classical-quantum presets and their
+    # two-copy products affordable.
     blocks = np.array(t4, copy=True)
     for x in range(dx):
         blocks[x, :, x, :] = 0.0
     x_classical = float(np.max(np.abs(blocks))) < DIAG
 
     if x_classical:
-        # conditional states are diagonal in the x basis, so the objective
-        # needs only outcome distributions q[., x] = <v| R_x |v>.  With each
-        # block R_x factored once here, that is one complex matrix product
-        # per poll, which is what keeps two-copy polls affordable.
         factors, starts = _block_factors(np.einsum("xyxz->xyz", t4))
 
         def batch(vstack: np.ndarray) -> np.ndarray:
@@ -378,17 +396,10 @@ def discord(
             return s_x - np.sum(per, axis=-1)
 
     else:
-        tg = np.ascontiguousarray(t4.transpose(1, 3, 0, 2).reshape(dy * dy, dx * dx))
-        rng = np.arange(dx)
+        op = _operand(merged, ly)
 
         def batch(vstack: np.ndarray) -> np.ndarray:
-            b, kk, _ = vstack.shape
-            flat = vstack.reshape(b * kk, dy)
-            gram = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(-1, dy * dy)
-            sig = (gram @ tg).reshape(b, kk, dx, dx)
-            p = np.real(np.sum(sig[..., rng, rng], axis=-1))
-            h_cond = _entropy_stack(sig)
-            return s_x - np.sum(h_cond + _plogp(p), axis=-1)
+            return _holevo(s_x, np.tensordot(_gram_rows(vstack), op, 1))
 
     k, param = _povm_search(batch, dy, cfg, warm_starts, progress)
     achiever = rank1_povm(decode_unitary(param), dy)

@@ -313,21 +313,9 @@ class _BatchEngine:
             raise ObjectiveError("batch objective returned a non-finite value")
         return vals
 
-    def value(self, angles: np.ndarray) -> float:
-        v = self.f(_decode_columns(self.n, angles, self.cols)[None, :, :])
-        v = float(np.asarray(v).reshape(-1)[0])
-        if not np.isfinite(v):
-            raise ObjectiveError(
-                f"objective returned non-finite value {v}",
-                param=UnitaryParam(self.n, angles),
-            )
-        return v
-
     def values(self, angles_stack: np.ndarray) -> np.ndarray:
-        blocks = np.stack(
-            [_decode_columns(self.n, a, self.cols) for a in angles_stack]
-        )
-        return self._eval(blocks)
+        blocks = [_decode_columns(self.n, a, self.cols) for a in angles_stack]
+        return self._eval(np.stack(blocks))
 
     def _chains(self, angles: np.ndarray):
         """Running products of the rotation chain for a stack of angle
@@ -520,10 +508,10 @@ def _pattern_search_many(engine, starts: np.ndarray | _Starts, cfg: OptimizerCon
     lead = int(np.argmax(best))
     while iters[lead] < cfg.max_iters and steps[lead] >= cfg.tol:
         advance(np.array([lead]), race=False)
-    # Re-evaluate through the single-point path so the reported value is
-    # exactly what the returned parameters give, not the incremental
-    # bookkeeping of the poll loop.
-    return [(engine.value(angles[r]), angles[r].copy()) for r in range(opened)]
+    # Re-evaluate the opened restarts at their final angles so the reported
+    # value is exactly what the returned parameters give, not the
+    # incremental bookkeeping of the poll loop.
+    return [(float(v), a.copy()) for v, a in zip(engine.values(angles[:opened]), angles)]
 
 
 def _restart_seeds(cfg: OptimizerConfig) -> np.ndarray:

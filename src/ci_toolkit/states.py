@@ -478,10 +478,13 @@ def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
     """Permute ``rho`` so the groups (which must cover its layout) are
     contiguous and merge each multi-party group into a single composite
     party.  Returns the merged state and the per-group labels (composites get
-    a synthesized parenthesized name)."""
+    a synthesized parenthesized name).  When every group is one label, the
+    state is the permuted one: ``rho`` itself in layout order."""
     groups = check_group_cover(rho.layout, *groups)
     order = [l for g in groups for l in g]
     state = permute_parties(rho, order)
+    if len(order) == len(groups):
+        return state, tuple(order)
     new_parties: list[tuple[str, int]] = []
     new_labels: list[str] = []
     for g in groups:
@@ -642,10 +645,17 @@ _PRESETS = {
 
 
 def preset(name: str, params=()) -> Mstate | PureState:
-    """Construct a named preset state; see _PRESETS for the catalogue."""
-    if name not in _PRESETS:
+    """Construct a named preset state; see _PRESETS for the catalogue.
+    ``params`` must be finite numbers."""
+    if not isinstance(name, str) or name not in _PRESETS:
         raise InvalidPreset(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
-    state = _PRESETS[name](tuple(params))
+    try:
+        params = tuple(float(p) for p in params)
+    except (TypeError, ValueError):
+        raise InvalidPreset(f"preset {name}: params must be numbers, got {params!r}") from None
+    if not all(map(math.isfinite, params)):
+        raise InvalidPreset(f"preset {name}: params must be finite, got {params}")
+    state = _PRESETS[name](params)
     check_dimension_cap(state.layout.total_dim, f"preset {name}")
     return state
 

@@ -428,6 +428,43 @@ def test_bad_preset_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "family15", "params": ["x"]},
+        {"name": ["ghz"]},
+        {"name": "classical_classical", "params": [float("nan"), 0.0, 0.0, 0.5]},
+        {"name": "max_correlated", "params": [0.5, 0, float("nan"), 0, float("nan"), 0, 0.5, 0]},
+    ],
+)
+def test_bad_preset_body_in_a_state_file_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"preset": spec}))
+    code, out, err = _run(["compute", "entropy", "--state", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: preset: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_preset_param_exits_2(value, capsys):
+    argv = ["compute", "entropy", "--preset", "family15", "--param", value]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "preset" in err and "finite" in err
+
+
+def test_entropy_of_a_pure_diagonal_state_prints_no_negative_zero(capsys):
+    argv = ["compute", "entropy", "--preset", "classical_classical"]
+    argv += ["--param", "1", "--param", "0", "--param", "0", "--param", "0"]
+    code, out, _ = _run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "S(A+B),0,exact"
+    code, out, _ = _run(argv, capsys)
+    assert out.splitlines()[-1] == "S(A+B) = 0.000000 bits (exact)"
+
+
 def test_dimension_cap_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "4")
     code, _, err = _run(["compute", "entropy", "--preset", "ghz"], capsys)

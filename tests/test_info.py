@@ -69,6 +69,18 @@ def _density(n, rank, rng):
     return m / np.trace(m).real
 
 
+def test_entropy_of_a_pure_diagonal_state_is_positive_zero():
+    # the kernel's sum is +0.0 here; negating it would print as -0
+    values = [
+        spectrum_entropy([1.0, 0.0]),
+        matrix_entropy(np.diag([1.0, 0.0])),
+        vn_entropy(Mstate(ONE, np.diag([1.0, 0.0]).astype(complex))),
+        vn_entropy(preset("classical_classical", (1.0, 0.0, 0.0, 0.0))),
+    ]
+    for v in values:
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
 @pytest.mark.parametrize("t", [1e-14, 1e-12, 1e-9, 0.3])
 def test_kernel_is_homogeneous(t):
     # h(t sigma) = t h(sigma) - t log2 t for a density matrix sigma: the

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ci_toolkit import measures
+from ci_toolkit import info, measures
 from ci_toolkit.errors import (
     AncillaTooLarge,
     DuplicateParty,
@@ -186,6 +186,112 @@ def test_splitting_an_outcome_leaves_the_measured_information_unchanged(weight):
     assert abs(_register_info(rho, split) - _register_info(rho, base)) <= 1e-13
     unsplit = povm_flag_mutual_info(rho, base, "B")
     assert abs(povm_flag_mutual_info(rho, split, "B") - unsplit) <= 1e-13
+
+
+def _einsum_blocks(rho, povm, party):
+    # the element-by-element contraction `_outcome_blocks` replaced, kept as
+    # the reference
+    layout = rho.layout
+    idx = layout.index(party)
+    d = layout.dim_of(party)
+    before = math.prod(layout.dims[:idx])
+    dk = layout.total_dim // d
+    t = rho.matrix.reshape(before, d, dk // before, before, d, dk // before)
+    sig = np.einsum("iyajzb,kzy->kiajb", t, np.array(povm.elements))
+    return sig.reshape(len(povm), dk, dk)
+
+
+def _rank_two_povm(d, seed):
+    # pairs of the d^2 rank-one elements of a Haar isometry, summed
+    v = rank1_povm(haar_unitary(d * d, seed), d).vectors
+    elems = [np.outer(a, a.conj()) + np.outer(b, b.conj()) for a, b in zip(v[0::2], v[1::2])]
+    if len(v) % 2:
+        elems.append(np.outer(v[-1], v[-1].conj()))
+    return Povm(d, tuple(elems))
+
+
+@pytest.mark.parametrize(
+    "dims,party",
+    [((2, 2, 2), "A"), ((2, 2, 2), "B"), ((2, 2, 2), "C"), ((2, 3, 2), "B"), ((2, 2, 3), "C")],
+)
+@pytest.mark.parametrize("rank_one", [True, False], ids=["rank-one", "rank-two"])
+def test_outcome_blocks_match_the_einsum_contraction(dims, party, rank_one):
+    layout = SystemLayout(tuple(zip("ABC", dims)))
+    rho = random_mixed_state(layout, 17 + sum(dims))
+    d = layout.dim_of(party)
+    povm = rank1_povm(haar_unitary(d * d, 5), d) if rank_one else _rank_two_povm(d, 5)
+    kept, sig, p = measures._outcome_blocks(rho, povm, party)
+    ref = _einsum_blocks(rho, povm, party)
+    assert kept.labels == tuple(l for l in "ABC" if l != party)
+    assert np.max(np.abs(sig - ref)) <= 1e-15
+    assert np.array_equal(p, np.clip(np.real(np.trace(sig, axis1=1, axis2=2)), 0.0, None))
+
+
+def test_measured_quantities_take_no_matrix_entropy(monkeypatch):
+    # every entropy of the whole or of a marginal is a stored spectrum; the
+    # outcome blocks go through the batched kernel
+    def refuse(m):
+        raise AssertionError("matrix_entropy called")
+
+    monkeypatch.setattr(measures, "matrix_entropy", refuse)
+    monkeypatch.setattr("ci_toolkit.info.matrix_entropy", refuse)
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 23)
+    one_way_ci(rho, "A", "B", "C", QUICK)
+    one_way_ci(preset("w"), "A", "B", "C", QUICK)
+    discord(rho, ("A", "C"), "B", QUICK)
+    discord(preset("family15", [0.9]), ("A", "C"), "B", QUICK)
+    povm_flag_mutual_info(rho, rank1_povm(haar_unitary(4, 3), 2), "B")
+
+
+def test_discord_reads_s_x_from_one_marginal(monkeypatch):
+    # the objective's S(X), I(X:Y)'s S(X) and the classical correlation's
+    # S(X) are one stored spectrum of one marginal Mstate
+    read = []
+    for module in (measures, info):
+        real = module.vn_entropy
+
+        def spy(state, real=real):
+            read.append(state)
+            return real(state)
+
+        monkeypatch.setattr(module, "vn_entropy", spy)
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 29)
+    est = discord(rho, ("A", "C"), "B", QUICK)
+    x_reads = [s for s in read if s.layout.labels == ("(A+C)",)]
+    assert len(x_reads) == 3
+    assert all(s is x_reads[0] for s in x_reads)
+    assert est.info["mutual_info"] > est.info["classical_correlation"] > 0.0
+
+
+def _captured_objectives(monkeypatch):
+    seen = []
+    real = measures.maximize
+
+    def spy(**kwargs):
+        seen.append(kwargs["batch_objective"])
+        return real(**kwargs)
+
+    monkeypatch.setattr(measures, "maximize", spy)
+    return seen
+
+
+def test_one_way_objective_at_the_achiever_is_the_reported_value(monkeypatch):
+    seen = _captured_objectives(monkeypatch)
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 31)
+    est = one_way_ci(rho, "A", "B", "C", QUICK)
+    (batch,) = seen
+    at_achiever = float(batch(est.achiever.vectors[None])[0])
+    assert abs(at_achiever - est.value) <= 1e-12
+
+
+def test_discord_objective_at_the_achiever_is_the_reported_value(monkeypatch):
+    seen = _captured_objectives(monkeypatch)
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 37)
+    est = discord(rho, ("A", "C"), "B", QUICK)
+    (batch,) = seen
+    classical = float(batch(est.achiever.vectors[None])[0])
+    assert abs(classical - est.info["classical_correlation"]) <= 1e-12
+    assert abs(est.info["mutual_info"] - classical - est.value) <= 1e-12
 
 
 # --- discord -------------------------------------------------------------------

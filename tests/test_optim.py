@@ -269,7 +269,7 @@ def _compass(engine, start, cfg):
             best = vals[q]
         else:
             step *= _SHRINK
-    return engine.value(angles), angles, polls
+    return engine.values(angles[None])[0], angles, polls
 
 
 def _counted(engine):

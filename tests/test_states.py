@@ -26,6 +26,7 @@ from ci_toolkit.states import (
     dimension_cap,
     family15_bob_states,
     load_state_file,
+    merge_groups,
     merge_parties,
     partial_trace,
     partial_transpose,
@@ -294,6 +295,18 @@ def test_permute_parties_identity_returns_the_input():
     assert permute_parties(psi, ("A", "B", "C")) is psi
 
 
+def test_merge_groups_returns_the_input_when_nothing_merges():
+    rho = random_mixed_state(THREE, 9)
+    marginal = partial_trace(rho, "B")
+    merged, labels = merge_groups(rho, ("A", "B", "C"))
+    assert merged is rho and labels == ("A", "B", "C")
+    # so the marginals already taken are still there
+    assert partial_trace(merged, "B") is marginal
+    # out of layout order, the permuted copy is the result
+    merged, labels = merge_groups(rho, ("C", "A", "B"))
+    assert labels == ("C", "A", "B") and merged.layout.labels == labels
+
+
 def test_partial_transpose_bell_has_negative_eigenvalue():
     pt = partial_transpose(_bell(), "A")
     assert isinstance(pt, np.ndarray)
@@ -451,6 +464,23 @@ def test_preset_max_correlated():
         preset("max_correlated", (0.5, 0.0, 0.25, 0.1, 0.25, 0.1, 0.5, 0.0))
 
 
+@pytest.mark.parametrize(
+    "name,params,match",
+    [
+        (["ghz"], (), "unknown preset"),
+        ("family15", ["x"], "numbers"),
+        ("family15", [None], "numbers"),
+        ("family15", 0.5, "numbers"),
+        ("family15", [math.inf], "finite"),
+        ("classical_classical", [math.nan, 0.0, 0.0, 0.5], "finite"),
+        ("max_correlated", [0.5, 0.0, math.nan, 0.0, math.nan, 0.0, 0.5, 0.0], "finite"),
+    ],
+)
+def test_preset_rejects_bad_names_and_params(name, params, match):
+    with pytest.raises(InvalidPreset, match=match):
+        preset(name, params)
+
+
 def test_preset_respects_dimension_cap(monkeypatch):
     monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "4")
     with pytest.raises(DimensionTooLarge):
@@ -566,6 +596,20 @@ def test_state_from_dict_error_messages_name_the_field():
     }
     with pytest.raises(StateFileError, match="vectors"):
         state_from_dict(bad_ens)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "family15", "params": ["x"]},
+        {"name": ["ghz"]},
+        {"name": "classical_classical", "params": [math.nan, 0.0, 0.0, 0.5]},
+        {"name": "family15", "params": [math.inf]},
+    ],
+)
+def test_state_from_dict_rejects_bad_preset_bodies(spec):
+    with pytest.raises(StateFileError, match="^preset: "):
+        state_from_dict({"preset": spec})
 
 
 def test_state_from_dict_rejects_non_physical_matrix():
