@@ -72,11 +72,14 @@ def _spectrum_h(w: np.ndarray) -> np.ndarray:
 
 def _entropy_stack(mats: np.ndarray) -> np.ndarray:
     """Unnormalized entropy -sum w log2 w of the eigenvalues w of each matrix
-    in a (..., n, n) stack; a stack whose off-diagonal entries are at most
-    DIAG times its largest diagonal one is read as diagonal."""
-    w = _read_diagonal(mats)
-    if w is not None:
-        return _spectrum_h(w)
+    in a (..., n, n) stack; a matrix whose off-diagonal entries are at most
+    DIAG times its largest diagonal one is read as diagonal.  That reading is
+    decided per matrix, so each entropy is the one the matrix gets alone."""
+    diag, flat = _read_diagonal(mats)
+    # a count, as all() and any() cost microseconds on one matrix's 0-d flag
+    n_flat = np.count_nonzero(flat)
+    if n_flat == flat.size:
+        return _spectrum_h(diag)
     if mats.shape[-1] == 2 and mats.ndim > 2:
         # closed-form Hermitian eigenvalues, mean +/- radius: much cheaper than
         # LAPACK over a poll's stacks, dearer for one matrix
@@ -88,6 +91,8 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
         w = np.stack([mean - rad, mean + rad], axis=-1)
     else:
         w = np.linalg.eigvalsh(mats)
+    if n_flat:
+        w = np.where(flat[..., None], diag, w)
     return _spectrum_h(w)
 
 

@@ -115,7 +115,9 @@ def _decode_columns(dim: int, angles: np.ndarray, cols: int) -> np.ndarray:
     u = np.zeros((dim, cols), dtype=np.complex128)
     for l in range(min(dim, cols)):
         u[l, l] = np.exp(1j * phases[l])
-    pairs = rotation_pairs(dim)
+    # only the live prefix of the pairs, j < cols, runs: the rotations past
+    # it act first and mix rows that are still zero (see the module docstring)
+    pairs = [(j, k) for j, k in rotation_pairs(dim) if j < cols]
     for r in range(len(pairs) - 1, -1, -1):
         j, k = pairs[r]
         c, s, e = math.cos(th[r]), math.sin(th[r]), np.exp(1j * ph[r])
@@ -266,7 +268,21 @@ def rank1_povm(u, party_dim: int) -> Povm:
 class _BatchEngine:
     """Poll evaluation: candidates for the polls of every live restart are
     assembled as rank-2 updates of each base isometry and evaluated in a
-    handful of vectorized objective calls."""
+    handful of vectorized objective calls.
+
+    A poll builds the rotation blocks of every live rotation of every
+    restart in one stacked array: the base 2x2 block and its four variants,
+    theta +/- step and phi +/- step. Two running products of the base blocks
+    give, for every live rotation, the two prefix columns before it and the
+    two suffix rows after it; a candidate is the base block plus prefix
+    columns @ (variant - base) @ suffix rows. Pair (j, k) is addressed by
+    the basic slice j:k+1:k-j, a view, so each chain step copies its input
+    once into the stored columns or rows and multiplies that copy. Each step
+    stays a BLAS `@` on the operands a gathered copy of the pair would give
+    (an elementwise 2x2 product rounds differently, as BLAS uses FMA), so
+    the candidates handed to the objective are bit for bit those of a
+    gather-and-scatter assembly, which `tests/test_optim.py` keeps as the
+    reference."""
 
     # outcome rows per objective call, keeping scratch arrays inside typical
     # objectives to tens of megabytes
@@ -276,12 +292,14 @@ class _BatchEngine:
         self.f = batch_objective
         self.n = dim
         self.cols = cols
-        self.pairs = np.array(rotation_pairs(dim), dtype=np.intp).reshape(-1, 2)
         # live coordinates (see the module docstring): the phase slots of the
         # kept columns and the rotations (j, k) with j < cols, which are the
         # first `live` pairs
         self.slots = min(dim, cols)
-        self.live = int(np.count_nonzero(self.pairs[:, 0] < cols))
+        self.pair_slices = [
+            slice(j, k + 1, k - j) for j, k in rotation_pairs(dim) if j < cols
+        ]
+        self.live = len(self.pair_slices)
         self.width = 2 * self.slots + 4 * self.live
         # candidate -> (angle index, sign of the step), in the poll order:
         # phase +/- per kept column, then theta +/- and phi +/- per rotation
@@ -317,49 +335,48 @@ class _BatchEngine:
         blocks = [_decode_columns(self.n, a, self.cols) for a in angles_stack]
         return self._eval(np.stack(blocks))
 
-    def _chains(self, angles: np.ndarray):
-        """Running products of the rotation chain for a stack of angle
-        vectors, gathered down to what a poll needs: for every live rotation
-        r the two prefix columns pre_r[:, (j, k)] and the two suffix rows
+    def _rotations(self, angles: np.ndarray, steps: np.ndarray, up: np.ndarray):
+        """The (R, live, 5, 2, 2) blocks of every live rotation for R angle
+        vectors: the base block, then theta + step, theta - step, phi + step
+        and phi - step, with up = exp(i step)."""
+        n, stop = self.n, self.n + 2 * self.live
+        th = angles[:, n:stop:2]
+        eph = np.exp(1j * angles[:, n + 1 : stop : 2])
+        st, twist = steps[:, None], up[:, None]
+        t = np.stack([th, th + st, th - st, th, th], axis=2)
+        e = np.stack([eph, eph, eph, eph * twist, eph * np.conj(twist)], axis=2)
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        g = np.empty(t.shape + (2, 2), dtype=np.complex128)
+        g[..., 0, 0] = cos_t
+        g[..., 0, 1] = -e * sin_t
+        g[..., 1, 0] = np.conj(e) * sin_t
+        g[..., 1, 1] = cos_t
+        return g
+
+    def _chains(self, phases: np.ndarray, g0: np.ndarray):
+        """Running products of the rotation chain for R angle vectors, with
+        base rotation blocks g0 (R, live, 2, 2): for every live rotation r
+        the two prefix columns pre_r[:, (j, k)] and the two suffix rows
         suf_{r+1}[(j, k), :], plus the fully assembled base block. The dead
         rotations past the live prefix act on zero rows, so both chains stop
         at the last live one."""
         n, m, cols = self.n, self.live, self.cols
-        nr = angles.shape[0]
-        phases = angles[:, :n]
-        stop = n + 2 * m
-        cos_t = np.cos(angles[:, n:stop:2])
-        sin_t = np.sin(angles[:, n:stop:2])
-        eph = np.exp(1j * angles[:, n + 1 : stop : 2])
-        g2 = self._g2(cos_t, sin_t, eph)  # (R, m, 2, 2)
+        nr = g0.shape[0]
         pg = np.empty((nr, m, n, 2), dtype=np.complex128)
         cur = np.empty((nr, n, n), dtype=np.complex128)
         cur[:] = np.eye(n)
-        for r in range(m):
-            jk = self.pairs[r]
-            blk = cur[:, :, jk]
-            pg[:, r] = blk
-            cur[:, :, jk] = blk @ g2[:, r]
+        for r, jk in enumerate(self.pair_slices):
+            pg[:, r] = cur[:, :, jk]
+            cur[:, :, jk] = pg[:, r] @ g0[:, r]
         sg = np.empty((nr, m, 2, cols), dtype=np.complex128)
         tail = np.zeros((nr, n, cols), dtype=np.complex128)
-        for l in range(self.slots):
-            tail[:, l, l] = np.exp(1j * phases[:, l])
+        kept = np.arange(self.slots)
+        tail[:, kept, kept] = np.exp(1j * phases[:, : self.slots])
         for r in range(m - 1, -1, -1):
-            jk = self.pairs[r]
-            blk = tail[:, jk]
-            sg[:, r] = blk
-            tail[:, jk] = g2[:, r] @ blk
-        return pg, sg, tail, g2, cos_t, sin_t, eph
-
-    @staticmethod
-    def _g2(cos_t, sin_t, eph):
-        # stack of 2x2 rotation blocks for arrays of angle values
-        g = np.empty(cos_t.shape + (2, 2), dtype=np.complex128)
-        g[..., 0, 0] = cos_t
-        g[..., 0, 1] = -eph * sin_t
-        g[..., 1, 0] = np.conj(eph) * sin_t
-        g[..., 1, 1] = cos_t
-        return g
+            jk = self.pair_slices[r]
+            sg[:, r] = tail[:, jk]
+            tail[:, jk] = g0[:, r] @ sg[:, r]
+        return pg, sg, tail
 
     def poll(self, angles: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Candidate values for a stack of poll points.
@@ -371,32 +388,23 @@ class _BatchEngine:
         """
         n, m, cols, p = self.n, self.live, self.cols, self.slots
         nr = angles.shape[0]
-        pg, sg, base, g0, cos_t, sin_t, eph = self._chains(angles)
+        up = np.exp(1j * steps)
+        g = self._rotations(angles, steps, up)
+        pg, sg, base = self._chains(angles[:, :n], g[:, :, 0])
 
         cands = np.empty((nr, self.width, n, cols), dtype=np.complex128)
         # phase coordinates: scaling one kept column of the base
         cands[:, : 2 * p] = base[:, None]
-        up = np.exp(1j * steps)
+        scale = np.stack([up, np.conj(up)], axis=1)[:, :, None]
         for l in range(p):
-            cands[:, 2 * l, :, l] *= up[:, None]
-            cands[:, 2 * l + 1, :, l] *= np.conj(up)[:, None]
+            cands[:, 2 * l : 2 * l + 2, :, l] *= scale
 
         if m:
-            th = angles[:, n : n + 2 * m : 2]
-            st = steps[:, None]
-            twist = np.exp(1j * st)
-            variants = np.stack(
-                [
-                    self._g2(np.cos(th + st), np.sin(th + st), eph),
-                    self._g2(np.cos(th - st), np.sin(th - st), eph),
-                    self._g2(cos_t, sin_t, eph * twist),
-                    self._g2(cos_t, sin_t, eph * np.conj(twist)),
-                ],
-                axis=2,
-            )  # (R, m, 4, 2, 2)
-            dg = variants - g0[:, :, None]
+            dg = g[:, :, 1:] - g[:, :, :1]  # (R, m, 4, 2, 2)
             # pre @ dg @ suf, both products spelled out over their inner
-            # dimension of 2, which beats stacked matmuls of such small blocks
+            # dimension of 2, which beats stacked matmuls of such small blocks.
+            # Keep these operand layouts: NumPy's complex multiply can round
+            # differently when the same products run on other strides.
             suf = sg[:, :, None]  # (R, m, 1, 2, cols)
             inner = dg[..., 0:1] * suf[..., 0:1, :] + dg[..., 1:2] * suf[..., 1:2, :]
             pre = pg[:, :, None]  # (R, m, 1, n, 2)

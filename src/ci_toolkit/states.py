@@ -184,19 +184,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _read_diagonal(mats: np.ndarray) -> np.ndarray | None:
-    """The diagonals of a (..., n, n) stack if it reads as diagonal, else
-    None.  The stack reads as diagonal when every off-diagonal entry is at
-    most DIAG times its largest diagonal entry; this is the entropy kernel's
-    rule, shared with `Mstate` so a stored spectrum is what the kernel would
-    compute."""
+def _read_diagonal(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of a (..., n, n) stack and, for each matrix, whether it
+    reads as diagonal: every off-diagonal entry is at most DIAG times its
+    largest diagonal entry.  The rule is decided per matrix, so a matrix's
+    reading never depends on the others in its stack; it is the entropy
+    kernel's rule, shared with `Mstate` so a stored spectrum is what the
+    kernel would compute."""
     n = mats.shape[-1]
     diag = mats.diagonal(0, -2, -1).real
     offdiag = np.abs(mats.reshape(mats.shape[:-2] + (n * n,)))
     offdiag[..., :: n + 1] = 0.0
-    if offdiag.size == 0 or offdiag.max() <= DIAG * diag.max():
-        return diag
-    return None
+    if mats.ndim > 2 and n > 1 and diag.size:
+        # an entry (0, 1) above DIAG times the stack's largest diagonal entry
+        # rules its matrix out; when that rules out every matrix, as in a
+        # poll's generic blocks, the reductions per matrix are skipped
+        out = offdiag[..., 1] > DIAG * diag.max()
+        if out.all():
+            return diag, ~out
+    return diag, offdiag.max(axis=-1) <= DIAG * diag.max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -242,8 +248,8 @@ class Mstate:
         floor = VALIDATE + self._psd_slack
         if not w[0] >= -floor:
             raise NotPSD(f"Mstate: eigenvalue {w[0]:.3e} below -{floor:g}")
-        diag = _read_diagonal(m)
-        spectrum = w if diag is None else diag
+        diag, flat = _read_diagonal(m)
+        spectrum = diag if flat else w
         spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", spectrum)

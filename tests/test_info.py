@@ -81,6 +81,33 @@ def test_entropy_of_a_pure_diagonal_state_is_positive_zero():
         assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
 
+def _near_diagonal(n, rng):
+    # a diagonal density matrix with Hermitian off-diagonals near 1e-15,
+    # far below DIAG: it reads as diagonal
+    noise = 1e-15 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = np.diag(rng.dirichlet(np.ones(n))) + noise + noise.conj().T
+    np.fill_diagonal(m, np.diagonal(m).real)
+    return m
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_entropy_is_independent_of_its_stack(n):
+    # near-diagonal matrices read as diagonal on their own; stacked among
+    # generic ones they must keep that reading, bit for bit, so that a
+    # candidate's value does not depend on what it is pooled with
+    rng = np.random.default_rng(606 + n)
+    mats = np.stack(
+        [_near_diagonal(n, rng) if i % 3 else _density(n, n, rng) for i in range(60)]
+    )
+    stacked = _entropy_stack(mats)
+    alone = np.array([_entropy_stack(mats[i : i + 1])[0] for i in range(len(mats))])
+    assert np.array_equal(stacked, alone)
+    # and a lone matrix keeps the result of a one-matrix stack of it
+    for i in range(len(mats)):
+        if i % 3:
+            assert _entropy_stack(mats[i]) == alone[i]
+
+
 @pytest.mark.parametrize("t", [1e-14, 1e-12, 1e-9, 0.3])
 def test_kernel_is_homogeneous(t):
     # h(t sigma) = t h(sigma) - t log2 t for a density matrix sigma: the

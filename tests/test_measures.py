@@ -44,7 +44,10 @@ from ci_toolkit.measures import (
 from ci_toolkit.optim import (
     OptimizerConfig,
     Povm,
+    _BatchEngine,
+    _pattern_search_many,
     complete_isometry,
+    encode_unitary,
     haar_unitary,
     rank1_povm,
 )
@@ -745,3 +748,92 @@ def test_weight_term_zero_limit():
 
 def test_direction_constants():
     assert LOWER != UPPER != EXACT
+
+
+# --- pooled restarts on the package's own objectives ------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_batch(monkeypatch, run):
+    """The batch objective and measured dimension that ``run`` hands the
+    POVM search, which is stopped before it starts."""
+    seen = {}
+
+    def capture(batch, d, *args, **kwargs):
+        seen.update(batch=batch, d=d)
+        raise _Captured
+
+    monkeypatch.setattr(measures, "_povm_search", capture)
+    with pytest.raises(_Captured):
+        run()
+    return seen["batch"], seen["d"]
+
+
+def _diagonal_on_basis(layout, seed):
+    """A diagonal (A, B, C) state with a GHZ-like coherence between B = 0 and
+    B = 1, and Hermitian noise near 1e-15 off the diagonal: the outcome
+    blocks of B's computational basis read as diagonal, those of other
+    measurements do not."""
+    rng = np.random.default_rng(seed)
+    db, dc = layout.dim_of("B"), layout.dim_of("C")
+    d = layout.total_dim
+    ghz = np.zeros(d)
+    ghz[[0, (db + 1) * dc + 1]] = math.sqrt(0.5)
+    noise = 1e-15 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    m = 0.9 * np.diag(rng.dirichlet(np.ones(d))) + 0.1 * np.outer(ghz, ghz)
+    m = m + noise + noise.conj().T
+    np.fill_diagonal(m, np.diagonal(m).real)
+    return Mstate(layout, m)
+
+
+def _classical_on(layout, seed):
+    # sum_x p_x |x><x| (x) rho_x, classical on the first party
+    dx, dy = layout.dims
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(dx))
+    m = np.zeros((dx * dy, dx * dy), dtype=complex)
+    for x in range(dx):
+        g = rng.standard_normal((dy, dy)) + 1j * rng.standard_normal((dy, dy))
+        rho_x = g @ g.conj().T
+        m[x * dy : (x + 1) * dy, x * dy : (x + 1) * dy] = p[x] * rho_x / np.trace(rho_x)
+    return Mstate(layout, m)
+
+
+QUBITS = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
+QUART_B = SystemLayout((("A", 2), ("B", 4), ("C", 2)))
+OBJECTIVES = {
+    "one-way-4": lambda: one_way_ci(random_mixed_state(QUBITS, 71), "A", "B", "C"),
+    "one-way-16": lambda: one_way_ci(random_mixed_state(QUART_B, 72), "A", "B", "C"),
+    "one-way-diag-4": lambda: one_way_ci(_diagonal_on_basis(QUBITS, 73), "A", "B", "C"),
+    "one-way-diag-16": lambda: one_way_ci(_diagonal_on_basis(QUART_B, 74), "A", "B", "C"),
+    "x-classical-4": lambda: discord(_classical_on(TWO, 75), "A", "B"),
+    "x-classical-16": lambda: discord(
+        _classical_on(SystemLayout((("X", 3), ("Y", 4))), 76), "X", "Y"
+    ),
+    "steering-4": lambda: eoa(random_mixed_state(QUBITS, 77, rank=2), "A"),
+    "steering-16": lambda: eoa(random_mixed_state(QUBITS, 78, rank=4), "A"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_lockstep_restarts_equal_isolated_runs_on_package_objectives(monkeypatch, name):
+    batch, d = _captured_batch(monkeypatch, OBJECTIVES[name])
+    k = d * d
+    engine = _BatchEngine(batch, k, d)
+    # the computational basis first, where the blocks of the one-way-diag
+    # states read as diagonal, pooled with Haar starts where they do not
+    starts = np.stack(
+        [encode_unitary(np.eye(k)).angles]
+        + [encode_unitary(haar_unitary(k, s)).angles for s in (3, 5, 9)]
+    )
+    # max_iters stays within one window, so neither racing rule acts
+    cfg = OptimizerConfig(restarts=4, max_iters=12, tol=1e-6, seed=1)
+    assert cfg.max_iters <= engine.width
+    together = _pattern_search_many(engine, starts, cfg)
+    for r in range(len(starts)):
+        val, angles = _pattern_search_many(engine, starts[r : r + 1], cfg)[0]
+        assert together[r][0] == val
+        assert np.array_equal(together[r][1], angles)

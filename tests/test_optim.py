@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,164 @@ def test_skipped_poll_coordinates_are_dead(dim, cols):
         moved = angles.copy()
         moved[q] += 0.5
         assert not np.array_equal(decode_unitary(UnitaryParam(dim, moved), columns=cols), base)
+
+
+# --- poll assembly against the gather-and-scatter reference ------------------
+
+
+class _GatherScatterEngine(_BatchEngine):
+    """A gather-and-scatter poll assembly, the reference for
+    `_BatchEngine.poll`: every chain step gathers pair (j, k) by fancy
+    indexing and scatters the product back, and each variant block is built
+    on its own."""
+
+    def __init__(self, batch_objective, dim: int, cols: int):
+        super().__init__(batch_objective, dim, cols)
+        self.pairs = np.array(rotation_pairs(dim), dtype=np.intp).reshape(-1, 2)
+
+    def _chains(self, angles: np.ndarray):
+        """Running products of the rotation chain for a stack of angle
+        vectors, gathered down to what a poll needs: for every live rotation
+        r the two prefix columns pre_r[:, (j, k)] and the two suffix rows
+        suf_{r+1}[(j, k), :], plus the fully assembled base block. The dead
+        rotations past the live prefix act on zero rows, so both chains stop
+        at the last live one."""
+        n, m, cols = self.n, self.live, self.cols
+        nr = angles.shape[0]
+        phases = angles[:, :n]
+        stop = n + 2 * m
+        cos_t = np.cos(angles[:, n:stop:2])
+        sin_t = np.sin(angles[:, n:stop:2])
+        eph = np.exp(1j * angles[:, n + 1 : stop : 2])
+        g2 = self._g2(cos_t, sin_t, eph)  # (R, m, 2, 2)
+        pg = np.empty((nr, m, n, 2), dtype=np.complex128)
+        cur = np.empty((nr, n, n), dtype=np.complex128)
+        cur[:] = np.eye(n)
+        for r in range(m):
+            jk = self.pairs[r]
+            blk = cur[:, :, jk]
+            pg[:, r] = blk
+            cur[:, :, jk] = blk @ g2[:, r]
+        sg = np.empty((nr, m, 2, cols), dtype=np.complex128)
+        tail = np.zeros((nr, n, cols), dtype=np.complex128)
+        for l in range(self.slots):
+            tail[:, l, l] = np.exp(1j * phases[:, l])
+        for r in range(m - 1, -1, -1):
+            jk = self.pairs[r]
+            blk = tail[:, jk]
+            sg[:, r] = blk
+            tail[:, jk] = g2[:, r] @ blk
+        return pg, sg, tail, g2, cos_t, sin_t, eph
+
+    @staticmethod
+    def _g2(cos_t, sin_t, eph):
+        # stack of 2x2 rotation blocks for arrays of angle values
+        g = np.empty(cos_t.shape + (2, 2), dtype=np.complex128)
+        g[..., 0, 0] = cos_t
+        g[..., 0, 1] = -eph * sin_t
+        g[..., 1, 0] = np.conj(eph) * sin_t
+        g[..., 1, 1] = cos_t
+        return g
+
+    def poll(self, angles: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Candidate values for a stack of poll points.
+
+        angles is (R, n*n), steps is (R,); returns (R, width) in the fixed
+        candidate order (phase +/- per kept column slot, then theta+/theta-/
+        phi+/phi- per live rotation). width = 2 (n^2 - (n - cols)^2): the
+        dead angles are left out, since moving one reproduces the base block.
+        """
+        n, m, cols, p = self.n, self.live, self.cols, self.slots
+        nr = angles.shape[0]
+        pg, sg, base, g0, cos_t, sin_t, eph = self._chains(angles)
+
+        cands = np.empty((nr, self.width, n, cols), dtype=np.complex128)
+        # phase coordinates: scaling one kept column of the base
+        cands[:, : 2 * p] = base[:, None]
+        up = np.exp(1j * steps)
+        for l in range(p):
+            cands[:, 2 * l, :, l] *= up[:, None]
+            cands[:, 2 * l + 1, :, l] *= np.conj(up)[:, None]
+
+        if m:
+            th = angles[:, n : n + 2 * m : 2]
+            st = steps[:, None]
+            twist = np.exp(1j * st)
+            variants = np.stack(
+                [
+                    self._g2(np.cos(th + st), np.sin(th + st), eph),
+                    self._g2(np.cos(th - st), np.sin(th - st), eph),
+                    self._g2(cos_t, sin_t, eph * twist),
+                    self._g2(cos_t, sin_t, eph * np.conj(twist)),
+                ],
+                axis=2,
+            )  # (R, m, 4, 2, 2)
+            dg = variants - g0[:, :, None]
+            # pre @ dg @ suf, both products spelled out over their inner
+            # dimension of 2, which beats stacked matmuls of such small blocks
+            suf = sg[:, :, None]  # (R, m, 1, 2, cols)
+            inner = dg[..., 0:1] * suf[..., 0:1, :] + dg[..., 1:2] * suf[..., 1:2, :]
+            pre = pg[:, :, None]  # (R, m, 1, n, 2)
+            out = cands[:, 2 * p :].reshape(nr, m, 4, n, cols)
+            np.multiply(pre[..., 0:1], inner[..., 0:1, :], out=out)
+            out += pre[..., 1:2] * inner[..., 1:2, :]
+            out += base[:, None, None]
+
+        flat = cands.reshape(nr * self.width, n, cols)
+        return self._eval(flat).reshape(nr, self.width)
+
+
+def _handed_candidates(engine_type, dim, cols, angles, steps):
+    """The candidate stack that an engine's poll hands its objective."""
+    seen = []
+
+    def record(blocks):
+        seen.append(blocks.copy())
+        return np.zeros(blocks.shape[0])
+
+    engine_type(record, dim, cols).poll(angles, steps)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("dim,cols", [(3, 2), (4, 1), (4, 2), (4, 4), (9, 3), (16, 4)])
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("step", [0.5, 1e-5])
+def test_poll_candidates_match_gather_scatter_assembly(dim, cols, restarts, step):
+    rng = np.random.default_rng(1000 * dim + 10 * cols + restarts)
+    angles = rng.uniform(-3.0, 3.0, (restarts, dim * dim))
+    steps = step * rng.uniform(0.5, 1.0, restarts)
+    handed = _handed_candidates(_BatchEngine, dim, cols, angles, steps)
+    reference = _handed_candidates(_GatherScatterEngine, dim, cols, angles, steps)
+    width = 2 * (dim * dim - (dim - cols) ** 2)
+    assert handed.shape == reference.shape == (restarts * width, dim, cols)
+    assert np.array_equal(handed, reference)
+
+
+def _all_pairs_decode(dim, angles, cols):
+    # every rotation of the product, dead ones included
+    phases, th, ph = angles[:dim], angles[dim::2], angles[dim + 1 :: 2]
+    u = np.zeros((dim, cols), dtype=np.complex128)
+    for l in range(min(dim, cols)):
+        u[l, l] = np.exp(1j * phases[l])
+    pairs = rotation_pairs(dim)
+    for r in range(len(pairs) - 1, -1, -1):
+        j, k = pairs[r]
+        c, s, e = math.cos(th[r]), math.sin(th[r]), np.exp(1j * ph[r])
+        rj = u[j].copy()
+        u[j] = c * rj - e * s * u[k]
+        u[k] = np.conj(e) * s * rj + c * u[k]
+    return u
+
+
+@pytest.mark.parametrize("dim,cols", [(3, 2), (4, 1), (4, 2), (4, 4), (9, 3), (16, 4)])
+def test_decode_of_the_live_prefix_matches_all_pairs(dim, cols):
+    rng = np.random.default_rng(7 * dim + cols)
+    for _ in range(5):
+        angles = rng.uniform(-6.0, 6.0, dim * dim)
+        param = UnitaryParam(dim, angles)
+        assert np.array_equal(
+            decode_unitary(param, columns=cols), _all_pairs_decode(dim, angles, cols)
+        )
 
 
 def test_lockstep_restarts_equal_isolated_runs():
