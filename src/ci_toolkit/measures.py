@@ -430,8 +430,11 @@ def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
     rows = np.ascontiguousarray(psi_mat.T)
 
     def batch(vstack: np.ndarray) -> np.ndarray:
-        chi = np.matmul(vstack.conj(), rows)  # (batch, K, da*dc)
-        p, h = _pure_entropy_stack(chi.reshape(chi.shape[:2] + (da, dc)))
+        # one 2-D product over every row: a stacked matmul runs one tiny
+        # zgemm per candidate
+        b, k, d = vstack.shape
+        chi = vstack.conj().reshape(b * k, d) @ rows
+        p, h = _pure_entropy_stack(chi.reshape(b, k, da, dc))
         return np.sum(h + _plogp(p), axis=-1)
 
     return batch

@@ -58,6 +58,7 @@ from ci_toolkit.states import (
     SystemLayout,
     partial_trace,
     preset,
+    purify,
     random_mixed_state,
     random_pure_state,
 )
@@ -450,6 +451,43 @@ def test_eof_separable_mixture_is_zero():
     assert est.value <= 5e-3
 
 
+def _wootters_eof(m):
+    """Wootters' exact entanglement of formation of a two-qubit density
+    matrix (PRL 80, 2245, 1998): h((1 + sqrt(1 - C^2)) / 2) with the
+    concurrence C = max(0, l1 - l2 - l3 - l4), where l1 >= l2 >= ... are the
+    square roots of the eigenvalues of m (Y x Y) m* (Y x Y). Those are the
+    singular values of V^T (Y x Y) V for m = V V^dagger, V with one column
+    per nonzero eigenvalue; no root of a rounded zero eigenvalue enters."""
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    w, u = np.linalg.eigh(m)
+    keep = w > ZERO
+    v = u[:, keep] * np.sqrt(w[keep])
+    lam = np.linalg.svd(v.T @ np.kron(sy, sy) @ v, compute_uv=False)
+    c = max(0.0, lam[0] - np.sum(lam[1:]))
+    x = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
+    return float(-np.sum(_plogp(np.array([x, 1.0 - x]))))
+
+
+def test_wootters_oracle_on_known_states():
+    assert abs(_wootters_eof(preset("bell").to_mstate().matrix) - 1.0) <= 1e-12
+    assert abs(_wootters_eof(_sep_mixture().matrix)) <= 1e-12
+    for seed in range(5):
+        psi = random_pure_state(TWO, 300 + seed).to_mstate()
+        expected = vn_entropy(partial_trace(psi, "B"))
+        assert abs(_wootters_eof(psi.matrix) - expected) <= 1e-9
+
+
+WOOTTERS = OptimizerConfig(restarts=4, max_iters=300)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eof_never_undershoots_wootters(rank, seed):
+    # the upper-est tag: every decomposition averages at least the exact E_F
+    rho = random_mixed_state(TWO, 100 * rank + seed, rank=rank)
+    assert eof(rho, "A", WOOTTERS).value >= _wootters_eof(rho.matrix) - 1e-9
+
+
 def test_assistance_dominates_formation():
     rho = random_mixed_state(TWO, 88, rank=2)
     cfg = OptimizerConfig(restarts=6, max_iters=500, tol=1e-5, seed=31)
@@ -837,3 +875,50 @@ def test_lockstep_restarts_equal_isolated_runs_on_package_objectives(monkeypatch
         val, angles = _pattern_search_many(engine, starts[r : r + 1], cfg)[0]
         assert together[r][0] == val
         assert np.array_equal(together[r][1], angles)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_poll_values_are_independent_of_the_entry_budget(monkeypatch, name):
+    # one candidate per call, the default budget and no limit
+    batch, d = _captured_batch(monkeypatch, OBJECTIVES[name])
+    k = d * d
+    engine = _BatchEngine(batch, k, d)
+    angles = np.stack(
+        [encode_unitary(np.eye(k)).angles]
+        + [encode_unitary(haar_unitary(k, s)).angles for s in (5, 9)]
+    )
+    steps = np.array([0.5, 0.25, 1e-3])
+    polls = []
+    for budget in (1, _BatchEngine._ENTRY_BUDGET, 1 << 62):
+        monkeypatch.setattr(_BatchEngine, "_ENTRY_BUDGET", budget)
+        polls.append(engine.poll(angles, steps))
+    for vals in polls[1:]:
+        assert np.array_equal(vals, polls[0])
+
+
+# --- the steering objective's one 2-D product -------------------------------------
+
+
+def _stacked_steering_batch(psi_mat, da, dc):
+    # the stacked product: one small matmul per candidate
+    rows = np.ascontiguousarray(psi_mat.T)
+
+    def batch(vstack):
+        chi = np.matmul(vstack.conj(), rows)
+        p, h = _pure_entropy_stack(chi.reshape(chi.shape[:2] + (da, dc)))
+        return np.sum(h + _plogp(p), axis=-1)
+
+    return batch
+
+
+@pytest.mark.parametrize("r", [2, 4])
+@pytest.mark.parametrize("candidates", [1, 24, 192, 576])
+def test_steering_objective_matches_the_stacked_product(r, candidates):
+    # K = r^2 outcome rows on a rank-r purification of three qubits, A : BC
+    k = r * r
+    psi = purify(random_mixed_state(QUBITS, 80 + r, rank=r), "Z")
+    psi_mat = psi.amplitudes.reshape(8, r)
+    vstack = np.stack([haar_unitary(k, 1000 + s)[:, :r] for s in range(candidates)])
+    new = measures._steering_batch(psi_mat, 2, 4)(vstack)
+    old = _stacked_steering_batch(psi_mat, 2, 4)(vstack)
+    assert np.array_equal(new, old)

@@ -396,6 +396,40 @@ def test_lockstep_restarts_equal_isolated_runs():
         assert np.array_equal(together[r][1], angles)
 
 
+def _recording_batch(target, calls):
+    """`_overlap_batch` that records each call's candidate count and fails
+    on a call above the entry budget, unless it holds exactly one candidate."""
+    f = _overlap_batch(target)
+    dim, cols = target.shape
+
+    def batch(blocks):
+        b = blocks.shape[0]
+        assert b == 1 or b * dim * cols <= _BatchEngine._ENTRY_BUDGET
+        calls.append(b)
+        return f(blocks)
+
+    return batch
+
+
+@pytest.mark.parametrize(
+    "dim,cols,restarts,budget",
+    [(4, 2, 8, None), (9, 3, 8, None), (16, 4, 3, None), (16, 4, 3, 32)],
+)
+def test_objective_calls_stay_within_the_entry_budget(
+    monkeypatch, dim, cols, restarts, budget
+):
+    if budget is not None:  # below one candidate's dim * cols entries
+        monkeypatch.setattr(_BatchEngine, "_ENTRY_BUDGET", budget)
+    calls = []
+    target = haar_unitary(dim, 44)[:, :cols]
+    cfg = OptimizerConfig(restarts=restarts, max_iters=4, tol=1e-6, seed=2)
+    maximize(_recording_batch(target, calls), dim, cfg, columns=cols)
+    # the first poll holds every restart; a call fills the budget when it can
+    per = max(1, _BatchEngine._ENTRY_BUDGET // (dim * cols))
+    width = 2 * (dim * dim - (dim - cols) ** 2)
+    assert max(calls) == min(per, restarts * width)
+
+
 def _ridge_batch(blocks):
     # Curved ridge in the Bloch coordinates (x, y) of the first column's top
     # two entries: its crest y = x^2 peaks at 0 at x = 1/2, y = 1/4, and
