@@ -59,7 +59,6 @@ from .measures import (
 from .optim import (
     OptimizerConfig,
     Povm,
-    complete_isometry,
     haar_unitary,
     rank1_povm,
 )
@@ -660,7 +659,7 @@ def discord_additivity_check(
     # has dimension dy^2, so its search runs over k1^2 of them
     k1 = single.info["outcomes"]
     v1 = single.achiever.vectors
-    warm = complete_isometry(np.kron(v1, v1))
+    warm = np.kron(v1, v1)
     double = discord(pair, lx + lx, ly + ly, boosted, warm_starts=(warm,), progress=progress)
 
     i_double = double.info["mutual_info"]
@@ -671,7 +670,7 @@ def discord_additivity_check(
     for j in range(n_product_samples):
         up = haar_unitary(k1, int(seeds[2 * j]))[:, :dy]
         uq = haar_unitary(k1, int(seeds[2 * j + 1]))[:, :dy]
-        povm = rank1_povm(complete_isometry(np.kron(up, uq)), dy * dy)
+        povm = rank1_povm(np.kron(up, uq), dy * dy)
         product_values.append(i_double - povm_flag_mutual_info(pair, povm, ly + ly))
 
     return AdditivityCheck(

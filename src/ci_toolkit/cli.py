@@ -421,15 +421,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "--tol",
         type=float,
         default=_DEFAULTS.tol,
-        help="optimizer step tolerance, and the stall threshold: a restart "
-        "pauses when its best value gains less than this over W iterations, "
-        "W being the candidates in one poll",
+        help="optimizer tolerance: a restart ends once its gradient norm on "
+        "the measurement isometries falls below this (or its line search "
+        "fails, or it reaches --max-iters), and the first eight agree when "
+        "they end within this of the best",
     )
     p.add_argument(
         "--max-iters",
         type=int,
         default=_DEFAULTS.max_iters,
-        help="optimizer iteration cap",
+        help="optimizer step cap per restart",
     )
     p.add_argument("--out", default=None, help="write output to this path")
     p.add_argument(

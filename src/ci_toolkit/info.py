@@ -33,6 +33,7 @@ from .states import (
 )
 
 _TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,15 @@ class Partition:
         return _keep(rho, self.left + self.right)
 
 
+def _log2(p: np.ndarray) -> np.ndarray:
+    """log2 elementwise, its argument floored at the smallest normal double:
+    finite at 0, so a zero weight times its log is 0."""
+    return np.log2(np.maximum(p, _TINY))
+
+
 def _plogp(p: np.ndarray) -> np.ndarray:
-    """p log2 p elementwise; the log's argument is floored at the smallest
-    normal double, so 0 log 0 = 0 needs no branch."""
-    out = np.log2(np.maximum(p, _TINY))
+    """p log2 p elementwise, with 0 log 0 = 0 and no branch."""
+    out = _log2(p)
     out *= p
     return out
 
@@ -82,7 +88,7 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
         return _spectrum_h(diag)
     if mats.shape[-1] == 2 and mats.ndim > 2:
         # closed-form Hermitian eigenvalues, mean +/- radius: much cheaper than
-        # LAPACK over a poll's stacks, dearer for one matrix
+        # LAPACK over a stack of many blocks, dearer for one matrix
         a = np.real(mats[..., 0, 0])
         d = np.real(mats[..., 1, 1])
         b = mats[..., 0, 1]
@@ -94,6 +100,20 @@ def _entropy_stack(mats: np.ndarray) -> np.ndarray:
     if n_flat:
         w = np.where(flat[..., None], diag, w)
     return _spectrum_h(w)
+
+
+def _entropy_log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized entropy h and log2 on the support of each PSD matrix in a
+    (..., n, n) stack, from one eigensolve; -dh = Tr[(log2 sigma + 1/ln 2)
+    d sigma] for moves that keep the support.  Eigenvalues within rounding of
+    zero (at most eps times the largest) are read at that floor: they pair
+    with eigenvectors on which a feasible move has no weight, so they add
+    nothing above rounding, and a genuinely small eigenvalue keeps its log."""
+    w, u = np.linalg.eigh(mats)
+    w = np.maximum(w, 0.0)
+    logs = _log2(np.maximum(w, _EPS * w[..., -1:]))
+    log = (u * logs[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return _spectrum_h(w), log
 
 
 def _pure_entropy_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,17 +4,19 @@ Quantities with a closed form (log-negativity, the coherent-information
 lower bound, hashing values for maximally correlated states) are computed
 directly.  Everything else -- measured mutual information, quantum discord,
 entanglement of assistance / formation, and the Koashi-Winter discord
-route -- is a variational estimate produced by compass search over a
-parametrized family of rank-one POVMs.  Each estimate is returned as a
-:class:`MeasureEstimate` carrying its direction (is the true value above
-or below the number?), the optimizer configuration, and the achieving
-POVM or ensemble so results can be re-checked independently.
+route -- is a variational estimate produced by gradient ascent over
+rank-one POVMs, whose outcome vectors are the rows of an isometry.  Each
+estimate is returned as a :class:`MeasureEstimate` carrying its direction
+(is the true value above or below the number?), the optimizer
+configuration, and the achieving POVM or ensemble so results can be
+re-checked independently.
 
 The outcome blocks sigma_i = Tr_party[(M_i on party) rho] of a measurement
 come from one contraction against `_operand`, for a POVM's elements and a
-poll's candidate rows alike, and two formulas on them serve both the search
+search's outcome rows alike, and two formulas on them serve both the search
 and the reported value: `_holevo` (discord, flag information) and
-`_one_way` (one-way concentrated information).
+`_one_way` (one-way concentrated information).  Each search objective also
+returns its row gradients, from the derivative written next to its formula.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from .errors import (
 )
 from .info import (
     Partition,
+    _entropy_log_stack,
     _entropy_stack,
+    _log2,
     _plogp,
     _pure_entropy_stack,
     matrix_entropy,
@@ -41,13 +45,7 @@ from .info import (
     spectrum_entropy,
     vn_entropy,
 )
-from .optim import (
-    OptimizerConfig,
-    Povm,
-    decode_unitary,
-    maximize,
-    rank1_povm,
-)
+from .optim import OptimizerConfig, Povm, maximize, rank1_povm
 from .states import (
     Ensemble,
     Mstate,
@@ -198,25 +196,72 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
 
 # ---------------------------------------------------------------------------
 # batch objective kernels
+#
+# Each measured quantity is a constant plus sum_k g(P_k) over the outcome
+# elements P_k = v_k v_k^dagger, and g is 1-homogeneous.  With
+# Gamma_k = dg/dP at P_k, the gradient with respect to the outcome row v_k is
+# G_k = 2 Gamma_k v_k, in the real inner product Re <A, B>, and Euler's
+# identity gives (1/2) Re <v_k, G_k> = g(P_k).  Where g reads the outcome
+# block Phi(P) (`_operand`), Gamma = Phi*(L) for the block derivative L that
+# `_holevo` and `_one_way` return; the 1/ln 2 terms of the entropies cancel
+# in every formula.
 
 
-def _holevo(s_rest: float, sig: np.ndarray) -> np.ndarray:
+def _adjoint(op: np.ndarray) -> np.ndarray:
+    """The (n^2, d^2) matrix of Phi*, the adjoint of the contraction against
+    `_operand`'s (d^2, n, n) array: a block derivative L, flattened, times
+    it is Gamma with Tr[Gamma P] = Tr[L Phi(P)], flattened."""
+    d2, n, _ = op.shape
+    return np.ascontiguousarray(op.transpose(2, 1, 0).reshape(n * n, d2))
+
+
+def _row_gradients(
+    slope: np.ndarray, adj: np.ndarray, vstack: np.ndarray
+) -> np.ndarray:
+    """Row gradients 2 Gamma_k v_k of a (..., K, d) stack of outcome rows,
+    Gamma_k = Phi*(L_k) for the (..., K, n, n) block derivatives ``slope``."""
+    d = vstack.shape[-1]
+    flat = slope.reshape(slope.shape[:-2] + (-1,))
+    gamma = (flat @ adj).reshape(vstack.shape + (d,))
+    return 2.0 * (gamma @ vstack[..., None])[..., 0]
+
+
+def _holevo(s_rest: float, sig: np.ndarray, slope: bool = False):
     """S(rest) - sum_i [h(sigma_i) + p_i log2 p_i] over the outcome blocks
     sigma_i on the last three axes of ``sig``, p_i = Tr sigma_i: what a
-    register of the outcomes holds about the unmeasured rest."""
+    register of the outcomes holds about the unmeasured rest.
+
+    With ``slope``, also each block's derivative log2 sigma_i - log2 p_i 1
+    (`_entropy_log_stack`), with the value from the same eigensolves."""
     p = np.real(np.trace(sig, axis1=-2, axis2=-1))
-    return s_rest - np.sum(_entropy_stack(sig) + _plogp(p), axis=-1)
+    if not slope:
+        return s_rest - np.sum(_entropy_stack(sig) + _plogp(p), axis=-1)
+    h, log = _entropy_log_stack(sig)
+    n = sig.shape[-1]
+    log[..., range(n), range(n)] -= _log2(p)[..., None]
+    return s_rest - np.sum(h + _plogp(p), axis=-1), log
 
 
-def _one_way(s_a: float, sig: np.ndarray, da: int, dc: int) -> np.ndarray:
+def _one_way(s_a: float, sig: np.ndarray, da: int, dc: int, slope: bool = False):
     """S(A) + sum_i [h(sigma_C,i) - h(sigma_AC,i)] over the outcome blocks
     sigma_AC,i on (A, C), the last three axes of ``sig``: I(A : C R) for the
-    outcome register R, as the p_i log2 p_i terms of S(CR) and S(ACR) cancel."""
+    outcome register R, as the p_i log2 p_i terms of S(CR) and S(ACR) cancel.
+
+    With ``slope``, also each block's derivative
+    log2 sigma_AC,i - 1_A (x) log2 sigma_C,i, with the value from the same
+    eigensolves."""
     blocks = sig.reshape(sig.shape[:-2] + (da, dc, da, dc))
     sig_c = blocks[..., 0, :, 0, :].copy()
     for a in range(1, da):
         sig_c += blocks[..., a, :, a, :]
-    return s_a + np.sum(_entropy_stack(sig_c) - _entropy_stack(sig), axis=-1)
+    if not slope:
+        return s_a + np.sum(_entropy_stack(sig_c) - _entropy_stack(sig), axis=-1)
+    h_c, log_c = _entropy_log_stack(sig_c)
+    h, log = _entropy_log_stack(sig)
+    log_blocks = log.reshape(blocks.shape)
+    for a in range(da):
+        log_blocks[..., a, :, a, :] -= log_c
+    return s_a + np.sum(h_c - h, axis=-1), log
 
 
 def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -246,25 +291,51 @@ def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _block_weights(
     rows: np.ndarray, factors: np.ndarray, starts: np.ndarray | None
-) -> np.ndarray:
-    """Weights <v|R_x|v> of every row v in a (rows, dy) stack, one column per
-    block of nonzero rank, from `_block_factors`; nonnegative by construction."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes L_x^dagger v of every row v in a (rows, dy) stack,
+    (rows, total rank), and its weights <v|R_x|v>, one column per block of
+    nonzero rank, from `_block_factors`; nonnegative by construction."""
     amp = rows @ factors
     q = amp.real**2 + amp.imag**2
-    return q if starts is None else np.add.reduceat(q, starts, axis=1)
+    return amp, (q if starts is None else np.add.reduceat(q, starts, axis=1))
+
+
+def _x_classical(s_x: float, factors: np.ndarray, starts: np.ndarray | None):
+    """Batch objective of discord's classical correlation when the
+    unmeasured side is classical, rho = sum_x |x><x| (x) R_x: S(X) +
+    sum_k [sum_x q_kx log2 q_kx - p_k log2 p_k] with q_kx = <v_k|R_x|v_k> and
+    p_k = sum_x q_kx, and its row gradients 2 Gamma_k v_k with
+    Gamma_k = sum_x log2(q_kx / p_k) R_x."""
+    ranks = np.diff(np.append(starts, factors.shape[1])) if starts is not None else None
+    adjoint = np.ascontiguousarray(factors.conj().T)
+
+    def batch(vstack: np.ndarray):
+        b, kk, dy = vstack.shape
+        amp, q = _block_weights(vstack.reshape(b * kk, dy), factors, starts)
+        p = np.sum(q, axis=-1)
+        h_cond = -np.sum(_plogp(q), axis=-1)
+        per = (h_cond + _plogp(p)).reshape(b, kk)
+        ratio = _log2(q) - _log2(p)[:, None]
+        if ranks is not None:
+            ratio = np.repeat(ratio, ranks, axis=1)
+        grads = 2.0 * ((ratio * amp) @ adjoint)
+        return s_x - np.sum(per, axis=-1), grads.reshape(vstack.shape)
+
+    return batch
 
 
 def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
     """Search the K = d^2 outcome rank-one POVMs on a party of dimension
-    ``d``: ``batch`` scores (B, K, d) stacks of outcome rows. Rank-one POVMs
-    with at most d^2 outcomes already reach the supremum over all
-    measurements of every measured quantity here (Davies, IEEE TIT 24, 596,
-    1978; Hamieh, Kobeissi & Zaraket, PRA 70, 052325, 2004), so a larger K
-    buys nothing. ``warm_starts`` are K x K unitaries searched first.
-    Returns K and the angles of the best K x K unitary, whose first d
-    columns hold the outcome vectors."""
+    ``d``: ``batch`` maps a (B, K, d) stack of outcome rows to B values and
+    their (B, K, d) row gradients. Rank-one POVMs with at most d^2 outcomes
+    already reach the supremum over all measurements of every measured
+    quantity here (Davies, IEEE TIT 24, 596, 1978; Hamieh, Kobeissi &
+    Zaraket, PRA 70, 052325, 2004), so a larger K buys nothing.
+    ``warm_starts`` are K x d isometries (or K x K unitaries, of which the
+    first d columns count) searched first. Returns K and the best K x d
+    isometry, whose rows are the outcome vectors."""
     k = d * d
-    _, param = maximize(
+    _, iso = maximize(
         batch_objective=batch,
         dim=k,
         config=cfg,
@@ -273,7 +344,7 @@ def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
         warm_starts=warm_starts,
         progress=progress,
     )
-    return k, param
+    return k, iso
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +375,11 @@ def one_way_ci(
 
     ``bob`` must be a single party (merge first if needed).  The search is
     over rank-one POVMs with K = d^2 outcomes, d the dimension of ``bob``,
-    which reach the supremum over all POVMs; ``warm_starts`` are K x K
-    unitary arrays whose first d columns hold outcome vectors, searched
-    before the seeded restarts.  The value is recomputed at the achieving
-    POVM, so it is achievable by construction and can only err downward.
+    which reach the supremum over all POVMs; ``warm_starts`` are K x d
+    isometries whose rows are outcome vectors (or K x K unitaries, read by
+    their first d columns), searched before the seeded restarts.  The value
+    is recomputed at the achieving POVM, so it is achievable by construction
+    and can only err downward.
     """
     rho = rho.to_mstate()
     bob = measured_label(rho.layout, bob)
@@ -326,17 +398,21 @@ def one_way_ci(
         psi_mat = amp.reshape(da, db, dc).transpose(0, 2, 1).reshape(da * dc, db)
         steer = _steering_batch(psi_mat, da, dc)
 
-        def batch(vstack: np.ndarray) -> np.ndarray:
-            return s_a + steer(vstack)
+        def batch(vstack: np.ndarray):
+            values, grads = steer(vstack)
+            return s_a + values, grads
 
     else:
         op = _operand(merged, lb)
+        adj = _adjoint(op)
 
-        def batch(vstack: np.ndarray) -> np.ndarray:
-            return _one_way(s_a, np.tensordot(_gram_rows(vstack), op, 1), da, dc)
+        def batch(vstack: np.ndarray):
+            sig = np.tensordot(_gram_rows(vstack), op, 1)
+            values, slope = _one_way(s_a, sig, da, dc, slope=True)
+            return values, _row_gradients(slope, adj, vstack)
 
-    k, param = _povm_search(batch, db, cfg, warm_starts, progress)
-    achiever = rank1_povm(decode_unitary(param), db)
+    k, iso = _povm_search(batch, db, cfg, warm_starts, progress)
+    achiever = rank1_povm(iso, db)
     return MeasureEstimate(
         value=_register_info(merged, achiever),
         direction=LOWER,
@@ -361,8 +437,8 @@ def discord(
     classical correlation extractable by a rank-one POVM on ``measured``:
     the inner maximization is variational, so the reported discord is an
     upper-bound estimate (it can only decrease as the search improves).
-    ``warm_starts`` are K x K unitary arrays, K = d^2 for the dimension d of
-    ``measured``, as in :func:`one_way_ci`.
+    ``warm_starts`` are as in :func:`one_way_ci`, K = d^2 for the dimension d
+    of ``measured``.
     """
     rho = rho.to_mstate()
     measured = measured_label(rho.layout, measured)
@@ -377,7 +453,7 @@ def discord(
     # x-blocks) every conditional state is diagonal in the x basis, so the
     # objective needs only the outcome distributions q[., x] = <v| R_x |v>:
     # with each block R_x factored once here, one complex matrix product per
-    # poll.  That is what keeps the classical-quantum presets and their
+    # call.  That is what keeps the classical-quantum presets and their
     # two-copy products affordable.
     blocks = np.array(t4, copy=True)
     for x in range(dx):
@@ -385,24 +461,18 @@ def discord(
     x_classical = float(np.max(np.abs(blocks))) < DIAG
 
     if x_classical:
-        factors, starts = _block_factors(np.einsum("xyxz->xyz", t4))
-
-        def batch(vstack: np.ndarray) -> np.ndarray:
-            b, kk, _ = vstack.shape
-            q = _block_weights(vstack.reshape(b * kk, dy), factors, starts)
-            p = np.sum(q, axis=-1)
-            h_cond = -np.sum(_plogp(q), axis=-1)
-            per = (h_cond + _plogp(p)).reshape(b, kk)
-            return s_x - np.sum(per, axis=-1)
-
+        batch = _x_classical(s_x, *_block_factors(np.einsum("xyxz->xyz", t4)))
     else:
         op = _operand(merged, ly)
+        adj = _adjoint(op)
 
-        def batch(vstack: np.ndarray) -> np.ndarray:
-            return _holevo(s_x, np.tensordot(_gram_rows(vstack), op, 1))
+        def batch(vstack: np.ndarray):
+            sig = np.tensordot(_gram_rows(vstack), op, 1)
+            values, slope = _holevo(s_x, sig, slope=True)
+            return values, _row_gradients(slope, adj, vstack)
 
-    k, param = _povm_search(batch, dy, cfg, warm_starts, progress)
-    achiever = rank1_povm(decode_unitary(param), dy)
+    k, iso = _povm_search(batch, dy, cfg, warm_starts, progress)
+    achiever = rank1_povm(iso, dy)
     classical = povm_flag_mutual_info(merged, achiever, ly)
     value = max(i_xy - classical, 0.0)
     return MeasureEstimate(
@@ -426,16 +496,27 @@ def discord(
 def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
     """Batch objective sum_i (S(chi_i) + p_i log2 p_i) over the outcome rows,
     where chi_i is the unnormalized (da, dc) amplitude that outcome i steers
-    ``psi_mat`` (system, ancilla) into."""
-    rows = np.ascontiguousarray(psi_mat.T)
+    ``psi_mat`` (system, ancilla) into, and its row gradients.
 
-    def batch(vstack: np.ndarray) -> np.ndarray:
+    chi_i is linear in conj(v_i), and the term's derivative is
+    -2 Re Tr[Y_i^dagger d chi_i] with Y_i = log2(chi_i chi_i^dagger / p_i) chi_i
+    (equally chi_i log2(chi_i^dagger chi_i / p_i)), so row i's gradient is
+    -2 conj(Y_i) contracted with ``psi_mat``."""
+    rows = np.ascontiguousarray(psi_mat.T)
+    left = da <= dc
+
+    def batch(vstack: np.ndarray):
         # one 2-D product over every row: a stacked matmul runs one tiny
-        # zgemm per candidate
+        # zgemm per isometry
         b, k, d = vstack.shape
-        chi = vstack.conj().reshape(b * k, d) @ rows
+        chi = (vstack.conj().reshape(b * k, d) @ rows).reshape(b * k, da, dc)
         p, h = _pure_entropy_stack(chi.reshape(b, k, da, dc))
-        return np.sum(h + _plogp(p), axis=-1)
+        chi_h = np.conj(np.swapaxes(chi, -1, -2))
+        _, log = _entropy_log_stack(chi @ chi_h if left else chi_h @ chi)
+        y = log @ chi if left else chi @ log
+        y -= _log2(p).reshape(b * k, 1, 1) * chi
+        grads = -2.0 * (y.conj().reshape(b * k, da * dc) @ psi_mat)
+        return np.sum(h + _plogp(p), axis=-1), grads.reshape(vstack.shape)
 
     return batch
 
@@ -460,10 +541,10 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
     dc = ordered.layout.total_dim // da
     psi_mat = psi.amplitudes.reshape(da * dc, r)  # (system, ancilla)
     cfg = config or OptimizerConfig()
-    k, param = _povm_search(
+    k, iso = _povm_search(
         _steering_batch(psi_mat, da, dc), r, cfg, warm_starts, progress, sense
     )
-    chi = decode_unitary(param, columns=r).conj() @ psi_mat.T
+    chi = iso.conj() @ psi_mat.T
     p, h = _pure_entropy_stack(chi.reshape(k, da, dc))
     ens = _kept_ensemble(
         p, lambda i: PureState(ordered.layout, chi[i] / math.sqrt(p[i]))
@@ -491,8 +572,8 @@ def eoa(
     steering the state into a pure-state ensemble; the objective is the
     ensemble average of the entanglement entropy, maximized.  Variational,
     hence a lower-bound estimate of the true assisted entanglement.
-    ``warm_starts`` are K x K unitary arrays, K = r^2 for the dimension r of
-    the purifying system.
+    ``warm_starts`` are as in :func:`one_way_ci`, K = r^2 for the dimension r
+    of the purifying system.
     """
     return _steered_entanglement(rho, alice, config, warm_starts, progress, "max")
 

@@ -198,7 +198,7 @@ def _read_diagonal(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if mats.ndim > 2 and n > 1 and diag.size:
         # an entry (0, 1) above DIAG times the stack's largest diagonal entry
         # rules its matrix out; when that rules out every matrix, as in a
-        # poll's generic blocks, the reductions per matrix are skipped
+        # search's generic outcome blocks, the reductions per matrix are skipped
         out = offdiag[..., 1] > DIAG * diag.max()
         if out.all():
             return diag, ~out

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,13 +42,12 @@ from ci_toolkit.measures import (
     povm_flag_mutual_info,
     regularized_eoa,
 )
+from ci_toolkit import optim
 from ci_toolkit.optim import (
     OptimizerConfig,
     Povm,
-    _BatchEngine,
-    _pattern_search_many,
-    complete_isometry,
-    encode_unitary,
+    _ascend,
+    _evaluator,
     haar_unitary,
     rank1_povm,
 )
@@ -62,6 +62,7 @@ from ci_toolkit.states import (
     random_mixed_state,
     random_pure_state,
 )
+from ci_toolkit.suites import _TAG_KW, _TWO_QUBITS, _split
 from ci_toolkit.tolerances import ZERO
 
 QUICK = OptimizerConfig(restarts=4, max_iters=500, tol=1e-5, seed=13)
@@ -284,7 +285,7 @@ def test_one_way_objective_at_the_achiever_is_the_reported_value(monkeypatch):
     rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 31)
     est = one_way_ci(rho, "A", "B", "C", QUICK)
     (batch,) = seen
-    at_achiever = float(batch(est.achiever.vectors[None])[0])
+    at_achiever = float(batch(est.achiever.vectors[None])[0][0])
     assert abs(at_achiever - est.value) <= 1e-12
 
 
@@ -293,7 +294,7 @@ def test_discord_objective_at_the_achiever_is_the_reported_value(monkeypatch):
     rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 37)
     est = discord(rho, ("A", "C"), "B", QUICK)
     (batch,) = seen
-    classical = float(batch(est.achiever.vectors[None])[0])
+    classical = float(batch(est.achiever.vectors[None])[0][0])
     assert abs(classical - est.info["classical_correlation"]) <= 1e-12
     assert abs(est.info["mutual_info"] - classical - est.value) <= 1e-12
 
@@ -363,7 +364,7 @@ def test_discord_matches_luo_on_bell_diagonal_states(c):
 
 
 def test_discord_classical_state_is_zero():
-    warm = complete_isometry(np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=complex))
+    warm = np.array([[1, 0], [0, 1], [0, 0], [0, 0]], dtype=complex)
     est = discord(preset("classical_classical"), "A", "B", QUICK, warm_starts=(warm,))
     assert est.value <= 1e-6
 
@@ -525,7 +526,7 @@ def test_one_way_ci_ghz_with_warm_start():
     plus_minus = np.array(
         [[1, 1], [1, -1], [0, 0], [0, 0]], dtype=complex
     ) / math.sqrt(2)
-    warm = complete_isometry(plus_minus)
+    warm = plus_minus
     est = one_way_ci(ghz, "A", "B", "C", QUICK, warm_starts=(warm,))
     assert est.value >= 2.0 - 1e-6
     assert est.value <= 2.0 + 1e-9
@@ -540,9 +541,7 @@ def test_one_way_ci_pure_and_mixed_paths_agree():
         pure_in.layout,
         (1 - 1e-9) * pure_in.matrix + 1e-9 * np.eye(8) / 8.0,
     )
-    warm = complete_isometry(
-        np.array([[1, 1], [1, -1], [0, 0], [0, 0]], dtype=complex) / math.sqrt(2)
-    )
+    warm = np.array([[1, 1], [1, -1], [0, 0], [0, 0]], dtype=complex) / math.sqrt(2)
     cfg = OptimizerConfig(restarts=3, max_iters=300, tol=1e-4, seed=41)
     a = one_way_ci(pure_in, "A", "B", "C", cfg, warm_starts=(warm,))
     b = one_way_ci(dusty, "A", "B", "C", cfg, warm_starts=(warm,))
@@ -769,7 +768,8 @@ def test_block_weights_match_gram_product(ranks):
     factors, starts = _block_factors(blocks)
     assert factors.shape == (dy, sum(ranks))
     assert (starts is None) == (max(ranks) == 1)
-    q = _block_weights(rows, factors, starts)
+    amp, q = _block_weights(rows, factors, starts)
+    assert np.array_equal(amp, rows @ factors)
     kept = [x for x, r in enumerate(ranks) if r]
     assert q.shape == (40, len(kept))
     assert np.all(q >= 0.0)
@@ -856,44 +856,155 @@ OBJECTIVES = {
 }
 
 
+def _start_points(k, d, seeds):
+    # the computational basis first, where the blocks of the one-way-diag
+    # states read as diagonal, then Haar starts, where they do not
+    return [np.eye(k, dtype=complex)[:, :d]] + [haar_unitary(k, s)[:, :d] for s in seeds]
+
+
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_lockstep_restarts_equal_isolated_runs_on_package_objectives(monkeypatch, name):
     batch, d = _captured_batch(monkeypatch, OBJECTIVES[name])
     k = d * d
-    engine = _BatchEngine(batch, k, d)
-    # the computational basis first, where the blocks of the one-way-diag
-    # states read as diagonal, pooled with Haar starts where they do not
-    starts = np.stack(
-        [encode_unitary(np.eye(k)).angles]
-        + [encode_unitary(haar_unitary(k, s)).angles for s in (3, 5, 9)]
-    )
-    # max_iters stays within one window, so neither racing rule acts
+    evaluate = _evaluator(batch, 1.0, k, d)
+    starts = _start_points(k, d, (3, 5, 9))
     cfg = OptimizerConfig(restarts=4, max_iters=12, tol=1e-6, seed=1)
-    assert cfg.max_iters <= engine.width
-    together = _pattern_search_many(engine, starts, cfg)
+    together = _ascend(evaluate, starts, cfg)
     for r in range(len(starts)):
-        val, angles = _pattern_search_many(engine, starts[r : r + 1], cfg)[0]
-        assert together[r][0] == val
-        assert np.array_equal(together[r][1], angles)
+        (alone,) = _ascend(evaluate, starts[r : r + 1], cfg)
+        assert together[r].value == alone.value
+        assert together[r].steps == alone.steps
+        assert np.array_equal(together[r].v, alone.v)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_poll_values_are_independent_of_the_entry_budget(monkeypatch, name):
-    # one candidate per call, the default budget and no limit
+    # a pooled call over several isometries under one isometry per call,
+    # the default budget and no limit: the same values and gradients
     batch, d = _captured_batch(monkeypatch, OBJECTIVES[name])
     k = d * d
-    engine = _BatchEngine(batch, k, d)
-    angles = np.stack(
-        [encode_unitary(np.eye(k)).angles]
-        + [encode_unitary(haar_unitary(k, s)).angles for s in (5, 9)]
-    )
-    steps = np.array([0.5, 0.25, 1e-3])
+    stack = np.stack(_start_points(k, d, (5, 9, 11, 13)))
     polls = []
-    for budget in (1, _BatchEngine._ENTRY_BUDGET, 1 << 62):
-        monkeypatch.setattr(_BatchEngine, "_ENTRY_BUDGET", budget)
-        polls.append(engine.poll(angles, steps))
-    for vals in polls[1:]:
-        assert np.array_equal(vals, polls[0])
+    for budget in (1, optim._ENTRY_BUDGET, 1 << 62):
+        monkeypatch.setattr(optim, "_ENTRY_BUDGET", budget)
+        polls.append(_evaluator(batch, 1.0, k, d)(stack))
+    for vals, grads in polls[1:]:
+        assert np.array_equal(vals, polls[0][0])
+        assert np.array_equal(grads, polls[0][1])
+
+
+# --- row gradients ------------------------------------------------------------------
+
+
+def _w_ghz_mixture():
+    # rank 2: every outcome block of a measurement on one qubit is rank deficient
+    w, ghz = preset("w").to_mstate(), preset("ghz").to_mstate()
+    return Mstate(w.layout, 0.5 * w.matrix + 0.5 * ghz.matrix)
+
+
+QUTRIT_B = SystemLayout((("A", 2), ("B", 3), ("C", 2)))
+FAMILY15 = preset("family15", (math.cos(math.pi / 8.0),))
+GRADIENTS = {
+    "one-way": lambda: one_way_ci(random_mixed_state(QUBITS, 91), "A", "B", "C"),
+    "one-way-qutrit": lambda: one_way_ci(random_mixed_state(QUTRIT_B, 92), "A", "B", "C"),
+    "one-way-rank-2": lambda: one_way_ci(_w_ghz_mixture(), "A", "B", "C"),
+    "one-way-pure-w": lambda: one_way_ci(preset("w"), "A", "B", "C"),
+    "holevo": lambda: discord(random_mixed_state(QUBITS, 93), ("A", "C"), "B"),
+    "holevo-w": lambda: discord(preset("w"), ("A", "B"), "C"),
+    "holevo-ghz": lambda: discord(preset("ghz"), ("A", "B"), "C"),
+    "holevo-rank-2": lambda: discord(_w_ghz_mixture(), ("A", "B"), "C"),
+    "holevo-qutrit": lambda: discord(random_mixed_state(QUTRIT_B, 94), ("A", "C"), "B"),
+    "x-classical": lambda: discord(_classical_on(TWO, 95), "A", "B"),
+    "x-classical-qutrit": lambda: discord(
+        _classical_on(SystemLayout((("X", 2), ("Y", 3))), 96), "X", "Y"
+    ),
+    "x-classical-family15": lambda: discord(FAMILY15, ("A", "C"), "B"),
+    "steering": lambda: eoa(random_mixed_state(QUBITS, 97, rank=2), "A"),
+    "steering-16": lambda: eoa(random_mixed_state(QUBITS, 98, rank=4), "A"),
+    "steering-w": lambda: eof(preset("w"), "A"),
+    "steering-qutrit": lambda: eoa(random_mixed_state(QUBITS, 99, rank=3), ("A", "B")),
+}
+
+
+def _central_differences(batch, v, h=1e-6):
+    # the Euclidean gradient in the real inner product Re <A, B>
+    g = np.zeros_like(v)
+    for idx in np.ndindex(v.shape):
+        for unit in (1.0, 1j):
+            e = np.zeros_like(v)
+            e[idx] = unit * h
+            up, down = batch((v + e)[None])[0][0], batch((v - e)[None])[0][0]
+            g[idx] += unit * (up - down) / (2.0 * h)
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENTS))
+def test_row_gradients_match_central_differences(monkeypatch, name):
+    batch, d = _captured_batch(monkeypatch, GRADIENTS[name])
+    k = d * d
+    for seed in (1, 2):
+        v = haar_unitary(k, 500 + seed)[:, :d]
+        _, grads = batch(v[None])
+        numeric = _central_differences(batch, v)
+        # relative to the gradient's size; the holevo-w and holevo-ghz
+        # objectives are constant, with a zero gradient
+        scale = max(float(np.max(np.abs(numeric))), 1.0)
+        assert np.max(np.abs(grads[0] - numeric)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("name", sorted(GRADIENTS))
+def test_euler_identity_of_the_row_gradients(monkeypatch, name):
+    # f(V) = const + sum_k g(P_k) with g 1-homogeneous, so f(t V) - f(V) =
+    # (t^2 - 1) sum_k g(P_k), and (1/2) Re <v_k, G_k> sums to the same
+    batch, d = _captured_batch(monkeypatch, GRADIENTS[name])
+    k = d * d
+    for seed in (3, 4):
+        v = haar_unitary(k, 500 + seed)[:, :d]
+        vals, grads = batch(np.stack([v, math.sqrt(2.0) * v]))
+        euler = 0.5 * float(np.vdot(v, grads[0]).real)
+        assert abs(euler - (vals[1] - vals[0])) <= 1e-12
+
+
+# --- identities and oracles at the default config ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dims,seed", [((2, 2), 1), ((2, 2), 2), ((3, 2), 3), ((2, 3), 4), ((3, 3), 5)]
+)
+def test_pure_discord_equals_the_marginal_entropy_at_the_default_config(dims, seed):
+    # a measured qutrit searches K = 9 outcomes
+    layout = SystemLayout((("X", dims[0]), ("Y", dims[1])))
+    rho = random_pure_state(layout, 700 + seed).to_mstate()
+    est = discord(rho, "X", "Y")
+    exact = vn_entropy(partial_trace(rho, "Y"))
+    assert exact - 1e-9 <= est.value <= exact + 1e-12
+
+
+@pytest.mark.parametrize(
+    "param", [(), (0.5, 0.2, 0.2, 0.1), (0.1, 0.4, 0.3, 0.2), (0.25,) * 4]
+)
+def test_classical_classical_discord_is_zero_at_the_default_config(param):
+    # no warm start; a restart ends once its gradient norm is below tol =
+    # 1e-6, which leaves a gap of order tol^2 over the curvature
+    est = discord(preset("classical_classical", param), "A", "B")
+    assert 0.0 <= est.value <= 1e-10
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_kw_cross_discord_meets_koashi_winter_through_wootters(k):
+    # the kw-cross suite's states and seeds at the default config
+    cfg = OptimizerConfig()
+    s_state, s_opt = _split(cfg.seed, _TAG_KW, k)
+    rho = random_mixed_state(_TWO_QUBITS, s_state, rank=2)
+    cfg = replace(cfg, seed=s_opt)
+    # rank 2 with a qubit purification Z: D(X|Y) = S(Y) - S(XY) + E_F(X : Z)
+    # (Koashi & Winter, PRA 69, 022309, 2004), with Wootters' E_F
+    rho_xz = partial_trace(purify(rho, "Z").to_mstate(), "Y")
+    s_y = vn_entropy(partial_trace(rho, "X"))
+    exact = s_y - vn_entropy(rho) + _wootters_eof(rho_xz.matrix)
+    for est in (discord(rho, "X", "Y", cfg), kw_discord(rho, "X", "Y", cfg)):
+        assert est.direction == UPPER
+        assert exact - 1e-9 <= est.value <= exact + 1e-6
 
 
 # --- the steering objective's one 2-D product -------------------------------------
@@ -919,6 +1030,6 @@ def test_steering_objective_matches_the_stacked_product(r, candidates):
     psi = purify(random_mixed_state(QUBITS, 80 + r, rank=r), "Z")
     psi_mat = psi.amplitudes.reshape(8, r)
     vstack = np.stack([haar_unitary(k, 1000 + s)[:, :r] for s in range(candidates)])
-    new = measures._steering_batch(psi_mat, 2, 4)(vstack)
+    new, _ = measures._steering_batch(psi_mat, 2, 4)(vstack)
     old = _stacked_steering_batch(psi_mat, 2, 4)(vstack)
     assert np.array_equal(new, old)
