@@ -10,6 +10,9 @@ from ci_toolkit.optim import (
     _evaluator,
     _restart_seeds,
     _Starts,
+    _polar,
+    _tangent,
+    _warm_isometry,
     haar_unitary,
     maximize,
     rank1_povm,
@@ -158,6 +161,39 @@ def test_search_steps_stay_isometries():
     assert len(seen) > 100
     for v in seen:
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,cols", [(3, 2), (4, 1), (4, 2), (4, 4), (9, 3), (16, 4)])
+def test_skipped_poll_coordinates_are_dead(dim, cols):
+    # A step moves V only along the tangent part of its direction. The
+    # normal part V S, S Hermitian, is skipped: c^2 of the 2Kc real
+    # coordinates, which leaves K^2 - (K - c)^2 live ones. Moving along a
+    # skipped coordinate retracts back onto V; moving along a live one does not.
+    rng = np.random.default_rng(100 * dim + cols)
+    v = haar_unitary(dim, 100 * dim + cols)[:, :cols]
+    n = dim * cols
+
+    def matrix(x):
+        return (x[:n] + 1j * x[n:]).reshape(dim, cols)
+
+    def real(z):
+        return np.concatenate([z.real.ravel(), z.imag.ravel()])
+
+    proj = np.stack([real(_tangent(v, matrix(e))) for e in np.eye(2 * n)], axis=1)
+    assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
+    live = dim * dim - (dim - cols) ** 2
+    assert np.linalg.matrix_rank(proj) == live
+
+    for _ in range(5):
+        h = rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols))
+        s = h + h.conj().T
+        s *= rng.uniform(0.1, 0.9) / np.linalg.norm(s, 2)  # 1 + S stays positive
+        assert np.max(np.abs(_tangent(v, v @ s))) <= 1e-12
+        assert np.max(np.abs(_polar(v + v @ s) - v)) <= 1e-12
+    # an orthonormal basis of the live coordinates
+    basis = np.linalg.svd(proj)[0][:, :live]
+    for t in basis.T:
+        assert np.max(np.abs(_polar(v + 0.5 * matrix(t)) - v)) >= 0.05
 
 
 RIDGE = OptimizerConfig(restarts=8, max_iters=2000, tol=1e-6)
@@ -335,6 +371,20 @@ def test_warm_start_searched_first_and_never_lost():
         maximize(f, 3, QUICK, columns=2, warm_starts=(target[:, :1],))
     with pytest.raises(InvalidArgument):
         maximize(f, 3, QUICK, columns=2, warm_starts=(2.0 * target,))
+
+
+def test_encode_rejects_bad_input():
+    # a warm start enters the search as its first columns, checked
+    with pytest.raises(InvalidArgument):
+        _warm_isometry(np.zeros((2, 3)), 2, 1)
+    with pytest.raises(InvalidArgument):
+        _warm_isometry(np.eye(2) * 1.5, 2, 1)
+    with pytest.raises(InvalidArgument):
+        _warm_isometry(np.eye(3), 2, 1)
+    with pytest.raises(InvalidArgument):
+        _warm_isometry(np.eye(2)[:, :1], 2, 2)
+    u = haar_unitary(3, 30)
+    assert np.array_equal(_warm_isometry(u, 3, 2), u[:, :2])
 
 
 def test_sense_min_is_negated_maximize():
