@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,8 +182,6 @@ def ci_lower(
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
     config: OptimizerConfig | None = None,
-    *,
-    progress: Callable[[int, float], None] | None = None,
 ) -> CiReport:
     """Achievable lower bound, reported next to the upper cap.
 
@@ -199,12 +197,10 @@ def ci_lower(
     """
     rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    cfg = config or OptimizerConfig()
-
     merged, (la, lb, lc) = merge_groups(rho, (a, b, c))
     trivial = mutual_info(merged, Partition((la,), (lc,)))
 
-    ow = one_way_ci(merged, la, lb, lc, cfg, progress=progress)
+    ow = one_way_ci(merged, la, lb, lc, config)
 
     cands = (
         BoundCandidate("trivial-protocol", trivial),
@@ -226,7 +222,7 @@ def ci_lower(
         upper_source=upper_source,
         lower_candidates=cands,
         upper_candidates=upper_cands,
-        config=cfg,
+        config=ow.config,
         details=detail,
     )
 
@@ -241,8 +237,6 @@ def ci_pure_oneway(
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
     config: OptimizerConfig | None = None,
-    *,
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """One-round concentrated information of a globally pure state: the
     reference entropy plus the assisted entanglement the helper can steer
@@ -252,7 +246,7 @@ def ci_pure_oneway(
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     s_a = vn_entropy(partial_trace(rho, b + c))
     rho_ac = partial_trace(rho, b)
-    assisted = eoa(rho_ac, a, config, progress=progress)
+    assisted = eoa(rho_ac, a, config)
     return MeasureEstimate(
         value=s_a + assisted.value,
         direction=LOWER,
@@ -331,8 +325,6 @@ def discord_via_ci(
     unmeasured: str | Sequence[str],
     measured: str,
     config: OptimizerConfig | None = None,
-    *,
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Discord computed through the concentration identity: append a trivial
     receiver, optimize the one-round protocol (which then equals the
@@ -348,7 +340,7 @@ def discord_via_ci(
         np.diag([1.0, 0.0]).astype(complex),
     )
     ext = tensor(rho, vac)
-    ow = one_way_ci(ext, x, y[0], (aux,), config, progress=progress)
+    ow = one_way_ci(ext, x, y[0], (aux,), config)
     i_xy = mutual_info(rho, Partition(x, y))
     return MeasureEstimate(
         value=max(i_xy - ow.value, 0.0),
@@ -400,7 +392,6 @@ def oneway_ci_upper(
     config: OptimizerConfig | None = None,
     *,
     discord_value: float | None = None,
-    progress: Callable[[int, float], None] | None = None,
 ) -> float:
     """Cap on every single-round protocol: total mutual information plus
     the helper-receiver mutual information, minus the discord seen by the
@@ -417,7 +408,7 @@ def oneway_ci_upper(
     i_total = mutual_info(merged, Partition((la,), (lb, lc)))
     i_bc = mutual_info(merged, Partition((lb,), (lc,)))
     if discord_value is None:
-        disc = discord(merged, (la, lc), lb, config, progress=progress)
+        disc = discord(merged, (la, lc), lb, config)
         discord_value = disc.value
     return i_total + i_bc - float(discord_value)
 
@@ -538,8 +529,6 @@ class SeparationReport:
 def family15_separation_report(
     c: float,
     config: OptimizerConfig | None = None,
-    *,
-    progress: Callable[[int, float], None] | None = None,
 ) -> SeparationReport:
     """Compare the two-round protocol against the single-round cap on the
     classical-flag family state at overlap ``c``.
@@ -555,7 +544,7 @@ def family15_separation_report(
     residual = trace_distance(bc, iso)
     total = mutual_info(rho, Partition("A", ("B", "C")))
     i_bc = mutual_info(rho, Partition("B", "C"))
-    disc = discord(rho, ("A", "C"), "B", config, progress=progress)
+    disc = discord(rho, ("A", "C"), "B", config)
     upper = total + i_bc - disc.value
     outcome = family15_two_round_merge(c)
     gap = outcome.achieved_mi - upper
@@ -602,7 +591,6 @@ def discord_additivity_check(
     config: OptimizerConfig | None = None,
     *,
     n_product_samples: int = 4,
-    progress: Callable[[int, float], None] | None = None,
 ) -> AdditivityCheck:
     """Check discord additivity on two copies of a classical-quantum state.
 
@@ -646,7 +634,7 @@ def discord_additivity_check(
                 )
 
     boosted = replace(cfg, restarts=2 * cfg.restarts)
-    single = discord(merged, lx, ly, boosted, progress=progress)
+    single = discord(merged, lx, ly, boosted)
 
     lx1, ly1, lx2, ly2 = lx + "1", ly + "1", lx + "2", ly + "2"
     copy1 = Mstate(SystemLayout(((lx1, dx), (ly1, dy))), merged.matrix)
@@ -660,7 +648,7 @@ def discord_additivity_check(
     k1 = single.info["outcomes"]
     v1 = single.achiever.vectors
     warm = np.kron(v1, v1)
-    double = discord(pair, lx + lx, ly + ly, boosted, warm_starts=(warm,), progress=progress)
+    double = discord(pair, lx + lx, ly + ly, boosted, warm_starts=(warm,))
 
     i_double = double.info["mutual_info"]
     product_values = [

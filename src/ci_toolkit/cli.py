@@ -25,18 +25,10 @@ from .ci import (
 from .errors import (
     AncillaTooLarge,
     DimensionTooLarge,
-    DuplicateParty,
     InternalInvariantError,
     InvalidArgument,
-    InvalidMatrix,
-    InvalidPreset,
-    LayoutMismatch,
-    NotPSD,
-    NotPure,
-    NotRankOne,
     ObjectiveError,
-    ShapeMismatch,
-    StateFileError,
+    ToolkitError,
 )
 from .info import (
     Partition,
@@ -58,18 +50,6 @@ from .optim import OptimizerConfig
 from .states import load_state_file, measured_label, preset, rest_of
 from .suites import SUITES, run_suites
 
-_INPUT_ERRORS = (
-    InvalidMatrix,
-    NotPSD,
-    NotPure,
-    NotRankOne,
-    DuplicateParty,
-    LayoutMismatch,
-    ShapeMismatch,
-    InvalidPreset,
-    InvalidArgument,
-    StateFileError,
-)
 _CAP_ERRORS = (DimensionTooLarge, AncillaTooLarge)
 
 _TAGS = {
@@ -490,15 +470,12 @@ def main(argv=None) -> int:
     except _CAP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: unknown name {exc}", file=sys.stderr)
-        return 2
     except (InternalInvariantError, ObjectiveError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except ToolkitError as exc:  # every other error is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

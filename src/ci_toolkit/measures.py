@@ -5,11 +5,12 @@ lower bound, hashing values for maximally correlated states) are computed
 directly.  Everything else -- measured mutual information, quantum discord,
 entanglement of assistance / formation, and the Koashi-Winter discord
 route -- is a variational estimate produced by gradient ascent over
-rank-one POVMs, whose outcome vectors are the rows of an isometry.  Each
-estimate is returned as a :class:`MeasureEstimate` carrying its direction
-(is the true value above or below the number?), the optimizer
-configuration, and the achieving POVM or ensemble so results can be
-re-checked independently.
+rank-one POVMs, whose outcome vectors are the rows of an isometry.  One
+template, `_povm_search`, runs that search for each of them, given its
+objective and a report of the best POVM.  Each estimate is returned as a
+:class:`MeasureEstimate` carrying its direction (is the true value above or
+below the number?), the optimizer configuration, and the achieving POVM or
+ensemble so results can be re-checked independently.
 
 The outcome blocks sigma_i = Tr_party[(M_i on party) rho] of a measurement
 come from one contraction against `_operand`, for a POVM's elements and a
@@ -324,16 +325,36 @@ def _x_classical(s_x: float, factors: np.ndarray, starts: np.ndarray | None):
     return batch
 
 
-def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
-    """Search the K = d^2 outcome rank-one POVMs on a party of dimension
-    ``d``: ``batch`` maps a (B, K, d) stack of outcome rows to B values and
-    their (B, K, d) row gradients. Rank-one POVMs with at most d^2 outcomes
+def _block_batch(op: np.ndarray, formula):
+    """Batch objective of a measured quantity read from the outcome blocks:
+    ``formula(sig)`` maps a (B, K, n, n) stack of blocks to B values and
+    their block derivatives (`_holevo`, `_one_way` with ``slope``), and the
+    rows' gradients follow through `_adjoint`."""
+    adj = _adjoint(op)
+
+    def batch(vstack: np.ndarray):
+        sig = np.tensordot(_gram_rows(vstack), op, 1)
+        values, slope = formula(sig)
+        return values, _row_gradients(slope, adj, vstack)
+
+    return batch
+
+
+def _povm_search(batch, d, config, direction, report, *, sense="max", warm_starts=()):
+    """The one variational template: search the K = d^2 outcome rank-one
+    POVMs on a party of dimension ``d`` and report the best.
+
+    ``batch`` maps a (B, K, d) stack of outcome rows to B values and their
+    (B, K, d) row gradients. Rank-one POVMs with at most d^2 outcomes
     already reach the supremum over all measurements of every measured
     quantity here (Davies, IEEE TIT 24, 596, 1978; Hamieh, Kobeissi &
     Zaraket, PRA 70, 052325, 2004), so a larger K buys nothing.
     ``warm_starts`` are K x d isometries (or K x K unitaries, of which the
-    first d columns count) searched first. Returns K and the best K x d
-    isometry, whose rows are the outcome vectors."""
+    first d columns count) searched first. ``report`` maps the best K x d
+    isometry, whose rows are the outcome vectors, to the re-verified
+    ``(value, achiever, info)``; the estimate carries ``direction``, the
+    config searched and ``info["outcomes"] = K``."""
+    cfg = config or OptimizerConfig()
     k = d * d
     _, iso = maximize(
         batch_objective=batch,
@@ -342,9 +363,12 @@ def _povm_search(batch, d, cfg, warm_starts, progress, sense="max"):
         columns=d,
         sense=sense,
         warm_starts=warm_starts,
-        progress=progress,
     )
-    return k, iso
+    value, achiever, info = report(iso)
+    info["outcomes"] = k
+    return MeasureEstimate(
+        value=value, direction=direction, config=cfg, achiever=achiever, info=info
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +390,18 @@ def one_way_ci(
     bob: str,
     charlie: str | Sequence[str],
     config: OptimizerConfig | None = None,
-    *,
-    warm_starts: Sequence[np.ndarray] = (),
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Best mutual information between ``alice`` and ``charlie`` plus an
     outcome register, over rank-one POVMs measured on ``bob``.
 
     ``bob`` must be a single party (merge first if needed).  The search is
     over rank-one POVMs with K = d^2 outcomes, d the dimension of ``bob``,
-    which reach the supremum over all POVMs; ``warm_starts`` are K x d
-    isometries whose rows are outcome vectors (or K x K unitaries, read by
-    their first d columns), searched before the seeded restarts.  The value
-    is recomputed at the achieving POVM, so it is achievable by construction
-    and can only err downward.
+    which reach the supremum over all POVMs.  The value is recomputed at
+    the achieving POVM, so it is achievable by construction and can only
+    err downward.
     """
     rho = rho.to_mstate()
     bob = measured_label(rho.layout, bob)
-    cfg = config or OptimizerConfig()
     merged, (_, lb, lc) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
     s_a = vn_entropy(partial_trace(merged, (lb, lc)))
@@ -403,23 +421,15 @@ def one_way_ci(
             return s_a + values, grads
 
     else:
-        op = _operand(merged, lb)
-        adj = _adjoint(op)
+        batch = _block_batch(
+            _operand(merged, lb), lambda sig: _one_way(s_a, sig, da, dc, slope=True)
+        )
 
-        def batch(vstack: np.ndarray):
-            sig = np.tensordot(_gram_rows(vstack), op, 1)
-            values, slope = _one_way(s_a, sig, da, dc, slope=True)
-            return values, _row_gradients(slope, adj, vstack)
+    def report(iso):
+        achiever = rank1_povm(iso, db)
+        return _register_info(merged, achiever), achiever, {"measured_party": lb}
 
-    k, iso = _povm_search(batch, db, cfg, warm_starts, progress)
-    achiever = rank1_povm(iso, db)
-    return MeasureEstimate(
-        value=_register_info(merged, achiever),
-        direction=LOWER,
-        config=cfg,
-        achiever=achiever,
-        info={"measured_party": lb, "outcomes": k},
-    )
+    return _povm_search(batch, db, config, LOWER, report)
 
 
 def discord(
@@ -429,7 +439,6 @@ def discord(
     config: OptimizerConfig | None = None,
     *,
     warm_starts: Sequence[np.ndarray] = (),
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Quantum discord of ``rho`` with the measurement on ``measured``.
 
@@ -437,12 +446,12 @@ def discord(
     classical correlation extractable by a rank-one POVM on ``measured``:
     the inner maximization is variational, so the reported discord is an
     upper-bound estimate (it can only decrease as the search improves).
-    ``warm_starts`` are as in :func:`one_way_ci`, K = d^2 for the dimension d
-    of ``measured``.
+    ``warm_starts`` are K x d isometries whose rows are outcome vectors (or
+    K x K unitaries, read by their first d columns), K = d^2 for the
+    dimension d of ``measured``, searched before the seeded restarts.
     """
     rho = rho.to_mstate()
     measured = measured_label(rho.layout, measured)
-    cfg = config or OptimizerConfig()
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
@@ -463,30 +472,21 @@ def discord(
     if x_classical:
         batch = _x_classical(s_x, *_block_factors(np.einsum("xyxz->xyz", t4)))
     else:
-        op = _operand(merged, ly)
-        adj = _adjoint(op)
+        batch = _block_batch(
+            _operand(merged, ly), lambda sig: _holevo(s_x, sig, slope=True)
+        )
 
-        def batch(vstack: np.ndarray):
-            sig = np.tensordot(_gram_rows(vstack), op, 1)
-            values, slope = _holevo(s_x, sig, slope=True)
-            return values, _row_gradients(slope, adj, vstack)
-
-    k, iso = _povm_search(batch, dy, cfg, warm_starts, progress)
-    achiever = rank1_povm(iso, dy)
-    classical = povm_flag_mutual_info(merged, achiever, ly)
-    value = max(i_xy - classical, 0.0)
-    return MeasureEstimate(
-        value=value,
-        direction=UPPER,
-        config=cfg,
-        achiever=achiever,
-        info={
+    def report(iso):
+        achiever = rank1_povm(iso, dy)
+        classical = povm_flag_mutual_info(merged, achiever, ly)
+        info = {
             "mutual_info": i_xy,
             "classical_correlation": classical,
             "measured_party": ly,
-            "outcomes": k,
-        },
-    )
+        }
+        return max(i_xy - classical, 0.0), achiever, info
+
+    return _povm_search(batch, dy, config, UPPER, report, warm_starts=warm_starts)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,7 @@ def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
     return batch
 
 
-def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
+def _steered_entanglement(rho, alice, config, sense):
     """Shared body of `eoa` (``sense="max"``) and `eof` (``sense="min"``).
 
     Purify ``rho`` (alice parties first), search rank-one POVMs on the
@@ -540,21 +540,18 @@ def _steered_entanglement(rho, alice, config, warm_starts, progress, sense):
     da = ordered.layout.group_dim(a_labels)
     dc = ordered.layout.total_dim // da
     psi_mat = psi.amplitudes.reshape(da * dc, r)  # (system, ancilla)
-    cfg = config or OptimizerConfig()
-    k, iso = _povm_search(
-        _steering_batch(psi_mat, da, dc), r, cfg, warm_starts, progress, sense
-    )
-    chi = iso.conj() @ psi_mat.T
-    p, h = _pure_entropy_stack(chi.reshape(k, da, dc))
-    ens = _kept_ensemble(
-        p, lambda i: PureState(ordered.layout, chi[i] / math.sqrt(p[i]))
-    )
-    return MeasureEstimate(
-        value=max(float(np.sum(h + _plogp(p))), 0.0),
-        direction=LOWER if sense == "max" else UPPER,
-        config=cfg,
-        achiever=ens,
-        info={"ancilla_dim": r, "outcomes": k},
+
+    def report(iso):
+        chi = iso.conj() @ psi_mat.T
+        p, h = _pure_entropy_stack(chi.reshape(-1, da, dc))
+        ens = _kept_ensemble(
+            p, lambda i: PureState(ordered.layout, chi[i] / math.sqrt(p[i]))
+        )
+        return max(float(np.sum(h + _plogp(p))), 0.0), ens, {"ancilla_dim": r}
+
+    direction = LOWER if sense == "max" else UPPER
+    return _povm_search(
+        _steering_batch(psi_mat, da, dc), r, config, direction, report, sense=sense
     )
 
 
@@ -562,9 +559,6 @@ def eoa(
     rho: Mstate,
     alice: str | Sequence[str],
     config: OptimizerConfig | None = None,
-    *,
-    warm_starts: Sequence[np.ndarray] = (),
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Entanglement of assistance across ``alice`` vs the rest.
 
@@ -572,26 +566,20 @@ def eoa(
     steering the state into a pure-state ensemble; the objective is the
     ensemble average of the entanglement entropy, maximized.  Variational,
     hence a lower-bound estimate of the true assisted entanglement.
-    ``warm_starts`` are as in :func:`one_way_ci`, K = r^2 for the dimension r
-    of the purifying system.
     """
-    return _steered_entanglement(rho, alice, config, warm_starts, progress, "max")
+    return _steered_entanglement(rho, alice, config, "max")
 
 
 def eof(
     rho: Mstate,
     alice: str | Sequence[str],
     config: OptimizerConfig | None = None,
-    *,
-    warm_starts: Sequence[np.ndarray] = (),
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Entanglement of formation across ``alice`` vs the rest: the minimum,
     over pure-state decompositions, of the average entanglement entropy.
     Same steering parametrization as :func:`eoa` but minimized, so the
-    estimate can only sit above the true value; ``warm_starts`` as in
-    :func:`eoa`."""
-    return _steered_entanglement(rho, alice, config, warm_starts, progress, "min")
+    estimate can only sit above the true value."""
+    return _steered_entanglement(rho, alice, config, "min")
 
 
 def kw_discord(
@@ -599,8 +587,6 @@ def kw_discord(
     unmeasured: str | Sequence[str],
     measured: str | Sequence[str],
     config: OptimizerConfig | None = None,
-    *,
-    progress: Callable[[int, float], None] | None = None,
 ) -> MeasureEstimate:
     """Discord of ``unmeasured``:``measured`` computed through the
     entanglement of formation between ``unmeasured`` and a purifying system.
@@ -613,7 +599,6 @@ def kw_discord(
     """
     rho = rho.to_mstate()
     x_labels, y_labels = check_group_cover(rho.layout, unmeasured, measured)
-    cfg = config or OptimizerConfig()
     ordered = permute_parties(rho, x_labels + y_labels)
     rank = int(np.sum(ordered.spectrum > ZERO))
     anc_dim = max(rank, 2)
@@ -624,14 +609,14 @@ def kw_discord(
     anc = fresh_label(ordered.layout, "Z")
     psi = purify(ordered, anc)
     rho_xz = partial_trace(psi.to_mstate(), y_labels)
-    ef = eof(rho_xz, x_labels, cfg, progress=progress)
+    ef = eof(rho_xz, x_labels, config)
     s_xy = vn_entropy(ordered)
     s_y = vn_entropy(partial_trace(ordered, x_labels))
     value = ef.value - s_xy + s_y
     return MeasureEstimate(
         value=value,
         direction=UPPER,
-        config=cfg,
+        config=ef.config,
         achiever=ef.achiever,
         info={"eof": ef.value, "ancilla_dim": anc_dim},
     )

@@ -60,14 +60,6 @@ _HALVINGS = 30
 _SCOUT = 8
 _AGREE = 4
 
-# Isometry entries (K * c each) per objective call, sized to the cache: at
-# K = 16, c = 4 a call holds 128 isometries, and the widest temporary of the
-# x-classical objective stays inside a 2 MiB L2. On a 2-core x86 host, 672
-# K = 16 isometries took that objective 4.8 ms and ~1,300 minor page faults
-# in one call, and 1.8-1.9 ms with none in calls of 64 to 336. Each value
-# depends only on its own isometry, so the split moves no bit.
-_ENTRY_BUDGET = 8192
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -250,25 +242,21 @@ class _Ascent:
             self._aim(first=False)
 
 
-def _evaluator(batch_objective, sign: float, dim: int, cols: int):
-    """Values and Euclidean gradients of a (B, dim, cols) stack, in objective
-    calls of at most `_ENTRY_BUDGET` entries, checked and signed."""
+def _evaluator(batch_objective, sign: float):
+    """Values and Euclidean gradients of a (B, dim, cols) stack, from one
+    objective call, checked and signed."""
 
     def evaluate(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        total = stack.shape[0]
-        per = max(1, _ENTRY_BUDGET // (dim * cols))
-        values, grads = [], []
-        for i in range(0, total, per):
-            out = batch_objective(stack[i : i + per])
-            if not (isinstance(out, tuple) and len(out) == 2):
-                raise ObjectiveError("batch objective must return (values, gradients)")
-            values.append(np.asarray(out[0], dtype=np.float64).reshape(-1))
-            grads.append(np.asarray(out[1], dtype=np.complex128))
-        vals, grad = np.concatenate(values), np.concatenate(grads)
-        if vals.shape[0] != total or grad.shape != stack.shape:
+        out = batch_objective(stack)
+        if not (isinstance(out, tuple) and len(out) == 2):
+            raise ObjectiveError("batch objective must return (values, gradients)")
+        vals = np.asarray(out[0], dtype=np.float64).reshape(-1)
+        grad = np.asarray(out[1], dtype=np.complex128)
+        if vals.shape[0] != stack.shape[0] or grad.shape != stack.shape:
             raise ObjectiveError(
                 f"batch objective returned {vals.shape[0]} values and gradients of "
-                f"shape {grad.shape} for {total} isometries of shape {stack.shape[1:]}"
+                f"shape {grad.shape} for {stack.shape[0]} isometries of shape "
+                f"{stack.shape[1:]}"
             )
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grad))):
             raise ObjectiveError("batch objective returned a non-finite value or gradient")
@@ -368,7 +356,7 @@ def maximize(
     sign = {"max": 1.0, "min": -1.0}.get(sense)
     if sign is None:
         raise InvalidArgument(f"maximize: sense must be 'max' or 'min', got {sense!r}")
-    evaluate = _evaluator(batch_objective, sign, n, cols)
+    evaluate = _evaluator(batch_objective, sign)
     starts = _Starts(warm_starts, n, cols, cfg)
 
     opened = min(len(starts), _SCOUT)

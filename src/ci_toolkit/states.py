@@ -195,13 +195,6 @@ def _read_diagonal(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag = mats.diagonal(0, -2, -1).real
     offdiag = np.abs(mats.reshape(mats.shape[:-2] + (n * n,)))
     offdiag[..., :: n + 1] = 0.0
-    if mats.ndim > 2 and n > 1 and diag.size:
-        # an entry (0, 1) above DIAG times the stack's largest diagonal entry
-        # rules its matrix out; when that rules out every matrix, as in a
-        # search's generic outcome blocks, the reductions per matrix are skipped
-        out = offdiag[..., 1] > DIAG * diag.max()
-        if out.all():
-            return diag, ~out
     return diag, offdiag.max(axis=-1) <= DIAG * diag.max(axis=-1)
 
 

@@ -472,6 +472,17 @@ def test_dimension_cap_exits_3(monkeypatch, capsys):
     assert "error:" in err
 
 
+def test_a_key_error_inside_a_computation_is_not_reported_as_bad_input(monkeypatch):
+    # a missing key is a bug, not an input error: it propagates instead of
+    # exiting 2 with an input-error message
+    def broken(quantity, state, args, cfg):
+        raise KeyError("outcomes")
+
+    monkeypatch.setattr(cli, "_compute_rows", broken)
+    with pytest.raises(KeyError):
+        main(["compute", "entropy", "--preset", "ghz"])
+
+
 def test_unknown_quantity_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "nonsense", "--preset", "ghz"])

@@ -200,7 +200,7 @@ RIDGE = OptimizerConfig(restarts=8, max_iters=2000, tol=1e-6)
 
 
 def test_quasi_newton_ends_the_ridge_crawl():
-    evaluate = _evaluator(_ridge_batch, 1.0, 4, 2)
+    evaluate = _evaluator(_ridge_batch, 1.0)
     runs = _ascend(evaluate, _starts(4, 2, RIDGE.restarts), RIDGE)
     # steepest ascent crawls along the crest for hundreds of steps; the
     # quasi-Newton direction follows its curvature
@@ -221,7 +221,7 @@ def test_lockstep_restarts_equal_isolated_runs():
     ]
     cfg = OptimizerConfig(restarts=4, max_iters=40, tol=1e-8, seed=1)
     for f, dim, cols in cases:
-        evaluate = _evaluator(f, 1.0, dim, cols)
+        evaluate = _evaluator(f, 1.0)
         starts = [haar_unitary(dim, s)[:, :cols] for s in (3, 5, 9, 12)]
         together = _ascend(evaluate, starts, cfg)
         assert any(r.steps > 3 for r in together)
@@ -230,39 +230,6 @@ def test_lockstep_restarts_equal_isolated_runs():
             assert together[r].value == alone.value
             assert together[r].steps == alone.steps
             assert np.array_equal(together[r].v, alone.v)
-
-
-def _recording_batch(target, calls):
-    """`_overlap_batch` that records each call's isometry count and fails
-    on a call above the entry budget, unless it holds exactly one isometry."""
-    f = _overlap_batch(target)
-    dim, cols = target.shape
-
-    def batch(blocks):
-        b = blocks.shape[0]
-        assert b == 1 or b * dim * cols <= optim._ENTRY_BUDGET
-        calls.append(b)
-        return f(blocks)
-
-    return batch
-
-
-@pytest.mark.parametrize(
-    "dim,cols,restarts,budget",
-    [(4, 2, 8, None), (9, 3, 8, None), (16, 4, 3, None), (16, 4, 3, 32)],
-)
-def test_objective_calls_stay_within_the_entry_budget(
-    monkeypatch, dim, cols, restarts, budget
-):
-    if budget is not None:  # below one isometry's dim * cols entries
-        monkeypatch.setattr(optim, "_ENTRY_BUDGET", budget)
-    calls = []
-    target = haar_unitary(dim, 44)[:, :cols]
-    cfg = OptimizerConfig(restarts=restarts, max_iters=4, tol=1e-6, seed=2)
-    maximize(_recording_batch(target, calls), dim, cfg, columns=cols)
-    # the starts go in one pass; a call fills the budget when it can
-    per = max(1, optim._ENTRY_BUDGET // (dim * cols))
-    assert max(calls) == min(per, restarts)
 
 
 def test_agreeing_scouts_open_no_more_restarts():
@@ -318,7 +285,7 @@ def test_lazy_starts_keep_the_eager_isometries():
 def test_disagreeing_scouts_open_every_restart():
     f = _peaks_batch(3, 60)
     cfg = OptimizerConfig(restarts=16, max_iters=2000, tol=1e-6)
-    evaluate = _evaluator(f, 1.0, 3, 1)
+    evaluate = _evaluator(f, 1.0)
     scouts = _ascend(evaluate, [_Starts((), 3, 1, cfg)[r] for r in range(8)], cfg)
     # the eight scouts end on different peaks, fewer than four of them
     # within tol of the best
