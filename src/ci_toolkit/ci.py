@@ -66,7 +66,6 @@ from .states import (
     Mstate,
     PureState,
     SystemLayout,
-    check_dimension_cap,
     check_group_cover,
     check_groups,
     family15_bob_states,
@@ -545,7 +544,7 @@ def family15_separation_report(
     total = mutual_info(rho, Partition("A", ("B", "C")))
     i_bc = mutual_info(rho, Partition("B", "C"))
     disc = discord(rho, ("A", "C"), "B", config)
-    upper = total + i_bc - disc.value
+    upper = oneway_ci_upper(rho, config=config, discord_value=disc.value)
     outcome = family15_two_round_merge(c)
     gap = outcome.achieved_mi - upper
     return SeparationReport(
@@ -563,6 +562,9 @@ def family15_separation_report(
 
 # ---------------------------------------------------------------------------
 # discord additivity on classical-quantum states
+
+# seeded random product measurements compared against the two-copy search
+_PRODUCT_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -589,8 +591,6 @@ def discord_additivity_check(
     unmeasured: str | Sequence[str],
     measured: str,
     config: OptimizerConfig | None = None,
-    *,
-    n_product_samples: int = 4,
 ) -> AdditivityCheck:
     """Check discord additivity on two copies of a classical-quantum state.
 
@@ -654,8 +654,8 @@ def discord_additivity_check(
     product_values = [
         i_double - povm_flag_mutual_info(pair, rank1_povm(warm, dy * dy), ly + ly)
     ]
-    seeds = np.random.SeedSequence([cfg.seed, 97]).generate_state(2 * n_product_samples)
-    for j in range(n_product_samples):
+    seeds = np.random.SeedSequence([cfg.seed, 97]).generate_state(2 * _PRODUCT_SAMPLES)
+    for j in range(_PRODUCT_SAMPLES):
         up = haar_unitary(k1, int(seeds[2 * j]))[:, :dy]
         uq = haar_unitary(k1, int(seeds[2 * j + 1]))[:, :dy]
         povm = rank1_povm(np.kron(up, uq), dy * dy)
@@ -698,7 +698,7 @@ def dilated_protocol_state(
     A single-outcome POVM (necessarily the identity) dilates trivially to
     fresh two-dimensional registers in |0>.  Elements of rank above one
     raise ``NotRankOne``; a dilation above the dimension cap raises
-    ``DimensionTooLarge``.
+    ``DimensionTooLarge`` before any array is built.
     """
     rho = rho.to_mstate()
     layout = rho.layout
@@ -714,15 +714,14 @@ def dilated_protocol_state(
     if register_label == env_label:
         raise DuplicateParty("register and environment need distinct labels")
     k = len(povm)
-    reg = max(k, 2)
     de = max(2, -(-k // d))
-    total = layout.total_dim * reg * de
-    check_dimension_cap(total, "dilated_protocol_state")
+    # the output layout checks the cap before any array is allocated
+    out = SystemLayout(layout.parties + ((register_label, max(k, 2)), (env_label, de)))
 
     if k == 1:
         vac = np.diag([1.0, 0.0]).astype(complex)
-        out = tensor(rho, Mstate(SystemLayout(((register_label, 2),)), vac))
-        return tensor(out, Mstate(SystemLayout(((env_label, 2),)), vac))
+        flagged = tensor(rho, Mstate(SystemLayout(((register_label, 2),)), vac))
+        return tensor(flagged, Mstate(SystemLayout(((env_label, 2),)), vac))
 
     if povm.vectors is not None:
         vecs = np.asarray(povm.vectors)
@@ -747,8 +746,7 @@ def dilated_protocol_state(
     both = w_iso.conj() @ left.reshape(-1, d, post)
     full = both.reshape(pre, d, de, k, post, pre, d, de, k, post)
     full = full.transpose(0, 1, 4, 3, 2, 5, 6, 9, 8, 7)
-    parties = layout.parties + ((register_label, k), (env_label, de))
-    return Mstate(SystemLayout(parties), full.reshape(total, total))
+    return Mstate(out, full.reshape(out.total_dim, out.total_dim))
 
 
 __all__ = [

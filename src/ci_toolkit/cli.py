@@ -23,10 +23,10 @@ from .ci import (
     resolve_tripartite,
 )
 from .errors import (
-    AncillaTooLarge,
     DimensionTooLarge,
     InternalInvariantError,
     InvalidArgument,
+    LayoutMismatch,
     ObjectiveError,
     ToolkitError,
 )
@@ -49,8 +49,6 @@ from .measures import (
 from .optim import OptimizerConfig
 from .states import load_state_file, measured_label, preset, rest_of
 from .suites import SUITES, run_suites
-
-_CAP_ERRORS = (DimensionTooLarge, AncillaTooLarge)
 
 _TAGS = {
     "exact": "exact",
@@ -150,12 +148,22 @@ class _Row:
         return f"{self.label},{format(self.value, '.17g')},{self.tag}"
 
 
+def _nth(layout, i) -> tuple[str, ...]:
+    """The default group that position ``i`` of the layout fills."""
+    if i >= len(layout.labels):
+        raise LayoutMismatch(
+            f"default grouping needs at least {i + 1} parties; "
+            "pass the groups explicitly"
+        )
+    return (layout.labels[i],)
+
+
 def _xy_defaults(layout, args, x_all_but_last=False):
     labels = layout.labels
     x = _group(args.x)
     y = _group(args.y)
     if x is None:
-        x = labels[:-1] if x_all_but_last else (labels[0],)
+        x = labels[:-1] if x_all_but_last else _nth(layout, 0)
     if y is None:
         y = rest_of(layout, x)
     return x, y
@@ -180,9 +188,8 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row(f"S({_gname(x)}|{_gname(y)})", v, "exact")]
 
     if quantity == "cmi":
-        labels = layout.labels
-        x = _group(args.x) or (labels[0],)
-        y = _group(args.y) or (labels[1],)
+        x = _group(args.x) or _nth(layout, 0)
+        y = _group(args.y) or _nth(layout, 1)
         z = _group(args.z)
         if z is None:
             z = rest_of(layout, x, y)
@@ -198,7 +205,7 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row(f"discord({_gname(x)}|{y})", est.value, _TAGS[est.direction])]
 
     if quantity in ("eoa", "eof"):
-        a = _group(args.alice) or (layout.labels[0],)
+        a = _group(args.alice) or _nth(layout, 0)
         rest = rest_of(layout, a)
         fn = eoa if quantity == "eoa" else eof
         est = fn(rho, a, cfg)
@@ -259,10 +266,9 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row("ci-pure-regularized", v, "exact, closed form")]
 
     if quantity == "ci-product-reg":
-        labels = layout.labels
-        a = _group(args.alice) or (labels[0],)
-        b1 = _group(args.bob1) or (labels[1],)
-        b2 = _group(args.bob2) or (labels[2],)
+        a = _group(args.alice) or _nth(layout, 0)
+        b1 = _group(args.bob1) or _nth(layout, 1)
+        b2 = _group(args.bob2) or _nth(layout, 2)
         c = _group(args.charlie) or rest_of(layout, a, b1, b2)
         band = ci_product_regularized(rho, a, b1, b2, c)
         if band.exact:
@@ -280,9 +286,8 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row("merge-fidelity-lower", v, "exact", unit="")]
 
     if quantity == "merge-check":
-        labels = layout.labels
-        b = _group(args.bob) or (labels[1],)
-        c = _group(args.charlie) or rest_of(layout, labels[0], b)
+        b = _group(args.bob) or _nth(layout, 1)
+        c = _group(args.charlie) or rest_of(layout, _nth(layout, 0), b)
         res = merge_conditional_entropy_check(rho, b, c)
         row = _Row(
             f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"
@@ -467,7 +472,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except _CAP_ERRORS as exc:
+    except DimensionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InternalInvariantError, ObjectiveError) as exc:

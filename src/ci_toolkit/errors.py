@@ -52,12 +52,11 @@ class InvalidArgument(ToolkitError):
     """Scalar or flag argument outside its documented domain."""
 
 
-class AncillaTooLarge(ToolkitError):
-    """Purification would need an ancilla beyond the supported size."""
-
-
 class DimensionTooLarge(ToolkitError):
-    """Total dimension exceeds the configured cap (CI_TOOLKIT_DIM_CAP)."""
+    """A layout's total dimension exceeds `states.DIM_CAP` (64), checked
+    when the layout is built; or a search space exceeds what a routine
+    supports (the two-copy discord search takes only a qubit measured
+    party)."""
 
 
 class StateFileError(ToolkitError):

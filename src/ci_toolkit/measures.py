@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    AncillaTooLarge,
     DuplicateParty,
     InternalInvariantError,
     LayoutMismatch,
@@ -52,6 +51,7 @@ from .states import (
     Mstate,
     PureState,
     SystemLayout,
+    _purification,
     check_group_cover,
     check_groups,
     fresh_label,
@@ -174,14 +174,14 @@ def flag_state(ensemble: Ensemble, register_label: str = "R") -> Mstate:
     layout = ensemble.layout
     if register_label in layout.labels:
         raise DuplicateParty(f"party {register_label!r} already present")
-    k = len(ensemble.members)
-    reg = max(k, 2)
+    reg = max(len(ensemble.members), 2)
+    flagged = SystemLayout(layout.parties + ((register_label, reg),))
     dsys = layout.total_dim
     out = np.zeros((dsys * reg, dsys * reg), dtype=complex)
     view = out.reshape(dsys, reg, dsys, reg)
     for i, (w, member) in enumerate(zip(ensemble.weights, ensemble.members)):
         view[:, i, :, i] = w * member.to_mstate().matrix
-    return Mstate(SystemLayout(layout.parties + ((register_label, reg),)), out)
+    return Mstate(flagged, out)
 
 
 def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
@@ -534,12 +534,12 @@ def _steered_entanglement(rho, alice, config, sense):
     if not rest:
         raise LayoutMismatch("need at least one party besides the steered side")
     ordered = permute_parties(rho, a_labels + rest)
-    anc = fresh_label(ordered.layout, "Z")
-    psi = purify(ordered, anc)
-    r = psi.layout.dim_of(anc)
+    # the purification as a bare (system, ancilla) matrix: it may pass the
+    # dimension cap, which no layout does
+    psi_mat = _purification(ordered)
+    r = psi_mat.shape[1]
     da = ordered.layout.group_dim(a_labels)
     dc = ordered.layout.total_dim // da
-    psi_mat = psi.amplitudes.reshape(da * dc, r)  # (system, ancilla)
 
     def report(iso):
         chi = iso.conj() @ psi_mat.T
@@ -594,18 +594,13 @@ def kw_discord(
     The exchange identity trades the measurement optimization for an
     entanglement-of-formation computation on the complementary marginal;
     since the formation estimate errs upward, so does the discord.  The
-    purifying system is capped at dimension 8 (``AncillaTooLarge`` beyond),
-    because the steering search space grows with its square.
+    purification is a state, of ``rho``'s dimension times max(rank, 2), so
+    past the dimension cap it raises ``DimensionTooLarge``.
+    ``info["ancilla_dim"]`` is the dimension of the purifying system.
     """
     rho = rho.to_mstate()
     x_labels, y_labels = check_group_cover(rho.layout, unmeasured, measured)
     ordered = permute_parties(rho, x_labels + y_labels)
-    rank = int(np.sum(ordered.spectrum > ZERO))
-    anc_dim = max(rank, 2)
-    if anc_dim > 8:
-        raise AncillaTooLarge(
-            f"purifying system of dimension {anc_dim} exceeds the supported 8"
-        )
     anc = fresh_label(ordered.layout, "Z")
     psi = purify(ordered, anc)
     rho_xz = partial_trace(psi.to_mstate(), y_labels)
@@ -618,7 +613,7 @@ def kw_discord(
         direction=UPPER,
         config=ef.config,
         achiever=ef.achiever,
-        info={"eof": ef.value, "ancilla_dim": anc_dim},
+        info={"eof": ef.value, "ancilla_dim": psi.layout.dim_of(anc)},
     )
 
 

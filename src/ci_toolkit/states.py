@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,30 +40,8 @@ from .errors import (
 )
 from .tolerances import DIAG, SLACK, VALIDATE, ZERO
 
-DEFAULT_DIM_CAP = 64
-
-
-def dimension_cap() -> int:
-    """Current total-dimension cap (env CI_TOOLKIT_DIM_CAP, default 64)."""
-    raw = os.environ.get("CI_TOOLKIT_DIM_CAP")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidArgument(f"CI_TOOLKIT_DIM_CAP must be an integer, got {raw!r}")
-    if cap < 2:
-        raise InvalidArgument(f"CI_TOOLKIT_DIM_CAP must be >= 2, got {cap}")
-    return cap
-
-
-def check_dimension_cap(total_dim: int, context: str = "state") -> None:
-    cap = dimension_cap()
-    if total_dim > cap:
-        raise DimensionTooLarge(
-            f"{context}: total dimension {total_dim} exceeds cap {cap} "
-            f"(override with CI_TOOLKIT_DIM_CAP)"
-        )
+# the domain: no layout, and so no state, has a total dimension above this
+DIM_CAP = 64
 
 
 def as_labels(spec) -> tuple[str, ...]:
@@ -80,7 +57,9 @@ def as_labels(spec) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered parties (label, dim); labels unique, every dim >= 2."""
+    """Ordered parties (label, dim); labels unique, every dim >= 2, and a
+    total dimension of at most `DIM_CAP` (``DimensionTooLarge`` beyond).
+    Every state is built on a layout, so this is where the cap is checked."""
 
     parties: tuple[tuple[str, int], ...]
 
@@ -88,12 +67,18 @@ class SystemLayout:
         parties = tuple((str(l), int(d)) for l, d in self.parties)
         object.__setattr__(self, "parties", parties)
         seen = set()
+        total = 1
         for label, dim in parties:
             if label in seen:
                 raise DuplicateParty(f"duplicate party label {label!r}")
             seen.add(label)
             if dim < 2:
                 raise InvalidArgument(f"party {label!r}: dim must be >= 2, got {dim}")
+            total *= dim
+        if total > DIM_CAP:
+            raise DimensionTooLarge(
+                f"layout {self.describe()}: total dimension {total} exceeds the cap {DIM_CAP}"
+            )
 
     # cached: every party-group check reads the labels
     @cached_property
@@ -500,25 +485,33 @@ def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
     return merged, tuple(new_labels)
 
 
+def _purification(rho: Mstate) -> np.ndarray:
+    """`purify`'s amplitudes as a (d, ancilla) matrix, on no layout: a
+    purification can pass the dimension cap (a 64-dimensional pure state
+    has a 128-dimensional one), so the steering searches read it bare."""
+    w, v = np.linalg.eigh(rho.matrix)
+    w, v = w[::-1], v[:, ::-1]
+    rank = max(int(np.sum(w > ZERO)), 1)
+    psi = np.zeros((rho.layout.total_dim, max(rank, 2)), dtype=np.complex128)
+    for k in range(rank):
+        psi[:, k] = math.sqrt(max(w[k], 0.0)) * v[:, k]
+    psi /= np.linalg.norm(psi)
+    return psi
+
+
 def purify(rho: Mstate, ancilla_label: str) -> PureState:
     """Purification with the smallest usable ancilla.
 
     Ancilla dimension = number of eigenvalues above 1e-12, padded to at least
     2. Ancilla basis order follows descending eigenvalues, so a pure input
-    returns (input) x |0>. Deterministic. The ancilla is appended last.
+    returns (input) x |0>. Deterministic. The ancilla is appended last, and
+    the purification is a state like any other: above the cap it raises
+    ``DimensionTooLarge``.
     """
     if ancilla_label in rho.layout.labels:
         raise DuplicateParty(f"purify: ancilla label {ancilla_label!r} already present")
-    w, v = np.linalg.eigh(rho.matrix)
-    w, v = w[::-1], v[:, ::-1]
-    rank = max(int(np.sum(w > ZERO)), 1)
-    anc = max(rank, 2)
-    d = rho.layout.total_dim
-    psi = np.zeros((d, anc), dtype=np.complex128)
-    for k in range(rank):
-        psi[:, k] = math.sqrt(max(w[k], 0.0)) * v[:, k]
-    psi /= np.linalg.norm(psi)
-    layout = SystemLayout(rho.layout.parties + ((ancilla_label, anc),))
+    psi = _purification(rho)
+    layout = SystemLayout(rho.layout.parties + ((ancilla_label, psi.shape[1]),))
     return PureState(layout, psi.reshape(-1))
 
 
@@ -624,12 +617,13 @@ def _preset_max_correlated(params):
         raise InvalidPreset("max_correlated: coefficient matrix trace is not 1")
     if np.linalg.eigvalsh(a)[0] < -SLACK:
         raise InvalidPreset("max_correlated: coefficient matrix is not PSD")
+    layout = SystemLayout((("X", m), ("Z", m)))  # the cap, before allocating
     d = m * m
     rho = np.zeros((d, d), dtype=np.complex128)
     for i in range(m):
         for j in range(m):
             rho[i * m + i, j * m + j] = a[i, j]
-    return Mstate(SystemLayout((("X", m), ("Z", m))), rho)
+    return Mstate(layout, rho)
 
 
 _PRESETS = {
@@ -654,9 +648,7 @@ def preset(name: str, params=()) -> Mstate | PureState:
         raise InvalidPreset(f"preset {name}: params must be numbers, got {params!r}") from None
     if not all(map(math.isfinite, params)):
         raise InvalidPreset(f"preset {name}: params must be finite, got {params}")
-    state = _PRESETS[name](params)
-    check_dimension_cap(state.layout.total_dim, f"preset {name}")
-    return state
+    return _PRESETS[name](params)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +657,6 @@ def preset(name: str, params=()) -> Mstate | PureState:
 
 def random_pure_state(parties, seed) -> PureState:
     layout = parties if isinstance(parties, SystemLayout) else SystemLayout(tuple(parties))
-    check_dimension_cap(layout.total_dim, "random_pure_state")
     rng = np.random.default_rng(seed)
     d = layout.total_dim
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -674,7 +665,6 @@ def random_pure_state(parties, seed) -> PureState:
 
 def random_mixed_state(parties, seed, rank: int | None = None) -> Mstate:
     layout = parties if isinstance(parties, SystemLayout) else SystemLayout(tuple(parties))
-    check_dimension_cap(layout.total_dim, "random_mixed_state")
     d = layout.total_dim
     r = d if rank is None else int(rank)
     if not (1 <= r <= d):
@@ -763,7 +753,6 @@ def state_from_dict(doc: dict) -> Mstate | PureState:
         return state
 
     layout = _file_layout(doc)
-    check_dimension_cap(layout.total_dim, "state file")
     d = layout.total_dim
 
     if kind == "matrix":

@@ -46,7 +46,7 @@ from ci_toolkit.measures import (
 )
 from ci_toolkit.optim import OptimizerConfig, Povm, haar_unitary, rank1_povm
 from ci_toolkit.states import (
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     Mstate,
     SystemLayout,
     partial_trace,
@@ -276,6 +276,9 @@ def test_family15_separation_report():
     assert report.total_mi == pytest.approx(1.0, abs=1e-9)
     assert report.helper_discord.value > 0.01
     assert report.oneway_upper <= 1.0 - 0.01
+    # the cap is oneway_ci_upper's formula, to the last bit
+    upper = report.total_mi + report.helper_receiver_mi - report.helper_discord.value
+    assert report.oneway_upper == upper
     assert report.two_round_mi == pytest.approx(1.0, abs=1e-9)
     assert report.gap > 0.01
     assert report.separated
@@ -397,14 +400,30 @@ def test_dilated_protocol_state_reads_bob_as_a_measured_label():
 
 
 def test_dilated_protocol_state_checks_the_cap(monkeypatch):
-    monkeypatch.delenv("CI_TOOLKIT_DIM_CAP", raising=False)
-    # qutrit Bob, 9 outcomes: 2 * 3 * 2 * R 9 * E 3 = 324
-    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 3), ("C", 2))), 61)
-    with pytest.raises(DimensionTooLarge, match="dilated_protocol_state"):
-        dilated_protocol_state(rho, rank1_povm(haar_unitary(9, 62), 3), "B")
     three = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 63)
     dil = dilated_protocol_state(three, rank1_povm(haar_unitary(4, 64), 2), "B")
-    assert dil.layout.total_dim == DEFAULT_DIM_CAP
+    assert dil.layout.total_dim == DIM_CAP
+    # one outcome: two-dimensional R and E, so 16 * 4 fits and 32 * 4 does not
+    identity = Povm(2, (np.eye(2),))
+    d16 = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 4))), 65)
+    assert dilated_protocol_state(d16, identity, "B").layout.total_dim == DIM_CAP
+    d32 = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 8))), 66)
+    # qutrit Bob, 9 outcomes: 2 * 3 * 2 * R 9 * E 3 = 324
+    qutrit = random_mixed_state(SystemLayout((("A", 2), ("B", 3), ("C", 2))), 61)
+    nine = rank1_povm(haar_unitary(9, 62), 3)
+    built = []
+    validate = Mstate.__post_init__
+
+    def spy(state):
+        built.append(state.layout.total_dim)
+        validate(state)
+
+    monkeypatch.setattr(Mstate, "__post_init__", spy)
+    with pytest.raises(DimensionTooLarge, match="total dimension 128"):
+        dilated_protocol_state(d32, identity, "B")
+    with pytest.raises(DimensionTooLarge, match="total dimension 324"):
+        dilated_protocol_state(qutrit, nine, "B")
+    assert built == []  # rejected before any state is built
 
 
 def test_dilated_information_balance():

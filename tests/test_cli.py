@@ -465,11 +465,41 @@ def test_entropy_of_a_pure_diagonal_state_prints_no_negative_zero(capsys):
     assert out.splitlines()[-1] == "S(A+B) = 0.000000 bits (exact)"
 
 
-def test_dimension_cap_exits_3(monkeypatch, capsys):
-    monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "4")
-    code, _, err = _run(["compute", "entropy", "--preset", "ghz"], capsys)
+def _maximally_mixed_file(tmp_path, parties):
+    d = math.prod(dim for _, dim in parties)
+    path = tmp_path / "state.json"
+    doc = {
+        "parties": [{"label": l, "dim": dim} for l, dim in parties],
+        "matrix": [[a, 0.0] for a in (np.eye(d) / d).ravel()],
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_dimension_cap_exits_3(tmp_path, capsys):
+    path = _maximally_mixed_file(tmp_path, (("A", 5), ("B", 13)))
+    code, _, err = _run(["compute", "entropy", "--state", path], capsys)
     assert code == 3
-    assert "error:" in err
+    assert "error:" in err and "total dimension 65" in err
+
+
+@pytest.mark.parametrize(
+    "quantity, parties",
+    [
+        ("ci-product-reg", None),
+        ("cmi", (("A", 2),)),
+        ("merge-check", (("A", 2),)),
+    ],
+)
+def test_defaults_past_the_end_of_the_layout_exit_2(quantity, parties, tmp_path, capsys):
+    if parties is None:
+        source = ["--preset", "bell"]
+    else:
+        source = ["--state", _maximally_mixed_file(tmp_path, parties)]
+    code, _, err = _run(["compute", quantity] + source, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "pass the groups explicitly" in err
+    assert "Traceback" not in err
 
 
 def test_a_key_error_inside_a_computation_is_not_reported_as_bad_input(monkeypatch):

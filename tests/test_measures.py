@@ -6,7 +6,7 @@ import pytest
 
 from ci_toolkit import info, measures
 from ci_toolkit.errors import (
-    AncillaTooLarge,
+    DimensionTooLarge,
     DuplicateParty,
     InvalidPartition,
     LayoutMismatch,
@@ -128,6 +128,16 @@ def test_flag_state_pads_singleton_register():
     member = Mstate(SystemLayout((("A", 2),)), np.eye(2) / 2.0)
     flagged = flag_state(Ensemble((1.0,), (member,)), "R")
     assert flagged.layout.dim_of("R") == 2
+
+
+def test_flag_state_checks_the_dimension_cap():
+    # 16-dimensional members: four outcomes fit the cap, five do not
+    members = tuple(
+        random_mixed_state(SystemLayout((("A", 4), ("B", 4))), 20 + i) for i in range(5)
+    )
+    assert flag_state(Ensemble((0.25,) * 4, members[:4])).layout.total_dim == 64
+    with pytest.raises(DimensionTooLarge, match="A:4,B:4,R:5"):
+        flag_state(Ensemble((0.2,) * 5, members))
 
 
 def test_povm_flag_mutual_info_reads_out_a_bit():
@@ -512,9 +522,32 @@ def test_kw_discord_matches_direct_route():
 
 
 def test_kw_discord_rejects_large_purifying_system():
+    # full rank 16 on 16 dimensions: a 256-dimensional purification
     big = random_mixed_state(SystemLayout((("X", 4), ("Y", 4))), 7)
-    with pytest.raises(AncillaTooLarge):
+    with pytest.raises(DimensionTooLarge):
         kw_discord(big, "X", "Y", QUICK)
+
+
+def test_kw_discord_reports_the_ancilla_it_searched():
+    # the third eigenvalue, 1e-12, sits at the weight floor: eigvalsh and
+    # eigh disagree on whether it counts, and the purification keeps it
+    rng = np.random.default_rng(2)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    m = q @ np.diag([0.6, 0.4 - 1e-12, 1e-12, 0.0]) @ q.conj().T
+    rho = Mstate(SystemLayout((("X", 2), ("Y", 2))), (m + m.conj().T) / 2)
+    est = kw_discord(rho, "X", "Y", QUICK)
+    assert est.achiever.layout.parties == (("X", 2), ("Z", 3))
+    assert est.info["ancilla_dim"] == 3
+
+
+def test_eoa_reaches_past_the_cap_on_a_pure_64_dimensional_state():
+    # the purification has 128 dimensions; the steering search reads it as
+    # a bare amplitude matrix, so no layout passes the cap
+    rho = random_pure_state(tuple((f"Q{i}", 2) for i in range(6)), 5).to_mstate()
+    est = eoa(rho, "Q0", QUICK)
+    assert est.info["ancilla_dim"] == 2
+    s_q0 = vn_entropy(partial_trace(rho, [f"Q{i}" for i in range(1, 6)]))
+    assert abs(est.value - s_q0) <= 1e-9
 
 
 # --- one-way concentration ---------------------------------------------------------

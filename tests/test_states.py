@@ -19,11 +19,11 @@ from ci_toolkit.errors import (
     UnknownParty,
 )
 from ci_toolkit.states import (
+    DIM_CAP,
     Ensemble,
     Mstate,
     PureState,
     SystemLayout,
-    dimension_cap,
     family15_bob_states,
     load_state_file,
     merge_groups,
@@ -76,17 +76,50 @@ def test_layout_unknown_party():
         THREE.index("Q")
 
 
-def test_dimension_cap_env_override(monkeypatch):
-    monkeypatch.delenv("CI_TOOLKIT_DIM_CAP", raising=False)
-    assert dimension_cap() == 64
-    monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "16")
-    assert dimension_cap() == 16
-    monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "nope")
-    with pytest.raises(InvalidArgument):
-        dimension_cap()
-    monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "1")
-    with pytest.raises(InvalidArgument):
-        dimension_cap()
+# the cap's edge: 64 = 2^6 fits, 65 = 5 * 13 does not
+AT_CAP = tuple((f"Q{i}", 2) for i in range(6))
+PAST_CAP = (("P", 5), ("R", 13))
+
+
+def _built_mstates(monkeypatch):
+    """Record the total dimension of every Mstate built from here on."""
+    sizes = []
+    validate = Mstate.__post_init__
+
+    def spy(state):
+        sizes.append(state.layout.total_dim)
+        validate(state)
+
+    monkeypatch.setattr(Mstate, "__post_init__", spy)
+    return sizes
+
+
+def test_layout_checks_the_dimension_cap():
+    assert DIM_CAP == 64
+    assert SystemLayout(AT_CAP).total_dim == 64
+    with pytest.raises(DimensionTooLarge, match="layout P:5,R:13: total dimension 65"):
+        SystemLayout(PAST_CAP)
+    with pytest.raises(DimensionTooLarge):
+        SystemLayout(AT_CAP + (("Z", 2),))
+
+
+def test_tensor_checks_the_dimension_cap():
+    half = random_mixed_state((("A", 2), ("B", 4)), 3)
+    assert tensor(half, random_mixed_state((("C", 8),), 4)).layout.total_dim == 64
+    with pytest.raises(DimensionTooLarge):
+        tensor(random_mixed_state((("P", 5),), 5), random_mixed_state((("R", 13),), 6))
+    with pytest.raises(DimensionTooLarge):
+        tensor(half, random_mixed_state((("C", 9),), 7))
+
+
+def test_purify_checks_the_dimension_cap():
+    # 32 dimensions times the ancilla: rank 2 gives 64, rank 3 gives 96
+    layout = AT_CAP[:5]
+    assert purify(random_mixed_state(layout, 8, rank=2), "Z").layout.total_dim == 64
+    with pytest.raises(DimensionTooLarge):
+        purify(random_mixed_state(layout, 9, rank=3), "Z")
+    with pytest.raises(DimensionTooLarge):
+        purify(random_pure_state(AT_CAP, 10).to_mstate(), "Z")
 
 
 # --- state containers -------------------------------------------------------
@@ -481,11 +514,16 @@ def test_preset_rejects_bad_names_and_params(name, params, match):
         preset(name, params)
 
 
+def _max_correlated_params(m):
+    return [x for a in (np.eye(m) / m).ravel() for x in (a, 0.0)]
+
+
 def test_preset_respects_dimension_cap(monkeypatch):
-    monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "4")
-    with pytest.raises(DimensionTooLarge):
-        preset("ghz")
-    preset("bell")  # dim 4 still fits
+    assert preset("max_correlated", _max_correlated_params(8)).layout.total_dim == 64
+    built = _built_mstates(monkeypatch)
+    with pytest.raises(DimensionTooLarge, match="X:9,Z:9"):
+        preset("max_correlated", _max_correlated_params(9))
+    assert built == []  # rejected before any state is built
 
 
 # --- random states -----------------------------------------------------------
@@ -501,6 +539,15 @@ def test_random_states_are_seed_deterministic():
     m1 = random_mixed_state(TWO, 42)
     m2 = random_mixed_state(TWO, 42)
     assert np.array_equal(m1.matrix, m2.matrix)
+
+
+def test_random_states_check_the_dimension_cap():
+    assert random_pure_state(AT_CAP, 1).layout.total_dim == 64
+    assert random_mixed_state(AT_CAP, 2, rank=3).layout.total_dim == 64
+    with pytest.raises(DimensionTooLarge):
+        random_pure_state(PAST_CAP, 3)
+    with pytest.raises(DimensionTooLarge):
+        random_mixed_state(PAST_CAP, 4)
 
 
 def test_random_mixed_state_rank():
@@ -619,11 +666,30 @@ def test_state_from_dict_rejects_non_physical_matrix():
         state_from_dict(doc)
 
 
+def _file_parties(parties):
+    return [{"label": l, "dim": d} for l, d in parties]
+
+
+def _maximally_mixed_doc(parties):
+    d = math.prod(dim for _, dim in parties)
+    return {
+        "parties": _file_parties(parties),
+        "matrix": [[a, 0.0] for a in (np.eye(d) / d).ravel()],
+    }
+
+
 def test_state_from_dict_dimension_cap(monkeypatch):
-    monkeypatch.setenv("CI_TOOLKIT_DIM_CAP", "2")
-    doc = _bell_matrix_doc()
-    with pytest.raises(DimensionTooLarge):
-        state_from_dict(doc)
+    assert state_from_dict(_maximally_mixed_doc(AT_CAP)).layout.total_dim == 64
+    past_ensemble = {
+        "parties": _file_parties(PAST_CAP),
+        "ensemble": {"weights": [1.0], "vectors": [[[1.0, 0.0]] + [[0.0, 0.0]] * 64]},
+    }
+    past_preset = {"preset": {"name": "max_correlated", "params": _max_correlated_params(9)}}
+    built = _built_mstates(monkeypatch)
+    for doc in (_maximally_mixed_doc(PAST_CAP), past_ensemble, past_preset):
+        with pytest.raises(DimensionTooLarge):
+            state_from_dict(doc)
+    assert built == []
 
 
 def test_load_state_file(tmp_path):

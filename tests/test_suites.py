@@ -5,7 +5,7 @@ import pytest
 import ci_toolkit.suites as suites
 from ci_toolkit.ci import discord_additivity_check
 from ci_toolkit.optim import OptimizerConfig
-from ci_toolkit.states import DEFAULT_DIM_CAP, Mstate, preset
+from ci_toolkit.states import DIM_CAP, Mstate, preset
 from ci_toolkit.suites import (
     CheckResult,
     run_suites,
@@ -98,7 +98,7 @@ def test_bookkeeping_states_stay_under_the_cap(monkeypatch):
     suite_cmi_identity(QUICK, samples=2)
     family15 = preset("family15", (math.cos(math.pi / 8.0),))
     discord_additivity_check(family15, ("A", "C"), "B", QUICK)
-    assert max(sizes) <= DEFAULT_DIM_CAP
+    assert max(sizes) <= DIM_CAP
 
 
 def test_suite_continuity_small():
