@@ -28,7 +28,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionTooLarge,
     DuplicateParty,
     InternalInvariantError,
     InvalidArgument,
@@ -68,15 +67,14 @@ from .states import (
     SystemLayout,
     check_group_cover,
     check_groups,
+    default_groups,
     family15_bob_states,
     fresh_label,
     measured_label,
     merge_groups,
-    merge_parties,
     partial_trace,
     permute_parties,
     preset,
-    rest_of,
     tensor,
 )
 from .tolerances import SLACK, VALIDATE, ZERO
@@ -90,21 +88,11 @@ def resolve_tripartite(
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """Resolve the (reference, helper, receiver) grouping.
 
-    Defaults follow position: first party is the reference, second the
-    helper, everything else the receiver.  Explicit groups must be disjoint
-    and jointly cover the layout.
+    Defaults follow position (`default_groups`): first party is the
+    reference, second the helper, everything else the receiver.  The groups
+    must be nonempty, disjoint and jointly cover the layout.
     """
-    labels = layout.labels
-    if alice is None or bob is None or charlie is None:
-        if len(labels) < 3:
-            raise LayoutMismatch(
-                "default tripartite grouping needs at least three parties; "
-                "pass the groups explicitly"
-            )
-    a = labels[0] if alice is None else alice
-    b = labels[1] if bob is None else bob
-    c = rest_of(layout, a, b) if charlie is None else charlie
-    return check_group_cover(layout, a, b, c)
+    return check_group_cover(layout, *default_groups(layout, alice, bob, charlie))
 
 
 def _require_pure(state) -> Mstate:
@@ -193,13 +181,15 @@ def ci_lower(
     report keeps both candidates; ``lower`` is their maximum.  The bracket
     invariant lower <= upper is enforced and its violation raises, since it
     would mean an implementation bug rather than a loose bound.
+
+    Each group may name several parties; the helper's is measured as one
+    composite party (`one_way_ci`).
     """
     rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    merged, (la, lb, lc) = merge_groups(rho, (a, b, c))
-    trivial = mutual_info(merged, Partition((la,), (lc,)))
+    trivial = mutual_info(rho, Partition(a, c))
 
-    ow = one_way_ci(merged, la, lb, lc, config)
+    ow = one_way_ci(rho, a, b, c, config)
 
     cands = (
         BoundCandidate("trivial-protocol", trivial),
@@ -322,7 +312,7 @@ def ci_product_regularized(
 def discord_via_ci(
     rho: Mstate | PureState,
     unmeasured: str | Sequence[str],
-    measured: str,
+    measured: str | Sequence[str],
     config: OptimizerConfig | None = None,
 ) -> MeasureEstimate:
     """Discord computed through the concentration identity: append a trivial
@@ -330,16 +320,14 @@ def discord_via_ci(
     classical correlation), and subtract from the mutual information.
     Agrees with `measures.discord` up to optimizer convergence."""
     rho = rho.to_mstate()
-    x, y = check_group_cover(
-        rho.layout, unmeasured, measured_label(rho.layout, measured)
-    )
+    x, y = check_group_cover(rho.layout, unmeasured, measured)
     aux = fresh_label(rho.layout, "C")
     vac = Mstate(
         SystemLayout(((aux, 2),)),
         np.diag([1.0, 0.0]).astype(complex),
     )
     ext = tensor(rho, vac)
-    ow = one_way_ci(ext, x, y[0], (aux,), config)
+    ow = one_way_ci(ext, x, y, (aux,), config)
     i_xy = mutual_info(rho, Partition(x, y))
     return MeasureEstimate(
         value=max(i_xy - ow.value, 0.0),
@@ -367,12 +355,7 @@ def lqsm_fidelity_lower(
     if not math.isfinite(ci_value):
         raise InvalidArgument(f"concentrated information must be finite, got {ci_value}")
     rho = rho.to_mstate()
-    if alice is None:
-        alice = rho.layout.labels[0]
-    (a,) = check_groups(rho.layout, alice)
-    rest = rest_of(rho.layout, a)
-    if not rest:
-        raise LayoutMismatch("the reference cannot be the whole system")
+    a, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
     total = mutual_info(rho, Partition(a, rest))
     if ci_value > total + SLACK:
         raise InvalidArgument(
@@ -403,12 +386,10 @@ def oneway_ci_upper(
     """
     rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    merged, (la, lb, lc) = merge_groups(rho, (a, b, c))
-    i_total = mutual_info(merged, Partition((la,), (lb, lc)))
-    i_bc = mutual_info(merged, Partition((lb,), (lc,)))
+    i_total = mutual_info(rho, Partition(a, b + c))
+    i_bc = mutual_info(rho, Partition(b, c))
     if discord_value is None:
-        disc = discord(merged, (la, lc), lb, config)
-        discord_value = disc.value
+        discord_value = discord(rho, a + c, b, config).value
     return i_total + i_bc - float(discord_value)
 
 
@@ -426,9 +407,10 @@ def merge_conditional_entropy_check(
 ) -> MergeFeasibility:
     """Whether the helper's share can be merged to the receiver at no
     communication cost: true iff the helper's entropy conditioned on the
-    receiver is non-positive (within 1e-9)."""
+    receiver is non-positive (within 1e-9).  Both groups must be nonempty
+    and disjoint."""
     rho = rho.to_mstate()
-    ce = conditional_entropy(rho, bob, charlie)
+    ce = conditional_entropy(rho, *check_groups(rho.layout, bob, charlie))
     return MergeFeasibility(ce <= SLACK, ce)
 
 
@@ -589,31 +571,26 @@ class AdditivityCheck:
 def discord_additivity_check(
     rho: Mstate | PureState,
     unmeasured: str | Sequence[str],
-    measured: str,
+    measured: str | Sequence[str],
     config: OptimizerConfig | None = None,
 ) -> AdditivityCheck:
     """Check discord additivity on two copies of a classical-quantum state.
 
     Requires the unmeasured side to be classical (block-diagonal) with pure
     conditional states on the measured side -- the shape for which two-copy
-    additivity is the interesting question -- and a qubit measured party
-    (the two-copy search space grows as the fourth power of its dimension).
-    Both optimizations run at a doubled restart ceiling (more restarts open
-    only when the first eight disagree); the two-copy search is
-    additionally warm-started at the single-copy achiever paired with
-    itself, so the reported two-copy value is never worse than the product
-    strategy it is compared against.
+    additivity is the interesting question.  Either side may name several
+    parties; each is merged into one.  The only size limit is the dimension
+    cap on the two-copy state; its measured party of dimension d^2 is
+    searched with d^4 outcomes.  Both optimizations run at a doubled
+    restart ceiling (more restarts open only when the first eight
+    disagree); the two-copy search is additionally warm-started at the
+    single-copy achiever paired with itself, so the reported two-copy value
+    is never worse than the product strategy it is compared against.
     """
     rho = rho.to_mstate()
-    measured = measured_label(rho.layout, measured)
     cfg = config or OptimizerConfig()
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
-    if dy > 2:
-        raise DimensionTooLarge(
-            f"measured party has dimension {dy}; the two-copy search needs "
-            f"{dy ** 4} outcomes and is only supported for qubits"
-        )
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
     off = np.array(t4, copy=True)
     for i in range(dx):
@@ -639,27 +616,25 @@ def discord_additivity_check(
     lx1, ly1, lx2, ly2 = lx + "1", ly + "1", lx + "2", ly + "2"
     copy1 = Mstate(SystemLayout(((lx1, dx), (ly1, dy))), merged.matrix)
     copy2 = Mstate(SystemLayout(((lx2, dx), (ly2, dy))), merged.matrix)
-    pair = permute_parties(tensor(copy1, copy2), (lx1, lx2, ly1, ly2))
-    pair = merge_parties(pair, (lx1, lx2), lx + lx)
-    pair = merge_parties(pair, (ly1, ly2), ly + ly)
+    pair, (lxx, lyy) = merge_groups(tensor(copy1, copy2), ((lx1, lx2), (ly1, ly2)))
 
     # single-copy POVMs have k1 = dy^2 outcomes; the pair's measured party
     # has dimension dy^2, so its search runs over k1^2 of them
     k1 = single.info["outcomes"]
     v1 = single.achiever.vectors
     warm = np.kron(v1, v1)
-    double = discord(pair, lx + lx, ly + ly, boosted, warm_starts=(warm,))
+    double = discord(pair, lxx, lyy, boosted, warm_starts=(warm,))
 
     i_double = double.info["mutual_info"]
     product_values = [
-        i_double - povm_flag_mutual_info(pair, rank1_povm(warm, dy * dy), ly + ly)
+        i_double - povm_flag_mutual_info(pair, rank1_povm(warm, dy * dy), lyy)
     ]
     seeds = np.random.SeedSequence([cfg.seed, 97]).generate_state(2 * _PRODUCT_SAMPLES)
     for j in range(_PRODUCT_SAMPLES):
         up = haar_unitary(k1, int(seeds[2 * j]))[:, :dy]
         uq = haar_unitary(k1, int(seeds[2 * j + 1]))[:, :dy]
         povm = rank1_povm(np.kron(up, uq), dy * dy)
-        product_values.append(i_double - povm_flag_mutual_info(pair, povm, ly + ly))
+        product_values.append(i_double - povm_flag_mutual_info(pair, povm, lyy))
 
     return AdditivityCheck(
         single=single,

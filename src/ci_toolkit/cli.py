@@ -20,13 +20,11 @@ from .ci import (
     merge_conditional_entropy_check,
     monotone_necessary_check,
     family15_separation_report,
-    resolve_tripartite,
 )
 from .errors import (
     DimensionTooLarge,
     InternalInvariantError,
     InvalidArgument,
-    LayoutMismatch,
     ObjectiveError,
     ToolkitError,
 )
@@ -47,7 +45,7 @@ from .measures import (
     one_way_ci,
 )
 from .optim import OptimizerConfig
-from .states import load_state_file, measured_label, preset, rest_of
+from .states import default_groups, load_state_file, preset
 from .suites import SUITES, run_suites
 
 _TAGS = {
@@ -148,65 +146,45 @@ class _Row:
         return f"{self.label},{format(self.value, '.17g')},{self.tag}"
 
 
-def _nth(layout, i) -> tuple[str, ...]:
-    """The default group that position ``i`` of the layout fills."""
-    if i >= len(layout.labels):
-        raise LayoutMismatch(
-            f"default grouping needs at least {i + 1} parties; "
-            "pass the groups explicitly"
-        )
-    return (layout.labels[i],)
-
-
-def _xy_defaults(layout, args, x_all_but_last=False):
-    labels = layout.labels
-    x = _group(args.x)
-    y = _group(args.y)
-    if x is None:
-        x = labels[:-1] if x_all_but_last else _nth(layout, 0)
-    if y is None:
-        y = rest_of(layout, x)
-    return x, y
-
-
 def _compute_rows(quantity, state, args, cfg):
     layout = state.layout
     rho = state
 
+    def groups(*flags):
+        # the flags' party groups, defaults filled by position
+        return default_groups(layout, *map(_group, flags))
+
     if quantity == "entropy":
-        target = _group(args.x) or layout.labels
+        (target,) = groups(args.x)
         return [_Row(f"S({_gname(target)})", conditional_entropy(rho, target), "exact")]
 
     if quantity == "mutual-info":
-        x, y = _xy_defaults(layout, args)
+        x, y = groups(args.x, args.y)
         v = mutual_info(rho, Partition(x, y))
         return [_Row(f"I({_gname(x)}:{_gname(y)})", v, "exact")]
 
     if quantity == "cond-entropy":
-        x, y = _xy_defaults(layout, args)
+        x, y = groups(args.x, args.y)
         v = conditional_entropy(rho, x, y)
         return [_Row(f"S({_gname(x)}|{_gname(y)})", v, "exact")]
 
     if quantity == "cmi":
-        x = _group(args.x) or _nth(layout, 0)
-        y = _group(args.y) or _nth(layout, 1)
-        z = _group(args.z)
-        if z is None:
-            z = rest_of(layout, x, y)
+        x, y, z = groups(args.x, args.y, args.z)
         v = conditional_mutual_info(rho, x, y, z)
         zs = _gname(z) if z else "-"
         return [_Row(f"I({_gname(x)}:{_gname(y)}|{zs})", v, "exact")]
 
     if quantity in ("discord", "kw-discord"):
-        x, y = _xy_defaults(layout, args, x_all_but_last=True)
-        y = measured_label(layout, y)
+        # unless --x is given, the measured group defaults to the last party
+        x = _group(args.x) or layout.labels[:-1]
+        x, y = default_groups(layout, x, _group(args.y))
         fn = discord if quantity == "discord" else kw_discord
         est = fn(rho, x, y, cfg)
-        return [_Row(f"discord({_gname(x)}|{y})", est.value, _TAGS[est.direction])]
+        name = f"discord({_gname(x)}|{_gname(y)})"
+        return [_Row(name, est.value, _TAGS[est.direction])]
 
     if quantity in ("eoa", "eof"):
-        a = _group(args.alice) or _nth(layout, 0)
-        rest = rest_of(layout, a)
+        a, rest = groups(args.alice, None)
         fn = eoa if quantity == "eoa" else eof
         est = fn(rho, a, cfg)
         return [
@@ -218,12 +196,12 @@ def _compute_rows(quantity, state, args, cfg):
         ]
 
     if quantity == "log-neg":
-        x, y = _xy_defaults(layout, args)
+        x, y = groups(args.x, args.y)
         v = log_negativity(rho.to_mstate(), Partition(x, y))
         return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, "exact")]
 
     if quantity == "ed-interval":
-        x, y = _xy_defaults(layout, args)
+        x, y = groups(args.x, args.y)
         band = ed_interval(rho.to_mstate(), Partition(x, y))
         name = f"distillable({_gname(x)}:{_gname(y)})"
         if band.exact:
@@ -233,9 +211,11 @@ def _compute_rows(quantity, state, args, cfg):
             _Row(name + "-upper", band.upper, "upper-est"),
         ]
 
+    abc = (args.alice, args.bob, args.charlie)
+
     if quantity == "one-way-ci":
-        a, b, c = resolve_tripartite(layout, _group(args.alice), _group(args.bob), _group(args.charlie))
-        est = one_way_ci(rho, a, b[0] if len(b) == 1 else b, c, cfg)
+        a, b, c = groups(*abc)
+        est = one_way_ci(rho, a, b, c, cfg)
         return [
             _Row(
                 f"one-way-ci({_gname(a)};{_gname(b)}>{_gname(c)})",
@@ -245,32 +225,24 @@ def _compute_rows(quantity, state, args, cfg):
         ]
 
     if quantity == "ci-bounds":
-        report = ci_lower(
-            rho, _group(args.alice), _group(args.bob), _group(args.charlie), cfg
-        )
+        report = ci_lower(rho, *groups(*abc), cfg)
         return [
             _Row(f"ci-lower[{report.lower_source}]", report.lower, "lower-est"),
             _Row(f"ci-upper[{report.upper_source}]", report.upper, "upper-est"),
         ]
 
     if quantity == "ci-pure":
-        est = ci_pure_oneway(
-            rho, _group(args.alice), _group(args.bob), _group(args.charlie), cfg
-        )
+        est = ci_pure_oneway(rho, *groups(*abc), cfg)
         return [_Row("ci-pure-one-way", est.value, _TAGS[est.direction])]
 
     if quantity == "ci-pure-reg":
-        v = ci_pure_regularized(
-            rho, _group(args.alice), _group(args.bob), _group(args.charlie)
-        )
+        v = ci_pure_regularized(rho, *groups(*abc))
         return [_Row("ci-pure-regularized", v, "exact, closed form")]
 
     if quantity == "ci-product-reg":
-        a = _group(args.alice) or _nth(layout, 0)
-        b1 = _group(args.bob1) or _nth(layout, 1)
-        b2 = _group(args.bob2) or _nth(layout, 2)
-        c = _group(args.charlie) or rest_of(layout, a, b1, b2)
-        band = ci_product_regularized(rho, a, b1, b2, c)
+        band = ci_product_regularized(
+            rho, *groups(args.alice, args.bob1, args.bob2, args.charlie)
+        )
         if band.exact:
             return [_Row("ci-product-regularized", band.lower, "exact, closed form")]
         return [
@@ -281,13 +253,11 @@ def _compute_rows(quantity, state, args, cfg):
     if quantity == "lqsm-bound":
         if args.ci_value is None:
             raise InvalidArgument("lqsm-bound requires --ci-value")
-        a = _group(args.alice)
-        v = lqsm_fidelity_lower(rho, args.ci_value, a)
+        v = lqsm_fidelity_lower(rho, args.ci_value, _group(args.alice))
         return [_Row("merge-fidelity-lower", v, "exact", unit="")]
 
     if quantity == "merge-check":
-        b = _group(args.bob) or _nth(layout, 1)
-        c = _group(args.charlie) or rest_of(layout, _nth(layout, 0), b)
+        _, b, c = groups(None, args.bob, args.charlie)
         res = merge_conditional_entropy_check(rho, b, c)
         row = _Row(
             f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"
@@ -296,9 +266,7 @@ def _compute_rows(quantity, state, args, cfg):
         return [row, f"mergeable-at-zero-cost: {verdict}"]
 
     if quantity == "monotone-check":
-        a, b, c = resolve_tripartite(
-            layout, _group(args.alice), _group(args.bob), _group(args.charlie)
-        )
+        a, b, c = groups(*abc)
         res = monotone_necessary_check(rho, a, b, c)
         return [
             _Row(

@@ -54,9 +54,8 @@ class InvalidArgument(ToolkitError):
 
 class DimensionTooLarge(ToolkitError):
     """A layout's total dimension exceeds `states.DIM_CAP` (64), checked
-    when the layout is built; or a search space exceeds what a routine
-    supports (the two-copy discord search takes only a qubit measured
-    party)."""
+    when the layout is built; every state, and so every search, is bounded
+    by it."""
 
 
 class StateFileError(ToolkitError):

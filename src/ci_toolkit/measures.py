@@ -54,6 +54,7 @@ from .states import (
     _purification,
     check_group_cover,
     check_groups,
+    default_groups,
     fresh_label,
     measured_label,
     merge_groups,
@@ -387,21 +388,20 @@ def _register_info(merged: Mstate, povm: Povm) -> float:
 def one_way_ci(
     rho: Mstate,
     alice: str | Sequence[str],
-    bob: str,
+    bob: str | Sequence[str],
     charlie: str | Sequence[str],
     config: OptimizerConfig | None = None,
 ) -> MeasureEstimate:
     """Best mutual information between ``alice`` and ``charlie`` plus an
     outcome register, over rank-one POVMs measured on ``bob``.
 
-    ``bob`` must be a single party (merge first if needed).  The search is
-    over rank-one POVMs with K = d^2 outcomes, d the dimension of ``bob``,
-    which reach the supremum over all POVMs.  The value is recomputed at
-    the achieving POVM, so it is achievable by construction and can only
-    err downward.
+    Each group may name several parties; a composite ``bob`` is measured
+    as one party of dimension d, the product of its parties' dimensions.
+    The search is over rank-one POVMs with K = d^2 outcomes, which reach
+    the supremum over all POVMs.  The value is recomputed at the achieving
+    POVM, so it is achievable by construction and can only err downward.
     """
     rho = rho.to_mstate()
-    bob = measured_label(rho.layout, bob)
     merged, (_, lb, lc) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
     s_a = vn_entropy(partial_trace(merged, (lb, lc)))
@@ -435,7 +435,7 @@ def one_way_ci(
 def discord(
     rho: Mstate,
     unmeasured: str | Sequence[str],
-    measured: str,
+    measured: str | Sequence[str],
     config: OptimizerConfig | None = None,
     *,
     warm_starts: Sequence[np.ndarray] = (),
@@ -446,12 +446,13 @@ def discord(
     classical correlation extractable by a rank-one POVM on ``measured``:
     the inner maximization is variational, so the reported discord is an
     upper-bound estimate (it can only decrease as the search improves).
-    ``warm_starts`` are K x d isometries whose rows are outcome vectors (or
-    K x K unitaries, read by their first d columns), K = d^2 for the
-    dimension d of ``measured``, searched before the seeded restarts.
+    Either group may name several parties; a composite ``measured`` is
+    measured as one party of dimension d, the product of its parties'
+    dimensions.  ``warm_starts`` are K x d isometries whose rows are
+    outcome vectors (or K x K unitaries, read by their first d columns),
+    K = d^2, searched before the seeded restarts.
     """
     rho = rho.to_mstate()
-    measured = measured_label(rho.layout, measured)
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
@@ -684,12 +685,7 @@ def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> fl
     """Many-copy-rate assisted entanglement across ``alice`` vs the rest:
     min of the two marginal entropies.  Exact, no optimization."""
     rho = rho.to_mstate()
-    if alice is None:
-        alice = rho.layout.labels[0]
-    (a_labels,) = check_groups(rho.layout, alice)
-    rest = rest_of(rho.layout, a_labels)
-    if not rest:
-        raise LayoutMismatch("need a proper bipartition")
+    a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
     s_a = vn_entropy(partial_trace(rho, rest))
     s_c = vn_entropy(partial_trace(rho, a_labels))
     return min(s_a, s_c)

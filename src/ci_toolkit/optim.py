@@ -105,16 +105,23 @@ class Povm:
         elems = tuple(np.asarray(e, dtype=np.complex128) for e in self.elements)
         if not elems:
             raise InvalidArgument("Povm: needs at least one element")
-        total = np.zeros((d, d), dtype=np.complex128)
         for i, e in enumerate(elems):
             if e.shape != (d, d):
                 raise InvalidArgument(f"Povm: element {i} has shape {e.shape}, expected {(d, d)}")
-            if np.max(np.abs(e - e.conj().T)) > SLACK:
-                raise InvalidArgument(f"Povm: element {i} is not Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -VALIDATE:
-                raise NotPSD(f"Povm: element {i} has a negative eigenvalue")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > SLACK:
+        # the checks run on the (K, d, d) stack, each written so that a NaN
+        # or an infinity fails it (inf - inf is a NaN); a failing element is
+        # named by its index
+        stack = np.array(elems)
+        with np.errstate(invalid="ignore"):
+            skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = ~(skew <= SLACK)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidArgument(f"Povm: element {i} is not a finite Hermitian matrix")
+        bad = ~(np.linalg.eigvalsh(stack)[:, 0] >= -VALIDATE)
+        if bad.any():
+            raise NotPSD(f"Povm: element {int(np.argmax(bad))} has a negative eigenvalue")
+        if not np.max(np.abs(stack.sum(axis=0) - np.eye(d))) <= SLACK:
             raise InvalidArgument(
                 f"Povm: elements do not sum to the identity within {SLACK:g}"
             )
@@ -127,7 +134,7 @@ class Povm:
                     f"Povm: vectors have shape {vec.shape}, expected {(len(elems), d)}"
                 )
             outers = vec[:, :, None] * vec[:, None, :].conj()
-            bad = np.max(np.abs(outers - np.array(elems)), axis=(1, 2)) > SLACK
+            bad = ~(np.abs(outers - stack).max(axis=(1, 2)) <= SLACK)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise InvalidArgument(f"Povm: vector {i} does not give element {i}")
@@ -144,14 +151,12 @@ def rank1_povm(u, party_dim: int) -> Povm:
     m = np.asarray(u, dtype=np.complex128)
     if m.ndim != 2 or m.shape[1] > m.shape[0]:
         raise InvalidArgument(f"rank1_povm: expected a K x c isometry, got shape {m.shape}")
-    k = m.shape[0]
     if not (1 <= party_dim <= m.shape[1]):
         raise InvalidArgument(
             f"rank1_povm: party_dim {party_dim} must be in [1, {m.shape[1]}]"
         )
     v = m[:, :party_dim]
-    elements = tuple(np.outer(v[i], v[i].conj()) for i in range(k))
-    return Povm(party_dim, elements, vectors=v)
+    return Povm(party_dim, tuple(v[:, :, None] * v[:, None, :].conj()), vectors=v)
 
 
 # ---------------------------------------------------------------------------

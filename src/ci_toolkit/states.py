@@ -153,10 +153,32 @@ def check_group_cover(layout: SystemLayout, *groups) -> tuple[tuple[str, ...], .
     return checked
 
 
+def default_groups(layout: SystemLayout, *groups) -> tuple:
+    """Fill the groups given as None by position: group i becomes
+    ``(labels[i],)``, and the last group becomes the rest of the layout,
+    which may be empty.  Only fills; `check_groups` and `check_group_cover`
+    check.  Raises LayoutMismatch when a position past the end of the
+    layout is left to the default."""
+    *lead, last = groups
+    labels = layout.labels
+    filled = []
+    for i, g in enumerate(lead):
+        if g is None:
+            if i >= len(labels):
+                raise LayoutMismatch(
+                    f"default grouping needs at least {i + 1} parties; "
+                    "pass the groups explicitly"
+                )
+            g = (labels[i],)
+        filled.append(g)
+    return (*filled, rest_of(layout, *filled) if last is None else last)
+
+
 def measured_label(layout: SystemLayout, group) -> str:
-    """The one label of a measured ``group``, checked against ``layout``.
-    Measurements act on a single party, so a composite must be merged
-    first (`merge_groups`)."""
+    """The one label of a ``group`` that a caller-supplied POVM measures,
+    checked against ``layout``: a POVM is built for one party's dimension.
+    The searches take a composite measured group and merge it
+    (`merge_groups`)."""
     (labels,) = check_groups(layout, group)
     if len(labels) != 1:
         raise LayoutMismatch("the measured party must be a single label; merge first")

@@ -24,6 +24,7 @@ from ci_toolkit.errors import (
     DimensionTooLarge,
     DuplicateParty,
     InvalidArgument,
+    InvalidPartition,
     LayoutMismatch,
     NotPure,
     NotRankOne,
@@ -43,6 +44,7 @@ from ci_toolkit.measures import (
     flag_state,
     log_negativity,
     measure_ensemble,
+    one_way_ci,
 )
 from ci_toolkit.optim import OptimizerConfig, Povm, haar_unitary, rank1_povm
 from ci_toolkit.states import (
@@ -141,6 +143,16 @@ def test_ci_lower_dominates_helper_classical_correlation(name):
     assert report.lower >= classical - 1e-6
 
 
+def test_composite_helper_is_measured_as_one_party():
+    # ci_lower hands its groups to one_way_ci, which merges the helper
+    rho = preset("product_eq10", (0.75,))
+    direct = one_way_ci(rho, "A", ("B1", "B2"), "C", CFG)
+    report = ci_lower(rho, "A", ("B1", "B2"), "C", CFG)
+    assert direct.value == report.details["one_way"].value
+    assert direct.info["measured_party"] == "(B1+B2)"
+    assert direct.achiever.party_dim == 4 and len(direct.achiever) == 16
+
+
 def test_ci_pure_oneway_ghz():
     est = ci_pure_oneway(preset("ghz"), config=CFG)
     assert est.value == pytest.approx(2.0, abs=5e-3)
@@ -202,8 +214,12 @@ def test_discord_via_ci_matches_direct():
     direct = discord(bell, "A", "B", CFG)
     assert abs(via.value - direct.value) <= 2e-2
     assert via.info["mutual_info"] == pytest.approx(2.0, abs=1e-12)
+    # a composite measured group is measured as one party: D(A|BC) = S(A)
+    # on GHZ
+    ghz = discord_via_ci(preset("ghz"), "A", ("B", "C"), CFG)
+    assert ghz.value == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(LayoutMismatch):
-        discord_via_ci(preset("ghz"), "A", ("B", "C"), CFG)
+        discord_via_ci(preset("ghz"), "A", "B", CFG)
 
 
 def test_lqsm_fidelity_lower():
@@ -248,6 +264,9 @@ def test_merge_conditional_entropy_check():
     bad = merge_conditional_entropy_check(iso, "B", "C")
     assert not bad.feasible
     assert bad.conditional_entropy == pytest.approx(1.0, abs=1e-12)
+    # an empty receiver is no receiver: S(B|) would silently be S(B)
+    with pytest.raises(InvalidPartition, match="empty"):
+        merge_conditional_entropy_check(preset("bell"), "B", ())
 
 
 def test_monotone_necessary_check():
@@ -308,8 +327,21 @@ def test_discord_additivity_check_happy_path():
 
 
 def test_discord_additivity_check_rejections():
+    # a qutrit measured party is searched, not rejected: the dimension cap
+    # is the only size limit
+    v0 = np.array([1.0, 0.0, 0.0])
+    v1 = np.ones(3) / math.sqrt(3.0)
+    m = np.zeros((6, 6), dtype=complex)
+    m[:3, :3] = 0.5 * np.outer(v0, v0)
+    m[3:, 3:] = 0.5 * np.outer(v1, v1)
+    qutrit = discord_additivity_check(Mstate(SystemLayout((("X", 2), ("Y", 3))), m), "X", "Y")
+    assert qutrit.single.value > 0.1
+    assert abs(qutrit.deviation) <= 1e-9
+    assert qutrit.product_values[0] == pytest.approx(2.0 * qutrit.single.value, abs=1e-9)
+    assert min(qutrit.product_values) >= qutrit.double.value - 1e-9
+    # mixed qutrit branches are still the wrong shape
     wide = Mstate(SystemLayout((("X", 2), ("Y", 3))), np.eye(6) / 6.0)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(ShapeMismatch):
         discord_additivity_check(wide, "X", "Y")
     with pytest.raises(ShapeMismatch):
         discord_additivity_check(preset("bell"), "A", "B")

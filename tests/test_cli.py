@@ -502,6 +502,33 @@ def test_defaults_past_the_end_of_the_layout_exit_2(quantity, parties, tmp_path,
     assert "Traceback" not in err
 
 
+def test_merge_check_needs_a_receiver(capsys):
+    # on two parties the default receiver is the empty rest
+    code, out, err = _run(["compute", "merge-check", "--preset", "bell"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "empty party group" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("quantity", ["discord", "kw-discord"])
+def test_a_composite_measured_group_is_one_party(quantity, capsys):
+    argv = ["compute", quantity, "--preset", "ghz", "--x", "A", "--y", "B,C"]
+    code, out, err = _run(argv + ["--format", "csv"], capsys)
+    assert code == 0, err
+    name, value, tag = out.splitlines()[1].split(",")
+    assert (name, tag) == ("discord(A|B+C)", "upper-est")
+    assert abs(float(value) - 1.0) <= 1e-9  # D(A|BC) = S(A) on GHZ
+
+
+def test_one_way_ci_takes_a_composite_helper(capsys):
+    argv = ["compute", "one-way-ci", "--preset", "product_eq10", "--param", "0.75",
+            "--alice", "A", "--bob", "B1,B2", "--charlie", "C", *FAST]
+    code, out, err = _run(argv, capsys)
+    assert code == 0, err
+    assert "one-way-ci(A;B1+B2>C) = " in out
+
+
 def test_a_key_error_inside_a_computation_is_not_reported_as_bad_input(monkeypatch):
     # a missing key is a bug, not an input error: it propagates instead of
     # exiting 2 with an input-error message

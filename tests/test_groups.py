@@ -1,8 +1,14 @@
-"""Every grouping of a layout's party labels is checked once, in
-`ci_toolkit.states` (`check_groups`, `rest_of`, `check_group_cover`,
-`measured_label`). The guard below fails, naming file and line, when another
-module raises the group errors itself or validates a label by calling
-`.index(` for its side effect."""
+"""Every grouping of a layout's party labels is filled and checked in
+`ci_toolkit.states`: `default_groups` fills the groups a caller leaves out,
+by position, and `check_groups`, `rest_of` and `check_group_cover` check
+them. A measured group may name several parties; the searches merge it into
+one (`merge_groups`). `measured_label` insists on one label only where a
+caller hands in a POVM built for one party.
+
+The guards below fail, naming file and line, when another module raises the
+group errors itself, validates a label by calling `.index(` for its side
+effect, or calls `measured_label` outside `measures._outcome_blocks` and
+`ci.dilated_protocol_state`."""
 
 import ast
 from pathlib import Path
@@ -19,6 +25,7 @@ from ci_toolkit.states import (
     SystemLayout,
     check_group_cover,
     check_groups,
+    default_groups,
     measured_label,
     preset,
     rest_of,
@@ -49,6 +56,31 @@ def test_only_states_checks_party_groups():
             ):
                 hits.append(f"{path.name}:{node.lineno}: bare .index( call")
     assert not hits, "check party groups with ci_toolkit.states:\n" + "\n".join(hits)
+
+
+# the functions that take a caller's POVM for one party
+POVM_TAKERS = {("measures.py", "_outcome_blocks"), ("ci.py", "dilated_protocol_state")}
+
+
+def _called_name(node: ast.Call) -> str | None:
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id
+    return f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_measured_label_only_where_a_povm_is_given():
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.name, getattr(top, "name", None)) in POVM_TAKERS:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) == "measured_label":
+                    hits.append(f"{path.name}:{node.lineno}: measured_label call")
+    assert not hits, "pass measured groups to the search, which merges them:\n" + "\n".join(hits)
 
 
 THREE = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
@@ -85,6 +117,20 @@ def test_check_group_cover_requires_every_party():
         check_group_cover(THREE, "A", "B")
     with pytest.raises(InvalidPartition):
         check_group_cover(THREE, "A", ("B", "C"), "A")
+
+
+def test_default_groups_fill_by_position():
+    assert default_groups(THREE, None, None, None) == (("A",), ("B",), ("C",))
+    assert default_groups(THREE, None, None) == (("A",), ("B", "C"))
+    assert default_groups(THREE, None) == (("A", "B", "C"),)
+    # given groups pass through unchecked; the last default is the rest
+    assert default_groups(THREE, "C", None) == ("C", ("A", "B"))
+    assert default_groups(THREE, ("B", "C"), None, None) == (("B", "C"), ("B",), ("A",))
+    assert default_groups(THREE, None, ("B", "C"), None) == (("A",), ("B", "C"), ())
+    assert default_groups(THREE, None, None, ("C",)) == (("A",), ("B",), ("C",))
+    assert default_groups(THREE, None, None, None, None) == (("A",), ("B",), ("C",), ())
+    with pytest.raises(LayoutMismatch, match="at least 4 parties"):
+        default_groups(THREE, None, None, None, None, None)
 
 
 def test_measured_label_is_one_known_label():

@@ -103,6 +103,19 @@ def test_measure_ensemble_drops_zero_weight_outcomes():
     assert np.isclose(ens.weights[0], 1.0)
 
 
+@pytest.mark.parametrize("db", [2, 3], ids=["qubit", "qutrit"])
+def test_single_outcome_povm_learns_nothing(db):
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", db), ("C", 2))), 40 + db)
+    identity = Povm(db, (np.eye(db),))
+    ens = measure_ensemble(rho, identity, "B")
+    assert len(ens.members) == 1
+    marginal = partial_trace(rho, "B")
+    assert np.max(np.abs(ens.members[0].matrix - marginal.matrix)) <= 1e-12
+    assert abs(povm_flag_mutual_info(rho, identity, "B")) <= 1e-12
+    i_ac = mutual_info(rho, Partition("A", "C"))
+    assert abs(_register_info(rho, identity) - i_ac) <= 1e-12
+
+
 def test_measure_ensemble_layout_errors():
     rho = preset("classical_classical")
     with pytest.raises(UnknownParty):
@@ -432,8 +445,14 @@ def test_discord_accepts_pure_state_and_rejects_groups():
     est = discord(preset("bell"), "A", "B", OptimizerConfig(restarts=2, max_iters=40, tol=1e-3))
     assert est.value >= 0.0
     ghz = preset("ghz")
+    # a composite measured group is merged into one party: D(A|BC) = S(A)
+    merged = discord(ghz, "A", ("B", "C"))
+    assert merged.value == pytest.approx(1.0, abs=1e-9)
+    assert merged.info["measured_party"] == "(B+C)"
     with pytest.raises(LayoutMismatch):
-        discord(ghz, "A", ("B", "C"), QUICK)
+        discord(ghz, "A", "B", QUICK)
+    with pytest.raises(LayoutMismatch):
+        discord(ghz, ("A", "B"), ("B", "C"), QUICK)
 
 
 # --- steering-based measures ------------------------------------------------------

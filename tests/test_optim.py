@@ -101,6 +101,23 @@ def test_povm_validation():
         Povm(2, (np.eye(2) * 0.5, np.eye(2) * 0.4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_povm_rejects_non_finite_elements(bad):
+    n = np.full((2, 2), bad, dtype=complex)
+    with pytest.raises(InvalidArgument, match="element 0"):
+        Povm(2, (n, np.eye(2) - n))
+    diag = np.diag([bad, 0.0])
+    with pytest.raises(InvalidArgument, match="element 1"):
+        Povm(2, (np.diag([0.0, 1.0]), diag))
+
+
+def test_povm_rejects_a_nan_isometry():
+    iso = haar_unitary(4, 5)[:, :2]
+    iso[2, 1] = np.nan
+    with pytest.raises(InvalidArgument, match="element 2"):
+        rank1_povm(iso, 2)
+
+
 def test_povm_rejects_vectors_that_contradict_elements():
     halves = (np.eye(2) * 0.5, np.eye(2) * 0.5)
     with pytest.raises(InvalidArgument, match="vector 0"):
