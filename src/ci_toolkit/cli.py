@@ -45,7 +45,7 @@ from .measures import (
     one_way_ci,
 )
 from .optim import OptimizerConfig
-from .states import default_groups, load_state_file, preset
+from .states import check_groups, default_groups, load_state_file, preset, rest_of
 from .suites import SUITES, run_suites
 
 _TAGS = {
@@ -175,9 +175,12 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row(f"I({_gname(x)}:{_gname(y)}|{zs})", v, "exact")]
 
     if quantity in ("discord", "kw-discord"):
-        # unless --x is given, the measured group defaults to the last party
-        x = _group(args.x) or layout.labels[:-1]
-        x, y = default_groups(layout, x, _group(args.y))
+        if args.x is None:
+            # the measured group defaults to the last party, --x to the rest
+            y = _group(args.y) or layout.labels[-1:]
+            x = rest_of(layout, y)
+        else:
+            x, y = groups(args.x, args.y)
         fn = discord if quantity == "discord" else kw_discord
         est = fn(rho, x, y, cfg)
         name = f"discord({_gname(x)}|{_gname(y)})"
@@ -257,7 +260,7 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row("merge-fidelity-lower", v, "exact", unit="")]
 
     if quantity == "merge-check":
-        _, b, c = groups(None, args.bob, args.charlie)
+        _, b, c = check_groups(layout, *groups(*abc))
         res = merge_conditional_entropy_check(rho, b, c)
         row = _Row(
             f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"

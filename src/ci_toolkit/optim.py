@@ -31,11 +31,17 @@ Restarts are seeded Haar isometries, after any warm starts, reduced
 deterministically (strict improvement keeps the lowest restart index).
 `restarts` is a ceiling: the first eight starts run first, and the rest open
 only if fewer than four of those end within `tol` of the best; a Haar start
-is drawn only when it opens. The restarts that run advance in lockstep, their
-trial points pooled into batched objective calls, and each restart's
-arithmetic reads only its own state, so every restart ends exactly where it
-ends when run alone. The search is deterministic for a fixed seed and
-config.
+is drawn only when it opens. The restarts that run advance in lockstep. A
+round makes one objective call over the live restarts' trial points; then
+the restarts that accept theirs share one tangent projection of
+(G, V' - V, xi), those of them that hold pairs one projection of H xi, and
+every restart still live one polar retraction (a single SVD of the stack)
+to its next trial point. The sufficient-increase test, the pairs, the
+two-loop recursion and the stopping test stay per restart. A stacked matrix
+product or SVD computes each matrix exactly as the single-matrix call does,
+so each row's arithmetic is the same as the restart's run alone, and every
+restart ends exactly where it ends when run alone. The search is
+deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -168,34 +174,33 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The tangent part z - v herm(v^dagger z) of z at the isometry v."""
-    m = v.conj().T @ z
-    return z - v @ (0.5 * (m + m.conj().T))
+    """The tangent part z - v herm(v^dagger z) of z at the isometry v; on
+    stacks, matrix by matrix (the leading axes broadcast)."""
+    m = v.conj().swapaxes(-1, -2) @ z
+    return z - v @ (0.5 * (m + m.conj().swapaxes(-1, -2)))
 
 
 def _polar(w: np.ndarray) -> np.ndarray:
-    """The isometry nearest a full-rank K x c matrix: w (w^dagger w)^(-1/2)."""
+    """The isometry nearest a full-rank K x c matrix: w (w^dagger w)^(-1/2);
+    on a (B, K, c) stack, matrix by matrix."""
     u, _, vh = np.linalg.svd(w, full_matrices=False)
     return u @ vh
 
 
 class _Ascent:
     """One restart: its isometry, value and Riemannian gradient, its L-BFGS
-    pairs, and the trial point its backtracking waits on."""
+    pairs, and the step its backtracking tries.  `_ascend` does the matrix
+    work on the stack of restarts; the scalar tests and the two-loop
+    recursion are the restart's own."""
 
-    def __init__(
-        self, v: np.ndarray, value: float, grad: np.ndarray, cfg: OptimizerConfig
-    ):
+    def __init__(self, v: np.ndarray, value: float, xi: np.ndarray, cfg: OptimizerConfig):
         self.cfg = cfg
-        self.v, self.value = v, value
-        self.xi = _tangent(v, grad)
+        self.v, self.value, self.xi = v, value, xi
         self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.steps = 0
-        self.live = math.sqrt(_inner(self.xi, self.xi)) >= cfg.tol
-        if self.live:
-            self._aim(first=True)
+        self.live = math.sqrt(_inner(xi, xi)) >= cfg.tol
 
-    def _inverse_hessian(self, q: np.ndarray) -> np.ndarray:
+    def inverse_hessian(self, q: np.ndarray) -> np.ndarray:
         """H q by the L-BFGS two-loop recursion, H_0 scaled by the newest
         pair's <s, y> / <y, y>."""
         q = q.copy()
@@ -210,8 +215,9 @@ class _Ascent:
             q += (a - _inner(y, q) / ys) * s
         return q
 
-    def _aim(self, first: bool) -> None:
-        d = _tangent(self.v, self._inverse_hessian(self.xi)) if self.pairs else self.xi
+    def aim(self, d: np.ndarray, first: bool) -> None:
+        """Step along d, or along xi (clearing the memory) when d is not an
+        ascent direction."""
         slope = _inner(self.xi, d)
         if slope <= 0.0:
             self.pairs.clear()
@@ -219,21 +225,19 @@ class _Ascent:
         self.d, self.slope = d, slope
         self.alpha = _FIRST_STEP / math.sqrt(slope) if first else 1.0
         self.halvings = 0
-        self.trial = _polar(self.v + self.alpha * d)
 
-    def take(self, value: float, grad: np.ndarray) -> None:
-        """Accept or backtrack on the objective at the trial point."""
-        if value < self.value + _ARMIJO * self.alpha * self.slope:
-            self.halvings += 1
-            self.live = self.halvings <= _HALVINGS
-            if self.live:
-                self.alpha *= 0.5
-                self.trial = _polar(self.v + self.alpha * self.d)
-            return
-        v = self.trial
-        xi = _tangent(v, grad)
-        s = _tangent(v, v - self.v)
-        y = _tangent(v, self.xi) - xi
+    def backtracks(self, value: float) -> bool:
+        """Whether the trial point's value fails the sufficient-increase
+        test; if so the step is halved, or the restart ends."""
+        if not value < self.value + _ARMIJO * self.alpha * self.slope:
+            return False
+        self.halvings += 1
+        self.live = self.halvings <= _HALVINGS
+        self.alpha *= 0.5
+        return True
+
+    def move(self, v, value: float, xi, s, y) -> None:
+        """Accept the trial point v, with its gradient xi and the pair (s, y)."""
         ys = _inner(y, s)
         if ys > 0.0:
             self.pairs.append((s, y, ys))
@@ -243,8 +247,20 @@ class _Ascent:
         self.live = (
             self.steps < self.cfg.max_iters and math.sqrt(_inner(xi, xi)) >= self.cfg.tol
         )
-        if self.live:
-            self._aim(first=False)
+
+
+def _aim(runs: list[_Ascent], first: bool) -> None:
+    """Aim each restart in ``runs``: along P_V(H xi), one projection over
+    the stack of those that hold pairs, or else along xi."""
+    curved = [r for r in runs if r.pairs]
+    plain = [r for r in runs if not r.pairs]
+    if curved:
+        v = np.stack([r.v for r in curved])
+        hxi = np.stack([r.inverse_hessian(r.xi) for r in curved])
+        for r, d in zip(curved, _tangent(v, hxi)):
+            r.aim(d.copy(), first)
+    for r in plain:
+        r.aim(r.xi, first)
 
 
 def _evaluator(batch_objective, sign: float):
@@ -271,15 +287,33 @@ def _evaluator(batch_objective, sign: float):
 
 
 def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig) -> list[_Ascent]:
-    """Run the restarts from ``starts`` in lockstep until each has ended: one
-    objective pass per round over every live restart's trial point."""
-    values, grads = evaluate(np.stack(starts))
-    runs = [_Ascent(v, float(f), g, cfg) for v, f, g in zip(starts, values, grads)]
+    """Run the restarts from ``starts`` in lockstep until each has ended.  A
+    round makes one objective call over the live restarts' trial points; the
+    restarts that accept theirs share one tangent projection of (G, V' - V,
+    xi), and every restart still live shares one polar retraction."""
+    stack = np.stack(starts)
+    values, grads = evaluate(stack)
+    xis = _tangent(stack, grads)
+    runs = [_Ascent(v, float(f), xi.copy(), cfg) for v, f, xi in zip(starts, values, xis)]
     live = [r for r in runs if r.live]
+    _aim(live, first=True)
     while live:
-        values, grads = evaluate(np.stack([r.trial for r in live]))
-        for r, f, g in zip(live, values, grads):
-            r.take(float(f), g)
+        # the trial points polar(V + alpha D), retracted as one stack
+        trial = _polar(np.stack([r.v + r.alpha * r.d for r in live]))
+        values, grads = evaluate(trial)
+        took = [i for i, r in enumerate(live) if not r.backtracks(float(values[i]))]
+        if took:
+            moved = [live[i] for i in took]
+            v = trial[took]
+            old_v = np.stack([r.v for r in moved])
+            old_xi = np.stack([r.xi for r in moved])
+            # the tangent parts of G, V' - V and xi at V'
+            t = _tangent(v[:, None], np.stack([grads[took], v - old_v, old_xi], axis=1))
+            for r, i, vi, (xi, s, y) in zip(moved, took, v, t):
+                # y = -(xi' - P_V' xi); a restart copies out its rows, so it
+                # keeps no round's stack alive
+                r.move(vi.copy(), float(values[i]), xi.copy(), s.copy(), y - xi)
+            _aim([r for r in moved if r.live], first=False)
         live = [r for r in live if r.live]
     return runs
 

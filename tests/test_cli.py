@@ -308,6 +308,15 @@ def test_csv_output_independent_of_blas_threads_past_the_scout():
     assert outputs[0].splitlines()[-1].startswith("one-way-ci(")
 
 
+def test_csv_output_independent_of_blas_threads_on_the_largest_stacks():
+    # a 16 x 4 isometry search (K = 16 outcomes on B+C), 16 restarts
+    outputs = _csv_at_blas_threads(
+        ["compute", "discord", "--preset", "w", "--x", "A", "--y", "B,C", "--restarts", "16"]
+    )
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-1].startswith("discord(A|B+C),")
+
+
 def test_state_file_input(tmp_path, capsys):
     path = tmp_path / "bell.json"
     path.write_text(json.dumps(_bell_doc()))
@@ -519,6 +528,40 @@ def test_a_composite_measured_group_is_one_party(quantity, capsys):
     name, value, tag = out.splitlines()[1].split(",")
     assert (name, tag) == ("discord(A|B+C)", "upper-est")
     assert abs(float(value) - 1.0) <= 1e-9  # D(A|BC) = S(A) on GHZ
+
+
+@pytest.mark.parametrize("quantity", ["discord", "kw-discord"])
+def test_a_measured_group_alone_is_measured_against_the_rest(quantity, capsys):
+    # --x defaults to every party --y leaves out
+    argv = ["compute", quantity, "--preset", "ghz", "--y", "B", "--format", "csv"]
+    code, out, err = _run(argv, capsys)
+    assert code == 0, err
+    name, value, tag = out.splitlines()[1].split(",")
+    assert (name, tag) == ("discord(A+C|B)", "upper-est")
+    assert abs(float(value) - 1.0) <= 1e-9  # D(AC|B) = S(B) on GHZ
+
+
+def test_merge_check_reads_the_reference_from_alice(capsys):
+    # the reference takes no part in S(helper|receiver), but it is a group:
+    # the default helper is the second party, which --alice B repeats
+    code, out, err = _run(["compute", "merge-check", "--preset", "ghz", "--alice", "B"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "party 'B' appears twice" in err
+
+
+@pytest.mark.parametrize(
+    "flags,row",
+    [([], "S(B|C)"), (["--alice", "B", "--bob", "A"], "S(A|C)")],
+    ids=["default", "alice-B-bob-A"],
+)
+def test_merge_check_receiver_is_the_rest_of_alice_and_bob(flags, row, capsys):
+    code, out, err = _run(["compute", "merge-check", "--preset", "ghz", *flags], capsys)
+    assert code == 0, err
+    assert out.splitlines()[3:] == [
+        f"{row} = 0.000000 bits (exact)",
+        "mergeable-at-zero-cost: yes",
+    ]
 
 
 def test_one_way_ci_takes_a_composite_helper(capsys):

@@ -249,6 +249,46 @@ def test_lockstep_restarts_equal_isolated_runs():
             assert np.array_equal(together[r].v, alone.v)
 
 
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("dim,cols", [(4, 2), (9, 3), (16, 4)])
+def test_stacked_kernels_equal_the_per_matrix_results(dim, cols, batch):
+    # a round projects and retracts the stack of its restarts at once; each
+    # row must be bit for bit the single-matrix result
+    rng = np.random.default_rng(100 * dim + batch)
+    v = np.stack([haar_unitary(dim, 100 * dim + b)[:, :cols] for b in range(batch)])
+    z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    w = v + 0.3 * z
+    tangent, polar = _tangent(v, z), _polar(w)
+    # the (G, V' - V, xi) form: one isometry against three matrices
+    zs = np.stack([z, w - v, 2.0 * z], axis=1)
+    triple = _tangent(v[:, None], zs)
+    for b in range(batch):
+        assert np.array_equal(tangent[b], _tangent(v[b], z[b]))
+        assert np.array_equal(polar[b], _polar(w[b]))
+        for k in range(3):
+            assert np.array_equal(triple[b, k], _tangent(v[b], zs[b, k]))
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 8])
+def test_one_polar_retraction_per_round(monkeypatch, restarts):
+    # one retraction aims the first trial points, and each round but the
+    # last, where every restart has ended, makes exactly one more: over the
+    # stack that the next objective call evaluates
+    retracted, evaluated = [], []
+    polar = optim._polar
+    monkeypatch.setattr(optim, "_polar", lambda w: retracted.append(len(w)) or polar(w))
+
+    def counting(blocks):
+        evaluated.append(len(blocks))
+        return _ridge_batch(blocks)
+
+    cfg = OptimizerConfig(restarts=restarts, max_iters=60, tol=1e-8)
+    runs = _ascend(_evaluator(counting, 1.0), _starts(4, 2, restarts), cfg)
+    assert all(r.steps > 3 for r in runs)
+    assert len(retracted) == len(evaluated) - 1
+    assert retracted == evaluated[1:]
+
+
 def test_agreeing_scouts_open_no_more_restarts():
     # one optimum, so the eight scouts all end on it
     f = _overlap_batch(haar_unitary(2, 31)[:, :1])
