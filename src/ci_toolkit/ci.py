@@ -28,7 +28,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    DuplicateParty,
     InternalInvariantError,
     InvalidArgument,
     LayoutMismatch,
@@ -70,9 +69,9 @@ from .states import (
     default_groups,
     family15_bob_states,
     fresh_label,
+    marginal,
     measured_label,
     merge_groups,
-    partial_trace,
     permute_parties,
     preset,
     tensor,
@@ -138,7 +137,7 @@ class CiReport:
 
 def _upper_candidates(rho: Mstate, a, b, c):
     total = mutual_info(rho, Partition(a, b + c))
-    s_a = vn_entropy(partial_trace(rho, b + c))
+    s_a = vn_entropy(marginal(rho, a))
     ed = ed_interval(rho, Partition(a + b, c))
     cands = (
         BoundCandidate("total-mutual-info", total),
@@ -233,8 +232,8 @@ def ci_pure_oneway(
     so the estimate errs downward."""
     rho = _require_pure(state)
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    s_a = vn_entropy(partial_trace(rho, b + c))
-    rho_ac = partial_trace(rho, b)
+    s_a = vn_entropy(marginal(rho, a))
+    rho_ac = marginal(rho, a + c)
     assisted = eoa(rho_ac, a, config)
     return MeasureEstimate(
         value=s_a + assisted.value,
@@ -255,8 +254,8 @@ def ci_pure_regularized(
     S(reference) plus the smaller of S(reference), S(receiver).  Exact."""
     rho = _require_pure(state)
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    s_a = vn_entropy(partial_trace(rho, b + c))
-    s_c = vn_entropy(partial_trace(rho, a + b))
+    s_a = vn_entropy(marginal(rho, a))
+    s_c = vn_entropy(marginal(rho, c))
     return s_a + min(s_a, s_c)
 
 
@@ -288,8 +287,8 @@ def ci_product_regularized(
     rho = rho.to_mstate()
     a, b1, b2, c = check_group_cover(rho.layout, alice, bob_inner, bob_outer, charlie)
     ordered = permute_parties(rho, a + b1 + b2 + c)
-    left = partial_trace(ordered, b2 + c)
-    right = partial_trace(ordered, a + b1)
+    left = marginal(ordered, a + b1)
+    right = marginal(ordered, b2 + c)
     product = tensor(left, right)
     residual = float(np.max(np.abs(product.matrix - ordered.matrix)))
     if residual > SLACK:
@@ -302,7 +301,7 @@ def ci_product_regularized(
             f"the (reference, helper-inner) factor has purity {left.purity():.9f}, "
             "but the closed form needs it pure"
         )
-    s_a = vn_entropy(partial_trace(left, b1))
+    s_a = vn_entropy(marginal(left, a))
     ed = ed_interval(right, Partition(b2, c))
     lo = s_a + min(s_a, ed.lower)
     hi = s_a + min(s_a, ed.upper)
@@ -321,7 +320,7 @@ def discord_via_ci(
     Agrees with `measures.discord` up to optimizer convergence."""
     rho = rho.to_mstate()
     x, y = check_group_cover(rho.layout, unmeasured, measured)
-    aux = fresh_label(rho.layout, "C")
+    aux = fresh_label(rho.layout.labels, "C")
     vac = Mstate(
         SystemLayout(((aux, 2),)),
         np.diag([1.0, 0.0]).astype(complex),
@@ -520,7 +519,7 @@ def family15_separation_report(
     is reported), since that is what forces round one to start at the
     receiver."""
     rho = preset("family15", (c,))
-    bc = partial_trace(rho, "A")
+    bc = marginal(rho, ("B", "C"))
     iso = Mstate(bc.layout, np.eye(4, dtype=complex) / 4.0)
     residual = trace_distance(bc, iso)
     total = mutual_info(rho, Partition("A", ("B", "C")))
@@ -672,8 +671,9 @@ def dilated_protocol_state(
 
     A single-outcome POVM (necessarily the identity) dilates trivially to
     fresh two-dimensional registers in |0>.  Elements of rank above one
-    raise ``NotRankOne``; a dilation above the dimension cap raises
-    ``DimensionTooLarge`` before any array is built.
+    raise ``NotRankOne``.  A register or environment label already present,
+    or the two the same, raises ``DuplicateParty``, and a dilation above
+    the dimension cap ``DimensionTooLarge``, before any array is built.
     """
     rho = rho.to_mstate()
     layout = rho.layout
@@ -683,14 +683,10 @@ def dilated_protocol_state(
         raise LayoutMismatch(
             f"POVM acts on dimension {povm.party_dim}, party {bob!r} has dimension {d}"
         )
-    for label in (register_label, env_label):
-        if label in layout.labels:
-            raise DuplicateParty(f"party {label!r} already present")
-    if register_label == env_label:
-        raise DuplicateParty("register and environment need distinct labels")
     k = len(povm)
     de = max(2, -(-k // d))
-    # the output layout checks the cap before any array is allocated
+    # the output layout checks the labels and the cap before any array is
+    # allocated
     out = SystemLayout(layout.parties + ((register_label, max(k, 2)), (env_label, de)))
 
     if k == 1:

@@ -164,7 +164,8 @@ def _compute_rows(quantity, state, args, cfg):
         return [_Row(f"I({_gname(x)}:{_gname(y)})", v, "exact")]
 
     if quantity == "cond-entropy":
-        x, y = groups(args.x, args.y)
+        # the conditioner may not be the empty rest
+        x, y = check_groups(layout, *groups(args.x, args.y))
         v = conditional_entropy(rho, x, y)
         return [_Row(f"S({_gname(x)}|{_gname(y)})", v, "exact")]
 

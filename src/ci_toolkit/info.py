@@ -9,8 +9,8 @@ log2 t, so splitting a measurement outcome changes no measured quantity.
 
 The entropy of an `Mstate` reads the spectrum the state stored when it was
 built, which is exactly what the kernel computes from its matrix, and a
-marginal comes from `partial_trace`, which builds each reduction of a state
-once.  So no state's matrix is diagonalized twice.
+group's entropy is that of its `states.marginal`, which builds each
+reduction of a state once.  So no state's matrix is diagonalized twice.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .states import (
     _read_diagonal,
     as_labels,
     check_groups,
-    partial_trace,
-    rest_of,
+    marginal,
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -54,7 +53,7 @@ class Partition:
         """Validate the cut against ``rho`` and trace out the parties
         outside it."""
         self.validate(rho.layout)
-        return _keep(rho, self.left + self.right)
+        return marginal(rho, self.left + self.right)
 
 
 def _log2(p: np.ndarray) -> np.ndarray:
@@ -155,23 +154,14 @@ def vn_entropy(state: Mstate | PureState) -> float:
     return float(max(_spectrum_h(state.spectrum), 0.0))
 
 
-def _keep(rho: Mstate, labels) -> Mstate:
-    drop = rest_of(rho.layout, labels)
-    return partial_trace(rho, drop) if drop else rho
-
-
-def _group_entropy(rho: Mstate, labels) -> float:
-    return vn_entropy(_keep(rho, labels))
-
-
 def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
     """I(left : right) = S(left) + S(right) - S(left,right).
 
     Parties outside the cut are traced out first.
     """
     rho = cut.restrict(state.to_mstate())
-    s_l = _group_entropy(rho, cut.left)
-    s_r = _group_entropy(rho, cut.right)
+    s_l = vn_entropy(marginal(rho, cut.left))
+    s_r = vn_entropy(marginal(rho, cut.right))
     s_lr = vn_entropy(rho)
     return s_l + s_r - s_lr
 
@@ -184,8 +174,8 @@ def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
     else:
         (t,) = check_groups(rho.layout, target)
         g = ()
-    s_tg = _group_entropy(rho, t + g)
-    s_g = _group_entropy(rho, g) if g else 0.0
+    s_tg = vn_entropy(marginal(rho, t + g))
+    s_g = vn_entropy(marginal(rho, g)) if g else 0.0
     return s_tg - s_g
 
 
@@ -197,10 +187,10 @@ def conditional_mutual_info(state: Mstate | PureState, x, y, z=()) -> float:
     else:
         xs, ys = check_groups(rho.layout, x, y)
         zs = ()
-    s_xz = _group_entropy(rho, xs + zs)
-    s_yz = _group_entropy(rho, ys + zs)
-    s_z = _group_entropy(rho, zs) if zs else 0.0
-    s_xyz = _group_entropy(rho, xs + ys + zs)
+    s_xz = vn_entropy(marginal(rho, xs + zs))
+    s_yz = vn_entropy(marginal(rho, ys + zs))
+    s_z = vn_entropy(marginal(rho, zs)) if zs else 0.0
+    s_xyz = vn_entropy(marginal(rho, xs + ys + zs))
     return s_xz + s_yz - s_z - s_xyz
 
 

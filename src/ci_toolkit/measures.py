@@ -28,11 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateParty,
-    InternalInvariantError,
-    LayoutMismatch,
-)
+from .errors import InternalInvariantError, LayoutMismatch
 from .info import (
     Partition,
     _entropy_log_stack,
@@ -56,13 +52,12 @@ from .states import (
     check_groups,
     default_groups,
     fresh_label,
+    marginal,
     measured_label,
     merge_groups,
-    partial_trace,
     partial_transpose,
     permute_parties,
     purify,
-    rest_of,
 )
 from .tolerances import DIAG, VALIDATE, ZERO
 
@@ -170,11 +165,10 @@ def flag_state(ensemble: Ensemble, register_label: str = "R") -> Mstate:
     Returns the block-diagonal state ``sum_i w_i rho_i (x) |i><i|`` with the
     register appended as the last (least significant) party.  The register
     dimension is the number of ensemble members, padded to 2 so that it is
-    a genuine quantum system even for singleton ensembles.
+    a genuine quantum system even for singleton ensembles.  A
+    ``register_label`` already present raises ``DuplicateParty``.
     """
     layout = ensemble.layout
-    if register_label in layout.labels:
-        raise DuplicateParty(f"party {register_label!r} already present")
     reg = max(len(ensemble.members), 2)
     flagged = SystemLayout(layout.parties + ((register_label, reg),))
     dsys = layout.total_dim
@@ -192,8 +186,8 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     For the flagged state sum_i p_i rho_i (x) |i><i| this is the Holevo
     form `_holevo` on the outcome blocks sigma_i = p_i rho_i: no outcome is
     dropped, and no flagged state is built."""
-    _, sig, _ = _outcome_blocks(rho, povm, party)
-    return float(_holevo(vn_entropy(partial_trace(rho, party)), sig))
+    rest, sig, _ = _outcome_blocks(rho, povm, party)
+    return float(_holevo(vn_entropy(marginal(rho, rest.labels)), sig))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +375,7 @@ def _register_info(merged: Mstate, povm: Povm) -> float:
     the register R, by the one-way form `_one_way`."""
     da, _, dc = merged.layout.dims
     _, sig, _ = _outcome_blocks(merged, povm, merged.layout.labels[1])
-    s_a = vn_entropy(partial_trace(merged, merged.layout.labels[1:]))
+    s_a = vn_entropy(marginal(merged, merged.layout.labels[:1]))
     return float(_one_way(s_a, sig, da, dc))
 
 
@@ -402,9 +396,9 @@ def one_way_ci(
     POVM, so it is achievable by construction and can only err downward.
     """
     rho = rho.to_mstate()
-    merged, (_, lb, lc) = merge_groups(rho, (alice, bob, charlie))
+    merged, (la, lb, _) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
-    s_a = vn_entropy(partial_trace(merged, (lb, lc)))
+    s_a = vn_entropy(marginal(merged, la))
 
     if merged.purity() > 1.0 - ZERO:
         # Pure input: each conditional block on alice+charlie is pure, with
@@ -456,7 +450,7 @@ def discord(
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
-    s_x = vn_entropy(partial_trace(merged, (ly,)))
+    s_x = vn_entropy(marginal(merged, lx))
     i_xy = mutual_info(merged, Partition((lx,), (ly,)))
 
     # When the unmeasured marginal index is classical (no coherences between
@@ -530,10 +524,7 @@ def _steered_entanglement(rho, alice, config, sense):
     pure-state ensemble they steer, and recompute that average, with the
     achieving ensemble, from the steered amplitudes of the best POVM."""
     rho = rho.to_mstate()
-    (a_labels,) = check_groups(rho.layout, alice)
-    rest = rest_of(rho.layout, a_labels)
-    if not rest:
-        raise LayoutMismatch("need at least one party besides the steered side")
+    a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
     ordered = permute_parties(rho, a_labels + rest)
     # the purification as a bare (system, ancilla) matrix: it may pass the
     # dimension cap, which no layout does
@@ -602,12 +593,12 @@ def kw_discord(
     rho = rho.to_mstate()
     x_labels, y_labels = check_group_cover(rho.layout, unmeasured, measured)
     ordered = permute_parties(rho, x_labels + y_labels)
-    anc = fresh_label(ordered.layout, "Z")
+    anc = fresh_label(ordered.layout.labels, "Z")
     psi = purify(ordered, anc)
-    rho_xz = partial_trace(psi.to_mstate(), y_labels)
+    rho_xz = marginal(psi.to_mstate(), x_labels + (anc,))
     ef = eof(rho_xz, x_labels, config)
     s_xy = vn_entropy(ordered)
-    s_y = vn_entropy(partial_trace(ordered, x_labels))
+    s_y = vn_entropy(marginal(ordered, y_labels))
     value = ef.value - s_xy + s_y
     return MeasureEstimate(
         value=value,
@@ -635,8 +626,8 @@ def coherent_info_lower(rho: Mstate, cut: Partition) -> float:
     """Hashing-type lower bound on distillable entanglement across ``cut``:
     the larger of the two coherent informations, floored at zero."""
     reduced = cut.restrict(rho)
-    s_left = vn_entropy(partial_trace(reduced, cut.right))
-    s_right = vn_entropy(partial_trace(reduced, cut.left))
+    s_left = vn_entropy(marginal(reduced, cut.left))
+    s_right = vn_entropy(marginal(reduced, cut.right))
     s_both = vn_entropy(reduced)
     return max(0.0, s_left - s_both, s_right - s_both)
 
@@ -686,8 +677,8 @@ def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> fl
     min of the two marginal entropies.  Exact, no optimization."""
     rho = rho.to_mstate()
     a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
-    s_a = vn_entropy(partial_trace(rho, rest))
-    s_c = vn_entropy(partial_trace(rho, a_labels))
+    s_a = vn_entropy(marginal(rho, a_labels))
+    s_c = vn_entropy(marginal(rho, rest))
     return min(s_a, s_c)
 
 

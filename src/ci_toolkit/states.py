@@ -5,13 +5,19 @@ leftmost party most significant in the flat index (row-major, matching
 `np.kron`). Density operators are `Mstate`, pure vectors `PureState`,
 weighted collections `Ensemble`.
 
+Labels are checked in one place: a `SystemLayout` rejects a repeated one,
+so every operation that adds or renames parties (`tensor`, `merge_parties`,
+`merge_groups`, `purify`, a flagged or dilated state) raises
+``DuplicateParty`` by building its layout.
+
 Each state is derived once. An `Mstate` keeps the spectrum its PSD check
 computes, in the form the entropy kernel in `info` reads it, so no entropy
-diagonalizes a state's matrix again. `partial_trace` keeps each reduction
-on the state it came from, keyed by the set of dropped labels, so asking
-for the same marginal twice builds it once. The party-group checks run on
-every call, before that lookup. A `PureState` builds its density operator
-once, on the first `to_mstate()`.
+diagonalizes a state's matrix again. `marginal` (by kept labels) and
+`partial_trace` (by dropped ones) keep each reduction on the state it came
+from, keyed by the set of dropped labels, so asking for the same marginal
+twice builds it once. The party-group check runs on every call, before that
+lookup. A `PureState` builds its density operator once, on the first
+`to_mstate()`.
 
 The JSON state-file format consumed by the CLI is defined by
 `load_state_file` / `state_from_dict` at the bottom of this module.
@@ -339,9 +345,6 @@ class Ensemble:
 
 def tensor(a: Mstate, b: Mstate) -> Mstate:
     """Tensor product; b's parties are appended after a's."""
-    overlap = set(a.layout.labels) & set(b.layout.labels)
-    if overlap:
-        raise DuplicateParty(f"tensor: labels {sorted(overlap)} appear on both factors")
     layout = SystemLayout(a.layout.parties + b.layout.parties)
     return Mstate(layout, np.kron(a.matrix, b.matrix))
 
@@ -350,13 +353,24 @@ def _tensor_view(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return matrix.reshape(*dims, *dims)
 
 
+def marginal(rho: Mstate, keep) -> Mstate:
+    """The reduced state of the group ``keep``: every other party traced
+    out.  The kept parties come back in layout order, whatever order
+    ``keep`` names them in, and a group naming every party returns ``rho``
+    itself.  The group check runs on every call; the reduction is shared
+    with `partial_trace` of the complement (see there)."""
+    (kept,) = check_groups(rho.layout, keep)
+    drop = rest_of(rho.layout, kept)
+    return _reduction(rho, drop) if drop else rho
+
+
 def partial_trace(rho: Mstate, discard) -> Mstate:
     """Trace out the listed parties; the kept parties keep their order.
 
     The group checks run on every call.  The reduction is then kept on
     ``rho``, keyed by the set of dropped labels, and a later call for the
-    same set returns the same object.  Parties are traced in layout order,
-    whatever order ``discard`` names them in.
+    same set, here or through `marginal`, returns the same object.  Parties
+    are traced in layout order, whatever order ``discard`` names them in.
 
     The reduction's PSD check allows eigenvalues down to -(VALIDATE +
     d_dropped * max(0, -lambda_min(rho))), lambda_min read from ``rho``'s
@@ -370,21 +384,22 @@ def partial_trace(rho: Mstate, discard) -> Mstate:
     check_groups(rho.layout, drop)
     if len(drop) == len(rho.layout.parties):
         raise InvalidArgument("partial_trace: cannot discard every party")
+    return _reduction(rho, drop)
+
+
+def _reduction(rho: Mstate, drop: tuple[str, ...]) -> Mstate:
+    """The reduction of ``rho`` without the checked labels ``drop``, built
+    once and kept on ``rho`` under the set of those labels."""
     key = frozenset(drop)
     reduced = rho._reductions.get(key)
-    if reduced is None:
-        reduced = _reduce(rho, key)
-        rho._reductions[key] = reduced
-    return reduced
-
-
-def _reduce(rho: Mstate, drop: frozenset) -> Mstate:
+    if reduced is not None:
+        return reduced
     dims = list(rho.layout.dims)
     t = _tensor_view(rho.matrix, tuple(dims))
     labels = list(rho.layout.labels)
     dropped = 1
     for l in rho.layout.labels:
-        if l in drop:
+        if l in key:
             i = labels.index(l)
             t = np.trace(t, axis1=i, axis2=len(labels) + i)
             dropped *= dims[i]
@@ -392,7 +407,9 @@ def _reduce(rho: Mstate, drop: frozenset) -> Mstate:
             dims.pop(i)
     d = math.prod(dims)
     layout = SystemLayout(tuple(zip(labels, dims)))
-    return Mstate(layout, t.reshape(d, d), _psd_slack=dropped * _slack_of(rho))
+    reduced = Mstate(layout, t.reshape(d, d), _psd_slack=dropped * _slack_of(rho))
+    rho._reductions[key] = reduced
+    return reduced
 
 
 def _slack_of(rho: Mstate) -> float:
@@ -457,9 +474,6 @@ def merge_parties(state, labels, new_label: str) -> Mstate | PureState:
         raise InvalidArgument(
             f"merge_parties: {group} is not a contiguous run in {state.layout.labels}"
         )
-    others = [l for l in state.layout.labels if l not in group]
-    if new_label in others:
-        raise DuplicateParty(f"merge_parties: label {new_label!r} already present")
     dim = state.layout.group_dim(group)
     parties = (
         state.layout.parties[: idx[0]]
@@ -472,10 +486,10 @@ def merge_parties(state, labels, new_label: str) -> Mstate | PureState:
     return _relaid(state, layout, state.matrix)
 
 
-def fresh_label(layout: SystemLayout, base: str) -> str:
-    """``base`` with primes appended until no party of ``layout`` has it."""
+def fresh_label(labels: tuple[str, ...], base: str) -> str:
+    """``base`` with primes appended until none of ``labels`` is it."""
     label = base
-    while label in layout.labels:
+    while label in labels:
         label += "'"
     return label
 
@@ -483,9 +497,10 @@ def fresh_label(layout: SystemLayout, base: str) -> str:
 def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
     """Permute ``rho`` so the groups (which must cover its layout) are
     contiguous and merge each multi-party group into a single composite
-    party.  Returns the merged state and the per-group labels (composites get
-    a synthesized parenthesized name).  When every group is one label, the
-    state is the permuted one: ``rho`` itself in layout order."""
+    party.  Returns the merged state and the per-group labels: a composite
+    is named ``(B+C)`` after its parties, primed (`fresh_label`) past every
+    label of ``rho`` and every earlier composite.  When every group is one
+    label, the state is the permuted one: ``rho`` itself in layout order."""
     groups = check_group_cover(rho.layout, *groups)
     order = [l for g in groups for l in g]
     state = permute_parties(rho, order)
@@ -498,9 +513,8 @@ def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
         if len(g) == 1:
             label = g[0]
         else:
-            label = "(" + "+".join(g) + ")"
-            while any(label == l for l in new_labels) or label in rho.layout.labels:
-                label += "'"
+            taken = rho.layout.labels + tuple(new_labels)
+            label = fresh_label(taken, "(" + "+".join(g) + ")")
         new_parties.append((label, dim))
         new_labels.append(label)
     merged = _relaid(state, SystemLayout(tuple(new_parties)), state.matrix)
@@ -530,8 +544,6 @@ def purify(rho: Mstate, ancilla_label: str) -> PureState:
     the purification is a state like any other: above the cap it raises
     ``DimensionTooLarge``.
     """
-    if ancilla_label in rho.layout.labels:
-        raise DuplicateParty(f"purify: ancilla label {ancilla_label!r} already present")
     psi = _purification(rho)
     layout = SystemLayout(rho.layout.parties + ((ancilla_label, psi.shape[1]),))
     return PureState(layout, psi.reshape(-1))

@@ -520,6 +520,20 @@ def test_merge_check_needs_a_receiver(capsys):
     assert "Traceback" not in err
 
 
+def test_cond_entropy_needs_a_conditioner(capsys, tmp_path):
+    # --x names every party, so the default --y is the empty rest
+    argv = ["compute", "cond-entropy", "--preset", "bell", "--x", "A,B"]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "empty party group in (('A', 'B'), ())" in err
+    one = _maximally_mixed_file(tmp_path, [("A", 2)])
+    code, out, err = _run(["compute", "cond-entropy", "--state", one], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "empty party group in (('A',), ())" in err
+
+
 @pytest.mark.parametrize("quantity", ["discord", "kw-discord"])
 def test_a_composite_measured_group_is_one_party(quantity, capsys):
     argv = ["compute", quantity, "--preset", "ghz", "--x", "A", "--y", "B,C"]

@@ -5,9 +5,13 @@ them. A measured group may name several parties; the searches merge it into
 one (`merge_groups`). `measured_label` insists on one label only where a
 caller hands in a POVM built for one party.
 
+A group's reduced state comes from `states.marginal`, and a repeated label
+is rejected by the `SystemLayout` a new state is built on.
+
 The guards below fail, naming file and line, when another module raises the
-group errors itself, validates a label by calling `.index(` for its side
-effect, or calls `measured_label` outside `measures._outcome_blocks` and
+group errors or ``DuplicateParty`` itself, validates a label by calling
+`.index(` for its side effect, calls `partial_trace`, or calls
+`measured_label` outside `measures._outcome_blocks` and
 `ci.dilated_protocol_state`."""
 
 import ast
@@ -40,22 +44,37 @@ def _raised_name(node: ast.Raise) -> str | None:
     return exc.id if isinstance(exc, ast.Name) else None
 
 
+def _outside_states():
+    """(file name, node) for every syntax node of the package outside
+    `states`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "states.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
 def test_only_states_checks_party_groups():
     hits = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "states.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Raise) and _raised_name(node) in GROUP_ERRORS:
-                hits.append(f"{path.name}:{node.lineno}: raise {_raised_name(node)}")
-            if (
-                isinstance(node, ast.Expr)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Attribute)
-                and node.value.func.attr == "index"
-            ):
-                hits.append(f"{path.name}:{node.lineno}: bare .index( call")
+    for name, node in _outside_states():
+        if isinstance(node, ast.Raise) and _raised_name(node) in GROUP_ERRORS:
+            hits.append(f"{name}:{node.lineno}: raise {_raised_name(node)}")
+        if (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "index"
+        ):
+            hits.append(f"{name}:{node.lineno}: bare .index( call")
     assert not hits, "check party groups with ci_toolkit.states:\n" + "\n".join(hits)
+
+
+def test_only_states_raises_duplicate_party():
+    hits = [
+        f"{name}:{node.lineno}: raise DuplicateParty"
+        for name, node in _outside_states()
+        if isinstance(node, ast.Raise) and _raised_name(node) == "DuplicateParty"
+    ]
+    assert not hits, "build the SystemLayout, which rejects a repeated label:\n" + "\n".join(hits)
 
 
 # the functions that take a caller's POVM for one party
@@ -67,6 +86,15 @@ def _called_name(node: ast.Call) -> str | None:
     if isinstance(f, ast.Name):
         return f.id
     return f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_only_states_takes_partial_traces():
+    hits = [
+        f"{name}:{node.lineno}: partial_trace call"
+        for name, node in _outside_states()
+        if isinstance(node, ast.Call) and _called_name(node) == "partial_trace"
+    ]
+    assert not hits, "take a group's reduced state with states.marginal:\n" + "\n".join(hits)
 
 
 def test_measured_label_only_where_a_povm_is_given():

@@ -25,7 +25,9 @@ from ci_toolkit.states import (
     PureState,
     SystemLayout,
     family15_bob_states,
+    fresh_label,
     load_state_file,
+    marginal,
     merge_groups,
     merge_parties,
     partial_trace,
@@ -257,6 +259,30 @@ def test_partial_trace_ignores_the_order_parties_are_named_in():
     assert np.array_equal(first.matrix, second.matrix)
 
 
+def test_marginal_keeps_the_named_group_in_layout_order():
+    rho = random_mixed_state(THREE, 5)
+    red = marginal(rho, ("C", "A"))
+    assert red.layout.labels == ("A", "C")
+    assert marginal(rho, ("A", "C")) is red
+    assert marginal(rho, ("C", "B", "A")) is rho
+    # one cache with partial_trace, whichever call comes first
+    assert partial_trace(rho, "B") is red
+    assert marginal(rho, "A") is partial_trace(rho, ("C", "B"))
+    # the group check still runs on every call, before the lookup
+    with pytest.raises(InvalidPartition):
+        marginal(rho, ("A", "C", "A"))
+
+
+@pytest.mark.parametrize(
+    "keep, error",
+    [((), InvalidPartition), (("B", "B"), InvalidPartition), (("A", "Q"), UnknownParty)],
+    ids=["empty", "repeated", "unknown"],
+)
+def test_marginal_checks_its_group(keep, error):
+    with pytest.raises(error):
+        marginal(random_mixed_state(THREE, 5), keep)
+
+
 # A:2 x B:4 with lambda_min = -9e-11: accepted, but Tr_B scales that
 # eigenvalue by d_B = 4, below the -1e-10 of a user-supplied matrix
 EPS = 9e-11
@@ -338,6 +364,22 @@ def test_merge_groups_returns_the_input_when_nothing_merges():
     # out of layout order, the permuted copy is the result
     merged, labels = merge_groups(rho, ("C", "A", "B"))
     assert labels == ("C", "A", "B") and merged.layout.labels == labels
+
+
+def test_merge_groups_primes_a_composite_name_already_taken():
+    four = SystemLayout((("A", 2), ("B", 2), ("C", 2), ("(B+C)", 2)))
+    merged, labels = merge_groups(random_mixed_state(four, 3), ("A", ("B", "C"), "(B+C)"))
+    assert labels == ("A", "(B+C)'", "(B+C)")
+    assert merged.layout.parties == (("A", 2), ("(B+C)'", 4), ("(B+C)", 2))
+    # two composites can spell the same name; the later one is primed
+    plus = SystemLayout((("A+B", 2), ("C", 2), ("A", 2), ("B+C", 2)))
+    _, labels = merge_groups(random_mixed_state(plus, 3), (("A+B", "C"), ("A", "B+C")))
+    assert labels == ("(A+B+C)", "(A+B+C)'")
+
+
+def test_fresh_label_primes_past_every_given_label():
+    assert fresh_label(("Z", "Z'"), "Z") == "Z''"
+    assert fresh_label(("A", "B"), "Z") == "Z"
 
 
 def test_partial_transpose_bell_has_negative_eigenvalue():
