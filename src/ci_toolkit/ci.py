@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     InternalInvariantError,
     InvalidArgument,
-    LayoutMismatch,
     NotPure,
     NotRankOne,
     ShapeMismatch,
@@ -45,6 +44,7 @@ from .info import (
 from .measures import (
     LOWER,
     UPPER,
+    Bracket,
     MeasureEstimate,
     discord,
     ed_interval,
@@ -259,21 +259,13 @@ def ci_pure_regularized(
     return s_a + min(s_a, s_c)
 
 
-class RegularizedBand(NamedTuple):
-    """Bracket on a many-copy rate; ``exact`` when the endpoints coincide."""
-
-    lower: float
-    upper: float
-    exact: bool
-
-
 def ci_product_regularized(
     rho: Mstate | PureState,
     alice: str | Sequence[str],
     bob_inner: str | Sequence[str],
     bob_outer: str | Sequence[str],
     charlie: str | Sequence[str],
-) -> RegularizedBand:
+) -> Bracket:
     """Many-copy rate for a state that factors as (reference, helper-inner)
     x (helper-outer, receiver) with the first factor pure.
 
@@ -305,7 +297,7 @@ def ci_product_regularized(
     ed = ed_interval(right, Partition(b2, c))
     lo = s_a + min(s_a, ed.lower)
     hi = s_a + min(s_a, ed.upper)
-    return RegularizedBand(lo, hi, ed.exact or hi - lo <= ZERO)
+    return Bracket(lo, hi, ed.exact or hi - lo <= ZERO)
 
 
 def discord_via_ci(
@@ -677,12 +669,8 @@ def dilated_protocol_state(
     """
     rho = rho.to_mstate()
     layout = rho.layout
-    bob = measured_label(layout, bob)
-    d = layout.dim_of(bob)
-    if povm.party_dim != d:
-        raise LayoutMismatch(
-            f"POVM acts on dimension {povm.party_dim}, party {bob!r} has dimension {d}"
-        )
+    d = povm.party_dim
+    bob = measured_label(layout, bob, d)
     k = len(povm)
     de = max(2, -(-k // d))
     # the output layout checks the labels and the cap before any array is
@@ -723,7 +711,6 @@ def dilated_protocol_state(
 __all__ = [
     "BoundCandidate",
     "CiReport",
-    "RegularizedBand",
     "MergeFeasibility",
     "MonotoneCheck",
     "MergeOutcome",

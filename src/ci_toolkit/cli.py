@@ -146,6 +146,17 @@ class _Row:
         return f"{self.label},{format(self.value, '.17g')},{self.tag}"
 
 
+def _bracket_rows(name, band, exact_tag):
+    """One ``exact_tag`` row for an exact `Bracket`, else a lower and an
+    upper row."""
+    if band.exact:
+        return [_Row(name, band.lower, exact_tag)]
+    return [
+        _Row(name + "-lower", band.lower, "lower-est"),
+        _Row(name + "-upper", band.upper, "upper-est"),
+    ]
+
+
 def _compute_rows(quantity, state, args, cfg):
     layout = state.layout
     rho = state
@@ -207,13 +218,7 @@ def _compute_rows(quantity, state, args, cfg):
     if quantity == "ed-interval":
         x, y = groups(args.x, args.y)
         band = ed_interval(rho.to_mstate(), Partition(x, y))
-        name = f"distillable({_gname(x)}:{_gname(y)})"
-        if band.exact:
-            return [_Row(name, band.lower, "exact")]
-        return [
-            _Row(name + "-lower", band.lower, "lower-est"),
-            _Row(name + "-upper", band.upper, "upper-est"),
-        ]
+        return _bracket_rows(f"distillable({_gname(x)}:{_gname(y)})", band, "exact")
 
     abc = (args.alice, args.bob, args.charlie)
 
@@ -247,12 +252,7 @@ def _compute_rows(quantity, state, args, cfg):
         band = ci_product_regularized(
             rho, *groups(args.alice, args.bob1, args.bob2, args.charlie)
         )
-        if band.exact:
-            return [_Row("ci-product-regularized", band.lower, "exact, closed form")]
-        return [
-            _Row("ci-product-regularized-lower", band.lower, "lower-est"),
-            _Row("ci-product-regularized-upper", band.upper, "upper-est"),
-        ]
+        return _bracket_rows("ci-product-regularized", band, "exact, closed form")
 
     if quantity == "lqsm-bound":
         if args.ci_value is None:

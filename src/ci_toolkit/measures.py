@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, LayoutMismatch
+from .errors import InternalInvariantError
 from .info import (
     Partition,
     _entropy_log_stack,
@@ -86,8 +86,10 @@ class MeasureEstimate:
     info: dict = field(default_factory=dict)
 
 
-class EdInterval(NamedTuple):
-    """Two-sided bracket on distillable entanglement, in bits."""
+class Bracket(NamedTuple):
+    """Two-sided bracket on a quantity in bits, such as distillable
+    entanglement or a many-copy rate; ``exact`` when the endpoints are the
+    value itself."""
 
     lower: float
     upper: float
@@ -124,12 +126,8 @@ def _outcome_blocks(rho: Mstate, povm: Povm, party: str):
     sigma_i = Tr_party[(M_i on party) rho] as a (K, n, n) stack, and the
     probabilities p_i = Tr sigma_i (>= 0)."""
     layout = rho.layout
-    party = measured_label(layout, party)
-    d = layout.dim_of(party)
-    if povm.party_dim != d:
-        raise LayoutMismatch(
-            f"POVM acts on dimension {povm.party_dim}, party {party!r} has dimension {d}"
-        )
+    d = povm.party_dim
+    party = measured_label(layout, party, d)
     rows = np.array(povm.elements).transpose(0, 2, 1).reshape(len(povm), d * d)
     sig = np.tensordot(rows, _operand(rho, party), 1)
     p = np.clip(np.real(np.trace(sig, axis1=1, axis2=2)), 0.0, None)
@@ -651,7 +649,7 @@ def _max_correlated_pattern(reduced: Mstate, cut: Partition) -> np.ndarray | Non
     return a
 
 
-def ed_interval(rho: Mstate, cut: Partition) -> EdInterval:
+def ed_interval(rho: Mstate, cut: Partition) -> Bracket:
     """Bracket the distillable entanglement across ``cut``.
 
     Generic states get [coherent-information lower, log-negativity upper].
@@ -666,8 +664,8 @@ def ed_interval(rho: Mstate, cut: Partition) -> EdInterval:
         value = max(
             spectrum_entropy(np.real(np.diag(a))) - matrix_entropy(a), 0.0
         )
-        return EdInterval(value, value, True)
-    return EdInterval(
+        return Bracket(value, value, True)
+    return Bracket(
         coherent_info_lower(reduced, cut), log_negativity(reduced, cut), False
     )
 
@@ -684,7 +682,7 @@ def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> fl
 
 __all__ = [
     "MeasureEstimate",
-    "EdInterval",
+    "Bracket",
     "measure_ensemble",
     "flag_state",
     "povm_flag_mutual_info",

@@ -1,11 +1,12 @@
 """Gradient search over isometries, and rank-1 POVMs.
 
-`maximize` is the one search; it minimizes with `sense="min"`. Its iterate
-is a K x c isometry V (V^dagger V = 1): the first c columns of a K x K
-unitary, and for a rank-one POVM on a c-dimensional party, the K outcome
-vectors as its rows. The batch objective maps a stack of isometries to
-their values and their Euclidean gradients G, the derivatives in the real
-inner product <A, B> = Re Tr[A^dagger B].
+`maximize` is the one search; it minimizes with `sense="min"`, and it
+returns the best value and its isometry, with no report while it runs. Its
+iterate is a K x c isometry V (V^dagger V = 1): the first c columns of a
+K x K unitary, and for a rank-one POVM on a c-dimensional party, the K
+outcome vectors as its rows. The batch objective maps a stack of
+isometries to their values and their Euclidean gradients G, the
+derivatives in the real inner product <A, B> = Re Tr[A^dagger B].
 
 Each restart is a quasi-Newton ascent on the isometries (Absil, Mahony &
 Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008):
@@ -365,22 +366,19 @@ def maximize(
     columns: int | None = None,
     sense: str = "max",
     warm_starts=(),
-    progress=None,
 ) -> tuple[float, np.ndarray]:
     """Maximize a real objective over dim x columns isometries, or minimize
     it with ``sense="min"``; returns the best value and its isometry.
 
     batch_objective maps a (B, dim, columns) stack of isometries to B values
     and their (B, dim, columns) Euclidean gradients, as a pair. Minimizing is
-    exactly maximizing the negated objective: the returned value and the
-    `progress` values are negated back. `warm_starts` are dim x c isometries
-    with c >= columns, of which the first `columns` columns count (a dim x
-    dim unitary is one), searched before the seeded Haar restarts (they
-    occupy the lowest restart indices). `restarts` is a ceiling: the other
-    starts open only when the first eight disagree (see the module
-    docstring). `progress(r, best)` fires once per restart that ran, in
-    restart order, with the best value so far. Ties between restarts keep
-    the lowest index; two runs with the same seed and config return
+    exactly maximizing the negated objective: the returned value is negated
+    back. `warm_starts` are dim x c isometries with c >= columns, of which
+    the first `columns` columns count (a dim x dim unitary is one), searched
+    before the seeded Haar restarts (they occupy the lowest restart
+    indices). `restarts` is a ceiling: the other starts open only when the
+    first eight disagree (see the module docstring). Ties between restarts
+    keep the lowest index; two runs with the same seed and config return
     identical results.
     """
     cfg = config if config is not None else OptimizerConfig()
@@ -407,9 +405,7 @@ def maximize(
 
     best_val = -math.inf
     best_v = None
-    for r, run in enumerate(runs):
+    for run in runs:
         if run.value > best_val:
             best_val, best_v = run.value, run.v
-        if progress is not None:
-            progress(r, sign * best_val)
     return sign * best_val, best_v

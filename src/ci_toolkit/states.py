@@ -12,12 +12,12 @@ so every operation that adds or renames parties (`tensor`, `merge_parties`,
 
 Each state is derived once. An `Mstate` keeps the spectrum its PSD check
 computes, in the form the entropy kernel in `info` reads it, so no entropy
-diagonalizes a state's matrix again. `marginal` (by kept labels) and
-`partial_trace` (by dropped ones) keep each reduction on the state it came
-from, keyed by the set of dropped labels, so asking for the same marginal
-twice builds it once. The party-group check runs on every call, before that
-lookup. A `PureState` builds its density operator once, on the first
-`to_mstate()`.
+diagonalizes a state's matrix again. `marginal`, the one way to take a
+reduced state, names the kept group and keeps each reduction on the state
+it came from, keyed by the set of dropped labels, so asking for the same
+marginal twice builds it once. The party-group check runs on every call,
+before that lookup. A `PureState` builds its density operator once, on the
+first `to_mstate()`.
 
 The JSON state-file format consumed by the CLI is defined by
 `load_state_file` / `state_from_dict` at the bottom of this module.
@@ -180,15 +180,19 @@ def default_groups(layout: SystemLayout, *groups) -> tuple:
     return (*filled, rest_of(layout, *filled) if last is None else last)
 
 
-def measured_label(layout: SystemLayout, group) -> str:
-    """The one label of a ``group`` that a caller-supplied POVM measures,
-    checked against ``layout``: a POVM is built for one party's dimension.
-    The searches take a composite measured group and merge it
-    (`merge_groups`)."""
+def measured_label(layout: SystemLayout, group, dim: int) -> str:
+    """The one label of a ``group`` that a caller-supplied POVM on a
+    ``dim``-dimensional party measures, checked against ``layout``: the
+    group must name one party, of that dimension.  The searches take a
+    composite measured group and merge it (`merge_groups`)."""
     (labels,) = check_groups(layout, group)
     if len(labels) != 1:
         raise LayoutMismatch("the measured party must be a single label; merge first")
-    return labels[0]
+    (label,) = labels
+    d = layout.dim_of(label)
+    if d != dim:
+        raise LayoutMismatch(f"POVM acts on dimension {dim}, party {label!r} has dimension {d}")
+    return label
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -217,22 +221,22 @@ class Mstate:
 
     Validated on construction: square matrix of the layout's total dimension,
     Hermitian within 1e-10, unit trace within 1e-10, eigenvalues >= -1e-10.
-    A reduction made by `partial_trace` may go lower by what its parent's
-    own smallest eigenvalue allows (see there), and a copy that permutes or
+    A reduction made by `marginal` may go lower by what its parent's own
+    smallest eigenvalue allows (see there), and a copy that permutes or
     merges parties allows the smallest eigenvalue of the state it copies.
 
     ``spectrum`` is stored from that check: the diagonal when the matrix
     reads as diagonal (`_read_diagonal`), otherwise the ascending
     `eigvalsh` values.  It is exactly what the entropy kernel computes from
     ``matrix``, so `info.vn_entropy` reads it instead of diagonalizing again.
-    The reductions `partial_trace` makes of the state are kept with it.
+    The reductions `marginal` makes of the state are kept with it.
     """
 
     layout: SystemLayout
     matrix: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _reductions: dict = field(init=False, repr=False, compare=False)
-    # eigenvalue allowance past -VALIDATE; only `partial_trace` and the
+    # eigenvalue allowance past -VALIDATE; only `marginal` and the
     # party-reordering copies set it
     _psd_slack: float = field(default=0.0, kw_only=True, repr=False, compare=False)
 
@@ -260,10 +264,6 @@ class Mstate:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "_reductions", {})
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.layout.dims
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -357,20 +357,11 @@ def marginal(rho: Mstate, keep) -> Mstate:
     """The reduced state of the group ``keep``: every other party traced
     out.  The kept parties come back in layout order, whatever order
     ``keep`` names them in, and a group naming every party returns ``rho``
-    itself.  The group check runs on every call; the reduction is shared
-    with `partial_trace` of the complement (see there)."""
-    (kept,) = check_groups(rho.layout, keep)
-    drop = rest_of(rho.layout, kept)
-    return _reduction(rho, drop) if drop else rho
+    itself.
 
-
-def partial_trace(rho: Mstate, discard) -> Mstate:
-    """Trace out the listed parties; the kept parties keep their order.
-
-    The group checks run on every call.  The reduction is then kept on
+    The group check runs on every call.  The reduction is then kept on
     ``rho``, keyed by the set of dropped labels, and a later call for the
-    same set, here or through `marginal`, returns the same object.  Parties
-    are traced in layout order, whatever order ``discard`` names them in.
+    same group returns the same object.  Parties are traced in layout order.
 
     The reduction's PSD check allows eigenvalues down to -(VALIDATE +
     d_dropped * max(0, -lambda_min(rho))), lambda_min read from ``rho``'s
@@ -378,13 +369,9 @@ def partial_trace(rho: Mstate, discard) -> Mstate:
     eigenvalue that ``rho``'s own check accepted by up to d_dropped.  For a
     PSD ``rho`` that is the plain -VALIDATE check.
     """
-    drop = as_labels(discard)
-    if not drop:
-        raise InvalidArgument("partial_trace: nothing to discard")
-    check_groups(rho.layout, drop)
-    if len(drop) == len(rho.layout.parties):
-        raise InvalidArgument("partial_trace: cannot discard every party")
-    return _reduction(rho, drop)
+    (kept,) = check_groups(rho.layout, keep)
+    drop = rest_of(rho.layout, kept)
+    return _reduction(rho, drop) if drop else rho
 
 
 def _reduction(rho: Mstate, drop: tuple[str, ...]) -> Mstate:

@@ -18,7 +18,7 @@ from ci_toolkit.qmat import psd_sqrt
 from ci_toolkit.states import (
     Mstate,
     SystemLayout,
-    partial_trace,
+    marginal,
     purify,
     random_mixed_state,
 )
@@ -173,5 +173,5 @@ def test_kernel_numerics_floor():
     for j, (layout, rank) in enumerate(trips):
         rho = random_mixed_state(layout, 20_000 + j, rank=rank)
         psi = purify(rho, "Z")
-        back = partial_trace(psi.to_mstate(), "Z")
+        back = marginal(psi.to_mstate(), layout.labels)
         assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10

@@ -39,6 +39,7 @@ from ci_toolkit.info import (
 )
 from ci_toolkit.measures import (
     LOWER,
+    Bracket,
     coherent_info_lower,
     discord,
     flag_state,
@@ -51,7 +52,7 @@ from ci_toolkit.states import (
     DIM_CAP,
     Mstate,
     SystemLayout,
-    partial_trace,
+    marginal,
     preset,
     random_mixed_state,
     random_pure_state,
@@ -138,7 +139,7 @@ def test_ci_lower_dominates_helper_classical_correlation(name):
         rho = preset(name, (0.75,) if name == "product_eq10" else ())
     report = ci_lower(rho, config=CFG)
     a, b, c = resolve_tripartite(rho.layout)
-    rho_ab = partial_trace(rho.to_mstate(), c)
+    rho_ab = marginal(rho.to_mstate(), a + b)
     classical = mutual_info(rho_ab, Partition(a, b)) - discord(rho_ab, a, b[0], CFG).value
     assert report.lower >= classical - 1e-6
 
@@ -192,7 +193,8 @@ def test_ci_product_regularized_exact_at_zero():
 def test_ci_product_regularized_generic_band():
     rho = preset("product_eq10", (0.5,))
     band = ci_product_regularized(rho, "A", "B1", "B2", "C")
-    right = partial_trace(rho, ("A", "B1"))
+    assert isinstance(band, Bracket) and not band.exact
+    right = marginal(rho, ("B2", "C"))
     lo = 1.0 + min(1.0, coherent_info_lower(right, Partition("B2", "C")))
     hi = 1.0 + min(1.0, log_negativity(right, Partition("B2", "C")))
     assert band.lower == pytest.approx(lo, abs=1e-12)
@@ -358,7 +360,7 @@ def test_dilated_protocol_state_recovers_flagged_state():
     dil = dilated_protocol_state(ghz, povm, "B")
     assert dil.layout.parties == (("A", 2), ("B", 2), ("C", 2), ("R", 2), ("E", 2))
     assert dil.purity() > 1.0 - 1e-12
-    back = partial_trace(dil, ("B", "E"))
+    back = marginal(dil, ("A", "C", "R"))
     flagged = flag_state(measure_ensemble(ghz, povm, "B"), "R")
     assert np.max(np.abs(back.matrix - flagged.matrix)) <= 1e-10
 
@@ -370,7 +372,7 @@ def test_dilated_protocol_state_four_outcomes():
     # B keeps its dimension; the environment copy spans B (x) E, 2 * 2 = 4
     assert dil.layout.parties == (("A", 2), ("B", 2), ("C", 2), ("R", 4), ("E", 2))
     assert dil.layout.total_dim == 64
-    back = partial_trace(dil, ("B", "E"))
+    back = marginal(dil, ("A", "C", "R"))
     flagged = flag_state(measure_ensemble(rho, povm, "B"), "R")
     assert np.max(np.abs(back.matrix - flagged.matrix)) <= 1e-10
 
@@ -469,11 +471,31 @@ def test_dilated_information_balance():
     assert abs(lhs - rhs) <= 1e-9
 
 
+def test_dilated_protocol_state_without_vectors():
+    # a rank-one POVM given by its elements alone: the outcome rows come
+    # from each element's top eigenvector, whose phase is eigh's choice
+    rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 31, rank=2)
+    with_vectors = rank1_povm(haar_unitary(4, 33), 2)
+    bare = Povm(2, with_vectors.elements)
+    assert bare.vectors is None
+    dil = dilated_protocol_state(rho, bare, "B")
+    reference = dilated_protocol_state(rho, with_vectors, "B")
+    assert dil.layout == reference.layout
+    # the row phases cancel once B'E is traced out
+    kept = ("A", "C", "R")
+    assert np.max(np.abs(marginal(dil, kept).matrix - marginal(reference, kept).matrix)) <= 1e-12
+    lhs = conditional_mutual_info(dil, "A", ("B", "E"), ("C", "R"))
+    rhs = mutual_info(rho, Partition("A", ("B", "C"))) - mutual_info(
+        dil, Partition("A", ("C", "R"))
+    )
+    assert abs(lhs - rhs) <= 1e-9
+
+
 def test_dilated_protocol_state_single_outcome():
     bell = preset("bell").to_mstate()
     dil = dilated_protocol_state(bell, Povm(2, (np.eye(2, dtype=complex),)), "B")
     assert dil.layout.parties == (("A", 2), ("B", 2), ("R", 2), ("E", 2))
-    back = partial_trace(dil, ("R", "E"))
+    back = marginal(dil, ("A", "B"))
     assert np.max(np.abs(back.matrix - bell.matrix)) <= 1e-12
 
 

@@ -18,6 +18,15 @@ from ci_toolkit.suites import CheckResult
 
 FAST = ["--restarts", "4", "--max-iters", "400", "--tol", "1e-5"]
 SUBPROCESS_TIMEOUT = 120
+# the directory that holds the package under test, first on a child's path
+SOURCE_ROOT = Path(cli.__file__).resolve().parents[1]
+
+
+def _child_env(**overrides):
+    """The environment of a child process that imports the package under
+    test, whether or not it is installed."""
+    path = os.pathsep.join(filter(None, [str(SOURCE_ROOT), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def _run(argv, capsys):
@@ -277,7 +286,7 @@ def test_ci_bounds_names_the_one_way_protocol_on_product_eq10(capsys):
 def _csv_at_blas_threads(argv):
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env = _child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "ci_toolkit.cli", *argv, "--format", "csv"],
             capture_output=True,
@@ -399,6 +408,103 @@ def test_non_finite_state_file_exits_2(make, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and field in err
+
+
+def _with_ensemble(**fields):
+    doc = _ensemble_doc()
+    return {**doc, "ensemble": {**doc["ensemble"], **fields}}
+
+
+# one malformed document per rejection branch of `state_from_dict` and its
+# helpers, with the start of the message that names the bad field
+MALFORMED = {
+    "entry-not-an-object": (
+        {**_bell_doc(), "parties": ["A", "B"]},
+        "parties[0]: must be an object",
+    ),
+    "empty-label": (
+        {**_bell_doc(), "parties": [{"label": "", "dim": 2}, {"label": "B", "dim": 2}]},
+        "parties[0].label: must be a non-empty string",
+    ),
+    "duplicate-label": (
+        {**_bell_doc(), "parties": [{"label": "A", "dim": 2}, {"label": "A", "dim": 2}]},
+        "parties: duplicate party label 'A'",
+    ),
+    "non-numeric-entry": (
+        {**_bell_doc(), "matrix": [[0.5, 0.0], ["x", 0.0]] + [[0.0, 0.0]] * 14},
+        "matrix[1]: entries must be numbers",
+    ),
+    "document-not-an-object": ([_bell_doc()], "document: must be a JSON object"),
+    "preset-not-an-object": ({"preset": "ghz"}, "preset: must be an object"),
+    "preset-params-not-a-list": (
+        {"preset": {"name": "family15", "params": 0.5}},
+        "preset.params: must be a list",
+    ),
+    "preset-parties-dims": (
+        {
+            "preset": {"name": "ghz"},
+            "parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 4}],
+        },
+        "parties: dims (2, 4) do not match preset dims (2, 2, 2)",
+    ),
+    "ensemble-not-an-object": (
+        {**_ensemble_doc(), "ensemble": [0.5, 0.5]},
+        "ensemble: must be an object",
+    ),
+    "empty-weights": (_with_ensemble(weights=[], vectors=[]), "ensemble.weights: required"),
+    "non-numeric-weight": (
+        _with_ensemble(weights=["half", 0.5]),
+        "ensemble.weights[0]: must be a number",
+    ),
+    "negative-weight": (
+        _with_ensemble(weights=[1.5, -0.5]),
+        "ensemble.weights[1]: negative weight",
+    ),
+    "zero-vector": (
+        _with_ensemble(vectors=[[[0.0, 0.0]] * 4, _ensemble_doc()["ensemble"]["vectors"][1]]),
+        "ensemble.vectors[0]: zero vector",
+    ),
+    "weights-off-one": (
+        _with_ensemble(weights=[0.5, 0.25]),
+        "ensemble.weights: sum to 0.75",
+    ),
+    # within the 1e-9 weight-sum slack, past the 1e-10 trace check of a state
+    "invalid-ensemble-matrix": (
+        _with_ensemble(weights=[0.5, 0.5 + 5e-10]),
+        "ensemble: Mstate: trace",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_state_file_exits_2(doc, field, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(["compute", "entropy", "--state", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}"), err
+
+
+def test_preset_body_relabelled_by_parties(tmp_path, capsys):
+    # the mixed family15 body on new labels: the same row, under those labels
+    c = "0.9238795325112867"
+    code, out, err = _run(
+        ["compute", "mutual-info", "--preset", "family15", "--param", c, "--format", "csv"],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("I(A:B+C),")
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({
+        "preset": {"name": "family15", "params": [float(c)]},
+        "parties": [{"label": l, "dim": 2} for l in ("X", "Y", "Z")],
+    }))
+    code, relabelled, err = _run(
+        ["compute", "mutual-info", "--state", str(path), "--format", "csv"], capsys
+    )
+    assert code == 0, err
+    assert relabelled == out.replace("I(A:B+C),", "I(X:Y+Z),")
 
 
 def test_marginal_of_an_accepted_state_file_is_accepted(tmp_path, capsys):
@@ -710,6 +816,7 @@ def test_module_entry_point():
          "--preset", "bell", "--x", "A"],
         capture_output=True,
         text=True,
+        env=_child_env(),
         timeout=SUBPROCESS_TIMEOUT,
     )
     assert proc.returncode == 0, proc.stderr
@@ -749,6 +856,7 @@ def test_installed_script():
              "--format", "csv"],
             capture_output=True,
             text=True,
+            env=_child_env(),
             timeout=SUBPROCESS_TIMEOUT,
         )
         assert proc.returncode == 0, proc.stderr

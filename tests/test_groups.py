@@ -2,17 +2,16 @@
 `ci_toolkit.states`: `default_groups` fills the groups a caller leaves out,
 by position, and `check_groups`, `rest_of` and `check_group_cover` check
 them. A measured group may name several parties; the searches merge it into
-one (`merge_groups`). `measured_label` insists on one label only where a
-caller hands in a POVM built for one party.
+one (`merge_groups`). `measured_label` insists on one label, of the POVM's
+dimension, only where a caller hands in a POVM built for one party.
 
 A group's reduced state comes from `states.marginal`, and a repeated label
 is rejected by the `SystemLayout` a new state is built on.
 
 The guards below fail, naming file and line, when another module raises the
 group errors or ``DuplicateParty`` itself, validates a label by calling
-`.index(` for its side effect, calls `partial_trace`, or calls
-`measured_label` outside `measures._outcome_blocks` and
-`ci.dilated_protocol_state`."""
+`.index(` for its side effect, or calls `measured_label` outside
+`measures._outcome_blocks` and `ci.dilated_protocol_state`."""
 
 import ast
 from pathlib import Path
@@ -88,15 +87,6 @@ def _called_name(node: ast.Call) -> str | None:
     return f.attr if isinstance(f, ast.Attribute) else None
 
 
-def test_only_states_takes_partial_traces():
-    hits = [
-        f"{name}:{node.lineno}: partial_trace call"
-        for name, node in _outside_states()
-        if isinstance(node, ast.Call) and _called_name(node) == "partial_trace"
-    ]
-    assert not hits, "take a group's reduced state with states.marginal:\n" + "\n".join(hits)
-
-
 def test_measured_label_only_where_a_povm_is_given():
     hits = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -162,12 +152,14 @@ def test_default_groups_fill_by_position():
 
 
 def test_measured_label_is_one_known_label():
-    assert measured_label(THREE, "B") == "B"
-    assert measured_label(THREE, ("B",)) == "B"
+    assert measured_label(THREE, "B", 2) == "B"
+    assert measured_label(THREE, ("B",), 2) == "B"
     with pytest.raises(LayoutMismatch, match="merge first"):
-        measured_label(THREE, ("B", "C"))
+        measured_label(THREE, ("B", "C"), 4)
     with pytest.raises(UnknownParty):
-        measured_label(THREE, "Q")
+        measured_label(THREE, "Q", 2)
+    with pytest.raises(LayoutMismatch, match="dimension 3, party 'B' has dimension 2"):
+        measured_label(THREE, "B", 3)
 
 
 QUICK = OptimizerConfig(restarts=1, max_iters=10, tol=1e-3)

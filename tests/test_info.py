@@ -35,8 +35,9 @@ from ci_toolkit.states import (
     PureState,
     SystemLayout,
     load_state_file,
-    partial_trace,
+    marginal,
     preset,
+    rest_of,
     random_mixed_state,
 )
 
@@ -190,7 +191,7 @@ def _entropy_panel():
 
 def test_vn_entropy_reads_exactly_what_matrix_entropy_computes():
     for rho in _entropy_panel():
-        parts = [rho] + [partial_trace(rho, l) for l in rho.layout.labels]
+        parts = [rho] + [marginal(rho, rest_of(rho.layout, l)) for l in rho.layout.labels]
         for s in parts:
             assert vn_entropy(s) == matrix_entropy(s.matrix)
 

@@ -298,15 +298,7 @@ def test_agreeing_scouts_open_no_more_restarts():
         rows.append(blocks.shape[0])
         return f(blocks)
 
-    seen = []
-    maximize(
-        recording,
-        2,
-        OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6),
-        columns=1,
-        progress=lambda r, best: seen.append(r),
-    )
-    assert seen == list(range(8))
+    maximize(recording, 2, OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6), columns=1)
     # the eight scouts run together, and no other restart ever runs
     assert rows[0] == 8 and max(rows) == 8
 
@@ -317,16 +309,9 @@ def test_unopened_restarts_are_never_drawn(monkeypatch):
     draws = []
     haar = optim.haar_unitary
     monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
-    opened = []
-    maximize(
-        _overlap_batch(haar_unitary(2, 31)[:, :1]),
-        2,
-        OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6),
-        columns=1,
-        progress=lambda r, best: opened.append(r),
-    )
-    assert opened == list(range(8))
-    assert len(draws) == len(opened)
+    cfg = OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6)
+    maximize(_overlap_batch(haar_unitary(2, 31)[:, :1]), 2, cfg, columns=1)
+    assert draws == [int(s) for s in _restart_seeds(cfg)[:8]]
 
 
 def test_lazy_starts_keep_the_eager_isometries():
@@ -339,7 +324,7 @@ def test_lazy_starts_keep_the_eager_isometries():
         assert np.array_equal(starts[r], eager[r])
 
 
-def test_disagreeing_scouts_open_every_restart():
+def test_disagreeing_scouts_open_every_restart(monkeypatch):
     f = _peaks_batch(3, 60)
     cfg = OptimizerConfig(restarts=16, max_iters=2000, tol=1e-6)
     evaluate = _evaluator(f, 1.0)
@@ -348,9 +333,12 @@ def test_disagreeing_scouts_open_every_restart():
     # within tol of the best
     ends = np.array([r.value for r in scouts])
     assert np.count_nonzero(ends.max() - ends <= cfg.tol) < 4
-    opened = []
-    maximize(f, 3, cfg, columns=1, progress=lambda r, best: opened.append(r))
-    assert opened == list(range(16))
+    # so every restart opens, each drawing its Haar start once
+    draws = []
+    haar = optim.haar_unitary
+    monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
+    maximize(f, 3, cfg, columns=1)
+    assert draws == [int(s) for s in _restart_seeds(cfg)]
 
 
 def test_maximize_recovers_target_state():
@@ -414,15 +402,7 @@ def test_encode_rejects_bad_input():
 def test_sense_min_is_negated_maximize():
     target = haar_unitary(2, 12)[:, :1]
     f = _overlap_batch(target)
-    seen = []
-    val, v = maximize(
-        f,
-        2,
-        QUICK,
-        columns=1,
-        sense="min",
-        progress=lambda r, best: seen.append(best),
-    )
+    val, v = maximize(f, 2, QUICK, columns=1, sense="min")
 
     def negated(blocks):
         vals, grads = f(blocks)
@@ -434,25 +414,6 @@ def test_sense_min_is_negated_maximize():
     assert val <= 1e-6
     achieved = f(v[None])[0][0]
     assert abs(val - achieved) <= 1e-12
-    assert len(seen) == QUICK.restarts
-    assert all(seen[i + 1] <= seen[i] for i in range(len(seen) - 1))
-    assert seen[-1] == val
-
-
-def test_progress_reports_running_best():
-    target = haar_unitary(2, 19)[:, :1]
-    seen = []
-    cfg = OptimizerConfig(restarts=5, max_iters=60, tol=1e-4, seed=4)
-    maximize(
-        _overlap_batch(target),
-        2,
-        cfg,
-        columns=1,
-        progress=lambda r, best: seen.append((r, best)),
-    )
-    assert [r for r, _ in seen] == list(range(5))
-    bests = [b for _, b in seen]
-    assert all(bests[i + 1] >= bests[i] for i in range(len(bests) - 1))
 
 
 def test_objective_errors_are_reported():

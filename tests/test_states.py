@@ -30,7 +30,6 @@ from ci_toolkit.states import (
     marginal,
     merge_groups,
     merge_parties,
-    partial_trace,
     partial_transpose,
     permute_parties,
     preset,
@@ -212,50 +211,41 @@ def test_tensor_appends_and_rejects_clashes():
 
 
 def test_partial_trace_bell_marginal():
-    red = partial_trace(_bell(), "B")
+    red = marginal(_bell(), "A")
     assert red.layout.labels == ("A",)
     assert np.allclose(red.matrix, np.eye(2) / 2.0)
 
 
 def test_partial_trace_keeps_order():
     ghz = preset("ghz").to_mstate()
-    red = partial_trace(ghz, "B")
+    red = marginal(ghz, ("A", "C"))
     assert red.layout.labels == ("A", "C")
     # GHZ with B removed is classically correlated across A:C
     assert np.allclose(np.diag(red.matrix).real, [0.5, 0, 0, 0.5])
 
 
-def test_partial_trace_errors():
-    with pytest.raises(UnknownParty):
-        partial_trace(_bell(), "Q")
-    with pytest.raises(InvalidArgument):
-        partial_trace(_bell(), ())
-    with pytest.raises(InvalidArgument):
-        partial_trace(_bell(), ("A", "B"))
-    with pytest.raises(InvalidPartition):
-        partial_trace(_bell(), ("A", "A"))
-
-
 def test_partial_trace_is_kept_on_its_state():
     rho = random_mixed_state(THREE, 5)
-    red = partial_trace(rho, ("B", "C"))
-    assert partial_trace(rho, ("C", "B")) is red
-    assert partial_trace(rho, "B") is partial_trace(rho, ("B",))
-    # the group checks still run on every call, before the lookup
+    red = marginal(rho, "A")
+    assert marginal(rho, ("A",)) is red
+    assert marginal(rho, ("B", "C")) is marginal(rho, ("C", "B"))
+    # the group check still runs on every call, before the lookup
     with pytest.raises(UnknownParty):
-        partial_trace(rho, ("B", "Q"))
+        marginal(rho, ("A", "Q"))
     with pytest.raises(InvalidPartition):
-        partial_trace(rho, ("B", "B"))
-    with pytest.raises(InvalidArgument):
-        partial_trace(rho, ("C", "A", "B"))
-    assert partial_trace(rho, ("C", "B")) is red
+        marginal(rho, ("A", "A"))
+    with pytest.raises(InvalidPartition):
+        marginal(rho, ())
+    assert marginal(rho, "A") is red
 
 
 def test_partial_trace_ignores_the_order_parties_are_named_in():
-    # parties are traced in layout order, so the first call's order cannot
-    # decide the bits every later call reads
-    first = partial_trace(random_mixed_state(THREE, 6), ("C", "A"))
-    second = partial_trace(random_mixed_state(THREE, 6), ("A", "C"))
+    # parties are traced in layout order, so the order the first call names
+    # the kept group in cannot decide the bits every later call reads
+    wide = SystemLayout((("A", 2), ("B", 3), ("C", 2), ("D", 2)))
+    first = marginal(random_mixed_state(wide, 6), ("D", "B"))
+    second = marginal(random_mixed_state(wide, 6), ("B", "D"))
+    assert first.layout.labels == second.layout.labels == ("B", "D")
     assert np.array_equal(first.matrix, second.matrix)
 
 
@@ -265,9 +255,6 @@ def test_marginal_keeps_the_named_group_in_layout_order():
     assert red.layout.labels == ("A", "C")
     assert marginal(rho, ("A", "C")) is red
     assert marginal(rho, ("C", "B", "A")) is rho
-    # one cache with partial_trace, whichever call comes first
-    assert partial_trace(rho, "B") is red
-    assert marginal(rho, "A") is partial_trace(rho, ("C", "B"))
     # the group check still runs on every call, before the lookup
     with pytest.raises(InvalidPartition):
         marginal(rho, ("A", "C", "A"))
@@ -292,18 +279,18 @@ SLIGHTLY_NEGATIVE = np.kron(np.diag([(1 + 4 * EPS) / 4, -EPS]), np.eye(4))
 def test_reduction_of_an_accepted_state_is_accepted():
     rho = Mstate(SystemLayout((("A", 2), ("B", 4))), SLIGHTLY_NEGATIVE)
     assert rho.spectrum.min() == pytest.approx(-EPS, rel=1e-6)
-    red = partial_trace(rho, "B")
+    red = marginal(rho, "A")
     assert red.spectrum.min() == pytest.approx(-4 * EPS, rel=1e-6)
-    assert np.allclose(partial_trace(rho, "A").matrix, np.eye(4) / 4)
+    assert np.allclose(marginal(rho, "B").matrix, np.eye(4) / 4)
     # each reduction's bound follows its own parent's eigenvalue, so a
     # reduction of a reduction is accepted too
     delta = 4 * EPS
     nested = Mstate(THREE, np.kron(np.diag([1 + delta, -delta]), np.eye(4) / 4))
-    step = partial_trace(partial_trace(nested, "C"), "B")
+    step = marginal(marginal(nested, ("A", "B")), "A")
     assert step.spectrum.min() == pytest.approx(-delta, rel=1e-6)
-    assert np.array_equal(step.matrix, partial_trace(nested, ("B", "C")).matrix)
+    assert np.array_equal(step.matrix, marginal(nested, "A").matrix)
     # reordering or merging the parties of a reduction keeps its allowance
-    pair = partial_trace(nested, "C")
+    pair = marginal(nested, ("A", "B"))
     assert pair.spectrum.min() < -VALIDATE
     assert permute_parties(pair, ("B", "A")).spectrum.min() == pytest.approx(-delta / 2)
     assert merge_parties(pair, ("A", "B"), "AB").layout.dims == (4,)
@@ -356,11 +343,11 @@ def test_permute_parties_identity_returns_the_input():
 
 def test_merge_groups_returns_the_input_when_nothing_merges():
     rho = random_mixed_state(THREE, 9)
-    marginal = partial_trace(rho, "B")
+    red = marginal(rho, ("A", "C"))
     merged, labels = merge_groups(rho, ("A", "B", "C"))
     assert merged is rho and labels == ("A", "B", "C")
     # so the marginals already taken are still there
-    assert partial_trace(merged, "B") is marginal
+    assert marginal(merged, ("A", "C")) is red
     # out of layout order, the permuted copy is the result
     merged, labels = merge_groups(rho, ("C", "A", "B"))
     assert labels == ("C", "A", "B") and merged.layout.labels == labels
@@ -431,7 +418,7 @@ def test_purify_round_trip():
     rho = random_mixed_state(TWO, 9)
     psi = purify(rho, "Z")
     assert psi.layout.labels == ("A", "B", "Z")
-    back = partial_trace(psi.to_mstate(), "Z")
+    back = marginal(psi.to_mstate(), ("A", "B"))
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
 
 
@@ -439,7 +426,7 @@ def test_purify_rank_deficient_uses_small_ancilla():
     rho = random_mixed_state(TWO, 10, rank=2)
     psi = purify(rho, "Z")
     assert psi.layout.dim_of("Z") == 2
-    back = partial_trace(psi.to_mstate(), "Z")
+    back = marginal(psi.to_mstate(), ("A", "B"))
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
 
 
@@ -487,7 +474,7 @@ def test_preset_family15_structure():
     rho = preset("family15", (c,))
     assert rho.layout.describe() == "A:2,B:2,C:2"
     # equal-weight classical flags on A and C
-    red = partial_trace(rho, "B")
+    red = marginal(rho, ("A", "C"))
     assert np.allclose(np.diag(red.matrix).real, 0.25)
     assert np.isclose(np.trace(rho.matrix).real, 1.0)
     for bad in (0.0, 1.0, -0.2):
@@ -501,10 +488,10 @@ def test_preset_product_eq10():
     rho = preset("product_eq10")
     assert rho.layout.labels == ("A", "B1", "B2", "C")
     half = preset("product_eq10", (0.5,))
-    right = partial_trace(half, ("A", "B1"))
+    right = marginal(half, ("B2", "C"))
     # spectrum of 0.5*bell + 0.5*identity/4 is (0.625, 0.125, 0.125, 0.125)
     assert np.isclose(right.purity(), 0.625 ** 2 + 3 * 0.125 ** 2, atol=1e-12)
-    left = partial_trace(half, ("B2", "C"))
+    left = marginal(half, ("A", "B1"))
     assert np.isclose(left.purity(), 1.0, atol=1e-12)
     with pytest.raises(InvalidPreset):
         preset("product_eq10", (1.5,))
