@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+
+import numpy as np
 
 from .ci import (
     ci_lower,
@@ -36,6 +39,9 @@ from .info import (
     vn_entropy,
 )
 from .measures import (
+    EXACT,
+    LOWER,
+    UPPER,
     discord,
     ed_interval,
     eoa,
@@ -48,34 +54,7 @@ from .optim import OptimizerConfig
 from .states import check_groups, default_groups, load_state_file, preset, rest_of
 from .suites import SUITES, run_suites
 
-_TAGS = {
-    "exact": "exact",
-    "lower_bound_estimate": "lower-est",
-    "upper_bound_estimate": "upper-est",
-}
-
-QUANTITIES = (
-    "entropy",
-    "mutual-info",
-    "cond-entropy",
-    "cmi",
-    "discord",
-    "eoa",
-    "eof",
-    "kw-discord",
-    "log-neg",
-    "ed-interval",
-    "one-way-ci",
-    "ci-bounds",
-    "ci-pure",
-    "ci-pure-reg",
-    "ci-product-reg",
-    "lqsm-bound",
-    "merge-check",
-    "monotone-check",
-)
-
-SWEEP_QUANTITIES = ("entropy", "ci-bounds", "oneway-gap")
+_TAGS = {EXACT: "exact", LOWER: "lower-est", UPPER: "upper-est"}
 
 
 def _group(arg: str | None) -> tuple[str, ...] | None:
@@ -95,6 +74,8 @@ def _load_state(args):
     if (args.state is None) == (args.preset is None):
         raise InvalidArgument("exactly one of --state or --preset is required")
     if args.state is not None:
+        if args.param:
+            raise InvalidArgument("--param goes with --preset, not --state")
         state = load_state_file(args.state)
         origin = f"file {args.state}"
     else:
@@ -105,12 +86,8 @@ def _load_state(args):
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    # each optimizer knob is the flag of the same name
+    return OptimizerConfig(**{f.name: getattr(args, f.name) for f in fields(OptimizerConfig)})
 
 
 def _config_line(cfg: OptimizerConfig) -> str:
@@ -147,8 +124,7 @@ class _Row:
 
 
 def _bracket_rows(name, band, exact_tag):
-    """One ``exact_tag`` row for an exact `Bracket`, else a lower and an
-    upper row."""
+    """One ``exact_tag`` row for an exact `Bracket`, else a lower and an upper row."""
     if band.exact:
         return [_Row(name, band.lower, exact_tag)]
     return [
@@ -157,150 +133,176 @@ def _bracket_rows(name, band, exact_tag):
     ]
 
 
+def _estimate_row(label, est):
+    """The row of a variational estimate, tagged with its direction."""
+    return _Row(label, est.value, _TAGS[est.direction])
+
+
+def _entropy(rho, cfg, x):
+    return [_Row(f"S({_gname(x)})", conditional_entropy(rho, x), "exact")]
+
+
+def _mutual_info(rho, cfg, x, y):
+    v = mutual_info(rho, Partition(x, y))
+    return [_Row(f"I({_gname(x)}:{_gname(y)})", v, "exact")]
+
+
+def _cond_entropy(rho, cfg, x, y):
+    # the conditioner may not be the empty rest
+    x, y = check_groups(rho.layout, x, y)
+    v = conditional_entropy(rho, x, y)
+    return [_Row(f"S({_gname(x)}|{_gname(y)})", v, "exact")]
+
+
+def _cmi(rho, cfg, x, y, z):
+    v = conditional_mutual_info(rho, x, y, z)
+    return [_Row(f"I({_gname(x)}:{_gname(y)}|{_gname(z) if z else '-'})", v, "exact")]
+
+
+def _discord(rho, cfg, x, y):
+    return [_estimate_row(f"discord({_gname(x)}|{_gname(y)})", discord(rho, x, y, cfg))]
+
+
+def _kw_discord(rho, cfg, x, y):
+    return [_estimate_row(f"discord({_gname(x)}|{_gname(y)})", kw_discord(rho, x, y, cfg))]
+
+
+def _eoa(rho, cfg, a, rest):
+    return [_estimate_row(f"eoa({_gname(a)}:{_gname(rest)})", eoa(rho, a, cfg))]
+
+
+def _eof(rho, cfg, a, rest):
+    return [_estimate_row(f"eof({_gname(a)}:{_gname(rest)})", eof(rho, a, cfg))]
+
+
+def _log_neg(rho, cfg, x, y):
+    v = log_negativity(rho.to_mstate(), Partition(x, y))
+    return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, "exact")]
+
+
+def _ed_interval(rho, cfg, x, y):
+    band = ed_interval(rho.to_mstate(), Partition(x, y))
+    return _bracket_rows(f"distillable({_gname(x)}:{_gname(y)})", band, "exact")
+
+
+def _one_way_ci(rho, cfg, a, b, c):
+    est = one_way_ci(rho, a, b, c, cfg)
+    return [_estimate_row(f"one-way-ci({_gname(a)};{_gname(b)}>{_gname(c)})", est)]
+
+
+def _ci_bounds(rho, cfg, a, b, c):
+    report = ci_lower(rho, a, b, c, cfg)
+    return [
+        _Row(f"ci-lower[{report.lower_source}]", report.lower, "lower-est"),
+        _Row(f"ci-upper[{report.upper_source}]", report.upper, "upper-est"),
+    ]
+
+
+def _ci_pure(rho, cfg, a, b, c):
+    return [_estimate_row("ci-pure-one-way", ci_pure_oneway(rho, a, b, c, cfg))]
+
+
+def _ci_pure_reg(rho, cfg, a, b, c):
+    v = ci_pure_regularized(rho, a, b, c)
+    return [_Row("ci-pure-regularized", v, "exact, closed form")]
+
+
+def _ci_product_reg(rho, cfg, a, b1, b2, c):
+    band = ci_product_regularized(rho, a, b1, b2, c)
+    return _bracket_rows("ci-product-regularized", band, "exact, closed form")
+
+
+def _lqsm_bound(rho, cfg, a, rest, ci_value):
+    v = lqsm_fidelity_lower(rho, ci_value, a)
+    return [_Row("merge-fidelity-lower", v, "exact", unit="")]
+
+
+def _merge_check(rho, cfg, a, b, c):
+    _, b, c = check_groups(rho.layout, a, b, c)
+    res = merge_conditional_entropy_check(rho, b, c)
+    return [
+        _Row(f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"),
+        f"mergeable-at-zero-cost: {'yes' if res.feasible else 'no'}",
+    ]
+
+
+def _monotone_check(rho, cfg, a, b, c):
+    res = monotone_necessary_check(rho, a, b, c)
+    return [
+        _Row(f"log-negativity({_gname(a + b)}:{_gname(c)})", res.helper_side, "exact"),
+        _Row(f"log-negativity({_gname(a)}:{_gname(b + c)})", res.reference_side, "exact"),
+        f"monotone-necessary-condition: {'yes' if res.passes else 'no'}",
+    ]
+
+
+_ABC = ("alice", "bob", "charlie")
+
+# quantity: (the party flags it reads, in position order, with None for the
+# rest of the layout that no flag names; its rows).  A flag left out takes
+# the party at its position, and the last group takes the rest.  The rows
+# come from the state, the optimizer config and the filled groups; a string
+# row is a verdict line, which CSV leaves out.
+_COMPUTE = {
+    "entropy": (("x",), _entropy),
+    "mutual-info": (("x", "y"), _mutual_info),
+    "cond-entropy": (("x", "y"), _cond_entropy),
+    "cmi": (("x", "y", "z"), _cmi),
+    "discord": (("x", "y"), _discord),
+    "eoa": (("alice", None), _eoa),
+    "eof": (("alice", None), _eof),
+    "kw-discord": (("x", "y"), _kw_discord),
+    "log-neg": (("x", "y"), _log_neg),
+    "ed-interval": (("x", "y"), _ed_interval),
+    "one-way-ci": (_ABC, _one_way_ci),
+    "ci-bounds": (_ABC, _ci_bounds),
+    "ci-pure": (_ABC, _ci_pure),
+    "ci-pure-reg": (_ABC, _ci_pure_reg),
+    "ci-product-reg": (("alice", "bob1", "bob2", "charlie"), _ci_product_reg),
+    "lqsm-bound": (("alice", None), _lqsm_bound),
+    "merge-check": (_ABC, _merge_check),
+    "monotone-check": (_ABC, _monotone_check),
+}
+QUANTITIES = tuple(_COMPUTE)
+# every party flag, in the order the table first names it
+_PARTY_FLAGS = tuple(dict.fromkeys(f for flags, _ in _COMPUTE.values() for f in flags if f))
+
+
 def _compute_rows(quantity, state, args, cfg):
-    layout = state.layout
-    rho = state
-
-    def groups(*flags):
-        # the flags' party groups, defaults filled by position
-        return default_groups(layout, *map(_group, flags))
-
-    if quantity == "entropy":
-        (target,) = groups(args.x)
-        return [_Row(f"S({_gname(target)})", conditional_entropy(rho, target), "exact")]
-
-    if quantity == "mutual-info":
-        x, y = groups(args.x, args.y)
-        v = mutual_info(rho, Partition(x, y))
-        return [_Row(f"I({_gname(x)}:{_gname(y)})", v, "exact")]
-
-    if quantity == "cond-entropy":
-        # the conditioner may not be the empty rest
-        x, y = check_groups(layout, *groups(args.x, args.y))
-        v = conditional_entropy(rho, x, y)
-        return [_Row(f"S({_gname(x)}|{_gname(y)})", v, "exact")]
-
-    if quantity == "cmi":
-        x, y, z = groups(args.x, args.y, args.z)
-        v = conditional_mutual_info(rho, x, y, z)
-        zs = _gname(z) if z else "-"
-        return [_Row(f"I({_gname(x)}:{_gname(y)}|{zs})", v, "exact")]
-
-    if quantity in ("discord", "kw-discord"):
-        if args.x is None:
-            # the measured group defaults to the last party, --x to the rest
-            y = _group(args.y) or layout.labels[-1:]
-            x = rest_of(layout, y)
-        else:
-            x, y = groups(args.x, args.y)
-        fn = discord if quantity == "discord" else kw_discord
-        est = fn(rho, x, y, cfg)
-        name = f"discord({_gname(x)}|{_gname(y)})"
-        return [_Row(name, est.value, _TAGS[est.direction])]
-
-    if quantity in ("eoa", "eof"):
-        a, rest = groups(args.alice, None)
-        fn = eoa if quantity == "eoa" else eof
-        est = fn(rho, a, cfg)
-        return [
-            _Row(
-                f"{quantity}({_gname(a)}:{_gname(rest)})",
-                est.value,
-                _TAGS[est.direction],
-            )
-        ]
-
-    if quantity == "log-neg":
-        x, y = groups(args.x, args.y)
-        v = log_negativity(rho.to_mstate(), Partition(x, y))
-        return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, "exact")]
-
-    if quantity == "ed-interval":
-        x, y = groups(args.x, args.y)
-        band = ed_interval(rho.to_mstate(), Partition(x, y))
-        return _bracket_rows(f"distillable({_gname(x)}:{_gname(y)})", band, "exact")
-
-    abc = (args.alice, args.bob, args.charlie)
-
-    if quantity == "one-way-ci":
-        a, b, c = groups(*abc)
-        est = one_way_ci(rho, a, b, c, cfg)
-        return [
-            _Row(
-                f"one-way-ci({_gname(a)};{_gname(b)}>{_gname(c)})",
-                est.value,
-                _TAGS[est.direction],
-            )
-        ]
-
-    if quantity == "ci-bounds":
-        report = ci_lower(rho, *groups(*abc), cfg)
-        return [
-            _Row(f"ci-lower[{report.lower_source}]", report.lower, "lower-est"),
-            _Row(f"ci-upper[{report.upper_source}]", report.upper, "upper-est"),
-        ]
-
-    if quantity == "ci-pure":
-        est = ci_pure_oneway(rho, *groups(*abc), cfg)
-        return [_Row("ci-pure-one-way", est.value, _TAGS[est.direction])]
-
-    if quantity == "ci-pure-reg":
-        v = ci_pure_regularized(rho, *groups(*abc))
-        return [_Row("ci-pure-regularized", v, "exact, closed form")]
-
-    if quantity == "ci-product-reg":
-        band = ci_product_regularized(
-            rho, *groups(args.alice, args.bob1, args.bob2, args.charlie)
-        )
-        return _bracket_rows("ci-product-regularized", band, "exact, closed form")
-
-    if quantity == "lqsm-bound":
+    flags, rows = _COMPUTE[quantity]
+    extra = ()
+    if quantity == "lqsm-bound":  # the one number read besides the groups
         if args.ci_value is None:
             raise InvalidArgument("lqsm-bound requires --ci-value")
-        v = lqsm_fidelity_lower(rho, args.ci_value, _group(args.alice))
-        return [_Row("merge-fidelity-lower", v, "exact", unit="")]
-
-    if quantity == "merge-check":
-        _, b, c = check_groups(layout, *groups(*abc))
-        res = merge_conditional_entropy_check(rho, b, c)
-        row = _Row(
-            f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"
-        )
-        verdict = "yes" if res.feasible else "no"
-        return [row, f"mergeable-at-zero-cost: {verdict}"]
-
-    if quantity == "monotone-check":
-        a, b, c = groups(*abc)
-        res = monotone_necessary_check(rho, a, b, c)
-        return [
-            _Row(
-                f"log-negativity({_gname(a + b)}:{_gname(c)})",
-                res.helper_side,
-                "exact",
-            ),
-            _Row(
-                f"log-negativity({_gname(a)}:{_gname(b + c)})",
-                res.reference_side,
-                "exact",
-            ),
-            f"monotone-necessary-condition: {'yes' if res.passes else 'no'}",
-        ]
-
-    raise InvalidArgument(f"unknown quantity {quantity!r}")
+        extra = (args.ci_value,)
+    elif args.ci_value is not None:
+        raise InvalidArgument(f"{quantity} does not read --ci-value")
+    for flag in _PARTY_FLAGS:
+        if flag not in flags and getattr(args, flag) is not None:
+            reads = " ".join(f"--{f}" for f in flags if f)
+            raise InvalidArgument(f"{quantity} does not read --{flag}; it reads {reads}")
+    layout = state.layout
+    if quantity in ("discord", "kw-discord") and args.x is None:
+        # the measured group defaults to the last party, --x to the rest
+        y = _group(args.y) or layout.labels[-1:]
+        groups = (rest_of(layout, y), y)
+    else:
+        groups = default_groups(layout, *(_group(getattr(args, f)) if f else None for f in flags))
+    return rows(state, cfg, *groups, *extra)
 
 
 def _cmd_compute(args) -> int:
     state, origin = _load_state(args)
     cfg = _config(args)
     rows = _compute_rows(args.quantity, state, args, cfg)
-    lines = []
     if args.format == "text":
-        lines.append(f"# ci-toolkit compute {args.quantity}")
-        lines.append(f"# state: {state.layout.describe()} ({origin})")
-        lines.append(_config_line(cfg))
+        lines = [
+            f"# ci-toolkit compute {args.quantity}",
+            f"# state: {state.layout.describe()} ({origin})",
+            _config_line(cfg),
+        ]
         lines.extend(r.text() if isinstance(r, _Row) else r for r in rows)
     else:
-        lines.append("name,value,direction")
+        lines = ["name,value,direction"]
         lines.extend(r.csv() for r in rows if isinstance(r, _Row))
     _emit(lines, args.out)
     return 0
@@ -311,51 +313,48 @@ def _cmd_verify(args) -> int:
     results = run_suites(args.suite, cfg)
     lines = [f"# ci-toolkit verify {args.suite}", _config_line(cfg)]
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status}  {r.suite}/{r.name}: {r.detail}")
+        lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.suite}/{r.name}: {r.detail}")
     passed = sum(1 for r in results if r.passed)
     lines.append(f"{passed}/{len(results)} checks passed")
     _emit(lines, args.out)
     return 0 if passed == len(results) else 1
 
 
-def _sweep_rows(args, cfg):
-    import numpy as np
+def _sweep_entropy(name, p, cfg):
+    return vn_entropy(preset(name, (p,)).to_mstate()), None, None, "exact"
 
-    if args.steps < 1:
-        raise InvalidArgument(f"--steps must be >= 1, got {args.steps}")
-    params = np.linspace(args.start, args.stop, args.steps)
-    rows = []
-    for p in params:
-        pval = float(p)
-        ptext = format(pval, ".17g")
-        if args.quantity == "entropy":
-            state = preset(args.preset, (pval,))
-            v = vn_entropy(state.to_mstate())
-            rows.append(f"{ptext},{format(v, '.17g')},,,exact,{cfg.seed}")
-        elif args.quantity == "ci-bounds":
-            state = preset(args.preset, (pval,))
-            report = ci_lower(state, None, None, None, cfg)
-            rows.append(
-                f"{ptext},,{format(report.lower, '.17g')},"
-                f"{format(report.upper, '.17g')},interval,{cfg.seed}"
-            )
-        else:  # oneway-gap
-            if args.preset != "family15":
-                raise InvalidArgument(
-                    "oneway-gap sweeps are defined for the family15 preset only"
-                )
-            rep = family15_separation_report(pval, cfg)
-            rows.append(
-                f"{ptext},{format(rep.gap, '.17g')},,,upper-est,{cfg.seed}"
-            )
-    return rows
+
+def _sweep_ci_bounds(name, p, cfg):
+    report = ci_lower(preset(name, (p,)), None, None, None, cfg)
+    return None, report.lower, report.upper, "interval"
+
+
+def _sweep_oneway_gap(name, p, cfg):
+    if name != "family15":
+        raise InvalidArgument("oneway-gap sweeps are defined for the family15 preset only")
+    return family15_separation_report(p, cfg).gap, None, None, "upper-est"
+
+
+# quantity: the (value, lower, upper, direction) cells of a sweep row, from
+# the preset's name, its parameter and the optimizer config; None leaves a
+# cell empty
+_SWEEP = {
+    "entropy": _sweep_entropy,
+    "ci-bounds": _sweep_ci_bounds,
+    "oneway-gap": _sweep_oneway_gap,
+}
+SWEEP_QUANTITIES = tuple(_SWEEP)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _config(args)
+    if args.steps < 1:
+        raise InvalidArgument(f"--steps must be >= 1, got {args.steps}")
     lines = ["param,value,lower,upper,direction,seed"]
-    lines.extend(_sweep_rows(args, cfg))
+    for p in np.linspace(args.start, args.stop, args.steps):
+        value, lower, upper, direction = _SWEEP[args.quantity](args.preset, float(p), cfg)
+        cells = ("" if v is None else format(v, ".17g") for v in (float(p), value, lower, upper))
+        lines.append(",".join((*cells, direction, str(cfg.seed))))
     _emit(lines, args.out)
     return 0
 
@@ -390,9 +389,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="optimizer step cap per restart",
     )
     p.add_argument("--out", default=None, help="write output to this path")
-    p.add_argument(
-        "--format", choices=("text", "csv"), default="text", help="output format"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,9 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--param", type=float, action="append", help="preset parameter (repeatable)"
     )
-    for flag in ("--alice", "--bob", "--charlie", "--x", "--y", "--z", "--bob1", "--bob2"):
-        pc.add_argument(flag, help="party group (comma-separated labels)")
-    pc.add_argument("--ci-value", type=float, default=None, help="for lqsm-bound")
+    for flag in _PARTY_FLAGS:
+        readers = ", ".join(q for q, (flags, _) in _COMPUTE.items() if flag in flags)
+        pc.add_argument(f"--{flag}", help=f"party group (comma-separated labels) for {readers}")
+    pc.add_argument("--ci-value", type=float, help="for lqsm-bound")
+    pc.add_argument("--format", choices=("text", "csv"), default="text", help="output format")
     _add_common_flags(pc)
     pc.set_defaults(func=_cmd_compute)
 

@@ -258,6 +258,13 @@ def _one_way(s_a: float, sig: np.ndarray, da: int, dc: int, slope: bool = False)
     return s_a + np.sum(h_c - h, axis=-1), log
 
 
+def _off_block_max(t4: np.ndarray) -> float:
+    """The largest modulus in a (dx, dy, dx, dy) state outside its diagonal
+    x-blocks: zero when its x index is classical."""
+    diagonal = np.eye(t4.shape[0], dtype=bool)[:, None, :, None]
+    return float(np.max(np.where(diagonal, 0.0, np.abs(t4))))
+
+
 def _block_factors(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Factor each PSD block of a (dx, dy, dy) stack as R_x = L_x L_x^dagger,
     dropping eigenvalues at or below the weight floor as `purify` does.
@@ -457,10 +464,7 @@ def discord(
     # with each block R_x factored once here, one complex matrix product per
     # call.  That is what keeps the classical-quantum presets and their
     # two-copy products affordable.
-    blocks = np.array(t4, copy=True)
-    for x in range(dx):
-        blocks[x, :, x, :] = 0.0
-    x_classical = float(np.max(np.abs(blocks))) < DIAG
+    x_classical = _off_block_max(t4) < DIAG
 
     if x_classical:
         batch = _x_classical(s_x, *_block_factors(np.einsum("xyxz->xyz", t4)))

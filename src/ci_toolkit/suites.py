@@ -48,6 +48,7 @@ _TAG_CONTINUITY = 15
 
 _THREE_QUBITS = SystemLayout((("A", 2), ("B", 2), ("C", 2)))
 _TWO_QUBITS = SystemLayout((("X", 2), ("Y", 2)))
+_OVERLAP = math.cos(math.pi / 8.0)  # family15's critical overlap
 
 
 @dataclass(frozen=True)
@@ -176,14 +177,13 @@ def suite_pure_consistency(config: OptimizerConfig | None = None, samples: int =
     return out
 
 
-def suite_family15(config: OptimizerConfig | None = None, c: float | None = None):
+def suite_family15(config: OptimizerConfig | None = None):
     """The classical-flag family at the separating overlap: receiver pair
     maximally mixed, one full bit of total correlation, strictly positive
     helper discord, a one-round cap strictly below one bit, and the
     two-round protocol recovering the full bit."""
     cfg = config or OptimizerConfig()
-    overlap = math.cos(math.pi / 8.0) if c is None else float(c)
-    rep = family15_separation_report(overlap, cfg)
+    rep = family15_separation_report(_OVERLAP, cfg)
     out = [
         _check(
             "family15",
@@ -231,14 +231,13 @@ def suite_family15(config: OptimizerConfig | None = None, c: float | None = None
     return out
 
 
-def suite_additivity(config: OptimizerConfig | None = None, c: float | None = None):
+def suite_additivity(config: OptimizerConfig | None = None):
     """Two-copy discord of the classical-flag family (helper side measured):
     equals twice the single-copy value within tolerance, and the
     product-measurement restriction pins the restricted optimum at exactly
     twice the single-copy value."""
     cfg = config or OptimizerConfig()
-    overlap = math.cos(math.pi / 8.0) if c is None else float(c)
-    rho = preset("family15", (overlap,))
+    rho = preset("family15", (_OVERLAP,))
     chk = discord_additivity_check(rho, ("A", "C"), "B", cfg)
     restricted = min(chk.product_values)
     return [

@@ -863,3 +863,198 @@ def test_installed_script():
         name, value, tag = proc.stdout.splitlines()[-1].split(",")
         assert (name, tag) == ("I(A:B)", "exact")
         assert abs(float(value) - 2.0) <= 1e-12
+
+
+# One invocation per quantity at the FAST config that sets every party flag
+# the quantity reads, off the default order where it can, with the rows it
+# prints.  ed-interval and ci-product-reg are not exact on product_eq10(0.75),
+# so each prints a lower and an upper row.
+W = ["--preset", "w"]
+EVERY_QUANTITY = {
+    "entropy": (W + ["--x", "A"], ["S(A) = 0.918296 bits (exact)"]),
+    "mutual-info": (W + ["--x", "B", "--y", "A,C"], ["I(B:A+C) = 1.836592 bits (exact)"]),
+    "cond-entropy": (W + ["--x", "B", "--y", "C"], ["S(B|C) = 0.000000 bits (exact)"]),
+    "cmi": (W + ["--x", "C", "--y", "A", "--z", "B"], ["I(C:A|B) = 0.918296 bits (exact)"]),
+    "discord": (
+        W + ["--x", "A,C", "--y", "B"], ["discord(A+C|B) = 0.918296 bits (upper-est)"]
+    ),
+    "eoa": (W + ["--alice", "B"], ["eoa(B:A+C) = 0.918296 bits (lower-est)"]),
+    "eof": (W + ["--alice", "C"], ["eof(C:A+B) = 0.918296 bits (upper-est)"]),
+    "kw-discord": (
+        W + ["--x", "B,C", "--y", "A"], ["discord(B+C|A) = 0.918296 bits (upper-est)"]
+    ),
+    "log-neg": (
+        W + ["--x", "B", "--y", "A,C"], ["log-negativity(B:A+C) = 0.958144 bits (exact)"]
+    ),
+    "ed-interval": (
+        ["--preset", "product_eq10", "--param", "0.75", "--x", "B2", "--y", "C"],
+        [
+            "distillable(B2:C)-lower = 0.006607 bits (lower-est)",
+            "distillable(B2:C)-upper = 0.700440 bits (upper-est)",
+        ],
+    ),
+    "one-way-ci": (
+        W + ["--alice", "B", "--bob", "C", "--charlie", "A"],
+        ["one-way-ci(B;C>A) = 1.584963 bits (lower-est)"],
+    ),
+    "ci-bounds": (
+        W + ["--alice", "C", "--bob", "A", "--charlie", "B"],
+        [
+            "ci-lower[optimized-one-way] = 1.584963 bits (lower-est)",
+            "ci-upper[total-mutual-info] = 1.836592 bits (upper-est)",
+        ],
+    ),
+    "ci-pure": (
+        W + ["--alice", "B", "--bob", "A", "--charlie", "C"],
+        ["ci-pure-one-way = 1.584963 bits (lower-est)"],
+    ),
+    "ci-pure-reg": (
+        W + ["--alice", "C", "--bob", "B", "--charlie", "A"],
+        ["ci-pure-regularized = 1.836592 bits (exact, closed form)"],
+    ),
+    "ci-product-reg": (
+        ["--preset", "product_eq10", "--param", "0.75",
+         "--alice", "A", "--bob1", "B1", "--bob2", "B2", "--charlie", "C"],
+        [
+            "ci-product-regularized-lower = 1.006607 bits (lower-est)",
+            "ci-product-regularized-upper = 1.700440 bits (upper-est)",
+        ],
+    ),
+    "lqsm-bound": (
+        W + ["--alice", "B", "--ci-value", "0.5"], ["merge-fidelity-lower = 0.629250 (exact)"]
+    ),
+    "merge-check": (
+        W + ["--alice", "C", "--bob", "A", "--charlie", "B"],
+        ["S(A|B) = 0.000000 bits (exact)", "mergeable-at-zero-cost: yes"],
+    ),
+    "monotone-check": (
+        W + ["--alice", "B", "--bob", "C", "--charlie", "A"],
+        [
+            "log-negativity(B+C:A) = 0.958144 bits (exact)",
+            "log-negativity(B:C+A) = 0.958144 bits (exact)",
+            "monotone-necessary-condition: yes",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_every_quantity_prints_its_rows(quantity, capsys):
+    flags, rows = EVERY_QUANTITY[quantity]
+    assert {f[2:] for f in flags} & set(PARTY_FLAGS) == set(READS[quantity].split())
+    code, out, err = _run(["compute", quantity, *flags, *FAST], capsys)
+    assert code == 0, err
+    assert out.splitlines()[3:] == rows
+    # CSV keeps the value rows and drops the verdict lines
+    code, out, err = _run(["compute", quantity, *flags, *FAST, "--format", "csv"], capsys)
+    assert code == 0, err
+    names = [row.split(",")[0] for row in out.splitlines()[1:]]
+    assert names == [row.split(" = ")[0] for row in rows if " = " in row]
+
+
+# One sweep per quantity at the FAST config: its parameters, and for each
+# the value (or the lower and upper ends) it prints, to 1e-6.
+EVERY_SWEEP = {
+    "entropy": (
+        ["--preset", "family15", "--start", "0.2", "--stop", "0.8", "--steps", "3"],
+        "exact",
+        [(0.2, 2.0, None, None), (0.5, 2.0, None, None), (0.8, 2.0, None, None)],
+    ),
+    "ci-bounds": (
+        ["--start", "0.5", "--stop", "0.9", "--steps", "2"],
+        "interval",
+        [(0.5, None, 0.645421, 1.0), (0.9, None, 0.713603, 1.0)],
+    ),
+    "oneway-gap": (
+        ["--start", "0.5", "--stop", "0.95", "--steps", "2"],
+        "upper-est",
+        [(0.5, 0.354579, None, None), (0.95, 0.168661, None, None)],
+    ),
+}
+
+
+@pytest.mark.parametrize("quantity", SWEEP_QUANTITIES)
+def test_every_sweep_prints_its_rows(quantity, capsys):
+    flags, direction, expected = EVERY_SWEEP[quantity]
+    code, out, err = _run(["sweep", quantity, *flags, *FAST], capsys)
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert header == "param,value,lower,upper,direction,seed"
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        *numbers, tag, seed = row.split(",")
+        assert (tag, seed) == (direction, "7")
+        for cell, value in zip(numbers, want):
+            if value is None:
+                assert cell == ""
+            else:
+                assert abs(float(cell) - value) <= 1e-6, row
+
+
+# The party flags each quantity reads; every other party flag exits 2.
+READS = {
+    "entropy": "x",
+    "mutual-info": "x y",
+    "cond-entropy": "x y",
+    "cmi": "x y z",
+    "discord": "x y",
+    "eoa": "alice",
+    "eof": "alice",
+    "kw-discord": "x y",
+    "log-neg": "x y",
+    "ed-interval": "x y",
+    "one-way-ci": "alice bob charlie",
+    "ci-bounds": "alice bob charlie",
+    "ci-pure": "alice bob charlie",
+    "ci-pure-reg": "alice bob charlie",
+    "ci-product-reg": "alice bob1 bob2 charlie",
+    "lqsm-bound": "alice",
+    "merge-check": "alice bob charlie",
+    "monotone-check": "alice bob charlie",
+}
+PARTY_FLAGS = ("alice", "bob", "charlie", "x", "y", "z", "bob1", "bob2")
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_a_party_flag_the_quantity_does_not_read_exits_2(quantity, capsys):
+    unread = [f for f in PARTY_FLAGS if f not in READS[quantity].split()]
+    assert len(unread) == 8 - len(READS[quantity].split())
+    extra = ["--ci-value", "0.5"] if quantity == "lqsm-bound" else []
+    for flag in unread:
+        argv = ["compute", quantity, "--preset", "ghz", f"--{flag}", "A", *extra]
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (2, ""), (flag, err)
+        assert err.startswith("error:") and f"--{flag};" in err, err
+
+
+@pytest.mark.parametrize("quantity", [q for q in QUANTITIES if q != "lqsm-bound"])
+def test_ci_value_outside_lqsm_bound_exits_2(quantity, capsys):
+    code, out, err = _run(["compute", quantity, "--preset", "ghz", "--ci-value", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--ci-value" in err
+
+
+def test_param_with_a_state_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps(_bell_doc()))
+    argv = ["compute", "entropy", "--state", str(path), "--param", "0.3"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--param" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "continuity", "--format", "csv"],
+        ["sweep", "entropy", "--start", "0", "--stop", "1", "--steps", "1", "--format", "text"],
+    ],
+    ids=["verify", "sweep"],
+)
+def test_format_outside_compute_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--format" in captured.err

@@ -6,6 +6,7 @@ from ci_toolkit.errors import InvalidArgument, NotPSD, ObjectiveError
 from ci_toolkit.optim import (
     OptimizerConfig,
     Povm,
+    _Ascent,
     _ascend,
     _evaluator,
     _restart_seeds,
@@ -287,6 +288,25 @@ def test_one_polar_retraction_per_round(monkeypatch, restarts):
     assert all(r.steps > 3 for r in runs)
     assert len(retracted) == len(evaluated) - 1
     assert retracted == evaluated[1:]
+
+
+def test_a_non_ascent_direction_falls_back_to_the_gradient():
+    # aim clears the L-BFGS memory and steps along xi when <xi, d> <= 0
+    v = haar_unitary(4, 5)[:, :2]
+    xi = _tangent(v, haar_unitary(4, 6)[:, :2])
+    run = _Ascent(v, 0.0, xi, QUICK)
+    run.pairs.append((xi, xi, 1.0))
+    run.aim(-xi, first=True)
+    assert run.pairs == []
+    assert run.d is xi
+    assert run.slope == pytest.approx(np.vdot(xi, xi).real)
+    assert run.alpha == pytest.approx(optim._FIRST_STEP / np.sqrt(run.slope))
+    # an ascent direction is kept, and so is the memory
+    run.pairs.append((xi, xi, 1.0))
+    d = xi + 0.1 * _tangent(v, haar_unitary(4, 7)[:, :2])
+    run.aim(d, first=False)
+    assert len(run.pairs) == 1
+    assert run.d is d and run.slope > 0.0 and run.alpha == 1.0
 
 
 def test_agreeing_scouts_open_no_more_restarts():
