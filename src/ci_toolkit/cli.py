@@ -54,8 +54,6 @@ from .optim import OptimizerConfig
 from .states import check_groups, default_groups, load_state_file, preset, rest_of
 from .suites import SUITES, run_suites
 
-_TAGS = {EXACT: "exact", LOWER: "lower-est", UPPER: "upper-est"}
-
 
 def _group(arg: str | None) -> tuple[str, ...] | None:
     if arg is None:
@@ -128,35 +126,35 @@ def _bracket_rows(name, band, exact_tag):
     if band.exact:
         return [_Row(name, band.lower, exact_tag)]
     return [
-        _Row(name + "-lower", band.lower, "lower-est"),
-        _Row(name + "-upper", band.upper, "upper-est"),
+        _Row(name + "-lower", band.lower, LOWER),
+        _Row(name + "-upper", band.upper, UPPER),
     ]
 
 
 def _estimate_row(label, est):
     """The row of a variational estimate, tagged with its direction."""
-    return _Row(label, est.value, _TAGS[est.direction])
+    return _Row(label, est.value, est.direction)
 
 
 def _entropy(rho, cfg, x):
-    return [_Row(f"S({_gname(x)})", conditional_entropy(rho, x), "exact")]
+    return [_Row(f"S({_gname(x)})", conditional_entropy(rho, x), EXACT)]
 
 
 def _mutual_info(rho, cfg, x, y):
     v = mutual_info(rho, Partition(x, y))
-    return [_Row(f"I({_gname(x)}:{_gname(y)})", v, "exact")]
+    return [_Row(f"I({_gname(x)}:{_gname(y)})", v, EXACT)]
 
 
 def _cond_entropy(rho, cfg, x, y):
     # the conditioner may not be the empty rest
     x, y = check_groups(rho.layout, x, y)
     v = conditional_entropy(rho, x, y)
-    return [_Row(f"S({_gname(x)}|{_gname(y)})", v, "exact")]
+    return [_Row(f"S({_gname(x)}|{_gname(y)})", v, EXACT)]
 
 
 def _cmi(rho, cfg, x, y, z):
     v = conditional_mutual_info(rho, x, y, z)
-    return [_Row(f"I({_gname(x)}:{_gname(y)}|{_gname(z) if z else '-'})", v, "exact")]
+    return [_Row(f"I({_gname(x)}:{_gname(y)}|{_gname(z) if z else '-'})", v, EXACT)]
 
 
 def _discord(rho, cfg, x, y):
@@ -177,12 +175,12 @@ def _eof(rho, cfg, a, rest):
 
 def _log_neg(rho, cfg, x, y):
     v = log_negativity(rho.to_mstate(), Partition(x, y))
-    return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, "exact")]
+    return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, EXACT)]
 
 
 def _ed_interval(rho, cfg, x, y):
     band = ed_interval(rho.to_mstate(), Partition(x, y))
-    return _bracket_rows(f"distillable({_gname(x)}:{_gname(y)})", band, "exact")
+    return _bracket_rows(f"distillable({_gname(x)}:{_gname(y)})", band, EXACT)
 
 
 def _one_way_ci(rho, cfg, a, b, c):
@@ -193,8 +191,8 @@ def _one_way_ci(rho, cfg, a, b, c):
 def _ci_bounds(rho, cfg, a, b, c):
     report = ci_lower(rho, a, b, c, cfg)
     return [
-        _Row(f"ci-lower[{report.lower_source}]", report.lower, "lower-est"),
-        _Row(f"ci-upper[{report.upper_source}]", report.upper, "upper-est"),
+        _Row(f"ci-lower[{report.lower_source}]", report.lower, LOWER),
+        _Row(f"ci-upper[{report.upper_source}]", report.upper, UPPER),
     ]
 
 
@@ -214,14 +212,14 @@ def _ci_product_reg(rho, cfg, a, b1, b2, c):
 
 def _lqsm_bound(rho, cfg, a, rest, ci_value):
     v = lqsm_fidelity_lower(rho, ci_value, a)
-    return [_Row("merge-fidelity-lower", v, "exact", unit="")]
+    return [_Row("merge-fidelity-lower", v, EXACT, unit="")]
 
 
 def _merge_check(rho, cfg, a, b, c):
     _, b, c = check_groups(rho.layout, a, b, c)
     res = merge_conditional_entropy_check(rho, b, c)
     return [
-        _Row(f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, "exact"),
+        _Row(f"S({_gname(b)}|{_gname(c)})", res.conditional_entropy, EXACT),
         f"mergeable-at-zero-cost: {'yes' if res.feasible else 'no'}",
     ]
 
@@ -229,8 +227,8 @@ def _merge_check(rho, cfg, a, b, c):
 def _monotone_check(rho, cfg, a, b, c):
     res = monotone_necessary_check(rho, a, b, c)
     return [
-        _Row(f"log-negativity({_gname(a + b)}:{_gname(c)})", res.helper_side, "exact"),
-        _Row(f"log-negativity({_gname(a)}:{_gname(b + c)})", res.reference_side, "exact"),
+        _Row(f"log-negativity({_gname(a + b)}:{_gname(c)})", res.helper_side, EXACT),
+        _Row(f"log-negativity({_gname(a)}:{_gname(b + c)})", res.reference_side, EXACT),
         f"monotone-necessary-condition: {'yes' if res.passes else 'no'}",
     ]
 
@@ -321,7 +319,7 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_entropy(name, p, cfg):
-    return vn_entropy(preset(name, (p,)).to_mstate()), None, None, "exact"
+    return vn_entropy(preset(name, (p,)).to_mstate()), None, None, EXACT
 
 
 def _sweep_ci_bounds(name, p, cfg):
@@ -332,7 +330,7 @@ def _sweep_ci_bounds(name, p, cfg):
 def _sweep_oneway_gap(name, p, cfg):
     if name != "family15":
         raise InvalidArgument("oneway-gap sweeps are defined for the family15 preset only")
-    return family15_separation_report(p, cfg).gap, None, None, "upper-est"
+    return family15_separation_report(p, cfg).gap, None, None, UPPER
 
 
 # quantity: the (value, lower, upper, direction) cells of a sweep row, from

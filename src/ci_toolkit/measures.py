@@ -14,10 +14,18 @@ ensemble so results can be re-checked independently.
 
 The outcome blocks sigma_i = Tr_party[(M_i on party) rho] of a measurement
 come from one contraction against `_operand`, for a POVM's elements and a
-search's outcome rows alike, and two formulas on them serve both the search
-and the reported value: `_holevo` (discord, flag information) and
-`_one_way` (one-way concentrated information).  Each search objective also
-returns its row gradients, from the derivative written next to its formula.
+search's outcome rows alike, and one formula on them serves both the search
+and the reported value: `_one_way`, the information I(A : C R) that A shares
+with a receiver C plus the outcome register R.  One-way concentrated
+information reads it as it stands; discord's classical correlation and the
+flag information are its trivial-receiver case, dc = 1, where it is I(A : R).
+
+Each search objective returns its values and its row gradients.  There are
+three, chosen by the shape of the input: `_block_batch` (`_one_way` and the
+derivative written next to it) on the outcome blocks of a mixed state,
+`_steering_batch` on the steered amplitudes of a pure state or a
+purification, and `_x_classical` on the outcome weights of a state whose
+unmeasured side is classical.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .info import (
     vn_entropy,
 )
 from .optim import OptimizerConfig, Povm, maximize, rank1_povm
+from .qmat import trace_norm
 from .states import (
     Ensemble,
     Mstate,
@@ -61,9 +70,10 @@ from .states import (
 )
 from .tolerances import DIAG, VALIDATE, ZERO
 
-LOWER = "lower_bound_estimate"
-UPPER = "upper_bound_estimate"
+# the direction of an estimate, as the CLI prints it
 EXACT = "exact"
+LOWER = "lower-est"
+UPPER = "upper-est"
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,9 @@ class MeasureEstimate:
 
     ``direction`` says which side of the true value the estimate sits on:
     variational maximization of a quantity that is defined as a supremum
-    can only under-shoot, so it reports ``lower_bound_estimate``; when the
-    quantity enters downstream formulas with a minus sign the derived
-    number is flagged ``upper_bound_estimate`` instead.  ``achiever`` is
+    can only under-shoot, so it reports ``LOWER`` (``"lower-est"``); when
+    the quantity enters downstream formulas with a minus sign the derived
+    number is flagged ``UPPER`` (``"upper-est"``) instead.  ``achiever`` is
     the POVM or ensemble realizing ``value`` and ``info`` holds auxiliary
     scalars (e.g. the unmeasured mutual information a discord was cut from).
     """
@@ -181,11 +191,13 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     """Mutual information between the unmeasured parties and a register
     recording the outcome of ``povm`` applied to ``party``.
 
-    For the flagged state sum_i p_i rho_i (x) |i><i| this is the Holevo
-    form `_holevo` on the outcome blocks sigma_i = p_i rho_i: no outcome is
-    dropped, and no flagged state is built."""
+    For the flagged state sum_i p_i rho_i (x) |i><i| this is the one-way
+    form `_one_way` with a trivial receiver on the outcome blocks
+    sigma_i = p_i rho_i: no outcome is dropped, and no flagged state is
+    built."""
     rest, sig, _ = _outcome_blocks(rho, povm, party)
-    return float(_holevo(vn_entropy(marginal(rho, rest.labels)), sig))
+    s_rest = vn_entropy(marginal(rho, rest.labels))
+    return float(_one_way(s_rest, sig, rest.total_dim, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +209,7 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
 # G_k = 2 Gamma_k v_k, in the real inner product Re <A, B>, and Euler's
 # identity gives (1/2) Re <v_k, G_k> = g(P_k).  Where g reads the outcome
 # block Phi(P) (`_operand`), Gamma = Phi*(L) for the block derivative L that
-# `_holevo` and `_one_way` return; the 1/ln 2 terms of the entropies cancel
-# in every formula.
+# `_one_way` returns; the 1/ln 2 terms of its entropies cancel.
 
 
 def _adjoint(op: np.ndarray) -> np.ndarray:
@@ -220,41 +231,25 @@ def _row_gradients(
     return 2.0 * (gamma @ vstack[..., None])[..., 0]
 
 
-def _holevo(s_rest: float, sig: np.ndarray, slope: bool = False):
-    """S(rest) - sum_i [h(sigma_i) + p_i log2 p_i] over the outcome blocks
-    sigma_i on the last three axes of ``sig``, p_i = Tr sigma_i: what a
-    register of the outcomes holds about the unmeasured rest.
-
-    With ``slope``, also each block's derivative log2 sigma_i - log2 p_i 1
-    (`_entropy_log_stack`), with the value from the same eigensolves."""
-    p = np.real(np.trace(sig, axis1=-2, axis2=-1))
-    if not slope:
-        return s_rest - np.sum(_entropy_stack(sig) + _plogp(p), axis=-1)
-    h, log = _entropy_log_stack(sig)
-    n = sig.shape[-1]
-    log[..., range(n), range(n)] -= _log2(p)[..., None]
-    return s_rest - np.sum(h + _plogp(p), axis=-1), log
-
-
 def _one_way(s_a: float, sig: np.ndarray, da: int, dc: int, slope: bool = False):
     """S(A) + sum_i [h(sigma_C,i) - h(sigma_AC,i)] over the outcome blocks
     sigma_AC,i on (A, C), the last three axes of ``sig``: I(A : C R) for the
     outcome register R, as the p_i log2 p_i terms of S(CR) and S(ACR) cancel.
+    With a trivial receiver, dc = 1, sigma_C,i is p_i and this is I(A : R),
+    the information a register of the outcomes holds about A.
 
     With ``slope``, also each block's derivative
     log2 sigma_AC,i - 1_A (x) log2 sigma_C,i, with the value from the same
     eigensolves."""
     blocks = sig.reshape(sig.shape[:-2] + (da, dc, da, dc))
-    sig_c = blocks[..., 0, :, 0, :].copy()
-    for a in range(1, da):
-        sig_c += blocks[..., a, :, a, :]
+    sig_c = np.trace(blocks, axis1=-4, axis2=-2)
     if not slope:
         return s_a + np.sum(_entropy_stack(sig_c) - _entropy_stack(sig), axis=-1)
     h_c, log_c = _entropy_log_stack(sig_c)
     h, log = _entropy_log_stack(sig)
-    log_blocks = log.reshape(blocks.shape)
-    for a in range(da):
-        log_blocks[..., a, :, a, :] -= log_c
+    # einsum's view of the A-diagonal blocks is writable
+    diag_blocks = np.einsum("...aiaj->...aij", log.reshape(blocks.shape))
+    diag_blocks -= log_c[..., None, :, :]
     return s_a + np.sum(h_c - h, axis=-1), log
 
 
@@ -325,16 +320,15 @@ def _x_classical(s_x: float, factors: np.ndarray, starts: np.ndarray | None):
     return batch
 
 
-def _block_batch(op: np.ndarray, formula):
-    """Batch objective of a measured quantity read from the outcome blocks:
-    ``formula(sig)`` maps a (B, K, n, n) stack of blocks to B values and
-    their block derivatives (`_holevo`, `_one_way` with ``slope``), and the
-    rows' gradients follow through `_adjoint`."""
+def _block_batch(op: np.ndarray, s_a: float, da: int, dc: int):
+    """Batch objective `_one_way` on the (da * dc)-dimensional outcome blocks
+    of the rows through ``op`` (`_operand`), with the rows' gradients from
+    its block derivatives through `_adjoint`."""
     adj = _adjoint(op)
 
     def batch(vstack: np.ndarray):
         sig = np.tensordot(_gram_rows(vstack), op, 1)
-        values, slope = formula(sig)
+        values, slope = _one_way(s_a, sig, da, dc, slope=True)
         return values, _row_gradients(slope, adj, vstack)
 
     return batch
@@ -420,9 +414,7 @@ def one_way_ci(
             return s_a + values, grads
 
     else:
-        batch = _block_batch(
-            _operand(merged, lb), lambda sig: _one_way(s_a, sig, da, dc, slope=True)
-        )
+        batch = _block_batch(_operand(merged, lb), s_a, da, dc)
 
     def report(iso):
         achiever = rank1_povm(iso, db)
@@ -445,6 +437,8 @@ def discord(
     classical correlation extractable by a rank-one POVM on ``measured``:
     the inner maximization is variational, so the reported discord is an
     upper-bound estimate (it can only decrease as the search improves).
+    The two groups must cover every party of ``rho`` (``LayoutMismatch``
+    otherwise); take a `marginal` first to leave parties out.
     Either group may name several parties; a composite ``measured`` is
     measured as one party of dimension d, the product of its parties'
     dimensions.  ``warm_starts`` are K x d isometries whose rows are
@@ -469,9 +463,7 @@ def discord(
     if x_classical:
         batch = _x_classical(s_x, *_block_factors(np.einsum("xyxz->xyz", t4)))
     else:
-        batch = _block_batch(
-            _operand(merged, ly), lambda sig: _holevo(s_x, sig, slope=True)
-        )
+        batch = _block_batch(_operand(merged, ly), s_x, dx, 1)
 
     def report(iso):
         achiever = rank1_povm(iso, dy)
@@ -587,7 +579,8 @@ def kw_discord(
 
     The exchange identity trades the measurement optimization for an
     entanglement-of-formation computation on the complementary marginal;
-    since the formation estimate errs upward, so does the discord.  The
+    since the formation estimate errs upward, so does the discord.  As
+    for `discord`, the two groups must cover every party of ``rho``.  The
     purification is a state, of ``rho``'s dimension times max(rank, 2), so
     past the dimension cap it raises ``DimensionTooLarge``.
     ``info["ancilla_dim"]`` is the dimension of the purifying system.
@@ -620,8 +613,7 @@ def log_negativity(rho: Mstate, cut: Partition) -> float:
     Parties outside the cut are traced out first."""
     reduced = cut.restrict(rho)
     pt = partial_transpose(reduced, cut.left)
-    sv = np.linalg.svd(pt, compute_uv=False)
-    return max(float(np.log2(np.sum(sv))), 0.0)
+    return max(float(np.log2(trace_norm(pt))), 0.0)
 
 
 def coherent_info_lower(rho: Mstate, cut: Partition) -> float:

@@ -1,6 +1,7 @@
 """Dense complex-matrix kernel: PSD square roots and trace norms.
 
-`info` calls both, for fidelity and trace distance; the other modules run
+`info` calls both, for fidelity and trace distance, and
+`measures.log_negativity` takes its trace norm here; the other modules run
 their own NumPy eigensolves. Hermiticity and the PSD check use the
 validation tolerance, eigenvalue zero-clipping the zero cut (see
 `tolerances`).

@@ -1058,3 +1058,12 @@ def test_format_outside_compute_exits_2(argv, capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "--format" in captured.err
+
+
+@pytest.mark.parametrize("quantity", ["discord", "kw-discord"])
+def test_discord_groups_must_cover_every_party(quantity, capsys):
+    # mutual-info with the same flags takes the A+B marginal; discord does not
+    argv = ["compute", quantity, "--preset", "w", "--x", "A", "--y", "B"]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "missing ('C',)" in err, err

@@ -1028,6 +1028,43 @@ def test_euler_identity_of_the_row_gradients(monkeypatch, name):
         assert abs(euler - (vals[1] - vals[0])) <= 1e-12
 
 
+# --- a trivial receiver: the one-way form is the classical correlation ------------
+
+VACUUM = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("da", [2, 3])
+def test_one_way_with_a_trivial_receiver_equals_a_vacuum_receiver(da):
+    # I(A : C R) with C in a fixed pure state is I(A : R), the dc = 1 form
+    rng = np.random.default_rng(40 + da)
+    g = rng.normal(size=(3, 4, da, da)) + 1j * rng.normal(size=(3, 4, da, da))
+    sig = 0.1 * g @ np.conj(np.swapaxes(g, -1, -2))
+    with_vacuum = np.kron(sig, VACUUM)
+    for slope in (False, True):
+        trivial = measures._one_way(0.7, sig, da, 1, slope=slope)
+        vacuum = measures._one_way(0.7, with_vacuum, da, 2, slope=slope)
+        if slope:
+            trivial, vacuum = trivial[0], vacuum[0]
+        assert np.max(np.abs(trivial - vacuum)) <= 1e-12
+
+
+@pytest.mark.parametrize("da", [2, 3])
+def test_block_batch_with_a_trivial_receiver_equals_a_vacuum_receiver(da):
+    # the same identity through the search's objective: values and row
+    # gradients of a measurement on B, with and without a vacuum C
+    rho = random_mixed_state(SystemLayout((("A", da), ("B", 2))), 50 + da)
+    with_vacuum = Mstate(
+        SystemLayout((("A", da), ("B", 2), ("C", 2))), np.kron(rho.matrix, VACUUM)
+    )
+    s_a = vn_entropy(marginal(rho, "A"))
+    trivial = measures._block_batch(measures._operand(rho, "B"), s_a, da, 1)
+    vacuum = measures._block_batch(measures._operand(with_vacuum, "B"), s_a, da, 2)
+    vstack = np.stack([haar_unitary(4, 60 + s)[:, :2] for s in range(3)])
+    (v1, g1), (v2, g2) = trivial(vstack), vacuum(vstack)
+    assert np.max(np.abs(v1 - v2)) <= 1e-12
+    assert np.max(np.abs(g1 - g2)) <= 1e-12
+
+
 # --- identities and oracles at the default config ------------------------------------
 
 
