@@ -107,8 +107,13 @@ def _entropy_log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d sigma] for moves that keep the support.  Eigenvalues within rounding of
     zero (at most eps times the largest) are read at that floor: they pair
     with eigenvectors on which a feasible move has no weight, so they add
-    nothing above rounding, and a genuinely small eigenvalue keeps its log."""
-    w, u = np.linalg.eigh(mats)
+    nothing above rounding, and a genuinely small eigenvalue keeps its log.
+    A 1x1 matrix is its own eigenvalue, with eigenvector 1: bit for bit what
+    eigh returns, without a LAPACK call per block."""
+    if mats.shape[-1] == 1:
+        w, u = np.real(mats[..., 0]), np.ones_like(mats)
+    else:
+        w, u = np.linalg.eigh(mats)
     w = np.maximum(w, 0.0)
     logs = _log2(np.maximum(w, _EPS * w[..., -1:]))
     log = (u * logs[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))

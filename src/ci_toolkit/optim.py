@@ -32,17 +32,27 @@ Restarts are seeded Haar isometries, after any warm starts, reduced
 deterministically (strict improvement keeps the lowest restart index).
 `restarts` is a ceiling: the first eight starts run first, and the rest open
 only if fewer than four of those end within `tol` of the best; a Haar start
-is drawn only when it opens. The restarts that run advance in lockstep. A
-round makes one objective call over the live restarts' trial points; then
-the restarts that accept theirs share one tangent projection of
-(G, V' - V, xi), those of them that hold pairs one projection of H xi, and
-every restart still live one polar retraction (a single SVD of the stack)
-to its next trial point. The sufficient-increase test, the pairs, the
-two-loop recursion and the stopping test stay per restart. A stacked matrix
-product or SVD computes each matrix exactly as the single-matrix call does,
-so each row's arithmetic is the same as the restart's run alone, and every
-restart ends exactly where it ends when run alone. The search is
-deterministic for a fixed seed and config.
+is drawn only when it opens.
+
+The restarts that run advance in lockstep, as the rows of one stacked state:
+arrays over the live restarts of V, the value, xi, D, alpha, the slope
+<xi, D>, the halvings and the steps, and the L-BFGS memory as one real
+(B, 16, 2Kc) array: the s rows of its eight pairs, then their y rows,
+newest last, with the unused slots zero, so that a push is one
+shift-append. A round makes one objective call over the trial points, one
+tangent projection of (G, V' - V, xi) at them, one H xi over the stack and
+its tangent projection, and one polar retraction (a single SVD). H xi takes
+the compact form (Byrd, Nocedal & Schnabel, Math. Prog. 63, 129, 1994): a
+few batched products with the Gram blocks S Y^T and Y Y^T, and one batched
+inverse of R, the upper triangle of S Y^T. Acceptance and backtracking are
+a row mask; restarts that end are written out and dropped from the stack,
+so a round costs a fixed number of NumPy calls however many restarts are
+live.
+
+Rows are independent: every stacked product, inverse, SVD and reduction
+computes each row exactly as it does for a stack of one, so each restart's
+arithmetic is that of its run alone and it ends exactly where it ends when
+run alone. The search is deterministic for a fixed seed and config.
 """
 
 from __future__ import annotations
@@ -170,8 +180,15 @@ def rank1_povm(u, party_dim: int) -> Povm:
 # gradient search
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.vdot(a, b).real)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each row i of two (B, K, c) stacks: bit for bit
+    np.vdot(a_i, b_i).real."""
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
+
+
+def _flat(z: np.ndarray) -> np.ndarray:
+    """A (B, K, c) complex stack as (B, 2Kc) real coordinates, a view."""
+    return z.reshape(len(z), -1).view(np.float64)
 
 
 def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -188,80 +205,83 @@ def _polar(w: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-class _Ascent:
-    """One restart: its isometry, value and Riemannian gradient, its L-BFGS
-    pairs, and the step its backtracking tries.  `_ascend` does the matrix
-    work on the stack of restarts; the scalar tests and the two-loop
-    recursion are the restart's own."""
-
-    def __init__(self, v: np.ndarray, value: float, xi: np.ndarray, cfg: OptimizerConfig):
-        self.cfg = cfg
-        self.v, self.value, self.xi = v, value, xi
-        self.pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.steps = 0
-        self.live = math.sqrt(_inner(xi, xi)) >= cfg.tol
-
-    def inverse_hessian(self, q: np.ndarray) -> np.ndarray:
-        """H q by the L-BFGS two-loop recursion, H_0 scaled by the newest
-        pair's <s, y> / <y, y>."""
-        q = q.copy()
-        coef = []
-        for s, y, ys in reversed(self.pairs):
-            a = _inner(s, q) / ys
-            q -= a * y
-            coef.append(a)
-        s, y, ys = self.pairs[-1]
-        q *= ys / _inner(y, y)
-        for (s, y, ys), a in zip(self.pairs, reversed(coef)):
-            q += (a - _inner(y, q) / ys) * s
-        return q
-
-    def aim(self, d: np.ndarray, first: bool) -> None:
-        """Step along d, or along xi (clearing the memory) when d is not an
-        ascent direction."""
-        slope = _inner(self.xi, d)
-        if slope <= 0.0:
-            self.pairs.clear()
-            d, slope = self.xi, _inner(self.xi, self.xi)
-        self.d, self.slope = d, slope
-        self.alpha = _FIRST_STEP / math.sqrt(slope) if first else 1.0
-        self.halvings = 0
-
-    def backtracks(self, value: float) -> bool:
-        """Whether the trial point's value fails the sufficient-increase
-        test; if so the step is halved, or the restart ends."""
-        if not value < self.value + _ARMIJO * self.alpha * self.slope:
-            return False
-        self.halvings += 1
-        self.live = self.halvings <= _HALVINGS
-        self.alpha *= 0.5
-        return True
-
-    def move(self, v, value: float, xi, s, y) -> None:
-        """Accept the trial point v, with its gradient xi and the pair (s, y)."""
-        ys = _inner(y, s)
-        if ys > 0.0:
-            self.pairs.append((s, y, ys))
-            del self.pairs[:-_MEMORY]
-        self.v, self.value, self.xi = v, value, xi
-        self.steps += 1
-        self.live = (
-            self.steps < self.cfg.max_iters and math.sqrt(_inner(xi, xi)) >= self.cfg.tol
-        )
+_UPPER = np.triu(np.ones((_MEMORY, _MEMORY)))
+# _PAD[h]: the identity on the _MEMORY - h unused slots of a memory holding h
+# pairs, which R holds there
+_PAD = np.stack([np.diag((np.arange(_MEMORY) < _MEMORY - h) * 1.0) for h in range(_MEMORY + 1)])
 
 
-def _aim(runs: list[_Ascent], first: bool) -> None:
-    """Aim each restart in ``runs``: along P_V(H xi), one projection over
-    the stack of those that hold pairs, or else along xi."""
-    curved = [r for r in runs if r.pairs]
-    plain = [r for r in runs if not r.pairs]
-    if curved:
-        v = np.stack([r.v for r in curved])
-        hxi = np.stack([r.inverse_hessian(r.xi) for r in curved])
-        for r, d in zip(curved, _tangent(v, hxi)):
-            r.aim(d.copy(), first)
-    for r in plain:
-        r.aim(r.xi, first)
+def _hq(mem: np.ndarray, held: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """H q for each row of a (B, n) stack of real vectors, by the compact
+    form of the L-BFGS inverse Hessian (Byrd, Nocedal & Schnabel, Math.
+    Prog. 63, 129, 1994):
+
+        H q = gamma q + S^T p - gamma Y^T r,  r = R^-1 S q,
+        p = R^-T (diag(R) r + gamma (Y Y^T r - Y q)),
+
+    where the rows of S and Y are the row's `held` newest pairs, R is the
+    upper triangle of S Y^T and gamma = <s, y> / <y, y> of the newest pair.
+    ``mem`` holds S then Y, (B, 2 * _MEMORY, n), newest last; unused slots
+    are zero, and R holds the identity on them, so they add nothing.  A row
+    with no pairs gets 0."""
+    m = _MEMORY
+    # the S Y^T and Y Y^T blocks of the Gram matrix W W^T
+    gram = mem @ mem[:, m:].swapaxes(1, 2)
+    sy, yy = gram[:, :m], gram[:, m:]
+    pad = _PAD[held]
+    rinv = np.linalg.inv(sy * _UPPER + pad)
+    # the newest slot is unused only in an empty row, which reads gamma = 0 / 1
+    gamma = sy[:, -1:, -1:] / (yy[:, -1:, -1:] + pad[:, -1:, -1:])
+    wq = mem @ q[:, :, None]
+    r = rinv @ wq[:, :m]
+    p = rinv.swapaxes(1, 2) @ (
+        sy.diagonal(axis1=1, axis2=2)[:, :, None] * r + gamma * (yy @ r - wq[:, m:])
+    )
+    coef = np.concatenate([p, -gamma * r], axis=1)
+    return gamma[:, 0] * q + (mem.swapaxes(1, 2) @ coef)[:, :, 0]
+
+
+def _push(mem: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The memory with the (B, n) pair rows (s, y) as its newest slot, and
+    its oldest slot dropped: one shift-append, with no branch for a memory
+    that is not yet full."""
+    m = _MEMORY
+    return np.concatenate([mem[:, 1:m], s[:, None], mem[:, m + 1 :], y[:, None]], axis=1)
+
+
+def _directions(v, xi, norm2, mem, held, first: bool):
+    """Each row's direction D, slope <xi, D> and step length, with its
+    memory: D = P_V(H xi), or D = xi where the memory is empty or
+    <xi, D> <= 0, which clears it.  The step length is 1, except on a
+    restart's first step, which has length _FIRST_STEP.  (Masks are read by
+    counts: any() and all() cost microseconds on short masks.)"""
+    holding = np.count_nonzero(held)
+    if holding:
+        d = _tangent(v, _hq(mem, held, _flat(xi)).view(np.complex128).reshape(xi.shape))
+        if holding < len(held):
+            d = np.where(held[:, None, None] > 0, d, xi)
+        slope = _dots(xi, d)
+        flat = slope <= 0.0
+        if np.count_nonzero(flat):
+            d = np.where(flat[:, None, None], xi, d)
+            slope = np.where(flat, norm2, slope)
+            mem = np.where(flat[:, None, None], 0.0, mem)
+            held = np.where(flat, 0, held)
+    else:
+        d, slope = xi, norm2
+    alpha = _FIRST_STEP / np.sqrt(slope) if first else np.ones_like(slope)
+    return d, slope, alpha, mem, held
+
+
+@dataclass(frozen=True)
+class _Run:
+    """Where a restart ended: its isometry, value and step count; `live` is
+    False, as `_ascend` returns only once every restart has ended."""
+
+    v: np.ndarray
+    value: float
+    steps: int
+    live: bool
 
 
 def _evaluator(batch_objective, sign: float):
@@ -280,43 +300,83 @@ def _evaluator(batch_objective, sign: float):
                 f"shape {grad.shape} for {stack.shape[0]} isometries of shape "
                 f"{stack.shape[1:]}"
             )
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grad))):
+        if not (np.isfinite(vals).all() and np.isfinite(grad).all()):
             raise ObjectiveError("batch objective returned a non-finite value or gradient")
         return sign * vals, sign * grad
 
     return evaluate
 
 
-def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig) -> list[_Ascent]:
-    """Run the restarts from ``starts`` in lockstep until each has ended.  A
-    round makes one objective call over the live restarts' trial points; the
-    restarts that accept theirs share one tangent projection of (G, V' - V,
-    xi), and every restart still live shares one polar retraction."""
-    stack = np.stack(starts)
-    values, grads = evaluate(stack)
-    xis = _tangent(stack, grads)
-    runs = [_Ascent(v, float(f), xi.copy(), cfg) for v, f, xi in zip(starts, values, xis)]
-    live = [r for r in runs if r.live]
-    _aim(live, first=True)
-    while live:
+def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig) -> list[_Run]:
+    """Run the restarts from ``starts`` in lockstep until each has ended.
+
+    The live restarts are the rows of one stacked state.  A round makes one
+    objective call over their trial points, one tangent projection of (G,
+    V' - V, xi) at the trial points, and one `_directions` call for the
+    next round; acceptance and backtracking are a row mask, merged by
+    `np.where` only on rounds where rows differ.  A row that backtracks
+    keeps its V, xi and memory, so its direction comes out the same again.
+    Restarts that end are written out and dropped from the stack."""
+    m = _MEMORY
+    v = np.stack(starts)
+    value, grads = evaluate(v)
+    xi = _tangent(v, grads)
+    norm2 = _dots(xi, xi)
+    out_v, out_value = v.copy(), value.copy()
+    out_steps = np.zeros(len(v), dtype=np.int64)
+
+    idx = np.flatnonzero(np.sqrt(norm2) >= cfg.tol)
+    v, value, xi, norm2 = v[idx], value[idx], xi[idx], norm2[idx]
+    mem = np.zeros((len(idx), 2 * m, 2 * v.shape[1] * v.shape[2]))
+    held = np.zeros(len(idx), dtype=np.int64)
+    steps = np.zeros(len(idx), dtype=np.int64)
+    halvings = np.zeros(len(idx), dtype=np.int64)
+    d, slope, alpha, mem, held = _directions(v, xi, norm2, mem, held, first=True)
+    while len(idx):
         # the trial points polar(V + alpha D), retracted as one stack
-        trial = _polar(np.stack([r.v + r.alpha * r.d for r in live]))
-        values, grads = evaluate(trial)
-        took = [i for i, r in enumerate(live) if not r.backtracks(float(values[i]))]
-        if took:
-            moved = [live[i] for i in took]
-            v = trial[took]
-            old_v = np.stack([r.v for r in moved])
-            old_xi = np.stack([r.xi for r in moved])
-            # the tangent parts of G, V' - V and xi at V'
-            t = _tangent(v[:, None], np.stack([grads[took], v - old_v, old_xi], axis=1))
-            for r, i, vi, (xi, s, y) in zip(moved, took, v, t):
-                # y = -(xi' - P_V' xi); a restart copies out its rows, so it
-                # keeps no round's stack alive
-                r.move(vi.copy(), float(values[i]), xi.copy(), s.copy(), y - xi)
-            _aim([r for r in moved if r.live], first=False)
-        live = [r for r in live if r.live]
-    return runs
+        trial = _polar(v + alpha[:, None, None] * d)
+        f, grads = evaluate(trial)
+        took = ~(f < value + _ARMIJO * alpha * slope)
+        steady = np.count_nonzero(took) == len(idx)
+        # the tangent parts of G, V' - V and xi at V'; y = -(xi' - P_V' xi)
+        t = _tangent(
+            trial[:, None], np.concatenate([grads[:, None], (trial - v)[:, None], xi[:, None]], 1)
+        )
+        new_xi, s = t[:, 0], t[:, 1]
+        y = t[:, 2] - new_xi
+        push = took & (_dots(y, s) > 0.0)
+        n_push = np.count_nonzero(push)
+        if n_push:
+            pushed = _push(mem, _flat(s), _flat(y))
+            mem = pushed if n_push == len(idx) else np.where(push[:, None, None], pushed, mem)
+            held = np.minimum(held + push, m)
+        if steady:
+            v, value, xi = trial, f, new_xi
+            halvings = np.zeros_like(halvings)
+        else:
+            row = took[:, None, None]
+            v = np.where(row, trial, v)
+            value = np.where(took, f, value)
+            xi = np.where(row, new_xi, xi)
+            halvings = np.where(took, 0, halvings + 1)
+            alpha = 0.5 * alpha
+        steps = steps + took
+        norm2 = _dots(xi, xi)
+        live = (halvings <= _HALVINGS) & (steps < cfg.max_iters) & (np.sqrt(norm2) >= cfg.tol)
+        if np.count_nonzero(live) < len(idx):
+            end = idx[~live]
+            out_v[end], out_value[end], out_steps[end] = v[~live], value[~live], steps[~live]
+            idx, v, value, xi, norm2, mem, held, steps, halvings, alpha, took = (
+                a[live]
+                for a in (idx, v, value, xi, norm2, mem, held, steps, halvings, alpha, took)
+            )
+        # a row that backtracked gets its direction again from its unchanged
+        # state; it keeps its halved step
+        d, slope, step, mem, held = _directions(v, xi, norm2, mem, held, first=False)
+        alpha = step if steady else np.where(took, step, alpha)
+    return [
+        _Run(out_v[i], float(out_value[i]), int(out_steps[i]), False) for i in range(len(out_v))
+    ]
 
 
 def _restart_seeds(cfg: OptimizerConfig) -> np.ndarray:

@@ -16,6 +16,7 @@ from ci_toolkit.errors import (
 from ci_toolkit import info
 from ci_toolkit.info import (
     Partition,
+    _entropy_log_stack,
     _entropy_stack,
     _pure_entropy_stack,
     binary_entropy,
@@ -107,6 +108,24 @@ def test_each_entropy_is_independent_of_its_stack(n):
     for i in range(len(mats)):
         if i % 3:
             assert _entropy_stack(mats[i]) == alone[i]
+
+
+def test_one_by_one_blocks_skip_the_eigensolve_bit_for_bit():
+    # discord's generic search reads its receiver blocks at dc = 1 as a
+    # (..., 1, 1) stack; the shortcut must give the eigh route's bits,
+    # zero, subnormal-adjacent, clipped and rounding-imaginary entries included
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 1.0, (64, 4)) + 1j * rng.normal(0.0, 1e-18, (64, 4))
+    a[0, :] = [0.0, 1e-300, -1e-17, 1.0]
+    mats = a[..., None, None]
+    w, u = np.linalg.eigh(mats)
+    assert np.array_equal(w, mats.real[..., 0]) and np.array_equal(u, np.ones_like(mats))
+    w = np.maximum(w, 0.0)
+    logs = info._log2(np.maximum(w, np.finfo(float).eps * w[..., -1:]))
+    log = (u * logs[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    h_short, log_short = _entropy_log_stack(mats)
+    assert np.array_equal(h_short, info._spectrum_h(w))
+    assert np.array_equal(log_short, log)
 
 
 @pytest.mark.parametrize("t", [1e-14, 1e-12, 1e-9, 0.3])

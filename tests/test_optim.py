@@ -6,9 +6,13 @@ from ci_toolkit.errors import InvalidArgument, NotPSD, ObjectiveError
 from ci_toolkit.optim import (
     OptimizerConfig,
     Povm,
-    _Ascent,
     _ascend,
+    _directions,
+    _dots,
     _evaluator,
+    _flat,
+    _hq,
+    _push,
     _restart_seeds,
     _Starts,
     _polar,
@@ -291,22 +295,88 @@ def test_one_polar_retraction_per_round(monkeypatch, restarts):
 
 
 def test_a_non_ascent_direction_falls_back_to_the_gradient():
-    # aim clears the L-BFGS memory and steps along xi when <xi, d> <= 0
-    v = haar_unitary(4, 5)[:, :2]
-    xi = _tangent(v, haar_unitary(4, 6)[:, :2])
-    run = _Ascent(v, 0.0, xi, QUICK)
-    run.pairs.append((xi, xi, 1.0))
-    run.aim(-xi, first=True)
-    assert run.pairs == []
-    assert run.d is xi
-    assert run.slope == pytest.approx(np.vdot(xi, xi).real)
-    assert run.alpha == pytest.approx(optim._FIRST_STEP / np.sqrt(run.slope))
+    # the direction clears the L-BFGS memory and steps along xi when <xi, d> <= 0; the
+    # pair (xi, -xi) makes H xi = -xi, so d = P_V(-xi) is no ascent direction
+    v = haar_unitary(4, 5)[:, :2][None]
+    xi = _tangent(v, haar_unitary(4, 6)[:, :2][None])
+    norm2 = _dots(xi, xi)
+    empty = np.zeros((1, 2 * optim._MEMORY, 16))
+    mem = _push(empty, _flat(xi), -_flat(xi))
+    d, slope, alpha, mem, held = _directions(v, xi, norm2, mem, np.array([1]), first=True)
+    assert not mem.any() and held[0] == 0
+    assert np.array_equal(d, xi)
+    assert slope[0] == pytest.approx(np.vdot(xi, xi).real)
+    assert alpha[0] == pytest.approx(optim._FIRST_STEP / np.sqrt(slope[0]))
     # an ascent direction is kept, and so is the memory
-    run.pairs.append((xi, xi, 1.0))
-    d = xi + 0.1 * _tangent(v, haar_unitary(4, 7)[:, :2])
-    run.aim(d, first=False)
-    assert len(run.pairs) == 1
-    assert run.d is d and run.slope > 0.0 and run.alpha == 1.0
+    other = _tangent(v, haar_unitary(4, 7)[:, :2][None])
+    mem = _push(empty, _flat(other), 2.0 * _flat(other))
+    d, slope, alpha, kept, held = _directions(v, xi, norm2, mem, np.array([1]), first=False)
+    assert np.array_equal(kept, mem) and held[0] == 1
+    hxi = _hq(mem, held, _flat(xi)).view(complex).reshape(xi.shape)
+    assert np.array_equal(d, _tangent(v, hxi))
+    assert slope[0] > 0.0 and alpha[0] == 1.0
+
+
+def _dense_bfgs(pairs, q):
+    # the inverse Hessian built pair by pair: H_0 = gamma I from the newest
+    # pair, then H <- V^T H V + rho s s^T with V = I - rho y s^T, oldest first
+    s, y = pairs[-1]
+    h = (s @ y) / (y @ y) * np.eye(len(q))
+    for s, y in pairs:
+        rho = 1.0 / (s @ y)
+        w = np.eye(len(q)) - rho * np.outer(y, s)
+        h = w.T @ h @ w + rho * np.outer(s, s)
+    return h @ q
+
+
+def _curvature_pairs(n, count, seed):
+    # pairs (s, A s) of a fixed positive definite A, so every <s, y> > 0
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a = a @ a.T / n + np.eye(n)
+    return [(s, a @ s) for s in rng.standard_normal((count, n))]
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_compact_form_equals_the_dense_bfgs_inverse_hessian(n):
+    # rows holding 1..8 pairs, one that has filled and shifted out three
+    # pairs, and an empty one, stacked in one call
+    counts = list(range(1, optim._MEMORY + 1)) + [optim._MEMORY + 3, 0]
+    rng = np.random.default_rng(n)
+    mems, qs, pairs = [], [], []
+    for k, count in enumerate(counts):
+        row = _curvature_pairs(n, count, seed=100 * n + k)
+        mem = np.zeros((1, 2 * optim._MEMORY, n))
+        for s, y in row:
+            mem = _push(mem, s[None], y[None])
+        mems.append(mem[0])
+        qs.append(rng.standard_normal(n))
+        pairs.append(row[-optim._MEMORY :])
+    held = np.minimum(counts, optim._MEMORY)
+    hq = _hq(np.stack(mems), held, np.stack(qs))
+    for k, count in enumerate(counts):
+        if count == 0:
+            assert not hq[k].any()
+            continue
+        want = _dense_bfgs(pairs[k], qs[k])
+        assert np.linalg.norm(hq[k] - want) <= 1e-12 * np.linalg.norm(want)
+        # each row is its own, bit for bit
+        alone = _hq(mems[k][None], held[k : k + 1], qs[k][None])
+        assert np.array_equal(alone[0], hq[k])
+
+
+@pytest.mark.parametrize("dim,cols", [(2, 1), (4, 2), (16, 4)])
+def test_stacked_inner_product_is_vdot_row_by_row(dim, cols):
+    # on a strided slice too, as a round reads its rows out of one projection
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((5, 3, dim, cols)) + 1j * rng.standard_normal((5, 3, dim, cols))
+    a, b = z[:, 0], z[:, 2]
+    dots = _dots(a, b)
+    for i in range(5):
+        assert dots[i] == np.vdot(a[i], b[i]).real
+    # the real coordinates pair real parts with real parts
+    flat = _flat(a) @ _flat(b)[0]
+    np.testing.assert_allclose(flat, [np.vdot(x, b[0]).real for x in a], rtol=1e-13)
 
 
 def test_agreeing_scouts_open_no_more_restarts():
