@@ -98,8 +98,11 @@ def _config_line(cfg: OptimizerConfig) -> str:
 def _emit(lines, out_path):
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgument(f"cannot write --out {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

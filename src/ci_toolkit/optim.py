@@ -28,11 +28,12 @@ accessible information (PRA 71, 054303, 2005) with a backtracking step. A
 restart ends when ||xi|| < tol, when its backtracking fails, or after
 max_iters steps.
 
-Restarts are seeded Haar isometries, after any warm starts, reduced
-deterministically (strict improvement keeps the lowest restart index).
-`restarts` is a ceiling: the first eight starts run first, and the rest open
-only if fewer than four of those end within `tol` of the best; a Haar start
-is drawn only when it opens.
+`maximize` owns the restart schedule: restart r starts from warm start r,
+or else from a Haar isometry drawn from its seed when it opens. `restarts`
+is a ceiling: the first eight starts run first, and the rest open only if
+fewer than four of those end within `tol` of the best. `_ascend` returns
+each restart's isometry, value and steps as arrays in start order; the
+winner is their argmax, the lowest restart index among equal values.
 
 The restarts that run advance in lockstep, as the rows of one stacked state:
 arrays over the live restarts of V, the value, xi, D, alpha, the slope
@@ -94,6 +95,8 @@ class OptimizerConfig:
             raise InvalidArgument("OptimizerConfig: max_iters must be >= 1")
         if not (self.tol > 0.0):
             raise InvalidArgument("OptimizerConfig: tol must be positive")
+        if self.seed < 0:
+            raise InvalidArgument("OptimizerConfig: seed must be >= 0")
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -273,20 +276,9 @@ def _directions(v, xi, norm2, mem, held, first: bool):
     return d, slope, alpha, mem, held
 
 
-@dataclass(frozen=True)
-class _Run:
-    """Where a restart ended: its isometry, value and step count; `live` is
-    False, as `_ascend` returns only once every restart has ended."""
-
-    v: np.ndarray
-    value: float
-    steps: int
-    live: bool
-
-
 def _evaluator(batch_objective, sign: float):
     """Values and Euclidean gradients of a (B, dim, cols) stack, from one
-    objective call, checked and signed."""
+    objective call, checked, and negated when `sign` is -1 (minimizing)."""
 
     def evaluate(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = batch_objective(stack)
@@ -302,13 +294,15 @@ def _evaluator(batch_objective, sign: float):
             )
         if not (np.isfinite(vals).all() and np.isfinite(grad).all()):
             raise ObjectiveError("batch objective returned a non-finite value or gradient")
-        return sign * vals, sign * grad
+        return (vals, grad) if sign > 0 else (-vals, -grad)
 
     return evaluate
 
 
-def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig) -> list[_Run]:
-    """Run the restarts from ``starts`` in lockstep until each has ended.
+def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
+    """Run the restarts from ``starts`` in lockstep until each has ended;
+    returns, in start order, their final isometries (R, K, c), values (R,)
+    and steps (R,).
 
     The live restarts are the rows of one stacked state.  A round makes one
     objective call over their trial points, one tangent projection of (G,
@@ -374,34 +368,7 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig) -> list[_R
         # state; it keeps its halved step
         d, slope, step, mem, held = _directions(v, xi, norm2, mem, held, first=False)
         alpha = step if steady else np.where(took, step, alpha)
-    return [
-        _Run(out_v[i], float(out_value[i]), int(out_steps[i]), False) for i in range(len(out_v))
-    ]
-
-
-def _restart_seeds(cfg: OptimizerConfig) -> np.ndarray:
-    return np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
-
-
-class _Starts:
-    """Start isometries in restart order: the warm starts, then the first
-    columns of one seeded Haar unitary per restart seed.  A Haar start is
-    drawn only when it is indexed, so the restarts a search never opens cost
-    nothing."""
-
-    def __init__(self, warm_starts, dim: int, cols: int, cfg: OptimizerConfig):
-        self._warm = [_warm_isometry(w, dim, cols) for w in warm_starts]
-        self._dim, self._cols = dim, cols
-        self._seeds = _restart_seeds(cfg)
-
-    def __len__(self) -> int:
-        return len(self._warm) + len(self._seeds)
-
-    def __getitem__(self, r: int) -> np.ndarray:
-        if r < len(self._warm):
-            return self._warm[r]
-        seed = int(self._seeds[r - len(self._warm)])
-        return haar_unitary(self._dim, seed)[:, : self._cols]
+    return out_v, out_value, out_steps
 
 
 def _warm_isometry(w, dim: int, cols: int) -> np.ndarray:
@@ -454,18 +421,20 @@ def maximize(
     if sign is None:
         raise InvalidArgument(f"maximize: sense must be 'max' or 'min', got {sense!r}")
     evaluate = _evaluator(batch_objective, sign)
-    starts = _Starts(warm_starts, n, cols, cfg)
+    warm = [_warm_isometry(w, n, cols) for w in warm_starts]
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
+    total = len(warm) + len(seeds)
 
-    opened = min(len(starts), _SCOUT)
-    runs = _ascend(evaluate, [starts[r] for r in range(opened)], cfg)
-    top = max(r.value for r in runs)
-    agree = sum(top - r.value <= cfg.tol for r in runs)
-    if opened < len(starts) and agree < _AGREE:
-        runs += _ascend(evaluate, [starts[r] for r in range(opened, len(starts))], cfg)
+    def start(r: int) -> np.ndarray:
+        # a Haar start is drawn only when its restart opens
+        if r < len(warm):
+            return warm[r]
+        return haar_unitary(n, int(seeds[r - len(warm)]))[:, :cols]
 
-    best_val = -math.inf
-    best_v = None
-    for run in runs:
-        if run.value > best_val:
-            best_val, best_v = run.value, run.v
-    return sign * best_val, best_v
+    opened = min(total, _SCOUT)
+    v, value, _ = _ascend(evaluate, [start(r) for r in range(opened)], cfg)
+    if opened < total and np.count_nonzero(value.max() - value <= cfg.tol) < _AGREE:
+        rest = _ascend(evaluate, [start(r) for r in range(opened, total)], cfg)
+        v, value = np.concatenate([v, rest[0]]), np.concatenate([value, rest[1]])
+    best = int(np.argmax(value))
+    return sign * float(value[best]), v[best]

@@ -721,6 +721,40 @@ def test_out_flag_writes_file_instead_of_stdout(tmp_path, capsys):
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "one-way-ci", "--preset", "ghz"],
+        ["verify", "continuity"],
+    ],
+    ids=["compute", "verify"],
+)
+def test_a_negative_seed_exits_2(argv, capsys):
+    code, out, err = _run(argv + ["--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "seed must be >= 0" in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "entropy", "--preset", "ghz"],
+        ["verify", "continuity"],
+        ["sweep", "entropy", "--start", "0.2", "--stop", "0.8", "--steps", "3"],
+    ],
+    ids=["compute", "verify", "sweep"],
+)
+def test_an_unwritable_out_exits_2(argv, tmp_path, capsys):
+    # the parent directory does not exist, so the file cannot be opened
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = _run(argv + ["--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(target) in err, err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_verify_family15(capsys):
     code, out, _ = _run(["verify", "family15"] + FAST, capsys)
     assert code == 0

@@ -918,10 +918,9 @@ def test_lockstep_restarts_equal_isolated_runs_on_package_objectives(monkeypatch
     cfg = OptimizerConfig(restarts=4, max_iters=12, tol=1e-6, seed=1)
     together = _ascend(evaluate, starts, cfg)
     for r in range(len(starts)):
-        (alone,) = _ascend(evaluate, starts[r : r + 1], cfg)
-        assert together[r].value == alone.value
-        assert together[r].steps == alone.steps
-        assert np.array_equal(together[r].v, alone.v)
+        alone = _ascend(evaluate, starts[r : r + 1], cfg)
+        for t, a in zip(together, alone):
+            assert np.array_equal(t[r : r + 1], a)
 
 
 # --- one search per measure ---------------------------------------------------------

@@ -13,8 +13,6 @@ from ci_toolkit.optim import (
     _flat,
     _hq,
     _push,
-    _restart_seeds,
-    _Starts,
     _polar,
     _tangent,
     _warm_isometry,
@@ -162,6 +160,8 @@ def test_optimizer_config_validation():
         {"restarts": 0},
         {"max_iters": 0},
         {"tol": 0.0},
+        # NumPy seeds only with non-negative integers
+        {"seed": -1},
     ):
         with pytest.raises(InvalidArgument):
             OptimizerConfig(**kw)
@@ -223,14 +223,13 @@ RIDGE = OptimizerConfig(restarts=8, max_iters=2000, tol=1e-6)
 
 def test_quasi_newton_ends_the_ridge_crawl():
     evaluate = _evaluator(_ridge_batch, 1.0)
-    runs = _ascend(evaluate, _starts(4, 2, RIDGE.restarts), RIDGE)
+    v, value, steps = _ascend(evaluate, _starts(4, 2, RIDGE.restarts), RIDGE)
     # steepest ascent crawls along the crest for hundreds of steps; the
     # quasi-Newton direction follows its curvature
-    assert max(r.steps for r in runs) <= 200
-    assert not any(r.live for r in runs)
-    best = max(runs, key=lambda r: r.value)
-    assert best.value >= -1e-10
-    c = best.v[0, 0].conj() * best.v[1, 0]
+    assert steps.max() <= 200
+    best = int(np.argmax(value))
+    assert value[best] >= -1e-10
+    c = v[best, 0, 0].conj() * v[best, 1, 0]
     assert abs(2 * c.real - 0.5) <= 1e-4 and abs(2 * c.imag - 0.25) <= 1e-4
 
 
@@ -246,12 +245,11 @@ def test_lockstep_restarts_equal_isolated_runs():
         evaluate = _evaluator(f, 1.0)
         starts = [haar_unitary(dim, s)[:, :cols] for s in (3, 5, 9, 12)]
         together = _ascend(evaluate, starts, cfg)
-        assert any(r.steps > 3 for r in together)
+        assert np.any(together[2] > 3)
         for r in range(4):
-            (alone,) = _ascend(evaluate, starts[r : r + 1], cfg)
-            assert together[r].value == alone.value
-            assert together[r].steps == alone.steps
-            assert np.array_equal(together[r].v, alone.v)
+            alone = _ascend(evaluate, starts[r : r + 1], cfg)
+            for t, a in zip(together, alone):
+                assert np.array_equal(t[r : r + 1], a)
 
 
 @pytest.mark.parametrize("batch", [1, 3, 8])
@@ -288,8 +286,8 @@ def test_one_polar_retraction_per_round(monkeypatch, restarts):
         return _ridge_batch(blocks)
 
     cfg = OptimizerConfig(restarts=restarts, max_iters=60, tol=1e-8)
-    runs = _ascend(_evaluator(counting, 1.0), _starts(4, 2, restarts), cfg)
-    assert all(r.steps > 3 for r in runs)
+    _, _, steps = _ascend(_evaluator(counting, 1.0), _starts(4, 2, restarts), cfg)
+    assert np.all(steps > 3)
     assert len(retracted) == len(evaluated) - 1
     assert retracted == evaluated[1:]
 
@@ -393,6 +391,11 @@ def test_agreeing_scouts_open_no_more_restarts():
     assert rows[0] == 8 and max(rows) == 8
 
 
+def _seeds(cfg):
+    # the Haar seeds of a search's restarts, in restart order
+    return np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
+
+
 def test_unopened_restarts_are_never_drawn(monkeypatch):
     # the scouts agree, so 8 of 32 restarts open: each is drawn once, and
     # the other 24 are never drawn
@@ -401,34 +404,37 @@ def test_unopened_restarts_are_never_drawn(monkeypatch):
     monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
     cfg = OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6)
     maximize(_overlap_batch(haar_unitary(2, 31)[:, :1]), 2, cfg, columns=1)
-    assert draws == [int(s) for s in _restart_seeds(cfg)[:8]]
+    assert draws == [int(s) for s in _seeds(cfg)[:8]]
 
 
-def test_lazy_starts_keep_the_eager_isometries():
+def test_lazy_starts_keep_the_eager_isometries(monkeypatch):
     cfg = OptimizerConfig(restarts=5, seed=11)
     warm = haar_unitary(3, 2)
-    starts = _Starts([warm], 3, 2, cfg)
-    eager = [warm[:, :2]] + [haar_unitary(3, int(s))[:, :2] for s in _restart_seeds(cfg)]
-    assert len(starts) == len(eager) == 6
-    for r in reversed(range(6)):
-        assert np.array_equal(starts[r], eager[r])
+    seen = []
+    ascend = optim._ascend
+    monkeypatch.setattr(optim, "_ascend", lambda e, st, c: seen.extend(st) or ascend(e, st, c))
+    maximize(_overlap_batch(haar_unitary(3, 5)[:, :2]), 3, cfg, columns=2, warm_starts=[warm])
+    eager = [warm[:, :2]] + [haar_unitary(3, int(s))[:, :2] for s in _seeds(cfg)]
+    assert len(seen) == len(eager) == 6
+    for got, want in zip(seen, eager):
+        assert np.array_equal(got, want)
 
 
 def test_disagreeing_scouts_open_every_restart(monkeypatch):
     f = _peaks_batch(3, 60)
     cfg = OptimizerConfig(restarts=16, max_iters=2000, tol=1e-6)
     evaluate = _evaluator(f, 1.0)
-    scouts = _ascend(evaluate, [_Starts((), 3, 1, cfg)[r] for r in range(8)], cfg)
+    scouts = [haar_unitary(3, int(s))[:, :1] for s in _seeds(cfg)[:8]]
+    _, ends, _ = _ascend(evaluate, scouts, cfg)
     # the eight scouts end on different peaks, fewer than four of them
     # within tol of the best
-    ends = np.array([r.value for r in scouts])
     assert np.count_nonzero(ends.max() - ends <= cfg.tol) < 4
     # so every restart opens, each drawing its Haar start once
     draws = []
     haar = optim.haar_unitary
     monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
     maximize(f, 3, cfg, columns=1)
-    assert draws == [int(s) for s in _restart_seeds(cfg)]
+    assert draws == [int(s) for s in _seeds(cfg)]
 
 
 def test_maximize_recovers_target_state():
