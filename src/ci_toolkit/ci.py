@@ -15,8 +15,8 @@ are out of reach in general; this module brackets them:
 * `dilated_protocol_state` embeds a measurement step into an isometry so
   information balance can be audited as a conditional mutual information.
 
-Every optimized number carries its direction of error; every closed form
-is exact up to eigensolver accuracy.
+Every optimized number carries its direction of error, by the one rule of
+`MeasureEstimate`; every closed form is exact up to eigensolver accuracy.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .info import (
     vn_entropy,
 )
 from .measures import (
-    LOWER,
-    UPPER,
     Bracket,
     MeasureEstimate,
     _off_block_max,
@@ -236,13 +234,8 @@ def ci_pure_oneway(
     s_a = vn_entropy(marginal(rho, a))
     rho_ac = marginal(rho, a + c)
     assisted = eoa(rho_ac, a, config)
-    return MeasureEstimate(
-        value=s_a + assisted.value,
-        direction=LOWER,
-        config=assisted.config,
-        achiever=assisted.achiever,
-        info={"marginal_entropy": s_a, "assisted_entanglement": assisted.value},
-    )
+    info = {"marginal_entropy": s_a, "assisted_entanglement": assisted.value}
+    return assisted.derive(s_a + assisted.value, 1, **info)
 
 
 def ci_pure_regularized(
@@ -321,13 +314,7 @@ def discord_via_ci(
     ext = tensor(rho, vac)
     ow = one_way_ci(ext, x, y, (aux,), config)
     i_xy = mutual_info(rho, Partition(x, y))
-    return MeasureEstimate(
-        value=max(i_xy - ow.value, 0.0),
-        direction=UPPER,
-        config=ow.config,
-        achiever=ow.achiever,
-        info={"mutual_info": i_xy, "one_way": ow.value},
-    )
+    return ow.derive(max(i_xy - ow.value, 0.0), -1, mutual_info=i_xy, one_way=ow.value)
 
 
 # ---------------------------------------------------------------------------

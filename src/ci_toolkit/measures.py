@@ -7,10 +7,11 @@ entanglement of assistance / formation, and the Koashi-Winter discord
 route -- is a variational estimate produced by gradient ascent over
 rank-one POVMs, whose outcome vectors are the rows of an isometry.  One
 template, `_povm_search`, runs that search for each of them, given its
-objective and a report of the best POVM.  Each estimate is returned as a
-:class:`MeasureEstimate` carrying its direction (is the true value above or
+objective and a report of the best POVM, and only it makes a
+:class:`MeasureEstimate`, carrying its direction (is the true value above or
 below the number?), the optimizer configuration, and the achieving POVM or
-ensemble so results can be re-checked independently.
+ensemble so results can be re-checked independently; `derive` carries one
+through an exact shift, as in discord = I - J.
 
 The outcome blocks sigma_i = Tr_party[(M_i on party) rho] of a measurement
 come from one contraction against `_operand`, for a POVM's elements and a
@@ -31,7 +32,7 @@ unmeasured side is classical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -80,13 +81,13 @@ UPPER = "upper-est"
 class MeasureEstimate:
     """A numeric estimate plus everything needed to audit it.
 
-    ``direction`` says which side of the true value the estimate sits on:
-    variational maximization of a quantity that is defined as a supremum
-    can only under-shoot, so it reports ``LOWER`` (``"lower-est"``); when
-    the quantity enters downstream formulas with a minus sign the derived
-    number is flagged ``UPPER`` (``"upper-est"``) instead.  ``achiever`` is
-    the POVM or ensemble realizing ``value`` and ``info`` holds auxiliary
-    scalars (e.g. the unmeasured mutual information a discord was cut from).
+    ``direction`` says which side of the true value the estimate sits on,
+    by one rule: a search can only fall short of its extreme, so
+    `_povm_search` tags a maximum ``LOWER`` (``"lower-est"``) and a minimum
+    ``UPPER`` (``"upper-est"``), and `derive` keeps the tag through c + x
+    and swaps it through c - x.  ``achiever`` is the POVM or ensemble
+    realizing ``value`` and ``info`` holds auxiliary scalars (e.g. the
+    unmeasured mutual information a discord was cut from).
     """
 
     value: float
@@ -94,6 +95,17 @@ class MeasureEstimate:
     config: OptimizerConfig | None = None
     achiever: object | None = None
     info: dict = field(default_factory=dict)
+
+    def derive(self, value: float, sign: float, **info) -> MeasureEstimate:
+        """The estimate ``value`` of c + sign * self.value for an exact c:
+        self's direction when ``sign > 0``, swapped when ``sign < 0`` (no
+        searched estimate is ``EXACT``).  ``config`` and ``achiever`` carry
+        over, and ``info`` extends self's, its keys winning."""
+        direction = self.direction
+        if sign < 0:
+            direction = UPPER if direction == LOWER else LOWER
+        info = {**self.info, **info}
+        return replace(self, value=value, direction=direction, info=info)
 
 
 class Bracket(NamedTuple):
@@ -334,9 +346,10 @@ def _block_batch(op: np.ndarray, s_a: float, da: int, dc: int):
     return batch
 
 
-def _povm_search(batch, d, config, direction, report, *, sense="max", warm_starts=()):
+def _povm_search(batch, d, config, report, *, sense="max", warm_starts=()):
     """The one variational template: search the K = d^2 outcome rank-one
-    POVMs on a party of dimension ``d`` and report the best.
+    POVMs on a party of dimension ``d`` for the extreme of ``sense``, and
+    make the one `MeasureEstimate` of the best.
 
     ``batch`` maps a (B, K, d) stack of outcome rows to B values and their
     (B, K, d) row gradients. Rank-one POVMs with at most d^2 outcomes
@@ -346,8 +359,9 @@ def _povm_search(batch, d, config, direction, report, *, sense="max", warm_start
     ``warm_starts`` are K x d isometries (or K x K unitaries, of which the
     first d columns count) searched first. ``report`` maps the best K x d
     isometry, whose rows are the outcome vectors, to the re-verified
-    ``(value, achiever, info)``; the estimate carries ``direction``, the
-    config searched and ``info["outcomes"] = K``."""
+    ``(value, achiever, info)``; the estimate is ``LOWER`` for ``"max"`` and
+    ``UPPER`` for ``"min"``, with the config searched and
+    ``info["outcomes"] = K``."""
     cfg = config or OptimizerConfig()
     k = d * d
     _, iso = maximize(
@@ -360,6 +374,7 @@ def _povm_search(batch, d, config, direction, report, *, sense="max", warm_start
     )
     value, achiever, info = report(iso)
     info["outcomes"] = k
+    direction = LOWER if sense == "max" else UPPER
     return MeasureEstimate(
         value=value, direction=direction, config=cfg, achiever=achiever, info=info
     )
@@ -407,12 +422,7 @@ def one_way_ci(
         w_eig, u_eig = np.linalg.eigh(merged.matrix)
         amp = u_eig[:, -1] * math.sqrt(max(float(w_eig[-1]), 0.0))
         psi_mat = amp.reshape(da, db, dc).transpose(0, 2, 1).reshape(da * dc, db)
-        steer = _steering_batch(psi_mat, da, dc)
-
-        def batch(vstack: np.ndarray):
-            values, grads = steer(vstack)
-            return s_a + values, grads
-
+        batch = _steering_batch(psi_mat, s_a, da, dc)
     else:
         batch = _block_batch(_operand(merged, lb), s_a, da, dc)
 
@@ -420,7 +430,7 @@ def one_way_ci(
         achiever = rank1_povm(iso, db)
         return _register_info(merged, achiever), achiever, {"measured_party": lb}
 
-    return _povm_search(batch, db, config, LOWER, report)
+    return _povm_search(batch, db, config, report)
 
 
 def discord(
@@ -468,24 +478,23 @@ def discord(
     def report(iso):
         achiever = rank1_povm(iso, dy)
         classical = povm_flag_mutual_info(merged, achiever, ly)
-        info = {
-            "mutual_info": i_xy,
-            "classical_correlation": classical,
-            "measured_party": ly,
-        }
-        return max(i_xy - classical, 0.0), achiever, info
+        return classical, achiever, {"measured_party": ly}
 
-    return _povm_search(batch, dy, config, UPPER, report, warm_starts=warm_starts)
+    # I - J for the searched J; the floor keeps the upper side, discord >= 0
+    j = _povm_search(batch, dy, config, report, warm_starts=warm_starts)
+    return j.derive(
+        max(i_xy - j.value, 0.0), -1, mutual_info=i_xy, classical_correlation=j.value
+    )
 
 
 # ---------------------------------------------------------------------------
 # entanglement of assistance / formation via purification steering
 
 
-def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
-    """Batch objective sum_i (S(chi_i) + p_i log2 p_i) over the outcome rows,
-    where chi_i is the unnormalized (da, dc) amplitude that outcome i steers
-    ``psi_mat`` (system, ancilla) into, and its row gradients.
+def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
+    """Batch objective s_a + sum_i (S(chi_i) + p_i log2 p_i) over the outcome
+    rows, where chi_i is the unnormalized (da, dc) amplitude that outcome i
+    steers ``psi_mat`` (system, ancilla) into, and its row gradients.
 
     chi_i is linear in conj(v_i), and the term's derivative is
     -2 Re Tr[Y_i^dagger d chi_i] with Y_i = log2(chi_i chi_i^dagger / p_i) chi_i
@@ -505,7 +514,7 @@ def _steering_batch(psi_mat: np.ndarray, da: int, dc: int):
         y = log @ chi if left else chi @ log
         y -= _log2(p).reshape(b * k, 1, 1) * chi
         grads = -2.0 * (y.conj().reshape(b * k, da * dc) @ psi_mat)
-        return np.sum(h + _plogp(p), axis=-1), grads.reshape(vstack.shape)
+        return s_a + np.sum(h + _plogp(p), axis=-1), grads.reshape(vstack.shape)
 
     return batch
 
@@ -535,9 +544,8 @@ def _steered_entanglement(rho, alice, config, sense):
         )
         return max(float(np.sum(h + _plogp(p))), 0.0), ens, {"ancilla_dim": r}
 
-    direction = LOWER if sense == "max" else UPPER
     return _povm_search(
-        _steering_batch(psi_mat, da, dc), r, config, direction, report, sense=sense
+        _steering_batch(psi_mat, 0.0, da, dc), r, config, report, sense=sense
     )
 
 
@@ -594,13 +602,8 @@ def kw_discord(
     ef = eof(rho_xz, x_labels, config)
     s_xy = vn_entropy(ordered)
     s_y = vn_entropy(marginal(ordered, y_labels))
-    value = ef.value - s_xy + s_y
-    return MeasureEstimate(
-        value=value,
-        direction=UPPER,
-        config=ef.config,
-        achiever=ef.achiever,
-        info={"eof": ef.value, "ancilla_dim": psi.layout.dim_of(anc)},
+    return ef.derive(
+        ef.value - s_xy + s_y, 1, eof=ef.value, ancilla_dim=psi.layout.dim_of(anc)
     )
 
 

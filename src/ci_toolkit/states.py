@@ -539,8 +539,6 @@ def purify(rho: Mstate, ancilla_label: str) -> PureState:
 # ---------------------------------------------------------------------------
 # presets
 
-_QUBIT = np.eye(2, dtype=np.complex128)
-
 
 def _pure(labels_dims, amps) -> PureState:
     return PureState(SystemLayout(tuple(labels_dims)), np.asarray(amps, dtype=np.complex128))

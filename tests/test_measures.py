@@ -518,6 +518,20 @@ def test_eof_never_undershoots_wootters(rank, seed):
     assert eof(rho, "A", WOOTTERS).value >= _wootters_eof(rho.matrix) - 1e-9
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_eof_meets_wootters_from_both_sides(rank, seed):
+    # at the default config eof sits on its upper side and within 1e-9 of
+    # the exact value, on each state and on its mixtures with a Bell state;
+    # the 1e-12 below covers rounding in the re-verified value
+    rho = random_mixed_state(TWO, 100 * rank + seed, rank=rank).matrix
+    bell = preset("bell").to_mstate().matrix
+    for weight in (0.0, 0.35, 0.7):
+        mixed = Mstate(TWO, (1.0 - weight) * rho + weight * bell)
+        exact = _wootters_eof(mixed.matrix)
+        assert exact - 1e-12 <= eof(mixed, "A").value <= exact + 1e-9
+
+
 def test_assistance_dominates_formation():
     rho = random_mixed_state(TWO, 88, rank=2)
     cfg = OptimizerConfig(restarts=6, max_iters=500, tol=1e-5, seed=31)
@@ -1129,6 +1143,6 @@ def test_steering_objective_matches_the_stacked_product(r, candidates):
     psi = purify(random_mixed_state(QUBITS, 80 + r, rank=r), "Z")
     psi_mat = psi.amplitudes.reshape(8, r)
     vstack = np.stack([haar_unitary(k, 1000 + s)[:, :r] for s in range(candidates)])
-    new, _ = measures._steering_batch(psi_mat, 2, 4)(vstack)
+    new, _ = measures._steering_batch(psi_mat, 0.0, 2, 4)(vstack)
     old = _stacked_steering_batch(psi_mat, 2, 4)(vstack)
     assert np.array_equal(new, old)
