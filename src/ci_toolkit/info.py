@@ -25,10 +25,10 @@ from .errors import InvalidArgument, LayoutMismatch
 from .states import (
     Mstate,
     PureState,
+    _marginal,
     _read_diagonal,
     as_labels,
     check_groups,
-    marginal,
 )
 
 _TINY = np.finfo(np.float64).tiny
@@ -51,9 +51,10 @@ class Partition:
 
     def restrict(self, rho: Mstate) -> Mstate:
         """Validate the cut against ``rho`` and trace out the parties
-        outside it."""
+        outside it.  The result keeps both sides, so their marginals need
+        no further check."""
         self.validate(rho.layout)
-        return marginal(rho, self.left + self.right)
+        return _marginal(rho, self.left + self.right)
 
 
 def _log2(p: np.ndarray) -> np.ndarray:
@@ -165,8 +166,8 @@ def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
     Parties outside the cut are traced out first.
     """
     rho = cut.restrict(state.to_mstate())
-    s_l = vn_entropy(marginal(rho, cut.left))
-    s_r = vn_entropy(marginal(rho, cut.right))
+    s_l = vn_entropy(_marginal(rho, cut.left))
+    s_r = vn_entropy(_marginal(rho, cut.right))
     s_lr = vn_entropy(rho)
     return s_l + s_r - s_lr
 
@@ -179,8 +180,8 @@ def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
     else:
         (t,) = check_groups(rho.layout, target)
         g = ()
-    s_tg = vn_entropy(marginal(rho, t + g))
-    s_g = vn_entropy(marginal(rho, g)) if g else 0.0
+    s_tg = vn_entropy(_marginal(rho, t + g))
+    s_g = vn_entropy(_marginal(rho, g)) if g else 0.0
     return s_tg - s_g
 
 
@@ -192,10 +193,10 @@ def conditional_mutual_info(state: Mstate | PureState, x, y, z=()) -> float:
     else:
         xs, ys = check_groups(rho.layout, x, y)
         zs = ()
-    s_xz = vn_entropy(marginal(rho, xs + zs))
-    s_yz = vn_entropy(marginal(rho, ys + zs))
-    s_z = vn_entropy(marginal(rho, zs)) if zs else 0.0
-    s_xyz = vn_entropy(marginal(rho, xs + ys + zs))
+    s_xz = vn_entropy(_marginal(rho, xs + zs))
+    s_yz = vn_entropy(_marginal(rho, ys + zs))
+    s_z = vn_entropy(_marginal(rho, zs)) if zs else 0.0
+    s_xyz = vn_entropy(_marginal(rho, xs + ys + zs))
     return s_xz + s_yz - s_z - s_xyz
 
 

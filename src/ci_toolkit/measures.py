@@ -57,6 +57,7 @@ from .states import (
     Mstate,
     PureState,
     SystemLayout,
+    _marginal,
     _purification,
     check_group_cover,
     check_groups,
@@ -623,8 +624,8 @@ def coherent_info_lower(rho: Mstate, cut: Partition) -> float:
     """Hashing-type lower bound on distillable entanglement across ``cut``:
     the larger of the two coherent informations, floored at zero."""
     reduced = cut.restrict(rho)
-    s_left = vn_entropy(marginal(reduced, cut.left))
-    s_right = vn_entropy(marginal(reduced, cut.right))
+    s_left = vn_entropy(_marginal(reduced, cut.left))
+    s_right = vn_entropy(_marginal(reduced, cut.right))
     s_both = vn_entropy(reduced)
     return max(0.0, s_left - s_both, s_right - s_both)
 

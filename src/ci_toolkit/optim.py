@@ -18,8 +18,11 @@ Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008):
   coordinates, P_V the projection onto the tangent space, and D = xi
   whenever <xi, D> <= 0 (the memory is then cleared);
 - the step is V' = polar(V + alpha D), by SVD, with alpha = 1, except a
-  restart's first step, which has length 0.1; alpha is halved, at most 30
-  times, until f(V') >= f + 1e-4 alpha <xi, D>;
+  restart's first step, which has length 0.1; until f(V') >= f + 1e-4
+  alpha <xi, D>, at most 30 times, alpha backtracks to the maximizer of
+  the quadratic through f, the slope <xi, D> and f(V'), clipped to
+  [0.1 alpha, 0.5 alpha] (Nocedal & Wright, *Numerical Optimization*,
+  2006, section 3.5);
 - the memory gains the pair s = P_V'(V' - V), y = -(xi' - P_V' xi) when
   <y, s> > 0.
 
@@ -37,7 +40,7 @@ winner is their argmax, the lowest restart index among equal values.
 
 The restarts that run advance in lockstep, as the rows of one stacked state:
 arrays over the live restarts of V, the value, xi, D, alpha, the slope
-<xi, D>, the halvings and the steps, and the L-BFGS memory as one real
+<xi, D>, the backtracks and the steps, and the L-BFGS memory as one real
 (B, 16, 2Kc) array: the s rows of its eight pairs, then their y rows,
 newest last, with the unused slots zero, so that a push is one
 shift-append. A round makes one objective call over the trial points, one
@@ -67,11 +70,11 @@ from .errors import InvalidArgument, NotPSD, ObjectiveError
 from .tolerances import SLACK, VALIDATE
 
 # L-BFGS pairs kept per restart; a restart's first step length; the
-# sufficient-increase factor of the backtracking, and its most halvings.
+# sufficient-increase factor of the backtracking, and its most backtracks.
 _MEMORY = 8
 _FIRST_STEP = 0.1
 _ARMIJO = 1e-4
-_HALVINGS = 30
+_BACKTRACKS = 30
 
 # The scout: how many starts run first, and how many of them must end
 # within tol of the best for the remaining starts never to open.
@@ -299,6 +302,20 @@ def _evaluator(batch_objective, sign: float):
     return evaluate
 
 
+def _backtrack(alpha, slope, value, f, took):
+    """Each row's step length for its next trial: ``alpha`` where the trial
+    was taken; where it was rejected, the maximizer of the quadratic through
+    the row's ``value`` and ``slope`` at 0 and its trial value ``f`` at
+    ``alpha``, clipped to [0.1 alpha, 0.5 alpha].  On a rejected row f <
+    value + _ARMIJO alpha slope, so the denominator is positive; it is
+    computed on those rows only."""
+    back = ~took
+    a, g = alpha[back], slope[back]
+    step = alpha.copy()
+    step[back] = np.clip(g * a * a / (2.0 * (value[back] + g * a - f[back])), 0.1 * a, 0.5 * a)
+    return step
+
+
 def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
     """Run the restarts from ``starts`` in lockstep until each has ended;
     returns, in start order, their final isometries (R, K, c), values (R,)
@@ -324,7 +341,7 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
     mem = np.zeros((len(idx), 2 * m, 2 * v.shape[1] * v.shape[2]))
     held = np.zeros(len(idx), dtype=np.int64)
     steps = np.zeros(len(idx), dtype=np.int64)
-    halvings = np.zeros(len(idx), dtype=np.int64)
+    backtracks = np.zeros(len(idx), dtype=np.int64)
     d, slope, alpha, mem, held = _directions(v, xi, norm2, mem, held, first=True)
     while len(idx):
         # the trial points polar(V + alpha D), retracted as one stack
@@ -346,26 +363,26 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
             held = np.minimum(held + push, m)
         if steady:
             v, value, xi = trial, f, new_xi
-            halvings = np.zeros_like(halvings)
+            backtracks = np.zeros_like(backtracks)
         else:
+            alpha = _backtrack(alpha, slope, value, f, took)
             row = took[:, None, None]
             v = np.where(row, trial, v)
             value = np.where(took, f, value)
             xi = np.where(row, new_xi, xi)
-            halvings = np.where(took, 0, halvings + 1)
-            alpha = 0.5 * alpha
+            backtracks = np.where(took, 0, backtracks + 1)
         steps = steps + took
         norm2 = _dots(xi, xi)
-        live = (halvings <= _HALVINGS) & (steps < cfg.max_iters) & (np.sqrt(norm2) >= cfg.tol)
+        live = (backtracks <= _BACKTRACKS) & (steps < cfg.max_iters) & (np.sqrt(norm2) >= cfg.tol)
         if np.count_nonzero(live) < len(idx):
             end = idx[~live]
             out_v[end], out_value[end], out_steps[end] = v[~live], value[~live], steps[~live]
-            idx, v, value, xi, norm2, mem, held, steps, halvings, alpha, took = (
+            idx, v, value, xi, norm2, mem, held, steps, backtracks, alpha, took = (
                 a[live]
-                for a in (idx, v, value, xi, norm2, mem, held, steps, halvings, alpha, took)
+                for a in (idx, v, value, xi, norm2, mem, held, steps, backtracks, alpha, took)
             )
         # a row that backtracked gets its direction again from its unchanged
-        # state; it keeps its halved step
+        # state; it keeps its backtracked step
         d, slope, step, mem, held = _directions(v, xi, norm2, mem, held, first=False)
         alpha = step if steady else np.where(took, step, alpha)
     return out_v, out_value, out_steps

@@ -370,6 +370,13 @@ def marginal(rho: Mstate, keep) -> Mstate:
     PSD ``rho`` that is the plain -VALIDATE check.
     """
     (kept,) = check_groups(rho.layout, keep)
+    return _marginal(rho, kept)
+
+
+def _marginal(rho: Mstate, kept: tuple[str, ...]) -> Mstate:
+    """`marginal` of a group that `check_groups` has already returned for
+    ``rho``'s layout, or for the layout of a state ``rho`` was reduced from
+    that kept the group: the caller checks once for several reductions."""
     drop = rest_of(rho.layout, kept)
     return _reduction(rho, drop) if drop else rho
 

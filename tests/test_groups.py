@@ -5,13 +5,16 @@ them. A measured group may name several parties; the searches merge it into
 one (`merge_groups`). `measured_label` insists on one label, of the POVM's
 dimension, only where a caller hands in a POVM built for one party.
 
-A group's reduced state comes from `states.marginal`, and a repeated label
-is rejected by the `SystemLayout` a new state is built on.
+A group's reduced state comes from `states.marginal`, or from
+`states._marginal` in a function that has checked its groups once for
+several reductions, and a repeated label is rejected by the `SystemLayout` a
+new state is built on.
 
 The guards below fail, naming file and line, when another module raises the
 group errors or ``DuplicateParty`` itself, validates a label by calling
-`.index(` for its side effect, or calls `measured_label` outside
-`measures._outcome_blocks` and `ci.dilated_protocol_state`."""
+`.index(` for its side effect, calls `measured_label` outside
+`measures._outcome_blocks` and `ci.dilated_protocol_state`, or calls
+`_marginal` in a function that checks no group."""
 
 import ast
 from pathlib import Path
@@ -99,6 +102,28 @@ def test_measured_label_only_where_a_povm_is_given():
                 if isinstance(node, ast.Call) and _called_name(node) == "measured_label":
                     hits.append(f"{path.name}:{node.lineno}: measured_label call")
     assert not hits, "pass measured groups to the search, which merges them:\n" + "\n".join(hits)
+
+
+# the calls that check a group: directly, or through a `Partition`
+GROUP_CHECKS = {"check_groups", "restrict", "validate"}
+
+
+def test_unchecked_marginal_only_after_a_group_check():
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            called = {
+                (_called_name(node), node.lineno)
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+            }
+            names = {name for name, _ in called}
+            if "_marginal" in names and not names & GROUP_CHECKS:
+                lines = sorted(line for name, line in called if name == "_marginal")
+                hits += [f"{path.name}:{line}: _marginal in {top.name}" for line in lines]
+    assert not hits, "check the groups before _marginal, or call marginal:\n" + "\n".join(hits)
 
 
 THREE = SystemLayout((("A", 2), ("B", 2), ("C", 2)))

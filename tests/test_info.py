@@ -13,7 +13,7 @@ from ci_toolkit.errors import (
     LayoutMismatch,
     UnknownParty,
 )
-from ci_toolkit import info
+from ci_toolkit import info, measures, states
 from ci_toolkit.info import (
     Partition,
     _entropy_log_stack,
@@ -302,6 +302,61 @@ def test_conditional_mutual_info_empty_conditioner():
     assert np.isclose(conditional_mutual_info(bell, "A", "B"), i_ab, atol=1e-12)
     with pytest.raises(InvalidPartition):
         conditional_mutual_info(bell, "A", "A")
+
+
+_GROUP_CALLS = {
+    "mutual_info": lambda rho: mutual_info(rho, Partition("A", ("B", "C"))),
+    "mutual_info-traced": lambda rho: mutual_info(rho, Partition("A", "C")),
+    "conditional_entropy": lambda rho: conditional_entropy(rho, "A", ("B", "C")),
+    "conditional_entropy-unconditioned": lambda rho: conditional_entropy(rho, "B"),
+    "conditional_mutual_info": lambda rho: conditional_mutual_info(rho, "A", "B", "C"),
+    "conditional_mutual_info-unconditioned": lambda rho: conditional_mutual_info(
+        rho, "A", "B"
+    ),
+    "coherent_info_lower": lambda rho: measures.coherent_info_lower(rho, Partition("A", "B")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROUP_CALLS))
+def test_each_information_call_checks_its_groups_once(monkeypatch, name):
+    # one check_groups per call: the reductions after it take the checked
+    # groups, from the state or from its checked restriction to the cut
+    checks = []
+    check = states.check_groups
+
+    def spy(layout, *groups):
+        checks.append(groups)
+        return check(layout, *groups)
+
+    for module in (states, info, measures):
+        monkeypatch.setattr(module, "check_groups", spy)
+    _GROUP_CALLS[name](random_mixed_state(THREE, 77))
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize(
+    "x,y,other,error",
+    [
+        ((), "B", "C", InvalidPartition),
+        ("A", "Q", "B", UnknownParty),
+        ("A", ("A", "B"), "C", InvalidPartition),
+        (("B", "B"), "C", "A", InvalidPartition),
+    ],
+)
+def test_information_calls_keep_every_group_rejection(x, y, other, error):
+    # an empty group, an unknown label, a label on both sides and one named
+    # twice in a group; `other` is a third, valid group
+    rho = random_mixed_state(THREE, 78)
+    with pytest.raises(error):
+        mutual_info(rho, Partition(x, y))
+    with pytest.raises(error):
+        conditional_entropy(rho, x, y)
+    with pytest.raises(error):
+        conditional_mutual_info(rho, x, y)
+    with pytest.raises(error):
+        conditional_mutual_info(rho, x, y, other)
+    with pytest.raises(error):
+        measures.coherent_info_lower(rho, Partition(x, y))
 
 
 def test_uhlmann_fidelity():

@@ -7,6 +7,7 @@ from ci_toolkit.optim import (
     OptimizerConfig,
     Povm,
     _ascend,
+    _backtrack,
     _directions,
     _dots,
     _evaluator,
@@ -290,6 +291,48 @@ def test_one_polar_retraction_per_round(monkeypatch, restarts):
     assert np.all(steps > 3)
     assert len(retracted) == len(evaluated) - 1
     assert retracted == evaluated[1:]
+
+
+def test_a_rejected_trial_backtracks_to_the_quadratic_maximizer():
+    # rows on phi(t) = value + slope t - c t^2, tried at alpha: the maximizer
+    # slope / 2c inside [0.1, 0.5] alpha, and beyond each end, where it clips
+    value = np.array([0.3, -2.0, 1.0, 0.0])
+    slope = np.array([2.0, 0.5, 4.0, 1.0])
+    alpha = np.array([1.0, 0.25, 0.5, 2.0])
+    c = np.array([5.0, 4.0, 400.0, 0.49998])
+    f = value + slope * alpha - c * alpha**2
+    took = ~(f < value + optim._ARMIJO * alpha * slope)
+    assert not took.any()
+    with np.errstate(all="raise"):
+        step = _backtrack(alpha, slope, value, f, took)
+    assert step[:2] == pytest.approx(slope[:2] / (2.0 * c[:2]), rel=1e-14)
+    assert step[2] == 0.1 * alpha[2] and step[3] == 0.5 * alpha[3]
+    # a taken row keeps its alpha, even where the quadratic has no maximizer
+    # (f = value + slope alpha divides by zero) or none above 0
+    f = np.array([f[0], value[1] + slope[1] * alpha[1], value[2] + 9.0, f[3]])
+    took = np.array([False, True, True, False])
+    with np.errstate(all="raise"):
+        mixed = _backtrack(alpha, slope, value, f, took)
+    assert mixed[1] == alpha[1] and mixed[2] == alpha[2]
+    assert mixed[0] == step[0] and mixed[3] == step[3]
+
+
+def test_a_restart_that_rejects_every_trial_ends_at_the_backtrack_cap():
+    # every trial point reads lower than the start, so every trial is
+    # rejected: the restart ends after _BACKTRACKS + 1 of them, where it began
+    grad = haar_unitary(4, 8)[:, :2]
+    calls = []
+
+    def falling(blocks):
+        calls.append(len(blocks))
+        vals = np.full(len(blocks), 0.0 if len(calls) == 1 else -1.0)
+        return vals, np.broadcast_to(grad, blocks.shape).copy()
+
+    start = haar_unitary(4, 9)[:, :2]
+    cfg = OptimizerConfig(restarts=1, max_iters=2000, tol=1e-8)
+    v, value, steps = _ascend(_evaluator(falling, 1.0), [start], cfg)
+    assert calls == [1] * (1 + optim._BACKTRACKS + 1)
+    assert np.array_equal(v[0], start) and value[0] == 0.0 and steps[0] == 0
 
 
 def test_a_non_ascent_direction_falls_back_to_the_gradient():
