@@ -61,7 +61,6 @@ from .optim import (
 )
 from .states import (
     Mstate,
-    PureState,
     SystemLayout,
     check_group_cover,
     check_groups,
@@ -93,14 +92,12 @@ def resolve_tripartite(
     return check_group_cover(layout, *default_groups(layout, alice, bob, charlie))
 
 
-def _require_pure(state) -> Mstate:
-    rho = state.to_mstate()
+def _require_pure(rho: Mstate) -> None:
     if rho.purity() < 1.0 - SLACK:
         raise NotPure(
             f"global state has purity {rho.purity():.9f}; this quantity "
             "is only defined for pure inputs"
         )
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ def _upper_candidates(rho: Mstate, a, b, c):
 
 
 def ci_upper(
-    rho: Mstate | PureState,
+    rho: Mstate,
     alice: str | Sequence[str] | None = None,
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
@@ -156,13 +153,12 @@ def ci_upper(
     """Information-theoretic cap on the concentrated information: the total
     mutual information, or the reference entropy plus what is distillable
     across the receiver cut, whichever is smaller."""
-    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     return _upper_candidates(rho, a, b, c)[0]
 
 
 def ci_lower(
-    rho: Mstate | PureState,
+    rho: Mstate,
     alice: str | Sequence[str] | None = None,
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
@@ -183,7 +179,6 @@ def ci_lower(
     Each group may name several parties; the helper's is measured as one
     composite party (`one_way_ci`).
     """
-    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     trivial = mutual_info(rho, Partition(a, c))
 
@@ -219,7 +214,7 @@ def ci_lower(
 
 
 def ci_pure_oneway(
-    state: Mstate | PureState,
+    state: Mstate,
     alice: str | Sequence[str] | None = None,
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
@@ -229,32 +224,32 @@ def ci_pure_oneway(
     reference entropy plus the assisted entanglement the helper can steer
     into the reference-receiver pair.  The assisted term is variational,
     so the estimate errs downward."""
-    rho = _require_pure(state)
-    a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    s_a = vn_entropy(marginal(rho, a))
-    rho_ac = marginal(rho, a + c)
+    _require_pure(state)
+    a, b, c = resolve_tripartite(state.layout, alice, bob, charlie)
+    s_a = vn_entropy(marginal(state, a))
+    rho_ac = marginal(state, a + c)
     assisted = eoa(rho_ac, a, config)
     info = {"marginal_entropy": s_a, "assisted_entanglement": assisted.value}
     return assisted.derive(s_a + assisted.value, 1, **info)
 
 
 def ci_pure_regularized(
-    state: Mstate | PureState,
+    state: Mstate,
     alice: str | Sequence[str] | None = None,
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
 ) -> float:
     """Many-copy rate of concentrated information for a pure global state:
     S(reference) plus the smaller of S(reference), S(receiver).  Exact."""
-    rho = _require_pure(state)
-    a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    s_a = vn_entropy(marginal(rho, a))
-    s_c = vn_entropy(marginal(rho, c))
+    _require_pure(state)
+    a, b, c = resolve_tripartite(state.layout, alice, bob, charlie)
+    s_a = vn_entropy(marginal(state, a))
+    s_c = vn_entropy(marginal(state, c))
     return s_a + min(s_a, s_c)
 
 
 def ci_product_regularized(
-    rho: Mstate | PureState,
+    rho: Mstate,
     alice: str | Sequence[str],
     bob_inner: str | Sequence[str],
     bob_outer: str | Sequence[str],
@@ -270,7 +265,6 @@ def ci_product_regularized(
     ``ShapeMismatch`` if the state does not factor, ``NotPure`` if the
     first factor is mixed.
     """
-    rho = rho.to_mstate()
     a, b1, b2, c = check_group_cover(rho.layout, alice, bob_inner, bob_outer, charlie)
     ordered = permute_parties(rho, a + b1 + b2 + c)
     left = marginal(ordered, a + b1)
@@ -295,7 +289,7 @@ def ci_product_regularized(
 
 
 def discord_via_ci(
-    rho: Mstate | PureState,
+    rho: Mstate,
     unmeasured: str | Sequence[str],
     measured: str | Sequence[str],
     config: OptimizerConfig | None = None,
@@ -304,7 +298,6 @@ def discord_via_ci(
     receiver, optimize the one-round protocol (which then equals the
     classical correlation), and subtract from the mutual information.
     Agrees with `measures.discord` up to optimizer convergence."""
-    rho = rho.to_mstate()
     x, y = check_group_cover(rho.layout, unmeasured, measured)
     aux = fresh_label(rho.layout.labels, "C")
     vac = Mstate(
@@ -322,7 +315,7 @@ def discord_via_ci(
 
 
 def lqsm_fidelity_lower(
-    rho: Mstate | PureState,
+    rho: Mstate,
     ci_value: float,
     alice: str | Sequence[str] | None = None,
 ) -> float:
@@ -333,7 +326,6 @@ def lqsm_fidelity_lower(
     at zero."""
     if not math.isfinite(ci_value):
         raise InvalidArgument(f"concentrated information must be finite, got {ci_value}")
-    rho = rho.to_mstate()
     a, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
     total = mutual_info(rho, Partition(a, rest))
     if ci_value > total + SLACK:
@@ -346,7 +338,7 @@ def lqsm_fidelity_lower(
 
 
 def oneway_ci_upper(
-    rho: Mstate | PureState,
+    rho: Mstate,
     alice: str | Sequence[str] | None = None,
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
@@ -363,7 +355,6 @@ def oneway_ci_upper(
     convergence slack; pass ``discord_value`` to substitute an externally
     certified number.
     """
-    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     i_total = mutual_info(rho, Partition(a, b + c))
     i_bc = mutual_info(rho, Partition(b, c))
@@ -380,7 +371,7 @@ class MergeFeasibility(NamedTuple):
 
 
 def merge_conditional_entropy_check(
-    rho: Mstate | PureState,
+    rho: Mstate,
     bob: str | Sequence[str],
     charlie: str | Sequence[str],
 ) -> MergeFeasibility:
@@ -388,7 +379,6 @@ def merge_conditional_entropy_check(
     communication cost: true iff the helper's entropy conditioned on the
     receiver is non-positive (within 1e-9).  Both groups must be nonempty
     and disjoint."""
-    rho = rho.to_mstate()
     ce = conditional_entropy(rho, *check_groups(rho.layout, bob, charlie))
     return MergeFeasibility(ce <= SLACK, ce)
 
@@ -404,12 +394,11 @@ class MonotoneCheck(NamedTuple):
 
 
 def monotone_necessary_check(
-    rho: Mstate | PureState,
+    rho: Mstate,
     alice: str | Sequence[str] | None = None,
     bob: str | Sequence[str] | None = None,
     charlie: str | Sequence[str] | None = None,
 ) -> MonotoneCheck:
-    rho = rho.to_mstate()
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     lhs = log_negativity(rho, Partition(a + b, c))
     rhs = log_negativity(rho, Partition(a, b + c))
@@ -548,7 +537,7 @@ class AdditivityCheck:
 
 
 def discord_additivity_check(
-    rho: Mstate | PureState,
+    rho: Mstate,
     unmeasured: str | Sequence[str],
     measured: str | Sequence[str],
     config: OptimizerConfig | None = None,
@@ -566,7 +555,6 @@ def discord_additivity_check(
     single-copy achiever paired with itself, so the reported two-copy value
     is never worse than the product strategy it is compared against.
     """
-    rho = rho.to_mstate()
     cfg = config or OptimizerConfig()
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
@@ -627,7 +615,7 @@ def discord_additivity_check(
 
 
 def dilated_protocol_state(
-    rho: Mstate | PureState,
+    rho: Mstate,
     povm: Povm,
     bob: str = "B",
     register_label: str = "R",
@@ -652,7 +640,6 @@ def dilated_protocol_state(
     or the two the same, raises ``DuplicateParty``, and a dilation above
     the dimension cap ``DimensionTooLarge``, before any array is built.
     """
-    rho = rho.to_mstate()
     layout = rho.layout
     d = povm.party_dim
     bob = measured_label(layout, bob, d)

@@ -177,12 +177,12 @@ def _eof(rho, cfg, a, rest):
 
 
 def _log_neg(rho, cfg, x, y):
-    v = log_negativity(rho.to_mstate(), Partition(x, y))
+    v = log_negativity(rho, Partition(x, y))
     return [_Row(f"log-negativity({_gname(x)}:{_gname(y)})", v, EXACT)]
 
 
 def _ed_interval(rho, cfg, x, y):
-    band = ed_interval(rho.to_mstate(), Partition(x, y))
+    band = ed_interval(rho, Partition(x, y))
     return _bracket_rows(f"distillable({_gname(x)}:{_gname(y)})", band, EXACT)
 
 
@@ -322,7 +322,7 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_entropy(name, p, cfg):
-    return vn_entropy(preset(name, (p,)).to_mstate()), None, None, EXACT
+    return vn_entropy(preset(name, (p,))), None, None, EXACT
 
 
 def _sweep_ci_bounds(name, p, cfg):

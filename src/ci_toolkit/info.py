@@ -8,8 +8,9 @@ On unnormalized matrices it keeps h(t sigma) = t h(sigma) - t Tr(sigma)
 log2 t, so splitting a measurement outcome changes no measured quantity.
 
 The entropy of an `Mstate` reads the spectrum the state stored when it was
-built, which is exactly what the kernel computes from its matrix, and a
-group's entropy is that of its `states.marginal`, which builds each
+built, which is exactly what the kernel computes from its matrix (a
+`PureState`'s is the exact pure spectrum, so its entropy is exactly 0), and
+a group's entropy is that of its `states.marginal`, which builds each
 reduction of a state once.  So no state's matrix is diagonalized twice.
 """
 
@@ -24,7 +25,6 @@ from . import qmat
 from .errors import InvalidArgument, LayoutMismatch
 from .states import (
     Mstate,
-    PureState,
     _marginal,
     _read_diagonal,
     as_labels,
@@ -152,75 +152,70 @@ def matrix_entropy(m: np.ndarray) -> float:
     return float(max(_entropy_stack(np.asarray(m)), 0.0))
 
 
-def vn_entropy(state: Mstate | PureState) -> float:
-    """Von Neumann entropy in bits; 0 for a PureState.  An `Mstate`'s is
-    read from its stored spectrum, bit for bit `matrix_entropy(matrix)`."""
-    if isinstance(state, PureState):
-        return 0.0
+def vn_entropy(state: Mstate) -> float:
+    """Von Neumann entropy in bits, read from the state's stored spectrum:
+    bit for bit `matrix_entropy(matrix)`, and exactly 0.0 for a
+    `PureState`."""
     return float(max(_spectrum_h(state.spectrum), 0.0))
 
 
-def mutual_info(state: Mstate | PureState, cut: Partition) -> float:
+def mutual_info(state: Mstate, cut: Partition) -> float:
     """I(left : right) = S(left) + S(right) - S(left,right).
 
     Parties outside the cut are traced out first.
     """
-    rho = cut.restrict(state.to_mstate())
+    rho = cut.restrict(state)
     s_l = vn_entropy(_marginal(rho, cut.left))
     s_r = vn_entropy(_marginal(rho, cut.right))
     s_lr = vn_entropy(rho)
     return s_l + s_r - s_lr
 
 
-def conditional_entropy(state: Mstate | PureState, target, given=()) -> float:
+def conditional_entropy(state: Mstate, target, given=()) -> float:
     """S(target | given) = S(target, given) - S(given)."""
-    rho = state.to_mstate()
     if given:
-        t, g = check_groups(rho.layout, target, given)
+        t, g = check_groups(state.layout, target, given)
     else:
-        (t,) = check_groups(rho.layout, target)
+        (t,) = check_groups(state.layout, target)
         g = ()
-    s_tg = vn_entropy(_marginal(rho, t + g))
-    s_g = vn_entropy(_marginal(rho, g)) if g else 0.0
+    s_tg = vn_entropy(_marginal(state, t + g))
+    s_g = vn_entropy(_marginal(state, g)) if g else 0.0
     return s_tg - s_g
 
 
-def conditional_mutual_info(state: Mstate | PureState, x, y, z=()) -> float:
+def conditional_mutual_info(state: Mstate, x, y, z=()) -> float:
     """I(x : y | z) = S(x,z) + S(y,z) - S(z) - S(x,y,z); z may be empty."""
-    rho = state.to_mstate()
     if z:
-        xs, ys, zs = check_groups(rho.layout, x, y, z)
+        xs, ys, zs = check_groups(state.layout, x, y, z)
     else:
-        xs, ys = check_groups(rho.layout, x, y)
+        xs, ys = check_groups(state.layout, x, y)
         zs = ()
-    s_xz = vn_entropy(_marginal(rho, xs + zs))
-    s_yz = vn_entropy(_marginal(rho, ys + zs))
-    s_z = vn_entropy(_marginal(rho, zs)) if zs else 0.0
-    s_xyz = vn_entropy(_marginal(rho, xs + ys + zs))
+    s_xz = vn_entropy(_marginal(state, xs + zs))
+    s_yz = vn_entropy(_marginal(state, ys + zs))
+    s_z = vn_entropy(_marginal(state, zs)) if zs else 0.0
+    s_xyz = vn_entropy(_marginal(state, xs + ys + zs))
     return s_xz + s_yz - s_z - s_xyz
 
 
-def uhlmann_fidelity(a: Mstate | PureState, b: Mstate | PureState) -> float:
+def uhlmann_fidelity(a: Mstate, b: Mstate) -> float:
     """Fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
-    ra, rb = a.to_mstate(), b.to_mstate()
-    if ra.layout.parties != rb.layout.parties:
+    if a.layout.parties != b.layout.parties:
         raise LayoutMismatch(
-            f"fidelity: layouts differ ({ra.layout.describe()} vs {rb.layout.describe()})"
+            f"fidelity: layouts differ ({a.layout.describe()} vs {b.layout.describe()})"
         )
-    root = qmat.psd_sqrt(ra.matrix)
-    inner = root @ rb.matrix @ root
+    root = qmat.psd_sqrt(a.matrix)
+    inner = root @ b.matrix @ root
     w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(min(np.sqrt(w).sum(), 1.0))
 
 
-def trace_distance(a: Mstate | PureState, b: Mstate | PureState) -> float:
+def trace_distance(a: Mstate, b: Mstate) -> float:
     """Half the trace norm of the difference; in [0, 1]."""
-    ra, rb = a.to_mstate(), b.to_mstate()
-    if ra.layout.parties != rb.layout.parties:
+    if a.layout.parties != b.layout.parties:
         raise LayoutMismatch(
-            f"trace_distance: layouts differ ({ra.layout.describe()} vs {rb.layout.describe()})"
+            f"trace_distance: layouts differ ({a.layout.describe()} vs {b.layout.describe()})"
         )
-    return float(min(0.5 * qmat.trace_norm(ra.matrix - rb.matrix), 1.0))
+    return float(min(0.5 * qmat.trace_norm(a.matrix - b.matrix), 1.0))
 
 
 def binary_entropy(x: float) -> float:

@@ -196,7 +196,7 @@ def flag_state(ensemble: Ensemble, register_label: str = "R") -> Mstate:
     out = np.zeros((dsys * reg, dsys * reg), dtype=complex)
     view = out.reshape(dsys, reg, dsys, reg)
     for i, (w, member) in enumerate(zip(ensemble.weights, ensemble.members)):
-        view[:, i, :, i] = w * member.to_mstate().matrix
+        view[:, i, :, i] = w * member.matrix
     return Mstate(flagged, out)
 
 
@@ -410,7 +410,6 @@ def one_way_ci(
     the supremum over all POVMs.  The value is recomputed at the achieving
     POVM, so it is achievable by construction and can only err downward.
     """
-    rho = rho.to_mstate()
     merged, (la, lb, _) = merge_groups(rho, (alice, bob, charlie))
     da, db, dc = merged.layout.dims
     s_a = vn_entropy(marginal(merged, la))
@@ -456,7 +455,6 @@ def discord(
     outcome vectors (or K x K unitaries, read by their first d columns),
     K = d^2, searched before the seeded restarts.
     """
-    rho = rho.to_mstate()
     merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
@@ -527,7 +525,6 @@ def _steered_entanglement(rho, alice, config, sense):
     purifying system for the extreme average entanglement entropy of the
     pure-state ensemble they steer, and recompute that average, with the
     achieving ensemble, from the steered amplitudes of the best POVM."""
-    rho = rho.to_mstate()
     a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
     ordered = permute_parties(rho, a_labels + rest)
     # the purification as a bare (system, ancilla) matrix: it may pass the
@@ -594,12 +591,11 @@ def kw_discord(
     past the dimension cap it raises ``DimensionTooLarge``.
     ``info["ancilla_dim"]`` is the dimension of the purifying system.
     """
-    rho = rho.to_mstate()
     x_labels, y_labels = check_group_cover(rho.layout, unmeasured, measured)
     ordered = permute_parties(rho, x_labels + y_labels)
     anc = fresh_label(ordered.layout.labels, "Z")
     psi = purify(ordered, anc)
-    rho_xz = marginal(psi.to_mstate(), x_labels + (anc,))
+    rho_xz = marginal(psi, x_labels + (anc,))
     ef = eof(rho_xz, x_labels, config)
     s_xy = vn_entropy(ordered)
     s_y = vn_entropy(marginal(ordered, y_labels))
@@ -673,7 +669,6 @@ def ed_interval(rho: Mstate, cut: Partition) -> Bracket:
 def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> float:
     """Many-copy-rate assisted entanglement across ``alice`` vs the rest:
     min of the two marginal entropies.  Exact, no optimization."""
-    rho = rho.to_mstate()
     a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
     s_a = vn_entropy(marginal(rho, a_labels))
     s_c = vn_entropy(marginal(rho, rest))

@@ -2,8 +2,10 @@
 
 A state lives on a `SystemLayout`: an ordered tuple of (label, dim) parties,
 leftmost party most significant in the flat index (row-major, matching
-`np.kron`). Density operators are `Mstate`, pure vectors `PureState`,
-weighted collections `Ensemble`.
+`np.kron`). A state is an `Mstate`, a density operator; a `PureState` is
+the `Mstate` of a unit vector that keeps the vector, so every function that
+takes a state takes a pure one as it is.  Weighted collections are
+`Ensemble`.
 
 Labels are checked in one place: a `SystemLayout` rejects a repeated one,
 so every operation that adds or renames parties (`tensor`, `merge_parties`,
@@ -16,8 +18,8 @@ diagonalizes a state's matrix again. `marginal`, the one way to take a
 reduced state, names the kept group and keeps each reduction on the state
 it came from, keyed by the set of dropped labels, so asking for the same
 marginal twice builds it once. The party-group check runs on every call,
-before that lookup. A `PureState` builds its density operator once, on the
-first `to_mstate()`.
+before that lookup. A `PureState` stores the exact pure spectrum instead
+of diagonalizing its density operator.
 
 The JSON state-file format consumed by the CLI is defined by
 `load_state_file` / `state_from_dict` at the bottom of this module.
@@ -229,6 +231,7 @@ class Mstate:
     reads as diagonal (`_read_diagonal`), otherwise the ascending
     `eigvalsh` values.  It is exactly what the entropy kernel computes from
     ``matrix``, so `info.vn_entropy` reads it instead of diagonalizing again.
+    A `PureState` is the one exception: it stores the exact (0, ..., 0, 1).
     The reductions `marginal` makes of the state are kept with it.
     """
 
@@ -268,39 +271,38 @@ class Mstate:
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
-    def to_mstate(self) -> Mstate:
-        return self
 
+class PureState(Mstate):
+    """The `Mstate` of a unit vector (norm within 1e-12 of 1), which keeps
+    the vector as ``amplitudes``.
 
-@dataclass(frozen=True)
-class PureState:
-    """Unit vector on a layout (norm within 1e-12 of 1).
-
-    Its density operator is built on the first `to_mstate()` and kept, so
-    every later call returns the same `Mstate`.
+    Its density operator is built with the state, and its spectrum is the
+    exact (0, ..., 0, 1): an outer product of a unit vector is Hermitian, of
+    unit trace and PSD by construction, so no check diagonalizes it, and
+    its entropy is exactly 0.
     """
 
-    layout: SystemLayout
     amplitudes: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if v.shape != (self.layout.total_dim,):
+    def __init__(self, layout: SystemLayout, amplitudes):
+        v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        if v.shape != (layout.total_dim,):
             raise InvalidMatrix(
                 f"PureState: vector length {v.shape[0]} does not match layout "
-                f"dimension {self.layout.total_dim}"
+                f"dimension {layout.total_dim}"
             )
         if not abs(np.linalg.norm(v) - 1.0) <= ZERO:
             raise InvalidMatrix(f"PureState: vector is not normalized within {ZERO:g}")
         object.__setattr__(self, "amplitudes", _freeze(v))
+        super().__init__(layout, np.outer(v, v.conj()))
 
-    @cached_property
-    def _density(self) -> Mstate:
-        v = self.amplitudes
-        return Mstate(self.layout, np.outer(v, v.conj()))
-
-    def to_mstate(self) -> Mstate:
-        return self._density
+    def __post_init__(self):
+        self.matrix.setflags(write=False)
+        spectrum = np.zeros(self.layout.total_dim)
+        spectrum[-1] = 1.0
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_reductions", {})
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ class Ensemble:
     def average(self) -> Mstate:
         acc = np.zeros((self.layout.total_dim,) * 2, dtype=np.complex128)
         for w, m in zip(self.weights, self.members):
-            acc += w * m.to_mstate().matrix
+            acc += w * m.matrix
         return Mstate(self.layout, acc)
 
 
@@ -432,9 +434,9 @@ def partial_transpose(rho: Mstate, parties) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(d, d))
 
 
-def permute_parties(state, order) -> Mstate | PureState:
+def permute_parties(state, order) -> Mstate:
     """Reorder parties to the given label sequence (a permutation).  The
-    identity order returns ``state`` itself."""
+    identity order returns ``state`` itself, and a `PureState` stays one."""
     labels = as_labels(order)
     if sorted(labels) != sorted(state.layout.labels):
         raise InvalidArgument(
@@ -454,11 +456,11 @@ def permute_parties(state, order) -> Mstate | PureState:
     return _relaid(state, new_layout, t.reshape(d, d))
 
 
-def merge_parties(state, labels, new_label: str) -> Mstate | PureState:
+def merge_parties(state, labels, new_label: str) -> Mstate:
     """Relabel a contiguous run of parties as one composite party.
 
     The run must be contiguous in layout order (permute first if not); the
-    flat index is unchanged, so no data moves.
+    flat index is unchanged, so no data moves, and a `PureState` stays one.
     """
     group = as_labels(labels)
     if len(group) == 0:
@@ -663,7 +665,7 @@ _PRESETS = {
 }
 
 
-def preset(name: str, params=()) -> Mstate | PureState:
+def preset(name: str, params=()) -> Mstate:
     """Construct a named preset state; see _PRESETS for the catalogue.
     ``params`` must be finite numbers."""
     if not isinstance(name, str) or name not in _PRESETS:
@@ -744,7 +746,7 @@ def _file_complex_pairs(raw, where: str, count: int) -> np.ndarray:
     return flat
 
 
-def state_from_dict(doc: dict) -> Mstate | PureState:
+def state_from_dict(doc: dict) -> Mstate:
     """Build a state from a parsed state-file document."""
     if not isinstance(doc, dict):
         raise StateFileError("document: must be a JSON object")
@@ -823,7 +825,7 @@ def state_from_dict(doc: dict) -> Mstate | PureState:
         raise StateFileError(f"ensemble: {exc}") from exc
 
 
-def load_state_file(path) -> Mstate | PureState:
+def load_state_file(path) -> Mstate:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -173,5 +173,5 @@ def test_kernel_numerics_floor():
     for j, (layout, rank) in enumerate(trips):
         rho = random_mixed_state(layout, 20_000 + j, rank=rank)
         psi = purify(rho, "Z")
-        back = marginal(psi.to_mstate(), layout.labels)
+        back = marginal(psi, layout.labels)
         assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10

@@ -139,7 +139,7 @@ def test_ci_lower_dominates_helper_classical_correlation(name):
         rho = preset(name, (0.75,) if name == "product_eq10" else ())
     report = ci_lower(rho, config=CFG)
     a, b, c = resolve_tripartite(rho.layout)
-    rho_ab = marginal(rho.to_mstate(), a + b)
+    rho_ab = marginal(rho, a + b)
     classical = mutual_info(rho_ab, Partition(a, b)) - discord(rho_ab, a, b[0], CFG).value
     assert report.lower >= classical - 1e-6
 
@@ -211,7 +211,7 @@ def test_ci_product_regularized_rejects_bad_factorization():
 
 
 def test_discord_via_ci_matches_direct():
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     via = discord_via_ci(bell, "A", "B", CFG)
     direct = discord(bell, "A", "B", CFG)
     assert abs(via.value - direct.value) <= 2e-2
@@ -354,7 +354,7 @@ def test_discord_additivity_check_rejections():
 
 
 def test_dilated_protocol_state_recovers_flagged_state():
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     basis = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
     povm = rank1_povm(basis, 2)
     dil = dilated_protocol_state(ghz, povm, "B")
@@ -425,7 +425,7 @@ def test_dilated_protocol_state_matches_three_copy_dilation(k):
 
 
 def test_dilated_protocol_state_reads_bob_as_a_measured_label():
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     povm = rank1_povm(haar_unitary(4, 35), 2)
     plain = dilated_protocol_state(ghz, povm, "B")
     assert np.array_equal(dilated_protocol_state(ghz, povm, ("B",)).matrix, plain.matrix)
@@ -461,7 +461,7 @@ def test_dilated_protocol_state_checks_the_cap(monkeypatch):
 
 
 def test_dilated_information_balance():
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     povm = rank1_povm(haar_unitary(4, 35), 2)
     dil = dilated_protocol_state(ghz, povm, "B")
     lhs = conditional_mutual_info(dil, "A", ("B", "E"), ("C", "R"))
@@ -492,7 +492,7 @@ def test_dilated_protocol_state_without_vectors():
 
 
 def test_dilated_protocol_state_single_outcome():
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     dil = dilated_protocol_state(bell, Povm(2, (np.eye(2, dtype=complex),)), "B")
     assert dil.layout.parties == (("A", 2), ("B", 2), ("R", 2), ("E", 2))
     back = marginal(dil, ("A", "B"))
@@ -500,7 +500,7 @@ def test_dilated_protocol_state_single_outcome():
 
 
 def test_dilated_protocol_state_errors():
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     halves = Povm(2, (np.eye(2) * 0.5, np.eye(2) * 0.5))
     with pytest.raises(NotRankOne):
         dilated_protocol_state(ghz, halves, "B")

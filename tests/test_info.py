@@ -372,7 +372,7 @@ def test_uhlmann_fidelity():
 
 
 def test_trace_distance():
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     iso = Mstate(bell.layout, np.eye(4) / 4.0)
     assert np.isclose(trace_distance(bell, iso), 0.75, atol=1e-12)
     assert trace_distance(bell, bell) <= 1e-12

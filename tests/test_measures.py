@@ -160,7 +160,7 @@ def test_povm_flag_mutual_info_reads_out_a_bit():
         1.0,
         atol=1e-12,
     )
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     assert np.isclose(povm_flag_mutual_info(bell, COMPUTATIONAL, "B"), 1.0, atol=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_povm_flag_mutual_info_on_the_family15_two_copy_pair():
     # two copies of family15 with A,C merged into X and B into Y, ordered
     # X1 X2 Y1 Y2; the 16-outcome flagged state is 256-dimensional, so the
     # reference is the bare block-diagonal matrix, one 256 x 256 eigensolve
-    one = preset("family15", (math.cos(math.pi / 8.0),)).to_mstate().matrix
+    one = preset("family15", (math.cos(math.pi / 8.0),)).matrix
     one = one.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
     two = np.kron(one, one).reshape(4, 2, 4, 2, 4, 2, 4, 2)
     pair = Mstate(
@@ -326,7 +326,7 @@ def test_discord_objective_at_the_achiever_is_the_reported_value(monkeypatch):
 
 
 def test_discord_bell_is_one():
-    est = discord(preset("bell").to_mstate(), "A", "B", QUICK)
+    est = discord(preset("bell"), "A", "B", QUICK)
     assert abs(est.value - 1.0) <= 2e-3
     assert est.direction == UPPER
     assert np.isclose(est.info["mutual_info"], 2.0, atol=1e-12)
@@ -400,7 +400,7 @@ def test_discord_with_one_nonzero_block_of_rank_two():
 
 def test_discord_pure_state_equals_entanglement_entropy():
     psi = random_pure_state(TWO, 55)
-    rho = psi.to_mstate()
+    rho = psi
     s_a = vn_entropy(marginal(rho, "A"))
     est = discord(rho, "A", "B", QUICK)
     assert abs(est.value - s_a) <= 5e-3
@@ -460,7 +460,7 @@ def test_discord_accepts_pure_state_and_rejects_groups():
 
 
 def test_eoa_ghz_marginal_reaches_one_bit():
-    rho_ac = marginal(preset("ghz").to_mstate(), ("A", "C"))
+    rho_ac = marginal(preset("ghz"), ("A", "C"))
     est = eoa(rho_ac, "A", OptimizerConfig(restarts=8, max_iters=600, tol=1e-5, seed=23))
     assert est.direction == LOWER
     assert est.value <= 1.0 + 1e-9
@@ -499,10 +499,10 @@ def _wootters_eof(m):
 
 
 def test_wootters_oracle_on_known_states():
-    assert abs(_wootters_eof(preset("bell").to_mstate().matrix) - 1.0) <= 1e-12
+    assert abs(_wootters_eof(preset("bell").matrix) - 1.0) <= 1e-12
     assert abs(_wootters_eof(_sep_mixture().matrix)) <= 1e-12
     for seed in range(5):
-        psi = random_pure_state(TWO, 300 + seed).to_mstate()
+        psi = random_pure_state(TWO, 300 + seed)
         expected = vn_entropy(marginal(psi, "A"))
         assert abs(_wootters_eof(psi.matrix) - expected) <= 1e-9
 
@@ -525,7 +525,7 @@ def test_eof_meets_wootters_from_both_sides(rank, seed):
     # the exact value, on each state and on its mixtures with a Bell state;
     # the 1e-12 below covers rounding in the re-verified value
     rho = random_mixed_state(TWO, 100 * rank + seed, rank=rank).matrix
-    bell = preset("bell").to_mstate().matrix
+    bell = preset("bell").matrix
     for weight in (0.0, 0.35, 0.7):
         mixed = Mstate(TWO, (1.0 - weight) * rho + weight * bell)
         exact = _wootters_eof(mixed.matrix)
@@ -541,7 +541,7 @@ def test_assistance_dominates_formation():
 
 
 def test_kw_discord_of_bell_is_exact():
-    est = kw_discord(preset("bell").to_mstate(), "A", "B", QUICK)
+    est = kw_discord(preset("bell"), "A", "B", QUICK)
     assert abs(est.value - 1.0) <= 1e-9
     assert est.info["eof"] <= 1e-9
     assert est.direction == UPPER
@@ -577,7 +577,7 @@ def test_kw_discord_reports_the_ancilla_it_searched():
 def test_eoa_reaches_past_the_cap_on_a_pure_64_dimensional_state():
     # the purification has 128 dimensions; the steering search reads it as
     # a bare amplitude matrix, so no layout passes the cap
-    rho = random_pure_state(tuple((f"Q{i}", 2) for i in range(6)), 5).to_mstate()
+    rho = random_pure_state(tuple((f"Q{i}", 2) for i in range(6)), 5)
     est = eoa(rho, "Q0", QUICK)
     assert est.info["ancilla_dim"] == 2
     s_q0 = vn_entropy(marginal(rho, "Q0"))
@@ -589,7 +589,7 @@ def test_eoa_reaches_past_the_cap_on_a_pure_64_dimensional_state():
 
 def test_one_way_ci_ghz_with_warm_start():
     # at the default config the search finds the plus/minus basis unaided
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     est = one_way_ci(ghz, "A", "B", "C")
     assert est.value >= 2.0 - 1e-6
     assert est.value <= 2.0 + 1e-9
@@ -598,7 +598,7 @@ def test_one_way_ci_ghz_with_warm_start():
 
 
 def test_one_way_ci_pure_and_mixed_paths_agree():
-    pure_in = preset("ghz").to_mstate()
+    pure_in = preset("ghz")
     # breaking purity by an epsilon of white noise forces the generic path
     dusty = Mstate(
         pure_in.layout,
@@ -623,14 +623,14 @@ def test_register_info_equals_the_flag_state_value():
 
 def test_one_way_ci_reaches_the_computational_basis_value_on_w():
     # measuring B of the W state in the computational basis gives log2 3
-    est = one_way_ci(preset("w").to_mstate(), "A", "B", "C")
+    est = one_way_ci(preset("w"), "A", "B", "C")
     assert est.value >= math.log2(3.0) - 1e-11
 
 
 def test_one_way_ci_agrees_across_the_purity_switch():
     # (1 - eps) W + eps I/8 has purity about 1 - 1.75 eps, so the pure-input
     # objective serves eps = 4e-13 and the mixed one eps = 7e-13
-    w = preset("w").to_mstate()
+    w = preset("w")
     values = []
     for eps, pure_path in ((4e-13, True), (7e-13, False)):
         rho = Mstate(w.layout, (1.0 - eps) * w.matrix + eps * np.eye(8) / 8.0)
@@ -654,18 +654,18 @@ def test_variational_measures_build_no_flagged_state(monkeypatch):
 def test_one_way_ci_rejects_group_helper():
     ghz = preset("ghz")
     with pytest.raises(LayoutMismatch):
-        one_way_ci(ghz.to_mstate(), "A", ("B", "C"), (), QUICK)
+        one_way_ci(ghz, "A", ("B", "C"), (), QUICK)
 
 
 # --- closed forms ---------------------------------------------------------------
 
 
 def test_log_negativity():
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     assert np.isclose(log_negativity(bell, Partition("A", "B")), 1.0, atol=1e-12)
     cc = preset("classical_classical")
     assert log_negativity(cc, Partition("A", "B")) <= 1e-12
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     assert log_negativity(ghz, Partition("A", "B")) <= 1e-12  # traced marginal
     assert np.isclose(log_negativity(ghz, Partition("A", ("B", "C"))), 1.0, atol=1e-12)
     with pytest.raises(InvalidPartition):
@@ -673,14 +673,14 @@ def test_log_negativity():
 
 
 def test_coherent_info_lower():
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     assert np.isclose(coherent_info_lower(bell, Partition("A", "B")), 1.0, atol=1e-12)
     iso = Mstate(TWO, np.eye(4) / 4.0)
     assert coherent_info_lower(iso, Partition("A", "B")) == 0.0
 
 
 def test_ed_interval_exact_on_paired_support():
-    bell = preset("bell").to_mstate()
+    bell = preset("bell")
     band = ed_interval(bell, Partition("A", "B"))
     assert band.exact
     assert np.isclose(band.lower, 1.0, atol=1e-12)
@@ -711,7 +711,7 @@ def test_ed_interval_generic_bracket():
 
 
 def test_regularized_eoa():
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     rho_ac = marginal(ghz, ("A", "C"))
     assert np.isclose(regularized_eoa(rho_ac, "A"), 1.0, atol=1e-12)
     assert np.isclose(regularized_eoa(rho_ac), 1.0, atol=1e-12)  # first party default
@@ -724,8 +724,8 @@ def test_regularized_eoa():
 # seeded states on each side of equality: eoa reaches min(S(A), S(C)) on
 # pure states, on the GHZ marginal and on products
 EOA_PANEL = {
-    "ghz-marginal": lambda: marginal(preset("ghz").to_mstate(), ("A", "C")),
-    "pure": lambda: random_pure_state((("A", 2), ("C", 2)), 31).to_mstate(),
+    "ghz-marginal": lambda: marginal(preset("ghz"), ("A", "C")),
+    "pure": lambda: random_pure_state((("A", 2), ("C", 2)), 31),
     "product": lambda: Mstate(
         SystemLayout((("A", 2), ("C", 2))), np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
     ),
@@ -974,7 +974,7 @@ def test_each_measure_makes_exactly_one_keyword_search(monkeypatch):
 
 def _w_ghz_mixture():
     # rank 2: every outcome block of a measurement on one qubit is rank deficient
-    w, ghz = preset("w").to_mstate(), preset("ghz").to_mstate()
+    w, ghz = preset("w"), preset("ghz")
     return Mstate(w.layout, 0.5 * w.matrix + 0.5 * ghz.matrix)
 
 
@@ -1087,7 +1087,7 @@ def test_block_batch_with_a_trivial_receiver_equals_a_vacuum_receiver(da):
 def test_pure_discord_equals_the_marginal_entropy_at_the_default_config(dims, seed):
     # a measured qutrit searches K = 9 outcomes
     layout = SystemLayout((("X", dims[0]), ("Y", dims[1])))
-    rho = random_pure_state(layout, 700 + seed).to_mstate()
+    rho = random_pure_state(layout, 700 + seed)
     est = discord(rho, "X", "Y")
     exact = vn_entropy(marginal(rho, "X"))
     assert exact - 1e-9 <= est.value <= exact + 1e-12
@@ -1112,7 +1112,7 @@ def test_kw_cross_discord_meets_koashi_winter_through_wootters(k):
     cfg = replace(cfg, seed=s_opt)
     # rank 2 with a qubit purification Z: D(X|Y) = S(Y) - S(XY) + E_F(X : Z)
     # (Koashi & Winter, PRA 69, 022309, 2004), with Wootters' E_F
-    rho_xz = marginal(purify(rho, "Z").to_mstate(), ("X", "Z"))
+    rho_xz = marginal(purify(rho, "Z"), ("X", "Z"))
     s_y = vn_entropy(marginal(rho, "Y"))
     exact = s_y - vn_entropy(rho) + _wootters_eof(rho_xz.matrix)
     for est in (discord(rho, "X", "Y", cfg), kw_discord(rho, "X", "Y", cfg)):

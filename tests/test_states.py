@@ -120,7 +120,7 @@ def test_purify_checks_the_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         purify(random_mixed_state(layout, 9, rank=3), "Z")
     with pytest.raises(DimensionTooLarge):
-        purify(random_pure_state(AT_CAP, 10).to_mstate(), "Z")
+        purify(random_pure_state(AT_CAP, 10), "Z")
 
 
 # --- state containers -------------------------------------------------------
@@ -160,7 +160,7 @@ def test_pure_state_validation_and_to_mstate():
     v = np.zeros(4)
     v[0] = v[3] = 1 / math.sqrt(2)
     psi = PureState(TWO, v)
-    assert np.max(np.abs(psi.to_mstate().matrix - _bell().matrix)) <= 1e-14
+    assert np.max(np.abs(psi.matrix - _bell().matrix)) <= 1e-14
 
 
 def test_ensemble_validation_and_average():
@@ -217,7 +217,7 @@ def test_partial_trace_bell_marginal():
 
 
 def test_partial_trace_keeps_order():
-    ghz = preset("ghz").to_mstate()
+    ghz = preset("ghz")
     red = marginal(ghz, ("A", "C"))
     assert red.layout.labels == ("A", "C")
     # GHZ with B removed is classically correlated across A:C
@@ -329,9 +329,12 @@ def test_only_states_diagonalizes_a_state():
     assert not hits, "read Mstate.spectrum instead:\n" + "\n".join(hits)
 
 
-def test_pure_state_builds_its_density_once():
+def test_a_pure_state_is_an_mstate_with_the_exact_spectrum():
     psi = preset("ghz")
-    assert psi.to_mstate() is psi.to_mstate()
+    assert isinstance(psi, Mstate)
+    assert np.array_equal(psi.spectrum, [0, 0, 0, 0, 0, 0, 0, 1])
+    with pytest.raises(ValueError):
+        psi.spectrum[0] = 1.0
 
 
 def test_permute_parties_identity_returns_the_input():
@@ -418,7 +421,7 @@ def test_purify_round_trip():
     rho = random_mixed_state(TWO, 9)
     psi = purify(rho, "Z")
     assert psi.layout.labels == ("A", "B", "Z")
-    back = marginal(psi.to_mstate(), ("A", "B"))
+    back = marginal(psi, ("A", "B"))
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
 
 
@@ -426,7 +429,7 @@ def test_purify_rank_deficient_uses_small_ancilla():
     rho = random_mixed_state(TWO, 10, rank=2)
     psi = purify(rho, "Z")
     assert psi.layout.dim_of("Z") == 2
-    back = marginal(psi.to_mstate(), ("A", "B"))
+    back = marginal(psi, ("A", "B"))
     assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-10
 
 
