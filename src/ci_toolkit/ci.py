@@ -62,6 +62,7 @@ from .optim import (
 from .states import (
     Mstate,
     SystemLayout,
+    _relaid,
     check_group_cover,
     check_groups,
     default_groups,
@@ -578,8 +579,8 @@ def discord_additivity_check(
     single = discord(merged, lx, ly, boosted)
 
     lx1, ly1, lx2, ly2 = lx + "1", ly + "1", lx + "2", ly + "2"
-    copy1 = Mstate(SystemLayout(((lx1, dx), (ly1, dy))), merged.matrix)
-    copy2 = Mstate(SystemLayout(((lx2, dx), (ly2, dy))), merged.matrix)
+    copy1 = _relaid(merged, SystemLayout(((lx1, dx), (ly1, dy))))
+    copy2 = _relaid(merged, SystemLayout(((lx2, dx), (ly2, dy))))
     pair, (lxx, lyy) = merge_groups(tensor(copy1, copy2), ((lx1, lx2), (ly1, ly2)))
 
     # single-copy POVMs have k1 = dy^2 outcomes; the pair's measured party

@@ -8,9 +8,10 @@ takes a state takes a pure one as it is.  Weighted collections are
 `Ensemble`.
 
 Labels are checked in one place: a `SystemLayout` rejects a repeated one,
-so every operation that adds or renames parties (`tensor`, `merge_parties`,
-`merge_groups`, `purify`, a flagged or dilated state) raises
-``DuplicateParty`` by building its layout.
+so every operation that adds or renames parties (`tensor`, `merge_groups`,
+`purify`, a flagged or dilated state) raises ``DuplicateParty`` by
+building its layout.  One function, `_relaid`, carries a state onto a new
+layout or party order, and a `PureState` it carries stays one.
 
 Each state is derived once. An `Mstate` keeps the spectrum its PSD check
 computes, in the form the entropy kernel in `info` reads it, so no entropy
@@ -65,14 +66,20 @@ def as_labels(spec) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SystemLayout:
-    """Ordered parties (label, dim); labels unique, every dim >= 2, and a
-    total dimension of at most `DIM_CAP` (``DimensionTooLarge`` beyond).
+    """Ordered parties (label, dim); labels non-empty strings and unique,
+    every dim an integer >= 2 (a bool is not one; a NumPy integer is), and
+    a total dimension of at most `DIM_CAP` (``DimensionTooLarge`` beyond).
     Every state is built on a layout, so this is where the cap is checked."""
 
     parties: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        parties = tuple((str(l), int(d)) for l, d in self.parties)
+        for label, dim in self.parties:
+            if not isinstance(label, str) or not label:
+                raise InvalidArgument(f"party label must be a non-empty string, got {label!r}")
+            if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
+                raise InvalidArgument(f"party {label!r}: dim must be an integer, got {dim!r}")
+        parties = tuple((l, int(d)) for l, d in self.parties)
         object.__setattr__(self, "parties", parties)
         seen = set()
         total = 1
@@ -239,8 +246,8 @@ class Mstate:
     matrix: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _reductions: dict = field(init=False, repr=False, compare=False)
-    # eigenvalue allowance past -VALIDATE; only `marginal` and the
-    # party-reordering copies set it
+    # eigenvalue allowance past -VALIDATE; only `marginal` and `_relaid`
+    # set it
     _psd_slack: float = field(default=0.0, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -412,10 +419,24 @@ def _slack_of(rho: Mstate) -> float:
     return max(0.0, -float(rho.spectrum.min()))
 
 
-def _relaid(rho: Mstate, layout: SystemLayout, matrix: np.ndarray) -> Mstate:
-    """``rho``'s operator on a new layout or party order.  Its eigenvalues
-    are ``rho``'s, so its PSD check allows ``rho``'s smallest one."""
-    return Mstate(layout, matrix, _psd_slack=_slack_of(rho))
+def _relaid(rho: Mstate, layout: SystemLayout, perm=None) -> Mstate:
+    """``rho`` carried onto ``layout``: its parties first put in the order
+    ``perm`` (indices into ``rho``'s layout; None keeps the order), then the
+    flat index read on ``layout``.  The one way a state is reordered or
+    renamed.  A `PureState` stays one, its amplitudes moved.  Otherwise
+    the eigenvalues are ``rho``'s, so the PSD check allows ``rho``'s
+    smallest one."""
+    dims = rho.layout.dims
+    if isinstance(rho, PureState):
+        v = rho.amplitudes
+        if perm is not None:
+            v = v.reshape(dims).transpose(perm).reshape(-1)
+        return PureState(layout, v)
+    m = rho.matrix
+    if perm is not None:
+        n, d = len(dims), rho.layout.total_dim
+        m = _tensor_view(m, dims).transpose(*perm, *(n + i for i in perm)).reshape(d, d)
+    return Mstate(layout, m, _psd_slack=_slack_of(rho))
 
 
 def partial_transpose(rho: Mstate, parties) -> np.ndarray:
@@ -435,8 +456,8 @@ def partial_transpose(rho: Mstate, parties) -> np.ndarray:
 
 
 def permute_parties(state, order) -> Mstate:
-    """Reorder parties to the given label sequence (a permutation).  The
-    identity order returns ``state`` itself, and a `PureState` stays one."""
+    """Reorder parties to the given label sequence (a permutation), by
+    `_relaid`.  The identity order returns ``state`` itself."""
     labels = as_labels(order)
     if sorted(labels) != sorted(state.layout.labels):
         raise InvalidArgument(
@@ -445,41 +466,7 @@ def permute_parties(state, order) -> Mstate:
     if labels == state.layout.labels:
         return state
     perm = [state.layout.index(l) for l in labels]
-    dims = state.layout.dims
-    new_layout = SystemLayout(tuple(state.layout.parties[i] for i in perm))
-    if isinstance(state, PureState):
-        v = state.amplitudes.reshape(dims).transpose(perm).reshape(-1)
-        return PureState(new_layout, v)
-    n = len(dims)
-    t = _tensor_view(state.matrix, dims).transpose(perm + [n + i for i in perm])
-    d = state.layout.total_dim
-    return _relaid(state, new_layout, t.reshape(d, d))
-
-
-def merge_parties(state, labels, new_label: str) -> Mstate:
-    """Relabel a contiguous run of parties as one composite party.
-
-    The run must be contiguous in layout order (permute first if not); the
-    flat index is unchanged, so no data moves, and a `PureState` stays one.
-    """
-    group = as_labels(labels)
-    if len(group) == 0:
-        raise InvalidArgument("merge_parties: empty group")
-    idx = [state.layout.index(l) for l in group]
-    if idx != list(range(idx[0], idx[0] + len(idx))):
-        raise InvalidArgument(
-            f"merge_parties: {group} is not a contiguous run in {state.layout.labels}"
-        )
-    dim = state.layout.group_dim(group)
-    parties = (
-        state.layout.parties[: idx[0]]
-        + ((new_label, dim),)
-        + state.layout.parties[idx[0] + len(idx):]
-    )
-    layout = SystemLayout(parties)
-    if isinstance(state, PureState):
-        return PureState(layout, state.amplitudes)
-    return _relaid(state, layout, state.matrix)
+    return _relaid(state, SystemLayout(tuple(state.layout.parties[i] for i in perm)), perm)
 
 
 def fresh_label(labels: tuple[str, ...], base: str) -> str:
@@ -493,19 +480,19 @@ def fresh_label(labels: tuple[str, ...], base: str) -> str:
 def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
     """Permute ``rho`` so the groups (which must cover its layout) are
     contiguous and merge each multi-party group into a single composite
-    party.  Returns the merged state and the per-group labels: a composite
-    is named ``(B+C)`` after its parties, primed (`fresh_label`) past every
-    label of ``rho`` and every earlier composite.  When every group is one
-    label, the state is the permuted one: ``rho`` itself in layout order."""
+    party, in one `_relaid` copy, so a `PureState` stays one.  Returns the
+    merged state and the per-group labels: a composite is named ``(B+C)``
+    after its parties, primed (`fresh_label`) past every label of ``rho``
+    and every earlier composite.  When every group is one label, the state
+    is the permuted one: ``rho`` itself in layout order."""
     groups = check_group_cover(rho.layout, *groups)
     order = [l for g in groups for l in g]
-    state = permute_parties(rho, order)
     if len(order) == len(groups):
-        return state, tuple(order)
+        return permute_parties(rho, order), tuple(order)
     new_parties: list[tuple[str, int]] = []
     new_labels: list[str] = []
     for g in groups:
-        dim = state.layout.group_dim(g)
+        dim = rho.layout.group_dim(g)
         if len(g) == 1:
             label = g[0]
         else:
@@ -513,8 +500,8 @@ def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
             label = fresh_label(taken, "(" + "+".join(g) + ")")
         new_parties.append((label, dim))
         new_labels.append(label)
-    merged = _relaid(state, SystemLayout(tuple(new_parties)), state.matrix)
-    return merged, tuple(new_labels)
+    perm = [rho.layout.index(l) for l in order]
+    return _relaid(rho, SystemLayout(tuple(new_parties)), perm), tuple(new_labels)
 
 
 def _purification(rho: Mstate) -> np.ndarray:
@@ -774,10 +761,7 @@ def state_from_dict(doc: dict) -> Mstate:
                 raise StateFileError(
                     f"parties: dims {layout.dims} do not match preset dims {state.layout.dims}"
                 )
-            if isinstance(state, PureState):
-                state = PureState(layout, state.amplitudes)
-            else:
-                state = Mstate(layout, state.matrix)
+            state = _relaid(state, layout)
         return state
 
     layout = _file_layout(doc)

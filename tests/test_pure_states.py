@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ci_toolkit import states
-from ci_toolkit.info import Partition, conditional_entropy, mutual_info
+from ci_toolkit.info import Partition, conditional_entropy, mutual_info, vn_entropy
 from ci_toolkit.measures import (
     UPPER,
     Bracket,
@@ -95,6 +95,14 @@ def test_pure_mutual_information_is_exact():
     assert mutual_info(preset("ghz"), Partition("A", ("B", "C"))) == 2.0
 
 
+@pytest.mark.parametrize("name", ["ghz", "w"])
+def test_pure_mutual_information_of_a_merged_group_is_exact(name):
+    # the merged pure state keeps its exact spectrum, so S(A+B, C) adds 0
+    psi = preset(name)
+    got = discord(psi, ("A", "B"), "C").info["mutual_info"]
+    assert got == vn_entropy(marginal(psi, ("A", "B"))) + vn_entropy(marginal(psi, "C"))
+
+
 def test_pure_upper_estimates_sit_on_their_side():
     # each is exactly 1; an eigensolved entropy of the whole pure state, a
     # few ulps above 0, would put the estimate below it
@@ -108,8 +116,8 @@ def test_pure_upper_estimates_sit_on_their_side():
         assert est.value >= 1.0
 
 
-# the functions that keep a pure state's amplitudes when they copy it
-_KEEP_AMPLITUDES = {"permute_parties", "merge_parties", "state_from_dict"}
+# the one function that keeps a pure state's amplitudes when it copies it
+_KEEP_AMPLITUDES = {"_relaid"}
 
 
 def _owned_nodes(tree):
@@ -152,3 +160,38 @@ def test_one_state_type_in_the_package():
             ):
                 hits.append(f"{path.name}:{node.lineno}: isinstance(..., PureState)")
     assert not hits, "a PureState is an Mstate; take it as it is:\n" + "\n".join(hits)
+
+
+def _copied_operand(call):
+    """The ``<name>.matrix`` or ``<name>.amplitudes`` an `Mstate` or
+    `PureState` call builds its state from, or None."""
+    func = call.func
+    built = (isinstance(func, ast.Name) and func.id) or (
+        isinstance(func, ast.Attribute) and func.attr
+    )
+    if built not in ("Mstate", "PureState"):
+        return None
+    operands = call.args[1:2] + [
+        k.value for k in call.keywords if k.arg in ("matrix", "amplitudes")
+    ]
+    for arg in operands:
+        if (
+            isinstance(arg, ast.Attribute)
+            and arg.attr in ("matrix", "amplitudes")
+            and isinstance(arg.value, ast.Name)
+        ):
+            return f"{built}(..., {arg.value.id}.{arg.attr})"
+    return None
+
+
+def test_states_are_copied_only_by_the_relay():
+    hits = []
+    for path in sorted(Path(states.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner, node in _owned_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            copied = _copied_operand(node)
+            if copied and not (path.name == "states.py" and owner in _KEEP_AMPLITUDES):
+                hits.append(f"{path.name}:{node.lineno}: {copied}")
+    assert not hits, "carry a state onto a new layout with states._relaid:\n" + "\n".join(hits)

@@ -29,7 +29,6 @@ from ci_toolkit.states import (
     load_state_file,
     marginal,
     merge_groups,
-    merge_parties,
     partial_transpose,
     permute_parties,
     preset,
@@ -70,6 +69,28 @@ def test_layout_rejects_duplicates_and_small_dims():
         SystemLayout((("A", 2), ("A", 2)))
     with pytest.raises(InvalidArgument):
         SystemLayout((("A", 1),))
+
+
+@pytest.mark.parametrize(
+    "parties, match",
+    [
+        ((("A", 2.9),), "dim must be an integer"),
+        ((("A", True),), "dim must be an integer"),
+        (((1, 2),), "label must be a non-empty string"),
+        ((("", 2),), "label must be a non-empty string"),
+    ],
+    ids=["float-dim", "bool-dim", "int-label", "empty-label"],
+)
+def test_layout_rejects_what_it_would_otherwise_coerce(parties, match):
+    # rejected, not truncated to a dim or turned into a label
+    with pytest.raises(InvalidArgument, match=match):
+        SystemLayout(parties)
+
+
+def test_layout_keeps_numpy_integer_dims():
+    lay = SystemLayout((("A", np.int64(2)), ("B", np.int32(3))))
+    assert lay.dims == (2, 3)
+    assert all(type(d) is int for d in lay.dims)
 
 
 def test_layout_unknown_party():
@@ -293,7 +314,7 @@ def test_reduction_of_an_accepted_state_is_accepted():
     pair = marginal(nested, ("A", "B"))
     assert pair.spectrum.min() < -VALIDATE
     assert permute_parties(pair, ("B", "A")).spectrum.min() == pytest.approx(-delta / 2)
-    assert merge_parties(pair, ("A", "B"), "AB").layout.dims == (4,)
+    assert merge_groups(pair, (("A", "B"),))[0].layout.dims == (4,)
     # a user-supplied matrix still meets the plain -1e-10 check
     with pytest.raises(NotPSD, match="below -1e-10"):
         Mstate(SystemLayout((("A", 2),)), red.matrix)
@@ -406,15 +427,30 @@ def test_permute_parties_rejects_non_permutation():
         permute_parties(_bell(), ("A",))
 
 
-def test_merge_parties_flat_index_unchanged():
-    ghz = preset("ghz")
-    merged = merge_parties(ghz, ("A", "B"), "AB")
-    assert merged.layout.parties == (("AB", 4), ("C", 2))
-    assert np.array_equal(merged.amplitudes, ghz.amplitudes)
-    with pytest.raises(InvalidArgument):
-        merge_parties(ghz, ("A", "C"), "AC")
-    with pytest.raises(DuplicateParty):
-        merge_parties(ghz, ("A", "B"), "C")
+@pytest.mark.parametrize("name", ["ghz", "w"])
+def test_merge_groups_keeps_a_pure_state_pure(name):
+    psi = preset(name)
+    merged, labels = merge_groups(psi, (("A", "B"), ("C",)))
+    assert isinstance(merged, PureState)
+    assert labels == ("(A+B)", "C")
+    assert merged.layout.parties == (("(A+B)", 4), ("C", 2))
+    assert np.array_equal(merged.spectrum, [0, 0, 0, 0, 0, 0, 0, 1])
+    # a contiguous merge moves no data
+    assert np.array_equal(merged.amplitudes, psi.amplitudes)
+    assert np.array_equal(merged.matrix, psi.matrix)
+
+
+def test_merge_groups_builds_one_state_per_composite_merge(monkeypatch):
+    rho = random_mixed_state(THREE, 12)
+    permuted = permute_parties(rho, ("A", "C", "B"))
+    relabelled = Mstate(SystemLayout((("(A+C)", 4), ("B", 2))), permuted.matrix)
+    built = _built_mstates(monkeypatch)
+    merged, labels = merge_groups(rho, (("A", "C"), ("B",)))
+    assert built == [8]
+    assert labels == ("(A+C)", "B")
+    assert merged.layout == relabelled.layout
+    assert np.array_equal(merged.matrix, relabelled.matrix)
+    assert np.array_equal(merged.spectrum, relabelled.spectrum)
 
 
 def test_purify_round_trip():
