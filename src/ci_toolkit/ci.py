@@ -44,11 +44,13 @@ from .info import (
 from .measures import (
     Bracket,
     MeasureEstimate,
+    _ed_interval,
+    _log_negativity,
     _off_block_max,
+    _one_way_search,
     discord,
     ed_interval,
     eoa,
-    log_negativity,
     measure_ensemble,
     one_way_ci,
     povm_flag_mutual_info,
@@ -62,6 +64,8 @@ from .optim import (
 from .states import (
     Mstate,
     SystemLayout,
+    _marginal,
+    _merged,
     _relaid,
     check_group_cover,
     check_groups,
@@ -132,10 +136,12 @@ class CiReport:
     details: dict
 
 
-def _upper_candidates(rho: Mstate, a, b, c):
-    total = mutual_info(rho, Partition(a, b + c))
-    s_a = vn_entropy(marginal(rho, a))
-    ed = ed_interval(rho, Partition(a + b, c))
+def _upper_candidates(rho: Mstate, a, b, c, entropy):
+    """The upper caps of `ci_upper` on the checked cover (a, b, c) of
+    ``rho``'s layout; ``entropy`` maps a checked group to its entropy."""
+    s_a = entropy(a)
+    total = s_a + entropy(b + c) - vn_entropy(rho)
+    ed = _ed_interval(rho, Partition(a + b, c), (entropy(a + b), entropy(c)))
     cands = (
         BoundCandidate("total-mutual-info", total),
         BoundCandidate("entropy-plus-distillable", s_a + ed.upper),
@@ -155,7 +161,7 @@ def ci_upper(
     mutual information, or the reference entropy plus what is distillable
     across the receiver cut, whichever is smaller."""
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    return _upper_candidates(rho, a, b, c)[0]
+    return _upper_candidates(rho, a, b, c, lambda g: vn_entropy(_marginal(rho, g)))[0]
 
 
 def ci_lower(
@@ -181,9 +187,13 @@ def ci_lower(
     composite party (`one_way_ci`).
     """
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    trivial = mutual_info(rho, Partition(a, c))
+    # the groups are checked once, above: what follows reduces by `_marginal`
+    # and calls the searches and bounds past their own checks
+    rho_ac = _marginal(rho, a + c)
+    trivial = vn_entropy(_marginal(rho_ac, a)) + vn_entropy(_marginal(rho_ac, c)) - vn_entropy(rho_ac)
 
-    ow = one_way_ci(rho, a, b, c, config)
+    merged, (la, _, _) = _merged(rho, (a, b, c))
+    ow = _one_way_search(merged, vn_entropy(_marginal(merged, (la,))), config)
 
     cands = (
         BoundCandidate("trivial-protocol", trivial),
@@ -191,7 +201,9 @@ def ci_lower(
     )
     best = max(cands, key=lambda k: k.value)  # ties keep the earlier one
 
-    upper, upper_source, upper_cands, detail = _upper_candidates(rho, a, b, c)
+    upper, upper_source, upper_cands, detail = _upper_candidates(
+        rho, a, b, c, lambda g: vn_entropy(_marginal(rho, g))
+    )
     if best.value > upper + SLACK:
         raise InternalInvariantError(
             f"lower bound {best.value:.12g} exceeds upper bound {upper:.12g}"
@@ -227,8 +239,8 @@ def ci_pure_oneway(
     so the estimate errs downward."""
     _require_pure(state)
     a, b, c = resolve_tripartite(state.layout, alice, bob, charlie)
-    s_a = vn_entropy(marginal(state, a))
-    rho_ac = marginal(state, a + c)
+    s_a = vn_entropy(_marginal(state, a))
+    rho_ac = _marginal(state, a + c)
     assisted = eoa(rho_ac, a, config)
     info = {"marginal_entropy": s_a, "assisted_entanglement": assisted.value}
     return assisted.derive(s_a + assisted.value, 1, **info)
@@ -244,8 +256,8 @@ def ci_pure_regularized(
     S(reference) plus the smaller of S(reference), S(receiver).  Exact."""
     _require_pure(state)
     a, b, c = resolve_tripartite(state.layout, alice, bob, charlie)
-    s_a = vn_entropy(marginal(state, a))
-    s_c = vn_entropy(marginal(state, c))
+    s_a = vn_entropy(_marginal(state, a))
+    s_c = vn_entropy(_marginal(state, c))
     return s_a + min(s_a, s_c)
 
 
@@ -401,8 +413,9 @@ def monotone_necessary_check(
     charlie: str | Sequence[str] | None = None,
 ) -> MonotoneCheck:
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    lhs = log_negativity(rho, Partition(a + b, c))
-    rhs = log_negativity(rho, Partition(a, b + c))
+    # each cut covers the layout, so neither traces anything out
+    lhs = _log_negativity(rho, a + b)
+    rhs = _log_negativity(rho, a)
     return MonotoneCheck(lhs, rhs, lhs >= rhs - SLACK)
 
 
@@ -578,10 +591,10 @@ def discord_additivity_check(
     boosted = replace(cfg, restarts=2 * cfg.restarts)
     single = discord(merged, lx, ly, boosted)
 
-    lx1, ly1, lx2, ly2 = lx + "1", ly + "1", lx + "2", ly + "2"
-    copy1 = _relaid(merged, SystemLayout(((lx1, dx), (ly1, dy))))
-    copy2 = _relaid(merged, SystemLayout(((lx2, dx), (ly2, dy))))
-    pair, (lxx, lyy) = merge_groups(tensor(copy1, copy2), ((lx1, lx2), (ly1, ly2)))
+    # the two copies (X1, Y1, X2, Y2) as the pair (X1+X2, Y1+Y2), built once
+    lxx, lyy = f"({lx}1+{lx}2)", f"({ly}1+{ly}2)"
+    pair_layout = SystemLayout(((lxx, dx * dx), (lyy, dy * dy)))
+    pair = _relaid(merged, pair_layout, (0, 2, 1, 3), copies=2)
 
     # single-copy POVMs have k1 = dy^2 outcomes; the pair's measured party
     # has dimension dy^2, so its search runs over k1^2 of them

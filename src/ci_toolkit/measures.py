@@ -58,6 +58,7 @@ from .states import (
     PureState,
     SystemLayout,
     _marginal,
+    _partial_transpose,
     _purification,
     check_group_cover,
     check_groups,
@@ -66,7 +67,6 @@ from .states import (
     marginal,
     measured_label,
     merge_groups,
-    partial_transpose,
     permute_parties,
     purify,
 )
@@ -149,12 +149,18 @@ def _outcome_blocks(rho: Mstate, povm: Povm, party: str):
     sigma_i = Tr_party[(M_i on party) rho] as a (K, n, n) stack, and the
     probabilities p_i = Tr sigma_i (>= 0)."""
     layout = rho.layout
-    d = povm.party_dim
-    party = measured_label(layout, party, d)
-    rows = np.array(povm.elements).transpose(0, 2, 1).reshape(len(povm), d * d)
-    sig = np.tensordot(rows, _operand(rho, party), 1)
+    party = measured_label(layout, party, povm.party_dim)
+    sig = _measured_blocks(rho, povm, party)
     p = np.clip(np.real(np.trace(sig, axis1=1, axis2=2)), 0.0, None)
     return SystemLayout(tuple(q for q in layout.parties if q[0] != party)), sig, p
+
+
+def _measured_blocks(rho: Mstate, povm: Povm, party: str) -> np.ndarray:
+    """The (K, n, n) outcome blocks of `_outcome_blocks`, for a ``party``
+    already checked to be one label of the POVM's dimension."""
+    d = povm.party_dim
+    rows = np.array(povm.elements).transpose(0, 2, 1).reshape(len(povm), d * d)
+    return np.tensordot(rows, _operand(rho, party), 1)
 
 
 def _kept_ensemble(p: np.ndarray, member: Callable[[int], object]) -> Ensemble:
@@ -385,13 +391,15 @@ def _povm_search(batch, d, config, report, *, sense="max", warm_starts=()):
 # measured mutual information, maximized over rank-one POVMs
 
 
-def _register_info(merged: Mstate, povm: Povm) -> float:
-    """I(A : C R) of a merged (A, B, C) state when ``povm`` measures B into
-    the register R, by the one-way form `_one_way`."""
+def _register_info(merged: Mstate, povm: Povm, s_a: float | None = None) -> float:
+    """I(A : C R) of a merged (A, B, C) state when ``povm``, on B's
+    dimension, measures B into the register R, by the one-way form
+    `_one_way`; ``s_a`` is S(A), read from the state when None."""
+    la, lb, _ = merged.layout.labels
     da, _, dc = merged.layout.dims
-    _, sig, _ = _outcome_blocks(merged, povm, merged.layout.labels[1])
-    s_a = vn_entropy(marginal(merged, merged.layout.labels[:1]))
-    return float(_one_way(s_a, sig, da, dc))
+    if s_a is None:
+        s_a = vn_entropy(marginal(merged, la))
+    return float(_one_way(s_a, _measured_blocks(merged, povm, lb), da, dc))
 
 
 def one_way_ci(
@@ -410,9 +418,15 @@ def one_way_ci(
     the supremum over all POVMs.  The value is recomputed at the achieving
     POVM, so it is achievable by construction and can only err downward.
     """
-    merged, (la, lb, _) = merge_groups(rho, (alice, bob, charlie))
+    merged, (la, _, _) = merge_groups(rho, (alice, bob, charlie))
+    return _one_way_search(merged, vn_entropy(_marginal(merged, (la,))), config)
+
+
+def _one_way_search(merged: Mstate, s_a: float, config) -> MeasureEstimate:
+    """`one_way_ci` of a merged (A, B, C) state, S(A) given: the search,
+    with no group check."""
+    lb = merged.layout.labels[1]
     da, db, dc = merged.layout.dims
-    s_a = vn_entropy(marginal(merged, la))
 
     if merged.purity() > 1.0 - ZERO:
         # Pure input: each conditional block on alice+charlie is pure, with
@@ -428,7 +442,7 @@ def one_way_ci(
 
     def report(iso):
         achiever = rank1_povm(iso, db)
-        return _register_info(merged, achiever), achiever, {"measured_party": lb}
+        return _register_info(merged, achiever, s_a), achiever, {"measured_party": lb}
 
     return _povm_search(batch, db, config, report)
 
@@ -611,19 +625,28 @@ def kw_discord(
 def log_negativity(rho: Mstate, cut: Partition) -> float:
     """log2 of the trace norm of the partial transpose across ``cut``.
     Parties outside the cut are traced out first."""
-    reduced = cut.restrict(rho)
-    pt = partial_transpose(reduced, cut.left)
-    return max(float(np.log2(trace_norm(pt))), 0.0)
+    return _log_negativity(cut.restrict(rho), cut.left)
+
+
+def _log_negativity(reduced: Mstate, left: tuple[str, ...]) -> float:
+    """`log_negativity` of a state restricted to a checked cut, ``left``
+    its left group.  The trace norm is at least 1, above `_log2`'s floor."""
+    return max(float(_log2(trace_norm(_partial_transpose(reduced, left)))), 0.0)
 
 
 def coherent_info_lower(rho: Mstate, cut: Partition) -> float:
     """Hashing-type lower bound on distillable entanglement across ``cut``:
     the larger of the two coherent informations, floored at zero."""
     reduced = cut.restrict(rho)
-    s_left = vn_entropy(_marginal(reduced, cut.left))
-    s_right = vn_entropy(_marginal(reduced, cut.right))
+    sides = (vn_entropy(_marginal(reduced, cut.left)), vn_entropy(_marginal(reduced, cut.right)))
+    return _coherent_info(reduced, sides)
+
+
+def _coherent_info(reduced: Mstate, sides: tuple[float, float]) -> float:
+    """`coherent_info_lower` of a state restricted to a checked cut, given
+    the entropies of its left and right groups."""
     s_both = vn_entropy(reduced)
-    return max(0.0, s_left - s_both, s_right - s_both)
+    return max(0.0, sides[0] - s_both, sides[1] - s_both)
 
 
 def _max_correlated_pattern(reduced: Mstate, cut: Partition) -> np.ndarray | None:
@@ -655,15 +678,20 @@ def ed_interval(rho: Mstate, cut: Partition) -> Bracket:
     ``exact`` is set.
     """
     reduced = cut.restrict(rho)
+    sides = (vn_entropy(_marginal(reduced, cut.left)), vn_entropy(_marginal(reduced, cut.right)))
+    return _ed_interval(reduced, cut, sides)
+
+
+def _ed_interval(reduced: Mstate, cut: Partition, sides: tuple[float, float]) -> Bracket:
+    """`ed_interval` of a state restricted to the checked ``cut``, given the
+    entropies of its left and right groups."""
     a = _max_correlated_pattern(reduced, cut)
     if a is not None:
         value = max(
             spectrum_entropy(np.real(np.diag(a))) - matrix_entropy(a), 0.0
         )
         return Bracket(value, value, True)
-    return Bracket(
-        coherent_info_lower(reduced, cut), log_negativity(reduced, cut), False
-    )
+    return Bracket(_coherent_info(reduced, sides), _log_negativity(reduced, cut.left), False)
 
 
 def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> float:

@@ -10,8 +10,9 @@ takes a state takes a pure one as it is.  Weighted collections are
 Labels are checked in one place: a `SystemLayout` rejects a repeated one,
 so every operation that adds or renames parties (`tensor`, `merge_groups`,
 `purify`, a flagged or dilated state) raises ``DuplicateParty`` by
-building its layout.  One function, `_relaid`, carries a state onto a new
-layout or party order, and a `PureState` it carries stays one.
+building its layout.  One function, `_relaid`, carries a state, or copies
+of it side by side, onto a new layout or party order, and a `PureState` it
+carries stays one.
 
 Each state is derived once. An `Mstate` keeps the spectrum its PSD check
 computes, in the form the entropy kernel in `info` reads it, so no entropy
@@ -419,22 +420,28 @@ def _slack_of(rho: Mstate) -> float:
     return max(0.0, -float(rho.spectrum.min()))
 
 
-def _relaid(rho: Mstate, layout: SystemLayout, perm=None) -> Mstate:
-    """``rho`` carried onto ``layout``: its parties first put in the order
-    ``perm`` (indices into ``rho``'s layout; None keeps the order), then the
-    flat index read on ``layout``.  The one way a state is reordered or
-    renamed.  A `PureState` stays one, its amplitudes moved.  Otherwise
-    the eigenvalues are ``rho``'s, so the PSD check allows ``rho``'s
-    smallest one."""
-    dims = rho.layout.dims
+def _relaid(rho: Mstate, layout: SystemLayout, perm=None, copies: int = 1) -> Mstate:
+    """``rho``, or ``copies`` copies of it side by side (their tensor
+    product, with no state built for it), carried onto ``layout``: the
+    parties first put in the order ``perm`` (indices into the copies'
+    joint layout; None keeps the order), then the flat index read on
+    ``layout``.  The one way a state is reordered, renamed or repeated.  A
+    `PureState` stays one, its amplitudes moved.  Otherwise the PSD check
+    allows ``rho``'s smallest eigenvalue: the eigenvalues are ``rho``'s, or
+    products of them, none below that one times the largest."""
+    dims = rho.layout.dims * copies
     if isinstance(rho, PureState):
         v = rho.amplitudes
+        for _ in range(copies - 1):
+            v = np.kron(v, rho.amplitudes)
         if perm is not None:
             v = v.reshape(dims).transpose(perm).reshape(-1)
         return PureState(layout, v)
     m = rho.matrix
+    for _ in range(copies - 1):
+        m = np.kron(m, rho.matrix)
     if perm is not None:
-        n, d = len(dims), rho.layout.total_dim
+        n, d = len(dims), len(m)
         m = _tensor_view(m, dims).transpose(*perm, *(n + i for i in perm)).reshape(d, d)
     return Mstate(layout, m, _psd_slack=_slack_of(rho))
 
@@ -446,6 +453,12 @@ def partial_transpose(rho: Mstate, parties) -> np.ndarray:
     if not labels:
         raise InvalidArgument("partial_transpose: nothing to transpose")
     check_groups(rho.layout, labels)
+    return _partial_transpose(rho, labels)
+
+
+def _partial_transpose(rho: Mstate, labels: tuple[str, ...]) -> np.ndarray:
+    """`partial_transpose` of a nonempty group that `check_groups` has
+    already returned for ``rho``'s layout."""
     n = len(rho.layout.parties)
     t = _tensor_view(rho.matrix, rho.layout.dims)
     for l in labels:
@@ -485,7 +498,12 @@ def merge_groups(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
     after its parties, primed (`fresh_label`) past every label of ``rho``
     and every earlier composite.  When every group is one label, the state
     is the permuted one: ``rho`` itself in layout order."""
-    groups = check_group_cover(rho.layout, *groups)
+    return _merged(rho, check_group_cover(rho.layout, *groups))
+
+
+def _merged(rho: Mstate, groups) -> tuple[Mstate, tuple[str, ...]]:
+    """`merge_groups` of groups that `check_group_cover` has already
+    returned for ``rho``'s layout."""
     order = [l for g in groups for l in g]
     if len(order) == len(groups):
         return permute_parties(rho, order), tuple(order)

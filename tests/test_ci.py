@@ -51,11 +51,15 @@ from ci_toolkit.optim import OptimizerConfig, Povm, haar_unitary, rank1_povm
 from ci_toolkit.states import (
     DIM_CAP,
     Mstate,
+    PureState,
     SystemLayout,
+    _relaid,
     marginal,
+    merge_groups,
     preset,
     random_mixed_state,
     random_pure_state,
+    tensor,
 )
 
 CFG = OptimizerConfig(restarts=8, max_iters=600, tol=1e-5, seed=17)
@@ -326,6 +330,55 @@ def test_discord_additivity_check_happy_path():
     assert check.double.value <= 2.0 * check.single.value + 1e-9
     assert abs(check.deviation) <= 2e-2
     assert check.single_classical == check.single.info["classical_correlation"]
+
+
+def test_discord_additivity_check_builds_the_pair_once(monkeypatch):
+    # the pair (X1+X2 | Y1+Y2) is built once on its composite layout: no
+    # copy and no four-party product is built on the way
+    family15 = preset("family15", (C_STAR,))
+    built = []
+    validate = Mstate.__post_init__
+
+    def spy(state):
+        built.append(state.layout.describe())
+        validate(state)
+
+    monkeypatch.setattr(Mstate, "__post_init__", spy)
+    check = discord_additivity_check(
+        family15, ("A", "C"), "B", OptimizerConfig(restarts=1, max_iters=10, tol=1e-3)
+    )
+    assert len(built) < 9
+    assert built.count("((A+C)1+(A+C)2):16,(B1+B2):4") == 1
+    assert check.double.info["measured_party"] == "(B1+B2)"
+
+
+@pytest.mark.parametrize("name", ["family15", "pure"])
+def test_two_copies_relaid_at_once_equal_the_relaid_product(name):
+    # the copies' product relaid in one step is the product of the copies
+    # merged: bit for bit, matrix and stored spectrum, for a mixed state; a
+    # pure one stays a PureState, its matrix the outer product of the pair
+    if name == "family15":
+        merged, (lx, ly) = merge_groups(preset("family15", (C_STAR,)), (("A", "C"), "B"))
+    else:
+        merged, (lx, ly) = random_pure_state((("X", 2), ("Y", 3)), 5), ("X", "Y")
+    dx, dy = merged.layout.dims
+    copy1 = _relaid(merged, SystemLayout(((lx + "1", dx), (ly + "1", dy))))
+    copy2 = _relaid(merged, SystemLayout(((lx + "2", dx), (ly + "2", dy))))
+    old, labels = merge_groups(
+        tensor(copy1, copy2), ((lx + "1", lx + "2"), (ly + "1", ly + "2"))
+    )
+    new = _relaid(merged, old.layout, (0, 2, 1, 3), copies=2)
+    assert labels == old.layout.labels
+    if name == "family15":
+        assert np.array_equal(new.matrix, old.matrix)
+        assert np.array_equal(new.spectrum, old.spectrum)
+    else:
+        pair = np.kron(merged.amplitudes, merged.amplitudes)
+        assert isinstance(new, PureState)
+        assert np.array_equal(
+            new.amplitudes, pair.reshape(dx, dy, dx, dy).transpose(0, 2, 1, 3).reshape(-1)
+        )
+        assert np.abs(new.matrix - old.matrix).max() <= 1e-15
 
 
 def test_discord_additivity_check_rejections():

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from ci_toolkit import states
+from ci_toolkit import ci, info, measures, states
 from ci_toolkit.ci import lqsm_fidelity_lower, resolve_tripartite
 from ci_toolkit.errors import InvalidPartition, LayoutMismatch, UnknownParty
-from ci_toolkit.info import conditional_mutual_info
+from ci_toolkit.info import Partition, conditional_mutual_info
 from ci_toolkit.measures import eoa
 from ci_toolkit.optim import OptimizerConfig
 from ci_toolkit.states import (
@@ -34,6 +34,7 @@ from ci_toolkit.states import (
     default_groups,
     measured_label,
     preset,
+    random_mixed_state,
     rest_of,
 )
 
@@ -104,8 +105,16 @@ def test_measured_label_only_where_a_povm_is_given():
     assert not hits, "pass measured groups to the search, which merges them:\n" + "\n".join(hits)
 
 
-# the calls that check a group: directly, or through a `Partition`
-GROUP_CHECKS = {"check_groups", "restrict", "validate"}
+# the calls that check a group: directly, through a `Partition`, or through
+# a cover check (`check_group_cover`, and the calls made of it)
+GROUP_CHECKS = {
+    "check_groups",
+    "restrict",
+    "validate",
+    "check_group_cover",
+    "resolve_tripartite",
+    "merge_groups",
+}
 
 
 def test_unchecked_marginal_only_after_a_group_check():
@@ -204,3 +213,31 @@ GHZ = preset("ghz")
 def test_unknown_label_raises_unknown_party(call):
     with pytest.raises(UnknownParty, match="'Q'"):
         call()
+
+
+THREE_MIXED = random_mixed_state(THREE, 81)
+# each door checks its groups once, however many reductions, searches and
+# bounds it takes after that
+_DOORS = {
+    "ci_lower": lambda rho: ci.ci_lower(rho, config=QUICK),
+    "ci_upper": lambda rho: ci.ci_upper(rho),
+    "ed_interval": lambda rho: measures.ed_interval(rho, Partition(("A", "B"), "C")),
+    "log_negativity": lambda rho: measures.log_negativity(rho, Partition("A", "B")),
+    "one_way_ci": lambda rho: measures.one_way_ci(rho, "A", "B", "C", QUICK),
+    "monotone_necessary_check": lambda rho: ci.monotone_necessary_check(rho),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DOORS))
+def test_each_door_checks_its_groups_once(monkeypatch, name):
+    checks = []
+    check = states.check_groups
+
+    def spy(layout, *groups):
+        checks.append(groups)
+        return check(layout, *groups)
+
+    for module in (states, info, measures, ci):
+        monkeypatch.setattr(module, "check_groups", spy)
+    _DOORS[name](THREE_MIXED)
+    assert len(checks) == 1

@@ -152,10 +152,10 @@ def test_kernel_is_homogeneous(t):
 
 
 def test_only_info_takes_logs():
-    # every entropy comes from the kernel in info; log_negativity's log2 of
-    # a trace norm is the one log outside it
+    # every entropy comes from the kernel in info, and so does every other
+    # log, log_negativity's too (by `info._log2`)
     logs = {("np", "log2"), ("np", "log"), ("math", "log2"), ("math", "log")}
-    exempt = {("measures.py", "log_negativity")}
+    exempt = set()
     hits = []
     for path in sorted(Path(info.__file__).resolve().parent.glob("*.py")):
         if path.name == "info.py":
