@@ -33,6 +33,7 @@ from .states import (
 
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,35 @@ def _entropy_log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logs = _log2(np.maximum(w, _EPS * w[..., -1:]))
     log = (u * logs[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
     return _spectrum_h(w), log
+
+
+def _log2_coefficients(g00, g11, g01) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (c0, c1) with log2 G = c0 1 + c1 G on the support of
+    each 2x2 PSD matrix G = [[g00, g01], [conj(g01), g11]] of a stack,
+    given as arrays of its entries: `_entropy_log_stack`'s log, with its
+    eigenvalue rule, and no eigensolve.
+
+    With the eigenvalues lo <= hi of G, mean -/+ the radius r, and f the
+    floored log2, c1 is the divided difference (f(hi) - f(lo)) / (hi - lo)
+    and c0 = f(lo) - c1 lo.  An eigenvalue below the floor, eps hi or the
+    smallest normal double, is read at it.  The difference of logs is
+    log1p(x) / ln 2 with x = 2r / lo, or (hi - floor) / floor where lo is
+    floored, so equal or nearly equal eigenvalues lose no accuracy: c1 is
+    then log1p(x) / x / (lo ln 2), and 1 / (lo ln 2) at x = 0."""
+    mean = 0.5 * (g00 + g11)
+    # hypot, so that no square under- or overflows at any scale
+    rad = np.hypot(0.5 * (g00 - g11), np.abs(g01))
+    hi, lo, gap = mean + rad, mean - rad, 2.0 * rad
+    floor = np.maximum(_EPS * np.maximum(hi, 0.0), _TINY)
+    held = lo >= floor
+    low = np.where(held, lo, floor)
+    spread = np.where(held, gap, np.maximum(hi, floor) - floor)
+    # log1p(x) / x, read as 1 at x = 0 (log1p(tiny) is tiny)
+    x = np.maximum(spread / low, _TINY)
+    c1 = np.log1p(x) / x / (_LN2 * low)
+    # where lo is floored, the log spread spans floor..hi over the gap lo..hi
+    c1 = np.where(held, c1, c1 * spread / np.maximum(gap, _TINY))
+    return _log2(low) - c1 * lo, c1
 
 
 def _pure_entropy_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,6 +43,7 @@ from .info import (
     _entropy_log_stack,
     _entropy_stack,
     _log2,
+    _log2_coefficients,
     _plogp,
     _pure_entropy_stack,
     matrix_entropy,
@@ -512,9 +513,16 @@ def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
     chi_i is linear in conj(v_i), and the term's derivative is
     -2 Re Tr[Y_i^dagger d chi_i] with Y_i = log2(chi_i chi_i^dagger / p_i) chi_i
     (equally chi_i log2(chi_i^dagger chi_i / p_i)), so row i's gradient is
-    -2 conj(Y_i) contracted with ``psi_mat``."""
+    -2 conj(Y_i) contracted with ``psi_mat``.  The log is taken of the Gram
+    matrix G on the smaller side of chi_i.  When that side is a qubit, G is
+    2x2, log2 G = c0 1 + c1 G (`_log2_coefficients`), and Y_i is formed
+    from the two rows (or columns) x0, x1 of chi_i and the entries of G
+    alone, with no eigensolve and no stacked product; otherwise log2 G
+    comes from `_entropy_log_stack`.  Either way the value is
+    `_pure_entropy_stack`'s."""
     rows = np.ascontiguousarray(psi_mat.T)
     left = da <= dc
+    qubit = (da if left else dc) == 2
 
     def batch(vstack: np.ndarray):
         # one 2-D product over every row: a stacked matmul runs one tiny
@@ -522,10 +530,26 @@ def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
         b, k, d = vstack.shape
         chi = (vstack.conj().reshape(b * k, d) @ rows).reshape(b * k, da, dc)
         p, h = _pure_entropy_stack(chi.reshape(b, k, da, dc))
-        chi_h = np.conj(np.swapaxes(chi, -1, -2))
-        _, log = _entropy_log_stack(chi @ chi_h if left else chi_h @ chi)
-        y = log @ chi if left else chi @ log
-        y -= _log2(p).reshape(b * k, 1, 1) * chi
+        if qubit:
+            # x holds the two rows of chi (its two columns on the right side);
+            # G is x x^dagger on either side up to conjugating g01, which the
+            # product below absorbs: Y = (c0 - log2 p) x + c1 G x
+            x = chi if left else chi.swapaxes(1, 2)
+            g = np.vecdot(x, x).real
+            g01 = np.vecdot(x[:, 1], x[:, 0])
+            c0, c1 = _log2_coefficients(g[:, 0], g[:, 1], g01)
+            c0 -= _log2(p).reshape(-1)
+            off = (c1 * g01)[:, None]
+            y = x * (c0[:, None] + c1[:, None] * g)[:, :, None]
+            y[:, 0] += off * x[:, 1]
+            y[:, 1] += off.conj() * x[:, 0]
+            if not left:
+                y = y.swapaxes(1, 2)
+        else:
+            chi_h = np.conj(np.swapaxes(chi, -1, -2))
+            _, log = _entropy_log_stack(chi @ chi_h if left else chi_h @ chi)
+            y = log @ chi if left else chi @ log
+            y -= _log2(p).reshape(b * k, 1, 1) * chi
         grads = -2.0 * (y.conj().reshape(b * k, da * dc) @ psi_mat)
         return s_a + np.sum(h + _plogp(p), axis=-1), grads.reshape(vstack.shape)
 

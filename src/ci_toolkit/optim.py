@@ -17,7 +17,7 @@ Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008):
   of the inverse Hessian of the negated objective in real ambient
   coordinates, P_V the projection onto the tangent space, and D = xi
   whenever <xi, D> <= 0 (the memory is then cleared);
-- the step is V' = polar(V + alpha D), by SVD, with alpha = 1, except a
+- the step is V' = polar(V + alpha D), with alpha = 1, except a
   restart's first step, which has length 0.1; until f(V') >= f + 1e-4
   alpha <xi, D>, at most 30 times, alpha backtracks to the maximizer of
   the quadratic through f, the slope <xi, D> and f(V'), clipped to
@@ -45,18 +45,20 @@ arrays over the live restarts of V, the value, xi, D, alpha, the slope
 newest last, with the unused slots zero, so that a push is one
 shift-append. A round makes one objective call over the trial points, one
 tangent projection of (G, V' - V, xi) at them, one H xi over the stack and
-its tangent projection, and one polar retraction (a single SVD). H xi takes
-the compact form (Byrd, Nocedal & Schnabel, Math. Prog. 63, 129, 1994): a
+its tangent projection, and one polar retraction of W = V + alpha D: at
+c = 2 a closed form in the entries of W^dagger W, otherwise a single SVD.
+H xi takes the compact form (Byrd, Nocedal & Schnabel, Math. Prog. 63, 129, 1994): a
 few batched products with the Gram blocks S Y^T and Y Y^T, and one batched
 inverse of R, the upper triangle of S Y^T. Acceptance and backtracking are
 a row mask; restarts that end are written out and dropped from the stack,
 so a round costs a fixed number of NumPy calls however many restarts are
 live.
 
-Rows are independent: every stacked product, inverse, SVD and reduction
-computes each row exactly as it does for a stack of one, so each restart's
-arithmetic is that of its run alone and it ends exactly where it ends when
-run alone. The search is deterministic for a fixed seed and config.
+Rows are independent: every stacked product, inverse, SVD, elementwise
+closed form and reduction computes each row exactly as it does for a stack
+of one, so each restart's arithmetic is that of its run alone and it ends
+exactly where it ends when run alone. The search is deterministic for a
+fixed seed and config.
 """
 
 from __future__ import annotations
@@ -206,7 +208,26 @@ def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _polar(w: np.ndarray) -> np.ndarray:
     """The isometry nearest a full-rank K x c matrix: w (w^dagger w)^(-1/2);
-    on a (B, K, c) stack, matrix by matrix."""
+    on a (B, K, c) stack, matrix by matrix.
+
+    At c = 2 it is the closed form w adj(A + s 1) / (s t), A = w^dagger w,
+    s = sqrt(det A), t = sqrt(tr A + 2 s): (A + s 1) / t is the square root
+    of a 2 x 2 PSD A, and det(A + s 1) = s t^2.  At a tangent step
+    w = V + alpha D, A = 1 + alpha^2 D^dagger D >= 1, so det A loses
+    nothing to cancellation.  It is elementwise in each row.  Every other
+    c takes the SVD w = U S W^dagger, whose U W^dagger it is."""
+    if w.shape[-1] == 2:
+        w0, w1 = w[..., 0], w[..., 1]
+        a = np.vecdot(w.swapaxes(-1, -2), w.swapaxes(-1, -2)).real
+        a01 = np.vecdot(w0, w1)
+        s = np.sqrt(a[..., 0] * a[..., 1] - (a01.real**2 + a01.imag**2))
+        inv = 1.0 / (s * np.sqrt(a[..., 0] + a[..., 1] + 2.0 * s))
+        # adj(A + s 1) / (s t) = [[a11 + s, -a01], [-conj(a01), a00 + s]] / (s t)
+        off = (-inv * a01)[..., None]
+        v = w * ((a[..., ::-1] + s[..., None]) * inv[..., None])[..., None, :]
+        v[..., 0] += w1 * off.conj()
+        v[..., 1] += w0 * off
+        return v
     u, _, vh = np.linalg.svd(w, full_matrices=False)
     return u @ vh
 

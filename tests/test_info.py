@@ -407,3 +407,44 @@ def test_mi_continuity_bound_formula():
         mi_continuity_bound(1.5, 4)
     with pytest.raises(InvalidArgument):
         mi_continuity_bound(0.1, 1)
+
+
+def _gram_blocks(kind: str, rng) -> np.ndarray:
+    """A (12, 2, 2) stack of PSD Gram matrices of one kind."""
+    x = rng.standard_normal((12, 2, 3)) + 1j * rng.standard_normal((12, 2, 3))
+    if kind == "rank-1":
+        x[:, 1] = x[:, 0] * (rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1)))
+    g = x @ np.conj(np.swapaxes(x, -1, -2))
+    g /= np.trace(g, axis1=1, axis2=2).real[:, None, None] / 0.3
+    if kind == "zero":
+        return np.zeros((12, 2, 2), dtype=complex)
+    if kind == "scalar":
+        return rng.uniform(0.01, 2.0, (12, 1, 1)) * np.eye(2)
+    if kind == "near-degenerate":
+        # eigenvalues w (1 +/- 5e-10), a relative gap of 1e-9, in a random basis
+        u = np.linalg.qr(x[:, :, :2])[0]
+        w = rng.uniform(0.01, 2.0, (12, 1)) * np.array([1.0 - 5e-10, 1.0 + 5e-10])
+        return (u * w[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    if kind == "tiny":
+        return 1e-300 * g
+    return g
+
+
+@pytest.mark.parametrize(
+    "kind", ["random", "rank-1", "zero", "scalar", "near-degenerate", "tiny"]
+)
+def test_log2_coefficients_match_the_eigh_log(kind):
+    # log2 G = c0 1 + c1 G, by _entropy_log_stack's eigenvalue rule; on a
+    # rank-one G only its support counts, so the logs are compared there,
+    # as L G
+    g = _gram_blocks(kind, np.random.default_rng(len(kind)))
+    # no division by zero, invalid value or overflow at any kind (underflow,
+    # as in the eigh path's floor, is not an error)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        c0, c1 = info._log2_coefficients(g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1])
+    closed = c0[:, None, None] * np.eye(2) + c1[:, None, None] * g
+    _, log = _entropy_log_stack(g)
+    if kind == "rank-1":
+        closed, log = closed @ g, log @ g
+    assert np.all(np.isfinite(c0)) and np.all(np.isfinite(c1))
+    assert np.abs(closed - log).max() <= 1e-12 * np.abs(log).max()

@@ -590,3 +590,22 @@ def test_maximize_needs_an_objective():
         maximize(None, 2, QUICK)
     with pytest.raises(InvalidArgument):
         maximize(batch_objective=None, dim=2, config=QUICK, columns=1, sense="min")
+
+
+@pytest.mark.parametrize("dim", [2, 4, 9])
+@pytest.mark.parametrize("step", [1e-6, 1e-2, 1.0, 10.0])
+def test_two_column_polar_matches_the_svd_polar(dim, step):
+    # c = 2 takes the closed form w adj(A + s 1) / (s t); at a tangent step,
+    # near the isometry or far from it, it is the SVD's U W^dagger and an
+    # isometry to rounding
+    rng = np.random.default_rng(int(dim / step) + dim)
+    v = np.stack([haar_unitary(dim, 700 + b)[:, :2] for b in range(6)])
+    z = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
+    d = _tangent(v, z)
+    w = v + step * d / np.linalg.norm(d, axis=(1, 2))[:, None, None]
+    with np.errstate(all="raise"):
+        polar = _polar(w)
+    u, _, vh = np.linalg.svd(w, full_matrices=False)
+    assert np.max(np.abs(polar - u @ vh)) <= 1e-13
+    gram = np.conj(np.swapaxes(polar, 1, 2)) @ polar
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
