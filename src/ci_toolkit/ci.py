@@ -190,7 +190,8 @@ def ci_lower(
     # the groups are checked once, above: what follows reduces by `_marginal`
     # and calls the searches and bounds past their own checks
     rho_ac = _marginal(rho, a + c)
-    trivial = vn_entropy(_marginal(rho_ac, a)) + vn_entropy(_marginal(rho_ac, c)) - vn_entropy(rho_ac)
+    s_ac = vn_entropy(rho_ac)
+    trivial = vn_entropy(_marginal(rho_ac, a)) + vn_entropy(_marginal(rho_ac, c)) - s_ac
 
     merged, (la, _, _) = _merged(rho, (a, b, c))
     ow = _one_way_search(merged, vn_entropy(_marginal(merged, (la,))), config)

@@ -448,3 +448,12 @@ def test_log2_coefficients_match_the_eigh_log(kind):
         closed, log = closed @ g, log @ g
     assert np.all(np.isfinite(c0)) and np.all(np.isfinite(c1))
     assert np.abs(closed - log).max() <= 1e-12 * np.abs(log).max()
+    if kind in ("scalar", "near-degenerate"):
+        # c1 itself, the divided difference of log2 over eigenvalues
+        # w (1 -/+ delta): atanh(delta) / (delta w ln 2), 1 / (w ln 2) at
+        # delta = 0, with no cancellation however small the gap
+        w = 0.5 * (g[:, 0, 0] + g[:, 1, 1]).real
+        delta = 5e-10 if kind == "near-degenerate" else 0.0
+        ratio = math.atanh(delta) / delta if delta else 1.0
+        exact = ratio / (w * math.log(2.0))
+        assert np.abs(c1 - exact).max() <= 1e-12 * np.abs(exact).max()
