@@ -36,7 +36,6 @@ from .errors import (
 )
 from .info import (
     Partition,
-    conditional_entropy,
     mutual_info,
     trace_distance,
     vn_entropy,
@@ -44,16 +43,15 @@ from .info import (
 from .measures import (
     Bracket,
     MeasureEstimate,
+    _discord,
     _ed_interval,
+    _flag_info,
     _log_negativity,
     _off_block_max,
     _one_way_search,
+    _steered_entanglement,
     discord,
-    ed_interval,
-    eoa,
     measure_ensemble,
-    one_way_ci,
-    povm_flag_mutual_info,
 )
 from .optim import (
     OptimizerConfig,
@@ -242,7 +240,7 @@ def ci_pure_oneway(
     a, b, c = resolve_tripartite(state.layout, alice, bob, charlie)
     s_a = vn_entropy(_marginal(state, a))
     rho_ac = _marginal(state, a + c)
-    assisted = eoa(rho_ac, a, config)
+    assisted = _steered_entanglement(rho_ac, a, config, "max")
     info = {"marginal_entropy": s_a, "assisted_entanglement": assisted.value}
     return assisted.derive(s_a + assisted.value, 1, **info)
 
@@ -281,8 +279,8 @@ def ci_product_regularized(
     """
     a, b1, b2, c = check_group_cover(rho.layout, alice, bob_inner, bob_outer, charlie)
     ordered = permute_parties(rho, a + b1 + b2 + c)
-    left = marginal(ordered, a + b1)
-    right = marginal(ordered, b2 + c)
+    left = _marginal(ordered, a + b1)
+    right = _marginal(ordered, b2 + c)
     product = tensor(left, right)
     residual = float(np.max(np.abs(product.matrix - ordered.matrix)))
     if residual > SLACK:
@@ -295,8 +293,10 @@ def ci_product_regularized(
             f"the (reference, helper-inner) factor has purity {left.purity():.9f}, "
             "but the closed form needs it pure"
         )
-    s_a = vn_entropy(marginal(left, a))
-    ed = ed_interval(right, Partition(b2, c))
+    s_a = vn_entropy(_marginal(left, a))
+    # the cut covers ``right``, so it is its own restriction
+    sides = (vn_entropy(_marginal(right, b2)), vn_entropy(_marginal(right, c)))
+    ed = _ed_interval(right, Partition(b2, c), sides)
     lo = s_a + min(s_a, ed.lower)
     hi = s_a + min(s_a, ed.upper)
     return Bracket(lo, hi, ed.exact or hi - lo <= ZERO)
@@ -318,9 +318,10 @@ def discord_via_ci(
         SystemLayout(((aux, 2),)),
         np.diag([1.0, 0.0]).astype(complex),
     )
-    ext = tensor(rho, vac)
-    ow = one_way_ci(ext, x, y, (aux,), config)
-    i_xy = mutual_info(rho, Partition(x, y))
+    merged, (la, _, _) = _merged(tensor(rho, vac), (x, y, (aux,)))
+    ow = _one_way_search(merged, vn_entropy(_marginal(merged, (la,))), config)
+    # I(X : Y) as `mutual_info` sums it; the groups cover ``rho``
+    i_xy = vn_entropy(_marginal(rho, x)) + vn_entropy(_marginal(rho, y)) - vn_entropy(rho)
     return ow.derive(max(i_xy - ow.value, 0.0), -1, mutual_info=i_xy, one_way=ow.value)
 
 
@@ -341,7 +342,8 @@ def lqsm_fidelity_lower(
     if not math.isfinite(ci_value):
         raise InvalidArgument(f"concentrated information must be finite, got {ci_value}")
     a, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
-    total = mutual_info(rho, Partition(a, rest))
+    # I(A : rest) as `mutual_info` sums it; the groups cover ``rho``
+    total = vn_entropy(_marginal(rho, a)) + vn_entropy(_marginal(rho, rest)) - vn_entropy(rho)
     if ci_value > total + SLACK:
         raise InvalidArgument(
             f"concentrated information {ci_value:.12g} exceeds the total "
@@ -370,10 +372,15 @@ def oneway_ci_upper(
     certified number.
     """
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    i_total = mutual_info(rho, Partition(a, b + c))
-    i_bc = mutual_info(rho, Partition(b, c))
+    # both mutual informations as `mutual_info` sums them
+    i_total = vn_entropy(_marginal(rho, a)) + vn_entropy(_marginal(rho, b + c)) - vn_entropy(rho)
+    rho_bc = _marginal(rho, b + c)
+    i_bc = vn_entropy(_marginal(rho_bc, b)) + vn_entropy(_marginal(rho_bc, c)) - vn_entropy(rho_bc)
     if discord_value is None:
-        discord_value = discord(rho, a + c, b, config).value
+        merged, _ = _merged(rho, (a + c, b))
+        discord_value = _discord(
+            merged, lambda g: vn_entropy(_marginal(merged, g)), config
+        ).value
     return i_total + i_bc - float(discord_value)
 
 
@@ -393,7 +400,9 @@ def merge_conditional_entropy_check(
     communication cost: true iff the helper's entropy conditioned on the
     receiver is non-positive (within 1e-9).  Both groups must be nonempty
     and disjoint."""
-    ce = conditional_entropy(rho, *check_groups(rho.layout, bob, charlie))
+    b, c = check_groups(rho.layout, bob, charlie)
+    # S(B | C) as `conditional_entropy` takes it
+    ce = vn_entropy(_marginal(rho, b + c)) - vn_entropy(_marginal(rho, c))
     return MergeFeasibility(ce <= SLACK, ce)
 
 
@@ -590,7 +599,7 @@ def discord_additivity_check(
                 )
 
     boosted = replace(cfg, restarts=2 * cfg.restarts)
-    single = discord(merged, lx, ly, boosted)
+    single = _discord(merged, lambda g: vn_entropy(_marginal(merged, g)), boosted)
 
     # the two copies (X1, Y1, X2, Y2) as the pair (X1+X2, Y1+Y2), built once
     lxx, lyy = f"({lx}1+{lx}2)", f"({ly}1+{ly}2)"
@@ -602,18 +611,18 @@ def discord_additivity_check(
     k1 = single.info["outcomes"]
     v1 = single.achiever.vectors
     warm = np.kron(v1, v1)
-    double = discord(pair, lxx, lyy, boosted, warm_starts=(warm,))
+    double = _discord(pair, lambda g: vn_entropy(_marginal(pair, g)), boosted, warm_starts=(warm,))
 
-    i_double = double.info["mutual_info"]
-    product_values = [
-        i_double - povm_flag_mutual_info(pair, rank1_povm(warm, dy * dy), lyy)
-    ]
+    # the product POVMs' classical correlations, as `povm_flag_mutual_info`
+    # reads them
+    i_double, s_xx = double.info["mutual_info"], vn_entropy(_marginal(pair, (lxx,)))
+    product_values = [i_double - _flag_info(pair, rank1_povm(warm, dy * dy), lyy, s_xx)]
     seeds = np.random.SeedSequence([cfg.seed, 97]).generate_state(2 * _PRODUCT_SAMPLES)
     for j in range(_PRODUCT_SAMPLES):
         up = haar_unitary(k1, int(seeds[2 * j]))[:, :dy]
         uq = haar_unitary(k1, int(seeds[2 * j + 1]))[:, :dy]
         povm = rank1_povm(np.kron(up, uq), dy * dy)
-        product_values.append(i_double - povm_flag_mutual_info(pair, povm, lyy))
+        product_values.append(i_double - _flag_info(pair, povm, lyy, s_xx))
 
     return AdditivityCheck(
         single=single,

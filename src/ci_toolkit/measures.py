@@ -47,7 +47,6 @@ from .info import (
     _plogp,
     _pure_entropy_stack,
     matrix_entropy,
-    mutual_info,
     spectrum_entropy,
     vn_entropy,
 )
@@ -70,6 +69,7 @@ from .states import (
     merge_groups,
     permute_parties,
     purify,
+    rest_of,
 )
 from .tolerances import DIAG, VALIDATE, ZERO
 
@@ -218,6 +218,14 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     rest, sig, _ = _outcome_blocks(rho, povm, party)
     s_rest = vn_entropy(marginal(rho, rest.labels))
     return float(_one_way(s_rest, sig, rest.total_dim, 1))
+
+
+def _flag_info(rho: Mstate, povm: Povm, party: str, s_rest: float) -> float:
+    """`povm_flag_mutual_info` of a ``party`` already checked to be one
+    label of the POVM's dimension, given the entropy ``s_rest`` of the
+    other parties."""
+    rest_dim = rho.layout.total_dim // povm.party_dim
+    return float(_one_way(s_rest, _measured_blocks(rho, povm, party), rest_dim, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +478,19 @@ def discord(
     outcome vectors (or K x K unitaries, read by their first d columns),
     K = d^2, searched before the seeded restarts.
     """
-    merged, (lx, ly) = merge_groups(rho, (unmeasured, measured))
+    merged, _ = merge_groups(rho, (unmeasured, measured))
+    return _discord(merged, lambda g: vn_entropy(_marginal(merged, g)), config, warm_starts)
+
+
+def _discord(merged: Mstate, entropy, config, warm_starts=()) -> MeasureEstimate:
+    """`discord` of a merged (X, Y) state, ``entropy`` mapping a group of
+    its labels to that group's entropy: the search, with no group check."""
+    lx, ly = merged.layout.labels
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
-    s_x = vn_entropy(marginal(merged, lx))
-    i_xy = mutual_info(merged, Partition((lx,), (ly,)))
+    s_x = entropy((lx,))
+    # I(X : Y) as `mutual_info` sums it
+    i_xy = s_x + entropy((ly,)) - entropy((lx, ly))
 
     # When the unmeasured marginal index is classical (no coherences between
     # x-blocks) every conditional state is diagonal in the x basis, so the
@@ -491,8 +507,7 @@ def discord(
 
     def report(iso):
         achiever = rank1_povm(iso, dy)
-        classical = povm_flag_mutual_info(merged, achiever, ly)
-        return classical, achiever, {"measured_party": ly}
+        return _flag_info(merged, achiever, ly, s_x), achiever, {"measured_party": ly}
 
     # I - J for the searched J; the floor keeps the upper side, discord >= 0
     j = _povm_search(batch, dy, config, report, warm_starts=warm_starts)
@@ -556,15 +571,15 @@ def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
     return batch
 
 
-def _steered_entanglement(rho, alice, config, sense):
-    """Shared body of `eoa` (``sense="max"``) and `eof` (``sense="min"``).
+def _steered_entanglement(rho, a_labels, config, sense):
+    """Shared body of `eoa` (``sense="max"``) and `eof` (``sense="min"``),
+    for the checked group ``a_labels``, which leaves a nonempty rest.
 
     Purify ``rho`` (alice parties first), search rank-one POVMs on the
     purifying system for the extreme average entanglement entropy of the
     pure-state ensemble they steer, and recompute that average, with the
     achieving ensemble, from the steered amplitudes of the best POVM."""
-    a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
-    ordered = permute_parties(rho, a_labels + rest)
+    ordered = permute_parties(rho, a_labels + rest_of(rho.layout, a_labels))
     # the purification as a bare (system, ancilla) matrix: it may pass the
     # dimension cap, which no layout does
     psi_mat = _purification(ordered)
@@ -597,7 +612,8 @@ def eoa(
     ensemble average of the entanglement entropy, maximized.  Variational,
     hence a lower-bound estimate of the true assisted entanglement.
     """
-    return _steered_entanglement(rho, alice, config, "max")
+    a_labels, _ = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
+    return _steered_entanglement(rho, a_labels, config, "max")
 
 
 def eof(
@@ -609,7 +625,8 @@ def eof(
     over pure-state decompositions, of the average entanglement entropy.
     Same steering parametrization as :func:`eoa` but minimized, so the
     estimate can only sit above the true value."""
-    return _steered_entanglement(rho, alice, config, "min")
+    a_labels, _ = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
+    return _steered_entanglement(rho, a_labels, config, "min")
 
 
 def kw_discord(
@@ -633,10 +650,10 @@ def kw_discord(
     ordered = permute_parties(rho, x_labels + y_labels)
     anc = fresh_label(ordered.layout.labels, "Z")
     psi = purify(ordered, anc)
-    rho_xz = marginal(psi, x_labels + (anc,))
-    ef = eof(rho_xz, x_labels, config)
+    rho_xz = _marginal(psi, x_labels + (anc,))
+    ef = _steered_entanglement(rho_xz, x_labels, config, "min")
     s_xy = vn_entropy(ordered)
-    s_y = vn_entropy(marginal(ordered, y_labels))
+    s_y = vn_entropy(_marginal(ordered, y_labels))
     return ef.derive(
         ef.value - s_xy + s_y, 1, eof=ef.value, ancilla_dim=psi.layout.dim_of(anc)
     )
@@ -722,8 +739,8 @@ def regularized_eoa(rho: Mstate, alice: str | Sequence[str] | None = None) -> fl
     """Many-copy-rate assisted entanglement across ``alice`` vs the rest:
     min of the two marginal entropies.  Exact, no optimization."""
     a_labels, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
-    s_a = vn_entropy(marginal(rho, a_labels))
-    s_c = vn_entropy(marginal(rho, rest))
+    s_a = vn_entropy(_marginal(rho, a_labels))
+    s_c = vn_entropy(_marginal(rho, rest))
     return min(s_a, s_c)
 
 

@@ -386,7 +386,9 @@ def marginal(rho: Mstate, keep) -> Mstate:
 def _marginal(rho: Mstate, kept: tuple[str, ...]) -> Mstate:
     """`marginal` of a group that `check_groups` has already returned for
     ``rho``'s layout, or for the layout of a state ``rho`` was reduced from
-    that kept the group: the caller checks once for several reductions."""
+    that kept the group, or extended by fresh labels (a purification), with
+    any of those labels added: the caller checks once for several
+    reductions."""
     drop = rest_of(rho.layout, kept)
     return _reduction(rho, drop) if drop else rho
 

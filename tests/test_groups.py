@@ -35,6 +35,7 @@ from ci_toolkit.states import (
     measured_label,
     preset,
     random_mixed_state,
+    random_pure_state,
     rest_of,
 )
 
@@ -216,15 +217,36 @@ def test_unknown_label_raises_unknown_party(call):
 
 
 THREE_MIXED = random_mixed_state(THREE, 81)
+THREE_PURE = random_pure_state(THREE, 81)
+PRODUCT = preset("product_eq10")
+FAMILY15 = preset("family15", (0.9238795325112867,))
 # each door checks its groups once, however many reductions, searches and
 # bounds it takes after that
 _DOORS = {
-    "ci_lower": lambda rho: ci.ci_lower(rho, config=QUICK),
-    "ci_upper": lambda rho: ci.ci_upper(rho),
-    "ed_interval": lambda rho: measures.ed_interval(rho, Partition(("A", "B"), "C")),
-    "log_negativity": lambda rho: measures.log_negativity(rho, Partition("A", "B")),
-    "one_way_ci": lambda rho: measures.one_way_ci(rho, "A", "B", "C", QUICK),
-    "monotone_necessary_check": lambda rho: ci.monotone_necessary_check(rho),
+    "ci_lower": lambda: ci.ci_lower(THREE_MIXED, config=QUICK),
+    "ci_upper": lambda: ci.ci_upper(THREE_MIXED),
+    "ed_interval": lambda: measures.ed_interval(THREE_MIXED, Partition(("A", "B"), "C")),
+    "log_negativity": lambda: measures.log_negativity(THREE_MIXED, Partition("A", "B")),
+    "one_way_ci": lambda: measures.one_way_ci(THREE_MIXED, "A", "B", "C", QUICK),
+    "monotone_necessary_check": lambda: ci.monotone_necessary_check(THREE_MIXED),
+    "discord": lambda: measures.discord(THREE_MIXED, ("A", "C"), "B", QUICK),
+    "kw_discord": lambda: measures.kw_discord(THREE_MIXED, ("A", "C"), "B", QUICK),
+    "eoa": lambda: measures.eoa(THREE_MIXED, "A", QUICK),
+    "eof": lambda: measures.eof(THREE_MIXED, ("A", "B"), QUICK),
+    "regularized_eoa": lambda: measures.regularized_eoa(THREE_MIXED, "A"),
+    "oneway_ci_upper": lambda: ci.oneway_ci_upper(THREE_MIXED, config=QUICK),
+    "ci_pure_oneway": lambda: ci.ci_pure_oneway(THREE_PURE, config=QUICK),
+    "ci_product_regularized": lambda: ci.ci_product_regularized(
+        PRODUCT, "A", "B1", "B2", "C"
+    ),
+    "discord_via_ci": lambda: ci.discord_via_ci(THREE_MIXED, ("A", "C"), "B", QUICK),
+    "lqsm_fidelity_lower": lambda: ci.lqsm_fidelity_lower(THREE_MIXED, 0.0),
+    "merge_conditional_entropy_check": lambda: ci.merge_conditional_entropy_check(
+        THREE_MIXED, "B", "C"
+    ),
+    "discord_additivity_check": lambda: ci.discord_additivity_check(
+        FAMILY15, ("A", "C"), "B", QUICK
+    ),
 }
 
 
@@ -239,5 +261,5 @@ def test_each_door_checks_its_groups_once(monkeypatch, name):
 
     for module in (states, info, measures, ci):
         monkeypatch.setattr(module, "check_groups", spy)
-    _DOORS[name](THREE_MIXED)
+    _DOORS[name]()
     assert len(checks) == 1

@@ -273,8 +273,8 @@ def test_measured_quantities_take_no_matrix_entropy(monkeypatch):
 
 
 def test_discord_reads_s_x_from_one_marginal(monkeypatch):
-    # the objective's S(X), I(X:Y)'s S(X) and the classical correlation's
-    # S(X) are one stored spectrum of one marginal Mstate
+    # the objective, I(X:Y) and the classical correlation share one S(X),
+    # read once from the stored spectrum of one marginal Mstate
     read = []
     for module in (measures, info):
         real = module.vn_entropy
@@ -287,8 +287,7 @@ def test_discord_reads_s_x_from_one_marginal(monkeypatch):
     rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 29)
     est = discord(rho, ("A", "C"), "B", QUICK)
     x_reads = [s for s in read if s.layout.labels == ("(A+C)",)]
-    assert len(x_reads) == 3
-    assert all(s is x_reads[0] for s in x_reads)
+    assert len(x_reads) == 1
     assert est.info["mutual_info"] > est.info["classical_correlation"] > 0.0
 
 
