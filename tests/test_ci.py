@@ -214,6 +214,23 @@ def test_ci_product_regularized_rejects_bad_factorization():
         ci_product_regularized(rho, "B2", "C", "A", "B1")
 
 
+def test_ci_product_regularized_builds_only_the_marginals_it_reads(monkeypatch):
+    # the factorization is checked against the Kronecker product of the two
+    # factors' matrices, so no 16-dimensional product state is built: only
+    # the two factors and the three one-party marginals the rate reads
+    rho = preset("product_eq10", (0.5,))
+    built = []
+    validate = Mstate.__post_init__
+
+    def spy(state):
+        built.append(state.layout.total_dim)
+        validate(state)
+
+    monkeypatch.setattr(Mstate, "__post_init__", spy)
+    ci_product_regularized(rho, "A", "B1", "B2", "C")
+    assert built == [4, 4, 2, 2, 2]
+
+
 def test_discord_via_ci_matches_direct():
     bell = preset("bell")
     via = discord_via_ci(bell, "A", "B", CFG)
