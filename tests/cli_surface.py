@@ -1,5 +1,8 @@
 """The CLI surface pinned under tests/golden/: every `compute` quantity on
-every preset in CSV, and `verify all`, each at the default config.
+every preset in CSV, five quantities on a state file of each body kind
+(tests/golden/states/: a matrix, an ensemble with a qutrit helper, and a
+preset with relabelled parties), `verify all`, and the three `sweep`s, each
+at the default config.
 
 Each invocation's file holds its command line, exit code, stdout and
 stderr, as `replay` renders them.  `tests/test_cli_surface.py` replays the
@@ -15,10 +18,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 # preset: its --param values, if it takes any
 PRESETS = {
@@ -32,9 +37,15 @@ PRESETS = {
 }
 
 
+# state file (under tests/golden/states/, named from the repository root, as
+# `replay` runs there): the quantities computed on it
+STATE_FILES = ("matrix", "ensemble", "relabelled")
+STATE_QUANTITIES = ("entropy", "one-way-ci", "ci-bounds", "discord", "eoa")
+
+
 def invocations() -> dict[str, list[str]]:
     """File name (without suffix): argv, in a fixed order."""
-    from ci_toolkit.cli import QUANTITIES
+    from ci_toolkit.cli import QUANTITIES, SWEEP_QUANTITIES
 
     out = {}
     for quantity in QUANTITIES:
@@ -44,21 +55,35 @@ def invocations() -> dict[str, list[str]]:
             for p in params:
                 argv += ["--param", p]
             out[f"compute-{quantity}-{name}"] = argv + extra + ["--format", "csv"]
+    for name in STATE_FILES:
+        path = f"tests/golden/states/{name}.json"
+        for quantity in STATE_QUANTITIES:
+            out[f"state-{name}-{quantity}"] = [
+                "compute", quantity, "--state", path, "--format", "csv"
+            ]
     out["verify-all"] = ["verify", "all"]
+    for quantity in SWEEP_QUANTITIES:
+        argv = ["sweep", quantity, "--start", "0.55", "--stop", "0.95", "--steps", "5"]
+        out[f"sweep-{quantity}"] = argv
     return out
 
 
 def replay(argv: list[str]) -> str:
-    """Run one invocation in this process and render what it left: the
-    command line, the exit code, stdout and stderr."""
+    """Run one invocation in this process, from the repository root, and
+    render what it left: the command line, the exit code, stdout and
+    stderr."""
     from ci_toolkit.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        except SystemExit as exc:  # argparse rejections
-            code = exc.code
+    except SystemExit as exc:  # argparse rejections
+        code = exc.code
+    finally:
+        os.chdir(cwd)
     return (
         f"$ ci-toolkit {' '.join(argv)}\n"
         f"exit: {code}\n"
