@@ -17,7 +17,8 @@ Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008):
   of the inverse Hessian of the negated objective in real ambient
   coordinates, P_V the projection onto the tangent space, and D = xi
   whenever <xi, D> <= 0 (the memory is then cleared);
-- the step is V' = polar(V + alpha D), with alpha = 1, except a
+- the step is V' = polar(V + alpha D), with alpha = min(1, 1 / ||D||_F),
+  so that no trial lands farther than unit length from V, except a
   restart's first step, which has length 0.1; until f(V') >= f + 1e-4
   alpha <xi, D>, at most 30 times, alpha backtracks to the maximizer of
   the quadratic through f, the slope <xi, D> and f(V'), clipped to
@@ -75,6 +76,12 @@ from .tolerances import SLACK, VALIDATE
 # sufficient-increase factor of the backtracking, and its most backtracks.
 _MEMORY = 8
 _FIRST_STEP = 0.1
+# The longest later trial step, in Frobenius norm.  Past unit length the
+# retraction saturates: polar(V + alpha D) tends to polar(D) whatever alpha
+# is, so a longer trial tells the search nothing about D, and each halving
+# back from it costs every live restart a round.  A unit step already
+# reaches any isometry a full quasi-Newton step would land near.
+_MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
 
@@ -189,9 +196,10 @@ def rank1_povm(u, party_dim: int) -> Povm:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_i, b_i> for each row i of two (B, K, c) stacks: bit for bit
-    np.vdot(a_i, b_i).real."""
-    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real
+    """Re <a_i, b_i> for each row i of two (B, K, c) stacks, B >= 0: bit for
+    bit np.vdot(a_i, b_i).real."""
+    n = a.shape[1] * a.shape[2]
+    return np.vecdot(a.reshape(len(a), n), b.reshape(len(b), n)).real
 
 
 def _flat(z: np.ndarray) -> np.ndarray:
@@ -279,9 +287,11 @@ def _push(mem: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _directions(v, xi, norm2, mem, held, first: bool):
     """Each row's direction D, slope <xi, D> and step length, with its
     memory: D = P_V(H xi), or D = xi where the memory is empty or
-    <xi, D> <= 0, which clears it.  The step length is 1, except on a
-    restart's first step, which has length _FIRST_STEP.  (Masks are read by
-    counts: any() and all() cost microseconds on short masks.)"""
+    <xi, D> <= 0, which clears it.  The step length alpha is
+    min(1, _MAX_STEP / ||D||_F), so that alpha D is at most _MAX_STEP long,
+    except on a restart's first step, where alpha D has length _FIRST_STEP.
+    (Masks are read by counts: any() and all() cost microseconds on short
+    masks.)"""
     holding = np.count_nonzero(held)
     if holding:
         d = _tangent(v, _hq(mem, held, _flat(xi)).view(np.complex128).reshape(xi.shape))
@@ -296,7 +306,10 @@ def _directions(v, xi, norm2, mem, held, first: bool):
             held = np.where(flat, 0, held)
     else:
         d, slope = xi, norm2
-    alpha = _FIRST_STEP / np.sqrt(slope) if first else np.ones_like(slope)
+    if first:
+        alpha = _FIRST_STEP / np.sqrt(slope)
+    else:
+        alpha = np.minimum(1.0, _MAX_STEP / np.sqrt(_dots(d, d)))
     return d, slope, alpha, mem, held
 
 

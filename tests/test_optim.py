@@ -358,6 +358,67 @@ def test_a_non_ascent_direction_falls_back_to_the_gradient():
     assert slope[0] > 0.0 and alpha[0] == 1.0
 
 
+def test_a_later_step_is_at_most_unit_length():
+    # a pair (s, s / c) gives H = c 1, so D = c xi for a unit xi: rows with c
+    # from 1e-3 to 1e4 step alpha = min(1, 1 / ||D||), so no trial lands
+    # farther than unit Frobenius length from V, and a direction of at most
+    # unit length keeps alpha = 1; each row as it is alone
+    scales = np.array([1e-3, 0.5, 0.999, 1.001, 20.0, 1e4])
+    n = len(scales)
+    v = np.stack([haar_unitary(4, 20 + i)[:, :2] for i in range(n)])
+    xi = _tangent(v, np.stack([haar_unitary(4, 40 + i)[:, :2] for i in range(n)]))
+    xi = xi / np.sqrt(_dots(xi, xi))[:, None, None]
+    norm2 = _dots(xi, xi)
+    mem = _push(np.zeros((n, 2 * optim._MEMORY, 16)), _flat(xi), _flat(xi) / scales[:, None])
+    held = np.ones(n, dtype=np.int64)
+    d, slope, alpha, _, _ = _directions(v, xi, norm2, mem, held, first=False)
+    length = np.sqrt(_dots(d, d))
+    np.testing.assert_allclose(length, scales, rtol=1e-12)
+    assert np.all(alpha * length <= 1.0 + 1e-15)
+    assert np.all(alpha[length <= 1.0] == 1.0)
+    assert alpha[length > 1.0] * length[length > 1.0] == pytest.approx(1.0, rel=1e-15)
+    for i in range(n):
+        row = slice(i, i + 1)
+        alone = _directions(v[row], xi[row], norm2[row], mem[row], held[row], first=False)
+        assert alone[2][0] == alpha[i] and np.array_equal(alone[0][0], d[i])
+    # a restart's first step keeps length 0.1 along xi, however long xi is
+    big = xi * scales[:, None, None]
+    d, _, alpha, _, _ = _directions(
+        v, big, _dots(big, big), np.zeros_like(mem), np.zeros(n, dtype=np.int64), first=True
+    )
+    assert np.array_equal(d, big)
+    np.testing.assert_allclose(alpha * np.sqrt(_dots(d, d)), optim._FIRST_STEP, rtol=1e-14)
+
+
+def test_a_long_quasi_newton_direction_trials_within_unit_length(monkeypatch):
+    # on the ridge from this start the memory yields directions hundreds of
+    # times longer than unit; each trial point is the retraction of
+    # V + alpha D, which the spies pair with the V and D of its round: the
+    # first trial has length 0.1, and none is longer than 1
+    rounds, trials = [], []
+    directions, polar = optim._directions, optim._polar
+
+    def directions_spy(v, *args, **kwargs):
+        out = directions(v, *args, **kwargs)
+        rounds.append((v, out[0]))
+        return out
+
+    def polar_spy(w):
+        trials.append(w)
+        return polar(w)
+
+    monkeypatch.setattr(optim, "_directions", directions_spy)
+    monkeypatch.setattr(optim, "_polar", polar_spy)
+    cfg = OptimizerConfig(restarts=1, max_iters=200, tol=1e-8)
+    _, _, steps = _ascend(_evaluator(_ridge_batch, 1.0), [haar_unitary(4, 7)[:, :2]], cfg)
+    assert steps[0] > 10 and len(trials) == len(rounds) - 1
+    longest = max(float(np.sqrt(_dots(d, d)).max()) for _, d in rounds[:-1])
+    assert longest > 100.0
+    lengths = [float(np.sqrt(_dots(w - v, w - v))[0]) for w, (v, _) in zip(trials, rounds)]
+    assert lengths[0] == pytest.approx(optim._FIRST_STEP, rel=1e-12)
+    assert max(lengths) <= 1.0 + 1e-12
+
+
 def _dense_bfgs(pairs, q):
     # the inverse Hessian built pair by pair: H_0 = gamma I from the newest
     # pair, then H <- V^T H V + rho s s^T with V = I - rho y s^T, oldest first
