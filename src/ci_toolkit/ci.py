@@ -372,8 +372,8 @@ def oneway_ci_upper(
     """
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
     # both mutual informations as `mutual_info` sums them
-    i_total = vn_entropy(_marginal(rho, a)) + vn_entropy(_marginal(rho, b + c)) - vn_entropy(rho)
     rho_bc = _marginal(rho, b + c)
+    i_total = vn_entropy(_marginal(rho, a)) + vn_entropy(rho_bc) - vn_entropy(rho)
     i_bc = vn_entropy(_marginal(rho_bc, b)) + vn_entropy(_marginal(rho_bc, c)) - vn_entropy(rho_bc)
     if discord_value is None:
         merged, _ = _merged(rho, (a + c, b))

@@ -76,11 +76,12 @@ from .tolerances import SLACK, VALIDATE
 # sufficient-increase factor of the backtracking, and its most backtracks.
 _MEMORY = 8
 _FIRST_STEP = 0.1
-# The longest later trial step, in Frobenius norm.  Past unit length the
-# retraction saturates: polar(V + alpha D) tends to polar(D) whatever alpha
-# is, so a longer trial tells the search nothing about D, and each halving
-# back from it costs every live restart a round.  A unit step already
-# reaches any isometry a full quasi-Newton step would land near.
+# The longest later trial step, in Frobenius norm.  A tangent step of
+# length t turns V by an angle of up to arctan(t), so past unit length
+# polar(V + alpha D) tends to polar(D) whatever alpha is: a longer trial
+# tells the search nothing more about D, and each halving back from it
+# costs every live restart a round.  1 is the scale where that saturation
+# sets in, not a tuned value.
 _MAX_STEP = 1.0
 _ARMIJO = 1e-4
 _BACKTRACKS = 30
