@@ -36,6 +36,8 @@ from .errors import (
 )
 from .info import (
     Partition,
+    _conditional_entropy,
+    _mutual_info,
     mutual_info,
     trace_distance,
     vn_entropy,
@@ -319,8 +321,7 @@ def discord_via_ci(
     )
     merged, (la, _, _) = _merged(tensor(rho, vac), (x, y, (aux,)))
     ow = _one_way_search(merged, vn_entropy(_marginal(merged, (la,))), config)
-    # I(X : Y) as `mutual_info` sums it; the groups cover ``rho``
-    i_xy = vn_entropy(_marginal(rho, x)) + vn_entropy(_marginal(rho, y)) - vn_entropy(rho)
+    i_xy = _mutual_info(rho, x, y)
     return ow.derive(max(i_xy - ow.value, 0.0), -1, mutual_info=i_xy, one_way=ow.value)
 
 
@@ -341,8 +342,7 @@ def lqsm_fidelity_lower(
     if not math.isfinite(ci_value):
         raise InvalidArgument(f"concentrated information must be finite, got {ci_value}")
     a, rest = check_groups(rho.layout, *default_groups(rho.layout, alice, None))
-    # I(A : rest) as `mutual_info` sums it; the groups cover ``rho``
-    total = vn_entropy(_marginal(rho, a)) + vn_entropy(_marginal(rho, rest)) - vn_entropy(rho)
+    total = _mutual_info(rho, a, rest)
     if ci_value > total + SLACK:
         raise InvalidArgument(
             f"concentrated information {ci_value:.12g} exceeds the total "
@@ -371,15 +371,11 @@ def oneway_ci_upper(
     certified number.
     """
     a, b, c = resolve_tripartite(rho.layout, alice, bob, charlie)
-    # both mutual informations as `mutual_info` sums them
-    rho_bc = _marginal(rho, b + c)
-    i_total = vn_entropy(_marginal(rho, a)) + vn_entropy(rho_bc) - vn_entropy(rho)
-    i_bc = vn_entropy(_marginal(rho_bc, b)) + vn_entropy(_marginal(rho_bc, c)) - vn_entropy(rho_bc)
+    i_total = _mutual_info(rho, a, b + c)
+    i_bc = _mutual_info(_marginal(rho, b + c), b, c)
     if discord_value is None:
         merged, _ = _merged(rho, (a + c, b))
-        discord_value = _discord(
-            merged, lambda g: vn_entropy(_marginal(merged, g)), config
-        ).value
+        discord_value = _discord(merged, config).value
     return i_total + i_bc - float(discord_value)
 
 
@@ -400,8 +396,7 @@ def merge_conditional_entropy_check(
     receiver is non-positive (within 1e-9).  Both groups must be nonempty
     and disjoint."""
     b, c = check_groups(rho.layout, bob, charlie)
-    # S(B | C) as `conditional_entropy` takes it
-    ce = vn_entropy(_marginal(rho, b + c)) - vn_entropy(_marginal(rho, c))
+    ce = _conditional_entropy(rho, b, c)
     return MergeFeasibility(ce <= SLACK, ce)
 
 
@@ -598,7 +593,7 @@ def discord_additivity_check(
                 )
 
     boosted = replace(cfg, restarts=2 * cfg.restarts)
-    single = _discord(merged, lambda g: vn_entropy(_marginal(merged, g)), boosted)
+    single = _discord(merged, boosted)
 
     # the two copies (X1, Y1, X2, Y2) as the pair (X1+X2, Y1+Y2), built once
     lxx, lyy = f"({lx}1+{lx}2)", f"({ly}1+{ly}2)"
@@ -610,7 +605,7 @@ def discord_additivity_check(
     k1 = single.info["outcomes"]
     v1 = single.achiever.vectors
     warm = np.kron(v1, v1)
-    double = _discord(pair, lambda g: vn_entropy(_marginal(pair, g)), boosted, warm_starts=(warm,))
+    double = _discord(pair, boosted, warm_starts=(warm,))
 
     # the product POVMs' classical correlations, as `povm_flag_mutual_info`
     # reads them

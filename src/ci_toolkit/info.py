@@ -195,8 +195,14 @@ def mutual_info(state: Mstate, cut: Partition) -> float:
     Parties outside the cut are traced out first.
     """
     rho = cut.restrict(state)
-    s_l = vn_entropy(_marginal(rho, cut.left))
-    s_r = vn_entropy(_marginal(rho, cut.right))
+    return _mutual_info(rho, cut.left, cut.right)
+
+
+def _mutual_info(rho: Mstate, left: tuple[str, ...], right: tuple[str, ...]) -> float:
+    """`mutual_info` of two groups already checked against ``rho``'s layout
+    that together cover it: the one place the three entropies are summed."""
+    s_l = vn_entropy(_marginal(rho, left))
+    s_r = vn_entropy(_marginal(rho, right))
     s_lr = vn_entropy(rho)
     return s_l + s_r - s_lr
 
@@ -208,8 +214,16 @@ def conditional_entropy(state: Mstate, target, given=()) -> float:
     else:
         (t,) = check_groups(state.layout, target)
         g = ()
-    s_tg = vn_entropy(_marginal(state, t + g))
-    s_g = vn_entropy(_marginal(state, g)) if g else 0.0
+    return _conditional_entropy(state, t, g)
+
+
+def _conditional_entropy(
+    state: Mstate, target: tuple[str, ...], given: tuple[str, ...]
+) -> float:
+    """`conditional_entropy` of groups already checked against ``state``'s
+    layout (``given`` may be empty)."""
+    s_tg = vn_entropy(_marginal(state, target + given))
+    s_g = vn_entropy(_marginal(state, given)) if given else 0.0
     return s_tg - s_g
 
 

@@ -44,6 +44,7 @@ from .info import (
     _entropy_stack,
     _log2,
     _log2_coefficients,
+    _mutual_info,
     _plogp,
     _pure_entropy_stack,
     matrix_entropy,
@@ -215,9 +216,9 @@ def povm_flag_mutual_info(rho: Mstate, povm: Povm, party: str) -> float:
     form `_one_way` with a trivial receiver on the outcome blocks
     sigma_i = p_i rho_i: no outcome is dropped, and no flagged state is
     built."""
-    rest, sig, _ = _outcome_blocks(rho, povm, party)
-    s_rest = vn_entropy(marginal(rho, rest.labels))
-    return float(_one_way(s_rest, sig, rest.total_dim, 1))
+    party = measured_label(rho.layout, party, povm.party_dim)
+    s_rest = vn_entropy(_marginal(rho, rest_of(rho.layout, (party,))))
+    return _flag_info(rho, povm, party, s_rest)
 
 
 def _flag_info(rho: Mstate, povm: Povm, party: str, s_rest: float) -> float:
@@ -479,18 +480,17 @@ def discord(
     K = d^2, searched before the seeded restarts.
     """
     merged, _ = merge_groups(rho, (unmeasured, measured))
-    return _discord(merged, lambda g: vn_entropy(_marginal(merged, g)), config, warm_starts)
+    return _discord(merged, config, warm_starts)
 
 
-def _discord(merged: Mstate, entropy, config, warm_starts=()) -> MeasureEstimate:
-    """`discord` of a merged (X, Y) state, ``entropy`` mapping a group of
-    its labels to that group's entropy: the search, with no group check."""
+def _discord(merged: Mstate, config, warm_starts=()) -> MeasureEstimate:
+    """`discord` of a merged (X, Y) state: the search, with no group
+    check."""
     lx, ly = merged.layout.labels
     dx, dy = merged.layout.dims
     t4 = merged.matrix.reshape(dx, dy, dx, dy)
-    s_x = entropy((lx,))
-    # I(X : Y) as `mutual_info` sums it
-    i_xy = s_x + entropy((ly,)) - entropy((lx, ly))
+    s_x = vn_entropy(_marginal(merged, (lx,)))
+    i_xy = _mutual_info(merged, (lx,), (ly,))
 
     # When the unmeasured marginal index is classical (no coherences between
     # x-blocks) every conditional state is diagonal in the x basis, so the

@@ -7,14 +7,15 @@ dimension, only where a caller hands in a POVM built for one party.
 
 A group's reduced state comes from `states.marginal`, or from
 `states._marginal` in a function that has checked its groups once for
-several reductions, and a repeated label is rejected by the `SystemLayout` a
-new state is built on.
+several reductions, or in a private form (`info._mutual_info`,
+`measures._discord`) whose every caller has, and a repeated label is
+rejected by the `SystemLayout` a new state is built on.
 
 The guards below fail, naming file and line, when another module raises the
 group errors or ``DuplicateParty`` itself, validates a label by calling
-`.index(` for its side effect, calls `measured_label` outside
-`measures._outcome_blocks` and `ci.dilated_protocol_state`, or calls
-`_marginal` in a function that checks no group."""
+`.index(` for its side effect, calls `measured_label` outside the
+functions that take a caller's POVM, or calls `_marginal` in a function
+that checks no group and is not such a private form."""
 
 import ast
 from pathlib import Path
@@ -26,7 +27,7 @@ from ci_toolkit.ci import lqsm_fidelity_lower, resolve_tripartite
 from ci_toolkit.errors import InvalidPartition, LayoutMismatch, UnknownParty
 from ci_toolkit.info import Partition, conditional_mutual_info
 from ci_toolkit.measures import eoa
-from ci_toolkit.optim import OptimizerConfig
+from ci_toolkit.optim import OptimizerConfig, haar_unitary, rank1_povm
 from ci_toolkit.states import (
     SystemLayout,
     check_group_cover,
@@ -82,7 +83,11 @@ def test_only_states_raises_duplicate_party():
 
 
 # the functions that take a caller's POVM for one party
-POVM_TAKERS = {("measures.py", "_outcome_blocks"), ("ci.py", "dilated_protocol_state")}
+POVM_TAKERS = {
+    ("measures.py", "_outcome_blocks"),
+    ("measures.py", "povm_flag_mutual_info"),
+    ("ci.py", "dilated_protocol_state"),
+}
 
 
 def _called_name(node: ast.Call) -> str | None:
@@ -106,8 +111,9 @@ def test_measured_label_only_where_a_povm_is_given():
     assert not hits, "pass measured groups to the search, which merges them:\n" + "\n".join(hits)
 
 
-# the calls that check a group: directly, through a `Partition`, or through
-# a cover check (`check_group_cover`, and the calls made of it)
+# the calls that check a group: directly, through a `Partition`, through
+# a cover check (`check_group_cover`, and the calls made of it), or through
+# `measured_label`
 GROUP_CHECKS = {
     "check_groups",
     "restrict",
@@ -115,13 +121,49 @@ GROUP_CHECKS = {
     "check_group_cover",
     "resolve_tripartite",
     "merge_groups",
+    "measured_label",
 }
 
 
+def _uses(trees):
+    """(module, function) -> the (module, function) of every top-level
+    function that names it, None for a mention at module level: bare names
+    resolve to the module's own functions and to its package imports."""
+    uses = {}
+    for module, tree in trees.items():
+        scope = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                scope.update({a.asname or a.name: (node.module, a.name) for a in node.names})
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                scope[node.name] = (module, node.name)
+        for top in tree.body:
+            user = (module, top.name) if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in scope:
+                    target = scope[node.id]
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in trees
+                ):
+                    target = (node.value.id, node.attr)
+                else:
+                    continue
+                if target != user:
+                    uses.setdefault(target, set()).add(user)
+    return uses
+
+
 def test_unchecked_marginal_only_after_a_group_check():
-    hits = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    found = []
+    for module, tree in trees.items():
+        for top in ast.walk(tree):
             if not isinstance(top, ast.FunctionDef):
                 continue
             called = {
@@ -130,9 +172,29 @@ def test_unchecked_marginal_only_after_a_group_check():
                 if isinstance(node, ast.Call)
             }
             names = {name for name, _ in called}
-            if "_marginal" in names and not names & GROUP_CHECKS:
-                lines = sorted(line for name, line in called if name == "_marginal")
-                hits += [f"{path.name}:{line}: _marginal in {top.name}" for line in lines]
+            checks = bool(names & GROUP_CHECKS)
+            lines = sorted(line for name, line in called if name == "_marginal")
+            found.append((module, top, checks, lines))
+    # a private top-level form may reduce unchecked when every function
+    # that names it checks its groups or is itself such a form
+    guarded = {(m, top.name) for m, top, checks, _ in found if checks}
+    private = {
+        (m, top.name)
+        for m, top, checks, lines in found
+        if lines and not checks and top.name.startswith("_") and top in trees[m].body
+    }
+    uses = _uses(trees)
+    grown = True
+    while grown:
+        reached = {f for f in private - guarded if uses.get(f) and uses[f] <= guarded}
+        guarded |= reached
+        grown = bool(reached)
+    hits = [
+        f"{m}.py:{line}: _marginal in {top.name}"
+        for m, top, checks, lines in found
+        if not checks and not (top in trees[m].body and (m, top.name) in guarded)
+        for line in lines
+    ]
     assert not hits, "check the groups before _marginal, or call marginal:\n" + "\n".join(hits)
 
 
@@ -246,6 +308,9 @@ _DOORS = {
     ),
     "discord_additivity_check": lambda: ci.discord_additivity_check(
         FAMILY15, ("A", "C"), "B", QUICK
+    ),
+    "povm_flag_mutual_info": lambda: measures.povm_flag_mutual_info(
+        THREE_MIXED, rank1_povm(haar_unitary(4, 3)[:, :2], 2), "B"
     ),
 }
 

@@ -273,8 +273,9 @@ def test_measured_quantities_take_no_matrix_entropy(monkeypatch):
 
 
 def test_discord_reads_s_x_from_one_marginal(monkeypatch):
-    # the objective, I(X:Y) and the classical correlation share one S(X),
-    # read once from the stored spectrum of one marginal Mstate
+    # the objective and the classical correlation share one S(X), and
+    # I(X:Y) reads it again in `info._mutual_info`: two reads of the stored
+    # spectrum of one marginal Mstate
     read = []
     for module in (measures, info):
         real = module.vn_entropy
@@ -287,7 +288,8 @@ def test_discord_reads_s_x_from_one_marginal(monkeypatch):
     rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2), ("C", 2))), 29)
     est = discord(rho, ("A", "C"), "B", QUICK)
     x_reads = [s for s in read if s.layout.labels == ("(A+C)",)]
-    assert len(x_reads) == 1
+    assert len(x_reads) == 2
+    assert all(s is x_reads[0] for s in x_reads)
     assert est.info["mutual_info"] > est.info["classical_correlation"] > 0.0
 
 
