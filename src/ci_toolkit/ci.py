@@ -38,7 +38,6 @@ from .info import (
     Partition,
     _conditional_entropy,
     _mutual_info,
-    mutual_info,
     trace_distance,
     vn_entropy,
 )
@@ -49,16 +48,16 @@ from .measures import (
     _ed_interval,
     _flag_info,
     _log_negativity,
+    _measured_ensemble,
     _off_block_max,
     _one_way_search,
     _steered_entanglement,
     discord,
-    measure_ensemble,
 )
 from .optim import (
     OptimizerConfig,
     Povm,
-    haar_unitary,
+    _haar_stack,
     rank1_povm,
 )
 from .states import (
@@ -72,7 +71,6 @@ from .states import (
     default_groups,
     family15_bob_states,
     fresh_label,
-    marginal,
     measured_label,
     merge_groups,
     permute_parties,
@@ -376,6 +374,12 @@ def oneway_ci_upper(
     if discord_value is None:
         merged, _ = _merged(rho, (a + c, b))
         discord_value = _discord(merged, config).value
+    return _oneway_cap(i_total, i_bc, discord_value)
+
+
+def _oneway_cap(i_total: float, i_bc: float, discord_value: float) -> float:
+    """`oneway_ci_upper` from its terms I(A : BC) and I(B : C), already
+    summed, and the discord: the one place the cap is formed."""
     return i_total + i_bc - float(discord_value)
 
 
@@ -437,6 +441,15 @@ class MergeOutcome:
     final_state: Mstate
 
 
+_TWO_ROUND_TRANSCRIPT = (
+    "round 1: receiver measures its flag qubit in the computational basis "
+    "and announces z",
+    "round 2: helper measures its qubit in the z-dependent basis and sends "
+    "the outcome b",
+    "receiver stores b in register R",
+)
+
+
 def family15_two_round_merge(c: float) -> MergeOutcome:
     """Run the two-round protocol on the classical-flag family state.
 
@@ -448,10 +461,18 @@ def family15_two_round_merge(c: float) -> MergeOutcome:
     mutual information is returned; for every overlap it reaches the full
     bit that no single round can extract.
     """
-    rho = preset("family15", (c,))
+    final = _two_round_state(preset("family15", (c,)), c)
+    a, cr = check_groups(final.layout, "A", ("C", "R"))
+    return MergeOutcome(_mutual_info(final, a, cr), 2, _TWO_ROUND_TRANSCRIPT, final)
+
+
+def _two_round_state(rho: Mstate, c: float) -> Mstate:
+    """The final (A, C, R) state of `family15_two_round_merge`'s protocol
+    on ``rho``, the family15 state at overlap ``c``: its labels are the
+    preset's, so the measurements check none."""
     bob_vecs = family15_bob_states(c)
     flag_povm = rank1_povm(np.eye(2, dtype=complex), 2)
-    round1 = measure_ensemble(rho, flag_povm, "C")
+    round1 = _measured_ensemble(rho, flag_povm, "C")
 
     bases = {
         0: np.array([bob_vecs[0], bob_vecs[1]]),
@@ -460,21 +481,12 @@ def family15_two_round_merge(c: float) -> MergeOutcome:
     acc = np.zeros((8, 8), dtype=complex)
     for z, (pz, member) in enumerate(zip(round1.weights, round1.members)):
         helper_povm = rank1_povm(bases[z].astype(complex), 2)
-        round2 = measure_ensemble(member, helper_povm, "B")
+        round2 = _measured_ensemble(member, helper_povm, "B")
         for b, (qb, ref_state) in enumerate(zip(round2.weights, round2.members)):
             ez = np.zeros((2, 2)); ez[z, z] = 1.0
             eb = np.zeros((2, 2)); eb[b, b] = 1.0
             acc += float(pz) * float(qb) * np.kron(ref_state.matrix, np.kron(ez, eb))
-    final = Mstate(SystemLayout((("A", 2), ("C", 2), ("R", 2))), acc)
-    achieved = mutual_info(final, Partition("A", ("C", "R")))
-    transcript = (
-        "round 1: receiver measures its flag qubit in the computational basis "
-        "and announces z",
-        "round 2: helper measures its qubit in the z-dependent basis and sends "
-        "the outcome b",
-        "receiver stores b in register R",
-    )
-    return MergeOutcome(achieved, 2, transcript, final)
+    return Mstate(SystemLayout((("A", 2), ("C", 2), ("R", 2))), acc)
 
 
 @dataclass(frozen=True)
@@ -506,15 +518,16 @@ def family15_separation_report(
     is reported), since that is what forces round one to start at the
     receiver."""
     rho = preset("family15", (c,))
-    bc = marginal(rho, ("B", "C"))
+    ref, helper, recv = resolve_tripartite(rho.layout, "A", "B", "C")
+    bc = _marginal(rho, helper + recv)
     iso = Mstate(bc.layout, np.eye(4, dtype=complex) / 4.0)
     residual = trace_distance(bc, iso)
-    total = mutual_info(rho, Partition("A", ("B", "C")))
-    i_bc = mutual_info(rho, Partition("B", "C"))
-    disc = discord(rho, ("A", "C"), "B", config)
-    upper = oneway_ci_upper(rho, config=config, discord_value=disc.value)
-    outcome = family15_two_round_merge(c)
-    gap = outcome.achieved_mi - upper
+    total = _mutual_info(rho, ref, helper + recv)
+    i_bc = _mutual_info(bc, helper, recv)
+    disc = _discord(_merged(rho, (ref + recv, helper))[0], config)
+    upper = _oneway_cap(total, i_bc, disc.value)
+    achieved = _mutual_info(_two_round_state(rho, c), ref, recv + ("R",))
+    gap = achieved - upper
     return SeparationReport(
         c=c,
         total_mi=total,
@@ -522,7 +535,7 @@ def family15_separation_report(
         receiver_pair_residual=residual,
         helper_discord=disc,
         oneway_upper=upper,
-        two_round_mi=outcome.achieved_mi,
+        two_round_mi=achieved,
         gap=gap,
         separated=gap > 0.01,
     )
@@ -612,9 +625,8 @@ def discord_additivity_check(
     i_double, s_xx = double.info["mutual_info"], vn_entropy(_marginal(pair, (lxx,)))
     product_values = [i_double - _flag_info(pair, rank1_povm(warm, dy * dy), lyy, s_xx)]
     seeds = np.random.SeedSequence([cfg.seed, 97]).generate_state(2 * _PRODUCT_SAMPLES)
-    for j in range(_PRODUCT_SAMPLES):
-        up = haar_unitary(k1, int(seeds[2 * j]))[:, :dy]
-        uq = haar_unitary(k1, int(seeds[2 * j + 1]))[:, :dy]
+    factors = _haar_stack(k1, seeds)[:, :, :dy]
+    for up, uq in zip(factors[0::2], factors[1::2]):
         povm = rank1_povm(np.kron(up, uq), dy * dy)
         product_values.append(i_double - _flag_info(pair, povm, lyy, s_xx))
 

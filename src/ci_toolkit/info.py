@@ -122,51 +122,74 @@ def _entropy_log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _spectrum_h(w), log
 
 
-def _log2_coefficients(g00, g11, g01) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (c0, c1) with log2 G = c0 1 + c1 G on the support of
-    each 2x2 PSD matrix G = [[g00, g01], [conj(g01), g11]] of a stack,
-    given as arrays of its entries: `_entropy_log_stack`'s log, with its
-    eigenvalue rule, and no eigensolve.
+def _qubit_spectrum(x: np.ndarray):
+    """The 2x2 Gram matrix G = x x^dagger of each (..., 2, n) pair of rows
+    x0, x1, and its spectrum, in one pass: returns g = (|x0|^2, |x1|^2),
+    g01 = <x1, x0> (G's off-diagonal entry), the weight p = g00 + g11 =
+    Tr G, and the eigenvalues
 
-    With the eigenvalues lo <= hi of G, mean -/+ the radius r, and f the
-    floored log2, c1 is the divided difference (f(hi) - f(lo)) / (hi - lo)
-    and c0 = f(lo) - c1 lo.  An eigenvalue below the floor, eps hi or the
-    smallest normal double, is read at it.  The difference of logs is
-    log1p(x) / ln 2 with x = 2r / lo, or (hi - floor) / floor where lo is
-    floored, so equal or nearly equal eigenvalues lose no accuracy: c1 is
+        hi = p/2 + hypot((g00 - g11)/2, |g01|),  lo = det G / hi.
+
+    Neither eigenvalue loses accuracy to cancellation: hi adds two
+    nonnegative terms, and lo is a quotient, where the textbook p/2 - radius
+    is a difference of nearly equal numbers that loses every digit of lo
+    once lo << hi.  At n = 2, det G = |det x|^2, so lo is as accurate as the
+    2x2 determinant of x (exact when its two products are); for n > 2 it is
+    the Gram determinant g00 g11 - |g01|^2, floored at 0.  Each product in
+    lo pairs an entry with a ratio to hi, t (t / hi) with t = |det x|, so no
+    square under- or overflows, and neither does hypot."""
+    g = np.vecdot(x, x).real
+    g01 = np.vecdot(x[..., 1, :], x[..., 0, :])
+    g00, g11 = g[..., 0], g[..., 1]
+    p = g00 + g11
+    a01 = np.abs(g01)
+    hi = 0.5 * p + np.hypot(0.5 * (g00 - g11), a01)
+    # hi = 0 only for x = 0, where det G = 0 too
+    scale = np.where(hi > 0.0, hi, 1.0)
+    if x.shape[-1] == 2:
+        t = np.abs(x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0])
+        lo = t * (t / scale)
+    else:
+        lo = np.maximum(g00 * (g11 / scale) - a01 * (a01 / scale), 0.0)
+    return g, g01, p, hi, lo
+
+
+def _log2_coefficients(hi, lo) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (c0, c1) with log2 G = c0 1 + c1 G on the support of
+    each 2x2 PSD matrix G of a stack, given its eigenvalues hi and lo from
+    `_qubit_spectrum`: `_entropy_log_stack`'s log, with its eigenvalue
+    rule, and no eigensolve.
+
+    With f the floored log2, c1 is the divided difference (f(hi) - f(lo)) /
+    (hi - lo) and c0 = f(lo) - c1 lo.  An eigenvalue below the floor, eps hi
+    or the smallest normal double, is read at it.  The difference of logs is
+    log1p(x) / ln 2 with x = (hi - lo) / lo, or (hi - floor) / floor where lo
+    is floored, so equal or nearly equal eigenvalues lose no accuracy: c1 is
     then log1p(x) / x / (lo ln 2), and 1 / (lo ln 2) at x = 0."""
-    mean = 0.5 * (g00 + g11)
-    # hypot, so that no square under- or overflows at any scale
-    rad = np.hypot(0.5 * (g00 - g11), np.abs(g01))
-    hi, lo, gap = mean + rad, mean - rad, 2.0 * rad
-    floor = np.maximum(_EPS * np.maximum(hi, 0.0), _TINY)
+    floor = np.maximum(_EPS * hi, _TINY)
     held = lo >= floor
     low = np.where(held, lo, floor)
-    spread = np.where(held, gap, np.maximum(hi, floor) - floor)
-    # log1p(x) / x, read as 1 at x = 0 (log1p(tiny) is tiny)
+    spread = np.maximum(hi, floor) - low
+    # log1p(x) / x, read as 1 at x = 0 (log1p(tiny) is tiny); rounding can
+    # leave a degenerate pair's lo an ulp above hi, read as x = 0 too
     x = np.maximum(spread / low, _TINY)
     c1 = np.log1p(x) / x / (_LN2 * low)
     # where lo is floored, the log spread spans floor..hi over the gap lo..hi
-    c1 = np.where(held, c1, c1 * spread / np.maximum(gap, _TINY))
+    c1 = np.where(held, c1, c1 * spread / np.maximum(hi - lo, _TINY))
     return _log2(low) - c1 * lo, c1
 
 
 def _pure_entropy_stack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weight p = ||X||^2 and unnormalized entropy h of X X^dagger for each
-    (..., m, n) amplitude matrix.  A 2x2 spectrum is w+ = p/2 + sqrt(p^2/4 -
-    |det X|^2), w- = |det X|^2 / w+, free of cancellation; other shapes
-    diagonalize the Gram matrix on the smaller side."""
+    (..., m, n) amplitude matrix.  When the smaller side is a qubit the
+    spectrum is `_qubit_spectrum`'s, taken on the side with two rows; other
+    shapes diagonalize the Gram matrix on the smaller side."""
     m, n = x.shape[-2:]
+    if min(m, n) == 2:
+        _, _, p, hi, lo = _qubit_spectrum(x if m == 2 else np.swapaxes(x, -1, -2))
+        return p, -(_plogp(hi) + _plogp(lo))
     flat = x.reshape(x.shape[:-2] + (m * n,))
     p = np.sum(flat.real**2 + flat.imag**2, axis=-1)
-    if m == 2 and n == 2:
-        det = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
-        d2 = det.real**2 + det.imag**2
-        half = 0.5 * p
-        hi = half + np.sqrt(np.maximum(half * half - d2, 0.0))
-        # hi = 0 only for X = 0, where det = 0 too
-        lo = d2 / np.where(hi > 0.0, hi, 1.0)
-        return p, -(_plogp(hi) + _plogp(lo))
     xh = np.conj(np.swapaxes(x, -1, -2))
     gram = np.matmul(x, xh) if m <= n else np.matmul(xh, x)
     return p, _entropy_stack(gram)

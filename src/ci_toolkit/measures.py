@@ -47,6 +47,7 @@ from .info import (
     _mutual_info,
     _plogp,
     _pure_entropy_stack,
+    _qubit_spectrum,
     matrix_entropy,
     spectrum_entropy,
     vn_entropy,
@@ -149,9 +150,9 @@ def _gram_rows(vstack: np.ndarray) -> np.ndarray:
 def _outcome_blocks(rho: Mstate, povm: Povm, party: str):
     """Layout of the other parties, their unnormalized outcome blocks
     sigma_i = Tr_party[(M_i on party) rho] as a (K, n, n) stack, and the
-    probabilities p_i = Tr sigma_i (>= 0)."""
+    probabilities p_i = Tr sigma_i (>= 0), for a ``party`` already checked
+    to be one label of the POVM's dimension."""
     layout = rho.layout
-    party = measured_label(layout, party, povm.party_dim)
     sig = _measured_blocks(rho, povm, party)
     p = np.clip(np.real(np.trace(sig, axis1=1, axis2=2)), 0.0, None)
     return SystemLayout(tuple(q for q in layout.parties if q[0] != party)), sig, p
@@ -184,6 +185,12 @@ def measure_ensemble(rho: Mstate, povm: Povm, party: str) -> Ensemble:
     ``(M_i on party) rho``.  Outcomes with probability below 1e-12 are
     dropped and the surviving weights renormalized.
     """
+    return _measured_ensemble(rho, povm, measured_label(rho.layout, party, povm.party_dim))
+
+
+def _measured_ensemble(rho: Mstate, povm: Povm, party: str) -> Ensemble:
+    """`measure_ensemble` of a ``party`` already checked to be one label of
+    the POVM's dimension."""
     kept, sig, p = _outcome_blocks(rho, povm, party)
     return _kept_ensemble(p, lambda i: Mstate(kept, sig[i] / p[i]))
 
@@ -530,11 +537,13 @@ def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
     (equally chi_i log2(chi_i^dagger chi_i / p_i)), so row i's gradient is
     -2 conj(Y_i) contracted with ``psi_mat``.  The log is taken of the Gram
     matrix G on the smaller side of chi_i.  When that side is a qubit, G is
-    2x2, log2 G = c0 1 + c1 G (`_log2_coefficients`), and Y_i is formed
-    from the two rows (or columns) x0, x1 of chi_i and the entries of G
-    alone, with no eigensolve and no stacked product; otherwise log2 G
-    comes from `_entropy_log_stack`.  Either way the value is
-    `_pure_entropy_stack`'s."""
+    2x2: one `_qubit_spectrum` pass over the two rows (or columns) x0, x1 of
+    chi_i gives the entries of G, the weight and both eigenvalues, which
+    feed the entropy and log2 G = c0 1 + c1 G (`_log2_coefficients`) alike,
+    and Y_i is formed from x0, x1 and those entries alone, with no
+    eigensolve and no stacked product; otherwise log2 G comes from
+    `_entropy_log_stack`.  Either way the value is `_pure_entropy_stack`'s,
+    bit for bit."""
     rows = np.ascontiguousarray(psi_mat.T)
     left = da <= dc
     qubit = (da if left else dc) == 2
@@ -544,16 +553,15 @@ def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
         # zgemm per isometry
         b, k, d = vstack.shape
         chi = (vstack.conj().reshape(b * k, d) @ rows).reshape(b * k, da, dc)
-        p, h = _pure_entropy_stack(chi.reshape(b, k, da, dc))
         if qubit:
             # x holds the two rows of chi (its two columns on the right side);
             # G is x x^dagger on either side up to conjugating g01, which the
             # product below absorbs: Y = (c0 - log2 p) x + c1 G x
             x = chi if left else chi.swapaxes(1, 2)
-            g = np.vecdot(x, x).real
-            g01 = np.vecdot(x[:, 1], x[:, 0])
-            c0, c1 = _log2_coefficients(g[:, 0], g[:, 1], g01)
-            c0 -= _log2(p).reshape(-1)
+            g, g01, p, hi, lo = _qubit_spectrum(x)
+            h = -(_plogp(hi) + _plogp(lo))
+            c0, c1 = _log2_coefficients(hi, lo)
+            c0 -= _log2(p)
             off = (c1 * g01)[:, None]
             y = x * (c0[:, None] + c1[:, None] * g)[:, :, None]
             y[:, 0] += off * x[:, 1]
@@ -561,12 +569,14 @@ def _steering_batch(psi_mat: np.ndarray, s_a: float, da: int, dc: int):
             if not left:
                 y = y.swapaxes(1, 2)
         else:
+            p, h = _pure_entropy_stack(chi)
             chi_h = np.conj(np.swapaxes(chi, -1, -2))
             _, log = _entropy_log_stack(chi @ chi_h if left else chi_h @ chi)
             y = log @ chi if left else chi @ log
-            y -= _log2(p).reshape(b * k, 1, 1) * chi
+            y -= _log2(p)[:, None, None] * chi
         grads = -2.0 * (y.conj().reshape(b * k, da * dc) @ psi_mat)
-        return s_a + np.sum(h + _plogp(p), axis=-1), grads.reshape(vstack.shape)
+        value = s_a + np.sum((h + _plogp(p)).reshape(b, k), axis=-1)
+        return value, grads.reshape(vstack.shape)
 
     return batch
 

@@ -35,30 +35,35 @@ max_iters steps.
 `maximize` owns the restart schedule: restart r starts from warm start r,
 or else from a Haar isometry drawn from its seed when it opens. `restarts`
 is a ceiling: the first eight starts run first, and the rest open only if
-fewer than four of those end within `tol` of the best. `_ascend` returns
-each restart's isometry, value and steps as arrays in start order; the
-winner is their argmax, the lowest restart index among equal values.
+fewer than four of those end within `tol` of the best. Each block's Haar
+starts are drawn as one stack (`_haar_stack`: one generator per seed, one
+stacked QR), bit for bit the ones `haar_unitary` draws seed by seed.
+`_ascend` returns each restart's isometry, value and steps as arrays in
+start order; the winner is their argmax, the lowest restart index among
+equal values.
 
 The restarts that run advance in lockstep, as the rows of one stacked state:
 arrays over the live restarts of V, the value, xi, D, alpha, the slope
-<xi, D>, the backtracks and the steps, and the L-BFGS memory as one real
-(B, 16, 2Kc) array: the s rows of its eight pairs, then their y rows,
-newest last, with the unused slots zero, so that a push is one
-shift-append. A round makes one objective call over the trial points, one
-tangent projection of (G, V' - V, xi) at them, one H xi over the stack and
-its tangent projection, and one polar retraction of W = V + alpha D: at
-c = 2 a closed form in the entries of W^dagger W, otherwise a single SVD.
-H xi takes the compact form (Byrd, Nocedal & Schnabel, Math. Prog. 63, 129, 1994): a
-few batched products with the Gram blocks S Y^T and Y Y^T, and one batched
-inverse of R, the upper triangle of S Y^T. Acceptance and backtracking are
-a row mask; restarts that end are written out and dropped from the stack,
-so a round costs a fixed number of NumPy calls however many restarts are
-live.
+<xi, D>, the backtracks and the steps, and the L-BFGS memory (`_Memory`).
+The memory holds each row's eight pairs as one real (B, 16, 2Kc) array,
+the s rows then the y rows, newest last, with the unused slots zero, so
+that a push is one shift-append; beside it travel the small matrices of
+the compact form (Byrd, Nocedal & Schnabel, Math. Prog. 63, 129, 1994):
+R^-1, the inverse of R, the upper triangle of S Y^T; Y Y^T; diag(S Y^T);
+and gamma. A push borders them from one product of the new memory with
+the new y, and H xi is then a few batched products with them: no Gram
+product and no inverse per round. A round makes one objective call over
+the trial points, one tangent projection of (G, V' - V, xi) at them, one
+H xi over the stack and its tangent projection, and one polar retraction
+of W = V + alpha D: at c = 2 a closed form in the entries of W^dagger W,
+otherwise a single SVD. Acceptance and backtracking are a row mask;
+restarts that end are written out and dropped from the stack, so a round
+costs a fixed number of NumPy calls however many restarts are live.
 
-Rows are independent: every stacked product, inverse, SVD, elementwise
-closed form and reduction computes each row exactly as it does for a stack
-of one, so each restart's arithmetic is that of its run alone and it ends
-exactly where it ends when run alone. The search is deterministic for a
+Rows are independent: every stacked product, QR, SVD, elementwise closed
+form and reduction computes each row exactly as it does for a stack of one,
+so each restart's arithmetic is that of its run alone and it ends exactly
+where it ends when run alone. The search is deterministic for a
 fixed seed and config.
 """
 
@@ -66,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,11 +122,19 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-random unitary: QR of a complex Gaussian with phase-fixed R."""
     if dim < 1:
         raise InvalidArgument(f"haar_unitary: dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    return _haar_stack(dim, [seed])[0]
+
+
+def _haar_stack(dim: int, seeds) -> np.ndarray:
+    """The Haar-random unitaries of ``seeds`` as one (len(seeds), dim, dim)
+    stack: one generator per seed draws its complex Gaussian, then one
+    stacked QR and one phase fix.  Each unitary is bit for bit the one its
+    seed gives alone."""
+    g = np.array([np.random.default_rng(int(s)).standard_normal((2, dim, dim)) for s in seeds])
+    z = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -241,13 +255,43 @@ def _polar(w: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-_UPPER = np.triu(np.ones((_MEMORY, _MEMORY)))
-# _PAD[h]: the identity on the _MEMORY - h unused slots of a memory holding h
-# pairs, which R holds there
-_PAD = np.stack([np.diag((np.arange(_MEMORY) < _MEMORY - h) * 1.0) for h in range(_MEMORY + 1)])
+class _Memory(NamedTuple):
+    """The L-BFGS memories of a stack of B restarts, with the small matrices
+    of the compact form kept beside them (Byrd, Nocedal & Schnabel, Math.
+    Prog. 63, 129, 1994, section 4).  ``w`` holds each row's S rows, then
+    its Y rows, (B, 2 * _MEMORY, n), newest last; ``rinv`` is R^-1, the
+    inverse of R, the upper triangle of S Y^T; ``yy`` is Y Y^T; ``sy`` is
+    diag(S Y^T), and ``gamma`` = <s, y> / <y, y> of the newest pair.  The
+    unused slots of a memory that is not full are zero in ``w``, ``yy`` and
+    ``sy``, and R^-1 holds the identity there; an empty memory has gamma 0.
+    A push borders these from one product, so H q needs no Gram product and
+    no inverse."""
+
+    w: np.ndarray
+    rinv: np.ndarray
+    yy: np.ndarray
+    sy: np.ndarray
+    gamma: np.ndarray
+
+    @classmethod
+    def empty(cls, rows: int, n: int) -> _Memory:
+        """``rows`` memories holding no pair, for pair rows of length n."""
+        m = _MEMORY
+        rinv = np.broadcast_to(np.eye(m), (rows, m, m)).copy()
+        w, yy = np.zeros((rows, 2 * m, n)), np.zeros((rows, m, m))
+        return cls(w, rinv, yy, np.zeros((rows, m)), np.zeros(rows))
+
+    def rows(self, keep) -> _Memory:
+        """The memories of the rows ``keep`` (a mask or an index array)."""
+        return _Memory(*(a[keep] for a in self))
+
+    def where(self, mask: np.ndarray, other: _Memory) -> _Memory:
+        """This memory on the rows of ``mask``, ``other``'s elsewhere."""
+        shaped = (mask.reshape((-1,) + (1,) * (a.ndim - 1)) for a in self)
+        return _Memory(*(np.where(c, a, b) for c, a, b in zip(shaped, self, other)))
 
 
-def _hq(mem: np.ndarray, held: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _hq(mem: _Memory, q: np.ndarray) -> np.ndarray:
     """H q for each row of a (B, n) stack of real vectors, by the compact
     form of the L-BFGS inverse Hessian (Byrd, Nocedal & Schnabel, Math.
     Prog. 63, 129, 1994):
@@ -255,63 +299,74 @@ def _hq(mem: np.ndarray, held: np.ndarray, q: np.ndarray) -> np.ndarray:
         H q = gamma q + S^T p - gamma Y^T r,  r = R^-1 S q,
         p = R^-T (diag(R) r + gamma (Y Y^T r - Y q)),
 
-    where the rows of S and Y are the row's `held` newest pairs, R is the
-    upper triangle of S Y^T and gamma = <s, y> / <y, y> of the newest pair.
-    ``mem`` holds S then Y, (B, 2 * _MEMORY, n), newest last; unused slots
-    are zero, and R holds the identity on them, so they add nothing.  A row
-    with no pairs gets 0."""
+    where the rows of S and Y are the row's pairs and the small matrices
+    R^-1, Y Y^T, diag(R) = diag(S Y^T) and gamma are the ones the memory
+    keeps (`_Memory`): two products with the memory's rows and four
+    (_MEMORY x _MEMORY) ones, and no inverse.  Unused slots add nothing, and
+    a row with no pairs gets 0."""
     m = _MEMORY
-    # the S Y^T and Y Y^T blocks of the Gram matrix W W^T
-    gram = mem @ mem[:, m:].swapaxes(1, 2)
-    sy, yy = gram[:, :m], gram[:, m:]
-    pad = _PAD[held]
-    rinv = np.linalg.inv(sy * _UPPER + pad)
-    # the newest slot is unused only in an empty row, which reads gamma = 0 / 1
-    gamma = sy[:, -1:, -1:] / (yy[:, -1:, -1:] + pad[:, -1:, -1:])
-    wq = mem @ q[:, :, None]
-    r = rinv @ wq[:, :m]
-    p = rinv.swapaxes(1, 2) @ (
-        sy.diagonal(axis1=1, axis2=2)[:, :, None] * r + gamma * (yy @ r - wq[:, m:])
-    )
+    gamma = mem.gamma[:, None, None]
+    wq = mem.w @ q[:, :, None]
+    r = mem.rinv @ wq[:, :m]
+    p = mem.rinv.swapaxes(1, 2) @ (mem.sy[:, :, None] * r + gamma * (mem.yy @ r - wq[:, m:]))
     coef = np.concatenate([p, -gamma * r], axis=1)
-    return gamma[:, 0] * q + (mem.swapaxes(1, 2) @ coef)[:, :, 0]
+    return mem.gamma[:, None] * q + (mem.w.swapaxes(1, 2) @ coef)[:, :, 0]
 
 
-def _push(mem: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The memory with the (B, n) pair rows (s, y) as its newest slot, and
-    its oldest slot dropped: one shift-append, with no branch for a memory
-    that is not yet full."""
+def _push(mem: _Memory, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> _Memory:
+    """The memory with the (B, n) pair rows (s, y), with ``sy`` = <s, y>
+    nonzero (the search pushes a pair only when it is positive), as its
+    newest slot, and its oldest slot dropped: one shift-append of the rows,
+    with no branch for a memory that is not yet full.
+
+    The small matrices are bordered, not rebuilt (Byrd, Nocedal & Schnabel
+    1994, section 4).  Dropping the oldest slot drops the first row and
+    column of R, Y Y^T and R^-1 alike (R is upper triangular, so the rest of
+    R^-1 is the inverse of the rest of R).  One product of the new memory's
+    rows with y gives the new last columns: b = S y above <s, y> for R, and
+    Y y for Y Y^T; R^-1 gains the column -R'^-1 b / <s, y> above 1 / <s, y>,
+    where R'^-1 is the kept block."""
     m = _MEMORY
-    return np.concatenate([mem[:, 1:m], s[:, None], mem[:, m + 1 :], y[:, None]], axis=1)
+    w = np.concatenate([mem.w[:, 1:m], s[:, None], mem.w[:, m + 1 :], y[:, None]], axis=1)
+    wy = w @ y[:, :, None]
+    kept = mem.rinv[:, 1:, 1:]
+    rinv = np.zeros_like(mem.rinv)
+    rinv[:, :-1, :-1] = kept
+    rinv[:, :-1, -1:] = kept @ wy[:, : m - 1] / -sy[:, None, None]
+    rinv[:, -1, -1] = 1.0 / sy
+    yy = np.empty_like(mem.yy)
+    yy[:, :-1, :-1] = mem.yy[:, 1:, 1:]
+    yy[:, -1] = yy[:, :, -1] = wy[:, m:, 0]
+    diag = np.concatenate([mem.sy[:, 1:], sy[:, None]], axis=1)
+    return _Memory(w, rinv, yy, diag, sy / wy[:, -1, 0])
 
 
-def _directions(v, xi, norm2, mem, held, first: bool):
+def _directions(v, xi, norm2, mem: _Memory, first: bool):
     """Each row's direction D, slope <xi, D> and step length, with its
-    memory: D = P_V(H xi), or D = xi where the memory is empty or
-    <xi, D> <= 0, which clears it.  The step length alpha is
+    memory: D = P_V(H xi), or D = xi where the memory is empty (gamma = 0)
+    or <xi, D> <= 0, which clears it.  The step length alpha is
     min(1, _MAX_STEP / ||D||_F), so that alpha D is at most _MAX_STEP long,
     except on a restart's first step, where alpha D has length _FIRST_STEP.
     (Masks are read by counts: any() and all() cost microseconds on short
     masks.)"""
-    holding = np.count_nonzero(held)
+    holding = np.count_nonzero(mem.gamma)
     if holding:
-        d = _tangent(v, _hq(mem, held, _flat(xi)).view(np.complex128).reshape(xi.shape))
-        if holding < len(held):
-            d = np.where(held[:, None, None] > 0, d, xi)
+        d = _tangent(v, _hq(mem, _flat(xi)).view(np.complex128).reshape(xi.shape))
+        if holding < len(xi):
+            d = np.where(mem.gamma[:, None, None] > 0.0, d, xi)
         slope = _dots(xi, d)
         flat = slope <= 0.0
         if np.count_nonzero(flat):
             d = np.where(flat[:, None, None], xi, d)
             slope = np.where(flat, norm2, slope)
-            mem = np.where(flat[:, None, None], 0.0, mem)
-            held = np.where(flat, 0, held)
+            mem = _Memory.empty(len(xi), mem.w.shape[2]).where(flat, mem)
     else:
         d, slope = xi, norm2
     if first:
         alpha = _FIRST_STEP / np.sqrt(slope)
     else:
         alpha = np.minimum(1.0, _MAX_STEP / np.sqrt(_dots(d, d)))
-    return d, slope, alpha, mem, held
+    return d, slope, alpha, mem
 
 
 def _evaluator(batch_objective, sign: float):
@@ -363,7 +418,6 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
     `np.where` only on rounds where rows differ.  A row that backtracks
     keeps its V, xi and memory, so its direction comes out the same again.
     Restarts that end are written out and dropped from the stack."""
-    m = _MEMORY
     v = np.stack(starts)
     value, grads = evaluate(v)
     xi = _tangent(v, grads)
@@ -373,11 +427,10 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
 
     idx = np.flatnonzero(np.sqrt(norm2) >= cfg.tol)
     v, value, xi, norm2 = v[idx], value[idx], xi[idx], norm2[idx]
-    mem = np.zeros((len(idx), 2 * m, 2 * v.shape[1] * v.shape[2]))
-    held = np.zeros(len(idx), dtype=np.int64)
+    mem = _Memory.empty(len(idx), 2 * v.shape[1] * v.shape[2])
     steps = np.zeros(len(idx), dtype=np.int64)
     backtracks = np.zeros(len(idx), dtype=np.int64)
-    d, slope, alpha, mem, held = _directions(v, xi, norm2, mem, held, first=True)
+    d, slope, alpha, mem = _directions(v, xi, norm2, mem, first=True)
     while len(idx):
         # the trial points polar(V + alpha D), retracted as one stack
         trial = _polar(v + alpha[:, None, None] * d)
@@ -390,12 +443,15 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
         )
         new_xi, s = t[:, 0], t[:, 1]
         y = t[:, 2] - new_xi
-        push = took & (_dots(y, s) > 0.0)
+        sy = _dots(y, s)
+        push = took & (sy > 0.0)
         n_push = np.count_nonzero(push)
-        if n_push:
-            pushed = _push(mem, _flat(s), _flat(y))
-            mem = pushed if n_push == len(idx) else np.where(push[:, None, None], pushed, mem)
-            held = np.minimum(held + push, m)
+        if n_push == len(idx):
+            mem = _push(mem, _flat(s), _flat(y), sy)
+        elif n_push:
+            pushed = _push(mem.rows(push), _flat(s[push]), _flat(y[push]), sy[push])
+            for kept, new in zip(mem, pushed):
+                kept[push] = new
         if steady:
             v, value, xi = trial, f, new_xi
             backtracks = np.zeros_like(backtracks)
@@ -412,13 +468,13 @@ def _ascend(evaluate, starts: list[np.ndarray], cfg: OptimizerConfig):
         if np.count_nonzero(live) < len(idx):
             end = idx[~live]
             out_v[end], out_value[end], out_steps[end] = v[~live], value[~live], steps[~live]
-            idx, v, value, xi, norm2, mem, held, steps, backtracks, alpha, took = (
-                a[live]
-                for a in (idx, v, value, xi, norm2, mem, held, steps, backtracks, alpha, took)
+            idx, v, value, xi, norm2, steps, backtracks, alpha, took = (
+                a[live] for a in (idx, v, value, xi, norm2, steps, backtracks, alpha, took)
             )
+            mem = mem.rows(live)
         # a row that backtracked gets its direction again from its unchanged
         # state; it keeps its backtracked step
-        d, slope, step, mem, held = _directions(v, xi, norm2, mem, held, first=False)
+        d, slope, step, mem = _directions(v, xi, norm2, mem, first=False)
         alpha = step if steady else np.where(took, step, alpha)
     return out_v, out_value, out_steps
 
@@ -475,18 +531,15 @@ def maximize(
     evaluate = _evaluator(batch_objective, sign)
     warm = [_warm_isometry(w, n, cols) for w in warm_starts]
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
-    total = len(warm) + len(seeds)
-
-    def start(r: int) -> np.ndarray:
-        # a Haar start is drawn only when its restart opens
-        if r < len(warm):
-            return warm[r]
-        return haar_unitary(n, int(seeds[r - len(warm)]))[:, :cols]
-
-    opened = min(total, _SCOUT)
-    v, value, _ = _ascend(evaluate, [start(r) for r in range(opened)], cfg)
-    if opened < total and np.count_nonzero(value.max() - value <= cfg.tol) < _AGREE:
-        rest = _ascend(evaluate, [start(r) for r in range(opened, total)], cfg)
+    # the warm starts come first; the Haar starts of a block of restarts are
+    # drawn as one stack, and only when the block opens
+    opened = min(len(warm) + len(seeds), _SCOUT)
+    cut = max(opened - len(warm), 0)
+    haar = _haar_stack(n, seeds[:cut])[:, :, :cols] if cut else ()
+    v, value, _ = _ascend(evaluate, [*warm[:opened], *haar], cfg)
+    if cut < len(seeds) and np.count_nonzero(value.max() - value <= cfg.tol) < _AGREE:
+        haar = _haar_stack(n, seeds[cut:])[:, :, :cols]
+        rest = _ascend(evaluate, [*warm[opened:], *haar], cfg)
         v, value = np.concatenate([v, rest[0]]), np.concatenate([value, rest[1]])
     best = int(np.argmax(value))
     return sign * float(value[best]), v[best]

@@ -84,7 +84,7 @@ def test_only_states_raises_duplicate_party():
 
 # the functions that take a caller's POVM for one party
 POVM_TAKERS = {
-    ("measures.py", "_outcome_blocks"),
+    ("measures.py", "measure_ensemble"),
     ("measures.py", "povm_flag_mutual_info"),
     ("ci.py", "dilated_protocol_state"),
 }
@@ -312,6 +312,8 @@ _DOORS = {
     "povm_flag_mutual_info": lambda: measures.povm_flag_mutual_info(
         THREE_MIXED, rank1_povm(haar_unitary(4, 3)[:, :2], 2), "B"
     ),
+    "family15_separation_report": lambda: ci.family15_separation_report(0.75, QUICK),
+    "family15_two_round_merge": lambda: ci.family15_two_round_merge(0.75),
 }
 
 

@@ -409,25 +409,25 @@ def test_mi_continuity_bound_formula():
         mi_continuity_bound(0.1, 1)
 
 
-def _gram_blocks(kind: str, rng) -> np.ndarray:
-    """A (12, 2, 2) stack of PSD Gram matrices of one kind."""
+def _row_pairs(kind: str, rng) -> np.ndarray:
+    """A (12, 2, n) stack of row pairs x whose Gram matrices x x^dagger are
+    of one kind (n = 3, or n = 2 where x is built from G's eigenvectors)."""
     x = rng.standard_normal((12, 2, 3)) + 1j * rng.standard_normal((12, 2, 3))
     if kind == "rank-1":
         x[:, 1] = x[:, 0] * (rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1)))
-    g = x @ np.conj(np.swapaxes(x, -1, -2))
-    g /= np.trace(g, axis1=1, axis2=2).real[:, None, None] / 0.3
+    x *= np.sqrt(0.3 / np.sum(np.abs(x) ** 2, axis=(1, 2)))[:, None, None]
     if kind == "zero":
-        return np.zeros((12, 2, 2), dtype=complex)
+        return np.zeros((12, 2, 3), dtype=complex)
     if kind == "scalar":
-        return rng.uniform(0.01, 2.0, (12, 1, 1)) * np.eye(2)
+        return np.sqrt(rng.uniform(0.01, 2.0, (12, 1, 1))) * np.eye(2, dtype=complex)
     if kind == "near-degenerate":
         # eigenvalues w (1 +/- 5e-10), a relative gap of 1e-9, in a random basis
         u = np.linalg.qr(x[:, :, :2])[0]
         w = rng.uniform(0.01, 2.0, (12, 1)) * np.array([1.0 - 5e-10, 1.0 + 5e-10])
-        return (u * w[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+        return u * np.sqrt(w)[:, None, :]
     if kind == "tiny":
-        return 1e-300 * g
-    return g
+        return 1e-150 * x
+    return x
 
 
 @pytest.mark.parametrize(
@@ -437,11 +437,13 @@ def test_log2_coefficients_match_the_eigh_log(kind):
     # log2 G = c0 1 + c1 G, by _entropy_log_stack's eigenvalue rule; on a
     # rank-one G only its support counts, so the logs are compared there,
     # as L G
-    g = _gram_blocks(kind, np.random.default_rng(len(kind)))
+    x = _row_pairs(kind, np.random.default_rng(len(kind)))
+    g = x @ np.conj(np.swapaxes(x, -1, -2))
     # no division by zero, invalid value or overflow at any kind (underflow,
     # as in the eigh path's floor, is not an error)
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        c0, c1 = info._log2_coefficients(g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1])
+        _, _, _, hi, lo = info._qubit_spectrum(x)
+        c0, c1 = info._log2_coefficients(hi, lo)
     closed = c0[:, None, None] * np.eye(2) + c1[:, None, None] * g
     _, log = _entropy_log_stack(g)
     if kind == "rank-1":
@@ -457,3 +459,42 @@ def test_log2_coefficients_match_the_eigh_log(kind):
         ratio = math.atanh(delta) / delta if delta else 1.0
         exact = ratio / (w * math.log(2.0))
         assert np.abs(c1 - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _mp_spectrum(x):
+    # the eigenvalues hi >= lo of x x^dagger for one 2x2 x, in 60-digit
+    # arithmetic on the exact values of its double entries
+    import mpmath
+
+    with mpmath.workdps(60):
+        m = [[mpmath.mpc(complex(x[i, j])) for j in range(2)] for i in range(2)]
+        g00 = abs(m[0][0]) ** 2 + abs(m[0][1]) ** 2
+        g11 = abs(m[1][0]) ** 2 + abs(m[1][1]) ** 2
+        g01 = m[0][0] * mpmath.conj(m[1][0]) + m[0][1] * mpmath.conj(m[1][1])
+        hi = (g00 + g11) / 2 + mpmath.sqrt(((g00 - g11) / 2) ** 2 + abs(g01) ** 2)
+        lo = abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) ** 2 / hi
+        return float(hi), float(lo)
+
+
+def test_qubit_spectrum_is_within_a_few_ulps_of_mpmath():
+    # two hard 2x2 x: a near-degenerate one, a Gaussian-integer quaternion
+    # [[a, b], [-conj b, conj a]] (x x^dagger = 30 times 1) with 2^-30 added
+    # to its last entry (relative gap 3e-10), and a near-rank-one one, the
+    # outer product u v^T with 2^-30 added to its last entry (lo / hi
+    # below 1e-21).  The entries are short dyadic numbers, so det x is exact
+    # in floating point, and the test sees only what the kernel adds; the
+    # textbook lo, p/2 - radius, keeps no correct digit at the second x
+    eps = 2.0**-30
+    a, b = 3 + 2j, 1 - 4j
+    degenerate = np.array([[a, b], [-np.conj(b), np.conj(a) + eps]])
+    u, v = np.array([2 + 1j, 1 - 3j]), np.array([1 + 1j, -2 + 1j])
+    rank_one = np.outer(u, v) + np.array([[0.0, 0.0], [0.0, eps]])
+    for x in (degenerate, rank_one):
+        _, _, p, hi, lo = info._qubit_spectrum(x[None])
+        want_hi, want_lo = _mp_spectrum(x)
+        assert abs(hi[0] - want_hi) <= 4 * np.spacing(want_hi)
+        assert abs(lo[0] - want_lo) <= 4 * np.spacing(want_lo)
+        # and the entropy of `_pure_entropy_stack` reads this spectrum
+        _, h = _pure_entropy_stack(x[None])
+        assert h[0] == -(info._plogp(hi) + info._plogp(lo))[0]
+    assert want_lo < 1e-21 * want_hi

@@ -13,6 +13,7 @@ from ci_toolkit.optim import (
     _evaluator,
     _flat,
     _hq,
+    _Memory,
     _push,
     _polar,
     _tangent,
@@ -335,25 +336,29 @@ def test_a_restart_that_rejects_every_trial_ends_at_the_backtrack_cap():
     assert np.array_equal(v[0], start) and value[0] == 0.0 and steps[0] == 0
 
 
+def _same_memory(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def test_a_non_ascent_direction_falls_back_to_the_gradient():
     # the direction clears the L-BFGS memory and steps along xi when <xi, d> <= 0; the
     # pair (xi, -xi) makes H xi = -xi, so d = P_V(-xi) is no ascent direction
     v = haar_unitary(4, 5)[:, :2][None]
     xi = _tangent(v, haar_unitary(4, 6)[:, :2][None])
     norm2 = _dots(xi, xi)
-    empty = np.zeros((1, 2 * optim._MEMORY, 16))
-    mem = _push(empty, _flat(xi), -_flat(xi))
-    d, slope, alpha, mem, held = _directions(v, xi, norm2, mem, np.array([1]), first=True)
-    assert not mem.any() and held[0] == 0
+    empty = _Memory.empty(1, 16)
+    mem = _push(empty, _flat(xi), -_flat(xi), -norm2)
+    d, slope, alpha, mem = _directions(v, xi, norm2, mem, first=True)
+    assert _same_memory(mem, empty) and mem.gamma[0] == 0.0
     assert np.array_equal(d, xi)
     assert slope[0] == pytest.approx(np.vdot(xi, xi).real)
     assert alpha[0] == pytest.approx(optim._FIRST_STEP / np.sqrt(slope[0]))
     # an ascent direction is kept, and so is the memory
     other = _tangent(v, haar_unitary(4, 7)[:, :2][None])
-    mem = _push(empty, _flat(other), 2.0 * _flat(other))
-    d, slope, alpha, kept, held = _directions(v, xi, norm2, mem, np.array([1]), first=False)
-    assert np.array_equal(kept, mem) and held[0] == 1
-    hxi = _hq(mem, held, _flat(xi)).view(complex).reshape(xi.shape)
+    mem = _push(empty, _flat(other), 2.0 * _flat(other), 2.0 * _dots(other, other))
+    d, slope, alpha, kept = _directions(v, xi, norm2, mem, first=False)
+    assert _same_memory(kept, mem) and kept.gamma[0] > 0.0
+    hxi = _hq(mem, _flat(xi)).view(complex).reshape(xi.shape)
     assert np.array_equal(d, _tangent(v, hxi))
     assert slope[0] > 0.0 and alpha[0] == 1.0
 
@@ -369,9 +374,9 @@ def test_a_later_step_is_at_most_unit_length():
     xi = _tangent(v, np.stack([haar_unitary(4, 40 + i)[:, :2] for i in range(n)]))
     xi = xi / np.sqrt(_dots(xi, xi))[:, None, None]
     norm2 = _dots(xi, xi)
-    mem = _push(np.zeros((n, 2 * optim._MEMORY, 16)), _flat(xi), _flat(xi) / scales[:, None])
-    held = np.ones(n, dtype=np.int64)
-    d, slope, alpha, _, _ = _directions(v, xi, norm2, mem, held, first=False)
+    y = xi / scales[:, None, None]
+    mem = _push(_Memory.empty(n, 16), _flat(xi), _flat(y), _dots(y, xi))
+    d, slope, alpha, _ = _directions(v, xi, norm2, mem, first=False)
     length = np.sqrt(_dots(d, d))
     np.testing.assert_allclose(length, scales, rtol=1e-12)
     assert np.all(alpha * length <= 1.0 + 1e-15)
@@ -379,13 +384,11 @@ def test_a_later_step_is_at_most_unit_length():
     assert alpha[length > 1.0] * length[length > 1.0] == pytest.approx(1.0, rel=1e-15)
     for i in range(n):
         row = slice(i, i + 1)
-        alone = _directions(v[row], xi[row], norm2[row], mem[row], held[row], first=False)
+        alone = _directions(v[row], xi[row], norm2[row], mem.rows(row), first=False)
         assert alone[2][0] == alpha[i] and np.array_equal(alone[0][0], d[i])
     # a restart's first step keeps length 0.1 along xi, however long xi is
     big = xi * scales[:, None, None]
-    d, _, alpha, _, _ = _directions(
-        v, big, _dots(big, big), np.zeros_like(mem), np.zeros(n, dtype=np.int64), first=True
-    )
+    d, _, alpha, _ = _directions(v, big, _dots(big, big), _Memory.empty(n, 16), first=True)
     assert np.array_equal(d, big)
     np.testing.assert_allclose(alpha * np.sqrt(_dots(d, d)), optim._FIRST_STEP, rtol=1e-14)
 
@@ -441,30 +444,61 @@ def _curvature_pairs(n, count, seed):
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_compact_form_equals_the_dense_bfgs_inverse_hessian(n):
-    # rows holding 1..8 pairs, one that has filled and shifted out three
-    # pairs, and an empty one, stacked in one call
-    counts = list(range(1, optim._MEMORY + 1)) + [optim._MEMORY + 3, 0]
-    rng = np.random.default_rng(n)
-    mems, qs, pairs = [], [], []
-    for k, count in enumerate(counts):
-        row = _curvature_pairs(n, count, seed=100 * n + k)
-        mem = np.zeros((1, 2 * optim._MEMORY, n))
-        for s, y in row:
-            mem = _push(mem, s[None], y[None])
-        mems.append(mem[0])
-        qs.append(rng.standard_normal(n))
-        pairs.append(row[-optim._MEMORY :])
-    held = np.minimum(counts, optim._MEMORY)
-    hq = _hq(np.stack(mems), held, np.stack(qs))
-    for k, count in enumerate(counts):
-        if count == 0:
-            assert not hq[k].any()
+    # one stack of memories, pushed in lockstep as `_ascend` pushes them: a
+    # row takes its next pair on the rounds its schedule marks.  Rows hold 1..8
+    # pairs; one has filled and shifted out three; one is empty; one skips
+    # two rounds midway; one is cleared flat after five pairs and refilled
+    # with three, as `_directions` clears it; one is dropped from the stack
+    # after round 6, as an ended restart is
+    m = optim._MEMORY
+    rounds = m + 3
+    dropped = 4
+    schedule = [range(count) for count in range(1, m + 1)]
+    schedule.insert(dropped, range(rounds))
+    schedule += [range(rounds), range(0), [0, 1, 2, 5, 6], range(8)]
+    rows = len(schedule)
+    full, skipping, flat = rows - 4, rows - 2, rows - 1
+    pairs = [_curvature_pairs(n, len(when), seed=100 * n + k) for k, when in enumerate(schedule)]
+    mem, alive = _Memory.empty(rows, n), np.arange(rows)
+    held = [[] for _ in range(rows)]
+    for t in range(rounds):
+        push = np.array([t in schedule[k] for k in alive])
+        if push.any():
+            new = [pairs[k][list(schedule[k]).index(t)] for k in alive[push]]
+            s, y = np.array([p[0] for p in new]), np.array([p[1] for p in new])
+            pushed = _push(mem.rows(push), s, y, np.einsum("ij,ij->i", s, y))
+            for kept, rows_pushed in zip(mem, pushed):
+                kept[push] = rows_pushed
+            for k, pair in zip(alive[push], new):
+                held[k].append(pair)
+        if t == 4:
+            clear = alive == flat
+            mem = _Memory.empty(len(alive), n).where(clear, mem)
+            held[flat] = []
+        if t == 6:
+            live = alive != dropped
+            mem, alive = mem.rows(live), alive[live]
+    assert dropped not in alive and len(alive) == rows - 1
+    assert len(held[skipping]) == 5 and len(held[flat]) == 3 and len(held[full]) == rounds
+    qs = np.random.default_rng(n).standard_normal((len(alive), n))
+    hq = _hq(mem, qs)
+    for i, k in enumerate(alive):
+        kept = held[k][-m:]
+        if not kept:
+            assert not hq[i].any() and mem.gamma[i] == 0.0
             continue
-        want = _dense_bfgs(pairs[k], qs[k])
-        assert np.linalg.norm(hq[k] - want) <= 1e-12 * np.linalg.norm(want)
+        want = _dense_bfgs(kept, qs[i])
+        assert np.linalg.norm(hq[i] - want) <= 1e-12 * np.linalg.norm(want)
+        # the kept small matrices are the ones the pairs give, rebuilt
+        s, y = (np.array([p[j] for p in kept]) for j in (0, 1))
+        used = slice(m - len(kept), m)
+        r = np.triu(s @ y.T)
+        np.testing.assert_allclose(mem.rinv[i, used, used] @ r, np.eye(len(kept)), atol=1e-12)
+        np.testing.assert_allclose(mem.yy[i, used, used], y @ y.T, rtol=1e-13)
+        np.testing.assert_allclose(mem.sy[i, used], np.diag(r), rtol=1e-13)
         # each row is its own, bit for bit
-        alone = _hq(mems[k][None], held[k : k + 1], qs[k][None])
-        assert np.array_equal(alone[0], hq[k])
+        alone = _hq(mem.rows([i]), qs[i][None])
+        assert np.array_equal(alone[0], hq[i])
 
 
 @pytest.mark.parametrize("dim,cols", [(2, 1), (4, 2), (16, 4)])
@@ -500,14 +534,27 @@ def _seeds(cfg):
     return np.random.SeedSequence(cfg.seed).generate_state(cfg.restarts)
 
 
+def _spy_draws(monkeypatch):
+    # the seeds of every Haar start drawn, in draw order, across the stacked
+    # draws of the opened blocks
+    draws = []
+    stack = optim._haar_stack
+
+    def spy(dim, seeds):
+        draws.extend(int(s) for s in seeds)
+        return stack(dim, seeds)
+
+    monkeypatch.setattr(optim, "_haar_stack", spy)
+    return draws
+
+
 def test_unopened_restarts_are_never_drawn(monkeypatch):
     # the scouts agree, so 8 of 32 restarts open: each is drawn once, and
     # the other 24 are never drawn
-    draws = []
-    haar = optim.haar_unitary
-    monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
+    f = _overlap_batch(haar_unitary(2, 31)[:, :1])
+    draws = _spy_draws(monkeypatch)
     cfg = OptimizerConfig(restarts=32, max_iters=2000, tol=1e-6)
-    maximize(_overlap_batch(haar_unitary(2, 31)[:, :1]), 2, cfg, columns=1)
+    maximize(f, 2, cfg, columns=1)
     assert draws == [int(s) for s in _seeds(cfg)[:8]]
 
 
@@ -534,9 +581,7 @@ def test_disagreeing_scouts_open_every_restart(monkeypatch):
     # within tol of the best
     assert np.count_nonzero(ends.max() - ends <= cfg.tol) < 4
     # so every restart opens, each drawing its Haar start once
-    draws = []
-    haar = optim.haar_unitary
-    monkeypatch.setattr(optim, "haar_unitary", lambda n, s: draws.append(s) or haar(n, s))
+    draws = _spy_draws(monkeypatch)
     maximize(f, 3, cfg, columns=1)
     assert draws == [int(s) for s in _seeds(cfg)]
 
