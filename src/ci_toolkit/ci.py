@@ -38,6 +38,7 @@ from .info import (
     Partition,
     _conditional_entropy,
     _mutual_info,
+    mutual_info,
     trace_distance,
     vn_entropy,
 )
@@ -374,12 +375,6 @@ def oneway_ci_upper(
     if discord_value is None:
         merged, _ = _merged(rho, (a + c, b))
         discord_value = _discord(merged, config).value
-    return _oneway_cap(i_total, i_bc, discord_value)
-
-
-def _oneway_cap(i_total: float, i_bc: float, discord_value: float) -> float:
-    """`oneway_ci_upper` from its terms I(A : BC) and I(B : C), already
-    summed, and the discord: the one place the cap is formed."""
     return i_total + i_bc - float(discord_value)
 
 
@@ -441,15 +436,6 @@ class MergeOutcome:
     final_state: Mstate
 
 
-_TWO_ROUND_TRANSCRIPT = (
-    "round 1: receiver measures its flag qubit in the computational basis "
-    "and announces z",
-    "round 2: helper measures its qubit in the z-dependent basis and sends "
-    "the outcome b",
-    "receiver stores b in register R",
-)
-
-
 def family15_two_round_merge(c: float) -> MergeOutcome:
     """Run the two-round protocol on the classical-flag family state.
 
@@ -462,8 +448,15 @@ def family15_two_round_merge(c: float) -> MergeOutcome:
     bit that no single round can extract.
     """
     final = _two_round_state(preset("family15", (c,)), c)
-    a, cr = check_groups(final.layout, "A", ("C", "R"))
-    return MergeOutcome(_mutual_info(final, a, cr), 2, _TWO_ROUND_TRANSCRIPT, final)
+    achieved = mutual_info(final, Partition("A", ("C", "R")))
+    transcript = (
+        "round 1: receiver measures its flag qubit in the computational basis "
+        "and announces z",
+        "round 2: helper measures its qubit in the z-dependent basis and sends "
+        "the outcome b",
+        "receiver stores b in register R",
+    )
+    return MergeOutcome(achieved, 2, transcript, final)
 
 
 def _two_round_state(rho: Mstate, c: float) -> Mstate:
@@ -525,7 +518,7 @@ def family15_separation_report(
     total = _mutual_info(rho, ref, helper + recv)
     i_bc = _mutual_info(bc, helper, recv)
     disc = _discord(_merged(rho, (ref + recv, helper))[0], config)
-    upper = _oneway_cap(total, i_bc, disc.value)
+    upper = total + i_bc - float(disc.value)
     achieved = _mutual_info(_two_round_state(rho, c), ref, recv + ("R",))
     gap = achieved - upper
     return SeparationReport(

@@ -128,30 +128,33 @@ def _qubit_spectrum(x: np.ndarray):
     g01 = <x1, x0> (G's off-diagonal entry), the weight p = g00 + g11 =
     Tr G, and the eigenvalues
 
-        hi = p/2 + hypot((g00 - g11)/2, |g01|),  lo = det G / hi.
+        hi = p/2 + hypot((g00 - g11)/2, |g01|),  lo = det G / hi,
+
+    with det G = sum over i < j of |x0i x1j - x0j x1i|^2 (Cauchy-Binet;
+    |det x|^2 at n = 2).
 
     Neither eigenvalue loses accuracy to cancellation: hi adds two
-    nonnegative terms, and lo is a quotient, where the textbook p/2 - radius
-    is a difference of nearly equal numbers that loses every digit of lo
-    once lo << hi.  At n = 2, det G = |det x|^2, so lo is as accurate as the
-    2x2 determinant of x (exact when its two products are); for n > 2 it is
-    the Gram determinant g00 g11 - |g01|^2, floored at 0.  Each product in
-    lo pairs an entry with a ratio to hi, t (t / hi) with t = |det x|, so no
-    square under- or overflows, and neither does hypot."""
+    nonnegative terms, and lo is a quotient of a sum of nonnegative terms,
+    where the textbook p/2 - radius, or the Gram determinant g00 g11 -
+    |g01|^2, is a difference of nearly equal numbers that loses every digit
+    of lo once lo << hi.  Each 2x2 minor of x is as accurate as its two
+    products (exact when they are).  Each term of lo pairs a minor t with
+    its ratio to hi, t (t / hi), and t <= |x0| |x1| <= hi, so no square
+    under- or overflows, and neither does hypot."""
     g = np.vecdot(x, x).real
     g01 = np.vecdot(x[..., 1, :], x[..., 0, :])
     g00, g11 = g[..., 0], g[..., 1]
     p = g00 + g11
-    a01 = np.abs(g01)
-    hi = 0.5 * p + np.hypot(0.5 * (g00 - g11), a01)
+    hi = 0.5 * p + np.hypot(0.5 * (g00 - g11), np.abs(g01))
     # hi = 0 only for x = 0, where det G = 0 too
     scale = np.where(hi > 0.0, hi, 1.0)
     if x.shape[-1] == 2:
         t = np.abs(x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0])
-        lo = t * (t / scale)
-    else:
-        lo = np.maximum(g00 * (g11 / scale) - a01 * (a01 / scale), 0.0)
-    return g, g01, p, hi, lo
+        return g, g01, p, hi, t * (t / scale)
+    # every minor x0i x1j - x0j x1i twice, once with each sign
+    m = x[..., 0, :, None] * x[..., 1, None, :]
+    t = np.abs(m - np.swapaxes(m, -1, -2))
+    return g, g01, p, hi, 0.5 * np.sum(t * (t / scale[..., None, None]), axis=(-2, -1))
 
 
 def _log2_coefficients(hi, lo) -> tuple[np.ndarray, np.ndarray]:

@@ -4,14 +4,13 @@ seed, rank=r)`), seeds 1-3, at the default config.  Rank r gives a
 purification with an r-dimensional ancilla, so each search runs over K = r^2
 outcomes on c = r columns.
 
-    PYTHONPATH=src python tests/crawl_panel.py [--ranks 4 6 8] [--seeds 1 2 3]
-                                               [--limit-mb 4096]
+    PYTHONPATH=src python tests/crawl_panel.py
 
-Each search runs in a child process under its own address-space limit (the
-limit `ulimit -v` sets), with one BLAS thread.  A row prints the value
-(repr), the seconds, how many restarts ended at `max_iters`, and the steps
-of each opened restart in start order, read from `optim._ascend`.  pytest
-does not collect this file.
+Each search runs in a child process under its own address-space limit of
+LIMIT_MB (the limit `ulimit -v` sets), with one BLAS thread.  A row prints
+the value (repr), the seconds, how many restarts ended at `max_iters`, and
+the steps of each opened restart in start order, read from
+`optim._ascend`.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ import sys
 import time
 
 MEASURES = ("eof", "eoa")
+RANKS = (4, 6, 8)
+SEEDS = (1, 2, 3)
+LIMIT_MB = 4096
 
 
 def child(measure: str, rank: int, seed: int) -> None:
@@ -52,10 +54,10 @@ def child(measure: str, rank: int, seed: int) -> None:
                       "steps": steps}))
 
 
-def run(measure: str, rank: int, seed: int, limit_mb: int) -> dict:
+def run(measure: str, rank: int, seed: int) -> dict:
     """One search in a child process under an address-space limit."""
     def limit():
-        cap = limit_mb * 1024 * 1024
+        cap = LIMIT_MB * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -68,9 +70,6 @@ def run(measure: str, rank: int, seed: int, limit_mb: int) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ranks", type=int, nargs="+", default=[4, 6, 8])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--limit-mb", type=int, default=4096)
     parser.add_argument("--child", nargs=3, metavar=("MEASURE", "RANK", "SEED"))
     args = parser.parse_args()
     if args.child:
@@ -78,10 +77,10 @@ def main() -> None:
         child(measure, int(rank), int(seed))
         return
     print("measure rank seed value seconds at_max_iters steps")
-    for rank in args.ranks:
+    for rank in RANKS:
         for measure in MEASURES:
-            for seed in args.seeds:
-                row = run(measure, rank, seed, args.limit_mb)
+            for seed in SEEDS:
+                row = run(measure, rank, seed)
                 if "error" in row:
                     print(measure, rank, seed, "failed:", *row["error"], flush=True)
                     continue

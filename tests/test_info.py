@@ -462,17 +462,17 @@ def test_log2_coefficients_match_the_eigh_log(kind):
 
 
 def _mp_spectrum(x):
-    # the eigenvalues hi >= lo of x x^dagger for one 2x2 x, in 60-digit
+    # the eigenvalues hi >= lo of x x^dagger for one 2 x n x, in 60-digit
     # arithmetic on the exact values of its double entries
     import mpmath
 
     with mpmath.workdps(60):
-        m = [[mpmath.mpc(complex(x[i, j])) for j in range(2)] for i in range(2)]
-        g00 = abs(m[0][0]) ** 2 + abs(m[0][1]) ** 2
-        g11 = abs(m[1][0]) ** 2 + abs(m[1][1]) ** 2
-        g01 = m[0][0] * mpmath.conj(m[1][0]) + m[0][1] * mpmath.conj(m[1][1])
+        m = [[mpmath.mpc(complex(e)) for e in row] for row in x]
+        g00 = sum(abs(e) ** 2 for e in m[0])
+        g11 = sum(abs(e) ** 2 for e in m[1])
+        g01 = sum(e0 * mpmath.conj(e1) for e0, e1 in zip(m[0], m[1]))
         hi = (g00 + g11) / 2 + mpmath.sqrt(((g00 - g11) / 2) ** 2 + abs(g01) ** 2)
-        lo = abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) ** 2 / hi
+        lo = (g00 * g11 - abs(g01) ** 2) / hi
         return float(hi), float(lo)
 
 
@@ -489,7 +489,12 @@ def test_qubit_spectrum_is_within_a_few_ulps_of_mpmath():
     degenerate = np.array([[a, b], [-np.conj(b), np.conj(a) + eps]])
     u, v = np.array([2 + 1j, 1 - 3j]), np.array([1 + 1j, -2 + 1j])
     rank_one = np.outer(u, v) + np.array([[0.0, 0.0], [0.0, eps]])
-    for x in (degenerate, rank_one):
+    # and a near-rank-one 2x4 one, the shape of a steered block across
+    # A : BC, where lo sums three nonzero minors; the Gram determinant
+    # g00 g11 - |g01|^2 keeps no correct digit of it
+    wide = np.outer(u, [1 + 1j, -2 + 1j, 3 - 1j, 1 + 2j])
+    wide[1, 3] += eps
+    for x in (degenerate, rank_one, wide):
         _, _, p, hi, lo = info._qubit_spectrum(x[None])
         want_hi, want_lo = _mp_spectrum(x)
         assert abs(hi[0] - want_hi) <= 4 * np.spacing(want_hi)
