@@ -11,7 +11,8 @@ The entropy of an `Mstate` reads the spectrum the state stored when it was
 built, which is exactly what the kernel computes from its matrix (a
 `PureState`'s is the exact pure spectrum, so its entropy is exactly 0), and
 a group's entropy is that of its `states.marginal`, which builds each
-reduction of a state once.  So no state's matrix is diagonalized twice.
+reduction of a state once.  So no state's matrix is diagonalized twice, and
+the entropy itself is kept with the state, so no spectrum is summed twice.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .states import (
 _TINY = np.finfo(np.float64).tiny
 _EPS = np.finfo(np.float64).eps
 _LN2 = math.log(2.0)
+# a state's entropy in its memo, beside the reductions keyed by label sets
+_ENTROPY = "entropy"
 
 
 @dataclass(frozen=True)
@@ -211,8 +214,12 @@ def matrix_entropy(m: np.ndarray) -> float:
 def vn_entropy(state: Mstate) -> float:
     """Von Neumann entropy in bits, read from the state's stored spectrum:
     bit for bit `matrix_entropy(matrix)`, and exactly 0.0 for a
-    `PureState`."""
-    return float(max(_spectrum_h(state.spectrum), 0.0))
+    `PureState`.  Computed once per state and kept in its memo."""
+    memo = state._memo
+    s = memo.get(_ENTROPY)
+    if s is None:
+        s = memo[_ENTROPY] = float(max(_spectrum_h(state.spectrum), 0.0))
+    return s
 
 
 def mutual_info(state: Mstate, cut: Partition) -> float:

@@ -672,6 +672,9 @@ def kw_discord(
 # ---------------------------------------------------------------------------
 # closed-form entanglement bounds
 
+# a state's partial-transpose trace norms in its memo, keyed with the group
+_PT_TRACE_NORM = "pt-trace-norm"
+
 
 def log_negativity(rho: Mstate, cut: Partition) -> float:
     """log2 of the trace norm of the partial transpose across ``cut``.
@@ -681,8 +684,15 @@ def log_negativity(rho: Mstate, cut: Partition) -> float:
 
 def _log_negativity(reduced: Mstate, left: tuple[str, ...]) -> float:
     """`log_negativity` of a state restricted to a checked cut, ``left``
-    its left group.  The trace norm is at least 1, above `_log2`'s floor."""
-    return max(float(_log2(trace_norm(_partial_transpose(reduced, left)))), 0.0)
+    its left group.  The trace norm is at least 1, above `_log2`'s floor.
+    It is taken once per state and group, and kept in the state's memo, so
+    `ed_interval` and `log_negativity` on one restricted state share it."""
+    memo = reduced._memo
+    key = (_PT_TRACE_NORM, frozenset(left))
+    norm = memo.get(key)
+    if norm is None:
+        norm = memo[key] = trace_norm(_partial_transpose(reduced, left))
+    return max(float(_log2(norm)), 0.0)
 
 
 def coherent_info_lower(rho: Mstate, cut: Partition) -> float:
@@ -711,12 +721,12 @@ def _max_correlated_pattern(reduced: Mstate, cut: Partition) -> np.ndarray | Non
     ordered = permute_parties(reduced, cut.left + cut.right)
     m = ordered.matrix
     ii = np.arange(dl) * dr + np.arange(dl)
-    a = m[np.ix_(ii, ii)]
-    residual = np.array(m, copy=True)
-    residual[np.ix_(ii, ii)] = 0.0
-    if float(np.max(np.abs(residual))) > VALIDATE:
+    block = np.ix_(ii, ii)
+    residual = np.abs(m)
+    residual[block] = 0.0
+    if residual.max() > VALIDATE:
         return None
-    return a
+    return m[block]
 
 
 def ed_interval(rho: Mstate, cut: Partition) -> Bracket:

@@ -16,12 +16,14 @@ carries stays one.
 
 Each state is derived once. An `Mstate` keeps the spectrum its PSD check
 computes, in the form the entropy kernel in `info` reads it, so no entropy
-diagonalizes a state's matrix again. `marginal`, the one way to take a
-reduced state, names the kept group and keeps each reduction on the state
-it came from, keyed by the set of dropped labels, so asking for the same
-marginal twice builds it once. The party-group check runs on every call,
-before that lookup. A `PureState` stores the exact pure spectrum instead
-of diagonalizing its density operator.
+diagonalizes a state's matrix again. What is derived from a state is kept
+in its one memo: `marginal`, the one way to take a reduced state, names the
+kept group and keeps each reduction there, keyed by the set of dropped
+labels, so asking for the same marginal twice builds it once; `info` keeps
+the state's entropy there, and `measures` the trace norm of each partial
+transpose. The party-group check runs on every call, before that lookup. A
+`PureState` stores the exact pure spectrum instead of diagonalizing its
+density operator.
 
 The JSON state-file format consumed by the CLI is defined by
 `load_state_file` / `state_from_dict` at the bottom of this module.
@@ -29,10 +31,10 @@ The JSON state-file format consumed by the CLI is defined by
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -73,41 +75,39 @@ class SystemLayout:
     Every state is built on a layout, so this is where the cap is checked."""
 
     parties: tuple[tuple[str, int], ...]
+    # set once by the checks; every party-group check reads the labels
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        labels, dims = [], []
         for label, dim in self.parties:
             if not isinstance(label, str) or not label:
                 raise InvalidArgument(f"party label must be a non-empty string, got {label!r}")
             if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
                 raise InvalidArgument(f"party {label!r}: dim must be an integer, got {dim!r}")
-        parties = tuple((l, int(d)) for l, d in self.parties)
+            labels.append(label)
+            dims.append(int(dim))
+        labels, dims = tuple(labels), tuple(dims)
+        parties = tuple(zip(labels, dims))
+        if len(set(labels)) != len(labels) or (dims and min(dims) < 2):
+            seen = set()
+            for label, dim in parties:
+                if label in seen:
+                    raise DuplicateParty(f"duplicate party label {label!r}")
+                seen.add(label)
+                if dim < 2:
+                    raise InvalidArgument(f"party {label!r}: dim must be >= 2, got {dim}")
+        total = math.prod(dims)
         object.__setattr__(self, "parties", parties)
-        seen = set()
-        total = 1
-        for label, dim in parties:
-            if label in seen:
-                raise DuplicateParty(f"duplicate party label {label!r}")
-            seen.add(label)
-            if dim < 2:
-                raise InvalidArgument(f"party {label!r}: dim must be >= 2, got {dim}")
-            total *= dim
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", total)
         if total > DIM_CAP:
             raise DimensionTooLarge(
                 f"layout {self.describe()}: total dimension {total} exceeds the cap {DIM_CAP}"
             )
-
-    # cached: every party-group check reads the labels
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.parties)
-
-    @cached_property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.parties)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     def index(self, label: str) -> int:
         for i, (l, _) in enumerate(self.parties):
@@ -205,19 +205,13 @@ def measured_label(layout: SystemLayout, group, dim: int) -> str:
     return label
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128, copy=True)
-    a.setflags(write=False)
-    return a
-
-
 def _read_diagonal(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The diagonals of a (..., n, n) stack and, for each matrix, whether it
     reads as diagonal: every off-diagonal entry is at most DIAG times its
     largest diagonal entry.  The rule is decided per matrix, so a matrix's
     reading never depends on the others in its stack; it is the entropy
-    kernel's rule, shared with `Mstate` so a stored spectrum is what the
-    kernel would compute."""
+    kernel's rule, which `Mstate` reads on its one matrix, so a stored
+    spectrum is what the kernel would compute."""
     n = mats.shape[-1]
     diag = mats.diagonal(0, -2, -1).real
     offdiag = np.abs(mats.reshape(mats.shape[:-2] + (n * n,)))
@@ -229,52 +223,65 @@ def _read_diagonal(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Mstate:
     """Density operator on a layout.
 
-    Validated on construction: square matrix of the layout's total dimension,
-    Hermitian within 1e-10, unit trace within 1e-10, eigenvalues >= -1e-10.
-    A reduction made by `marginal` may go lower by what its parent's own
-    smallest eigenvalue allows (see there), and a copy that permutes or
-    merges parties allows the smallest eigenvalue of the state it copies.
+    A build makes one read-only complex copy of ``matrix`` and checks it,
+    in this order: square of the layout's total dimension, Hermitian within
+    1e-10, unit trace within 1e-10, eigenvalues >= -1e-10.  A reduction
+    made by `marginal` allows more on two of those checks, each by what its
+    parent was allowed (see there); a copy that permutes or merges parties
+    allows the smallest eigenvalue of the state it copies, and ``copies``
+    side by side that many times its Hermitian allowance.  A matrix a
+    caller supplies gets the plain checks.
 
     ``spectrum`` is stored from that check: the diagonal when the matrix
-    reads as diagonal (`_read_diagonal`), otherwise the ascending
+    reads as diagonal (`_read_diagonal`'s rule), otherwise the ascending
     `eigvalsh` values.  It is exactly what the entropy kernel computes from
     ``matrix``, so `info.vn_entropy` reads it instead of diagonalizing again.
     A `PureState` is the one exception: it stores the exact (0, ..., 0, 1).
-    The reductions `marginal` makes of the state are kept with it.
+
+    The numbers derived from the state are kept with it, in one memo, each
+    made once: the reductions `marginal` makes, keyed by the set of dropped
+    labels; its entropy (`info.vn_entropy`); and the trace norm of its
+    partial transpose on each group (`measures.log_negativity`).
     """
 
     layout: SystemLayout
     matrix: np.ndarray
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    _reductions: dict = field(init=False, repr=False, compare=False)
-    # eigenvalue allowance past -VALIDATE; only `marginal` and `_relaid`
-    # set it
+    _memo: dict = field(init=False, repr=False, compare=False)
+    # eigenvalue allowance past -VALIDATE, and the Hermitian allowance;
+    # only `marginal` and `_relaid` set them
     _psd_slack: float = field(default=0.0, kw_only=True, repr=False, compare=False)
+    _hermitian_tol: float = field(default=VALIDATE, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)
+        m.setflags(write=False)
         d = self.layout.total_dim
         if m.shape != (d, d):
             raise InvalidMatrix(
                 f"Mstate: matrix shape {m.shape} does not match layout dimension {d}"
             )
         # each check is written so that a NaN anywhere fails it
-        if not np.abs(m - m.conj().T).max() <= VALIDATE:
-            raise InvalidMatrix(f"Mstate: matrix is not Hermitian within {VALIDATE:g}")
-        tr = m.trace()
+        tol = self._hermitian_tol
+        if not np.abs(m - m.conj().T).max() <= tol:
+            raise InvalidMatrix(f"Mstate: matrix is not Hermitian within {tol:g}")
+        diag = m.diagonal()
+        tr = diag.sum()
         if not abs(tr - 1.0) <= VALIDATE:
             raise InvalidMatrix(f"Mstate: trace {tr:.12g} is not 1 within {VALIDATE:g}")
-        m = _freeze(m)
         w = np.linalg.eigvalsh(m)
         floor = VALIDATE + self._psd_slack
         if not w[0] >= -floor:
             raise NotPSD(f"Mstate: eigenvalue {w[0]:.3e} below -{floor:g}")
-        diag, flat = _read_diagonal(m)
-        spectrum = diag if flat else w
+        # `_read_diagonal`'s rule on the one matrix
+        diag = diag.real
+        offdiag = np.abs(m)
+        offdiag.reshape(-1)[:: d + 1] = 0.0
+        spectrum = diag if offdiag.max() <= DIAG * diag.max() else w
         spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "_reductions", {})
+        object.__setattr__(self, "_memo", {})
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -301,7 +308,9 @@ class PureState(Mstate):
             )
         if not abs(np.linalg.norm(v) - 1.0) <= ZERO:
             raise InvalidMatrix(f"PureState: vector is not normalized within {ZERO:g}")
-        object.__setattr__(self, "amplitudes", _freeze(v))
+        v = np.array(v)
+        v.setflags(write=False)
+        object.__setattr__(self, "amplitudes", v)
         super().__init__(layout, np.outer(v, v.conj()))
 
     def __post_init__(self):
@@ -310,7 +319,7 @@ class PureState(Mstate):
         spectrum[-1] = 1.0
         spectrum.setflags(write=False)
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "_reductions", {})
+        object.__setattr__(self, "_memo", {})
 
 
 @dataclass(frozen=True)
@@ -369,15 +378,22 @@ def marginal(rho: Mstate, keep) -> Mstate:
     ``keep`` names them in, and a group naming every party returns ``rho``
     itself.
 
-    The group check runs on every call.  The reduction is then kept on
-    ``rho``, keyed by the set of dropped labels, and a later call for the
-    same group returns the same object.  Parties are traced in layout order.
+    The group check runs on every call.  The reduction is then kept in
+    ``rho``'s memo, keyed by the set of dropped labels, and a later call for
+    the same group returns the same object.  Parties are traced in layout
+    order, in one pass.
 
-    The reduction's PSD check allows eigenvalues down to -(VALIDATE +
-    d_dropped * max(0, -lambda_min(rho))), lambda_min read from ``rho``'s
-    stored spectrum: tracing out d_dropped dimensions can scale a negative
-    eigenvalue that ``rho``'s own check accepted by up to d_dropped.  For a
-    PSD ``rho`` that is the plain -VALIDATE check.
+    The reduction is built as a state, with its checks, and two of them
+    allow what tracing out d_dropped dimensions can add to what ``rho``'s
+    own checks accepted:
+
+    - the PSD check allows eigenvalues down to -(VALIDATE + d_dropped *
+      max(0, -lambda_min(rho))), lambda_min read from ``rho``'s stored
+      spectrum, as a traced-out negative eigenvalue is scaled by up to
+      d_dropped.  For a PSD ``rho`` that is the plain -VALIDATE check.
+    - the Hermitian check allows d_dropped times ``rho``'s allowance
+      (VALIDATE for a matrix a caller supplied), as each entry of the
+      reduction sums d_dropped entries of ``rho``.
     """
     (kept,) = check_groups(rho.layout, keep)
     return _marginal(rho, kept)
@@ -389,32 +405,41 @@ def _marginal(rho: Mstate, kept: tuple[str, ...]) -> Mstate:
     that kept the group, or extended by fresh labels (a purification), with
     any of those labels added: the caller checks once for several
     reductions."""
-    drop = rest_of(rho.layout, kept)
+    drop = tuple([l for l in rho.layout.labels if l not in kept])
     return _reduction(rho, drop) if drop else rho
 
 
 def _reduction(rho: Mstate, drop: tuple[str, ...]) -> Mstate:
     """The reduction of ``rho`` without the checked labels ``drop``, built
-    once and kept on ``rho`` under the set of those labels."""
+    once and kept on ``rho`` under the set of those labels.  The dropped
+    parties are traced in layout order, in one pass."""
     key = frozenset(drop)
-    reduced = rho._reductions.get(key)
+    memo = rho._memo
+    reduced = memo.get(key)
     if reduced is not None:
         return reduced
-    dims = list(rho.layout.dims)
-    t = _tensor_view(rho.matrix, tuple(dims))
-    labels = list(rho.layout.labels)
-    dropped = 1
-    for l in rho.layout.labels:
-        if l in key:
-            i = labels.index(l)
-            t = np.trace(t, axis1=i, axis2=len(labels) + i)
-            dropped *= dims[i]
-            labels.pop(i)
-            dims.pop(i)
-    d = math.prod(dims)
-    layout = SystemLayout(tuple(zip(labels, dims)))
-    reduced = Mstate(layout, t.reshape(d, d), _psd_slack=dropped * _slack_of(rho))
-    rho._reductions[key] = reduced
+    parties = rho.layout.parties
+    n = len(parties)
+    t = _tensor_view(rho.matrix, rho.layout.dims)
+    kept = []
+    for i, party in enumerate(parties):
+        if party[0] in key:
+            # the party's axes, past the kept ones before it and with the
+            # i - len(kept) dropped ones before it gone
+            j = len(kept)
+            t = t.trace(axis1=j, axis2=n - i + 2 * j)
+        else:
+            kept.append(party)
+    layout = SystemLayout(tuple(kept))
+    d = layout.total_dim
+    dropped = rho.layout.total_dim // d
+    reduced = Mstate(
+        layout,
+        t.reshape(d, d),
+        _psd_slack=dropped * _slack_of(rho),
+        _hermitian_tol=dropped * rho._hermitian_tol,
+    )
+    memo[key] = reduced
     return reduced
 
 
@@ -430,7 +455,10 @@ def _relaid(rho: Mstate, layout: SystemLayout, perm=None, copies: int = 1) -> Ms
     ``layout``.  The one way a state is reordered, renamed or repeated.  A
     `PureState` stays one, its amplitudes moved.  Otherwise the PSD check
     allows ``rho``'s smallest eigenvalue: the eigenvalues are ``rho``'s, or
-    products of them, none below that one times the largest."""
+    products of them, none below that one times the largest.  The Hermitian
+    check allows ``copies`` times ``rho``'s allowance: the deviation of a
+    product is at most the sum of its factors' deviations, each times the
+    other factors' largest entry, which is at most 1."""
     dims = rho.layout.dims * copies
     if isinstance(rho, PureState):
         v = rho.amplitudes
@@ -445,7 +473,9 @@ def _relaid(rho: Mstate, layout: SystemLayout, perm=None, copies: int = 1) -> Ms
     if perm is not None:
         n, d = len(dims), len(m)
         m = _tensor_view(m, dims).transpose(*perm, *(n + i for i in perm)).reshape(d, d)
-    return Mstate(layout, m, _psd_slack=_slack_of(rho))
+    return Mstate(
+        layout, m, _psd_slack=_slack_of(rho), _hermitian_tol=copies * rho._hermitian_tol
+    )
 
 
 def partial_transpose(rho: Mstate, parties) -> np.ndarray:
@@ -532,8 +562,7 @@ def _purification(rho: Mstate) -> np.ndarray:
     w, v = w[::-1], v[:, ::-1]
     rank = max(int(np.sum(w > ZERO)), 1)
     psi = np.zeros((rho.layout.total_dim, max(rank, 2)), dtype=np.complex128)
-    for k in range(rank):
-        psi[:, k] = math.sqrt(max(w[k], 0.0)) * v[:, k]
+    psi[:, :rank] = np.sqrt(np.maximum(w[:rank], 0.0)) * v[:, :rank]
     psi /= np.linalg.norm(psi)
     return psi
 
@@ -738,6 +767,17 @@ def _file_layout(doc) -> SystemLayout:
 def _file_complex_pairs(raw, where: str, count: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != count:
         raise StateFileError(f"{where}: expected a list of {count} [re, im] pairs")
+    # one pass when every entry is a [re, im] list (isinstance, in C) of
+    # finite numbers: NumPy reads each number by float(), and re + 1j * im
+    # is the loop's complex, bit for bit.  Otherwise the loop names the
+    # first bad entry
+    if all(map(list.__instancecheck__, raw)) and set(map(len, raw)) == {2}:
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(raw), np.float64, 2 * count)
+        except (TypeError, ValueError, OverflowError):
+            flat = None
+        if flat is not None and np.isfinite(flat).all():
+            return flat[0::2] + 1j * flat[1::2]
     flat = np.empty(count, dtype=np.complex128)
     for i, pair in enumerate(raw):
         if (not isinstance(pair, list)) or len(pair) != 2:

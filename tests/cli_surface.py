@@ -1,7 +1,8 @@
 """The CLI surface pinned under tests/golden/: every `compute` quantity on
-every preset in CSV, five quantities on a state file of each body kind
+every preset in CSV, and once in text, on the first preset whose CSV run
+exits 0; ten quantities on a state file of each body kind
 (tests/golden/states/: a matrix, an ensemble with a qutrit helper, and a
-preset with relabelled parties), `verify all`, and the three `sweep`s, each
+preset with relabelled parties); `verify all`; and the three `sweep`s, each
 at the default config.
 
 Each invocation's file holds its command line, exit code, stdout and
@@ -40,7 +41,23 @@ PRESETS = {
 # state file (under tests/golden/states/, named from the repository root, as
 # `replay` runs there): the quantities computed on it
 STATE_FILES = ("matrix", "ensemble", "relabelled")
-STATE_QUANTITIES = ("entropy", "one-way-ci", "ci-bounds", "discord", "eoa")
+STATE_QUANTITIES = (
+    "entropy", "one-way-ci", "ci-bounds", "discord", "eoa",
+    "mutual-info", "cond-entropy", "cmi", "log-neg", "ed-interval",
+)
+
+# quantity: the preset of its text run, where that is not the first preset;
+# each is the first in PRESETS order whose CSV run exits 0
+TEXT_PRESETS = {"ci-product-reg": "product_eq10"}
+
+
+def compute_argv(quantity: str, name: str) -> list[str]:
+    """`compute` of ``quantity`` on the preset ``name``, in the default
+    (text) format."""
+    argv = ["compute", quantity, "--preset", name]
+    for p in PRESETS[name]:
+        argv += ["--param", p]
+    return argv + (["--ci-value", "0.5"] if quantity == "lqsm-bound" else [])
 
 
 def invocations() -> dict[str, list[str]]:
@@ -49,12 +66,11 @@ def invocations() -> dict[str, list[str]]:
 
     out = {}
     for quantity in QUANTITIES:
-        extra = ["--ci-value", "0.5"] if quantity == "lqsm-bound" else []
-        for name, params in PRESETS.items():
-            argv = ["compute", quantity, "--preset", name]
-            for p in params:
-                argv += ["--param", p]
-            out[f"compute-{quantity}-{name}"] = argv + extra + ["--format", "csv"]
+        for name in PRESETS:
+            out[f"compute-{quantity}-{name}"] = compute_argv(quantity, name) + ["--format", "csv"]
+    for quantity in QUANTITIES:
+        name = TEXT_PRESETS.get(quantity, next(iter(PRESETS)))
+        out[f"text-{quantity}-{name}"] = compute_argv(quantity, name)
     for name in STATE_FILES:
         path = f"tests/golden/states/{name}.json"
         for quantity in STATE_QUANTITIES:

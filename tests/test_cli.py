@@ -525,6 +525,26 @@ def test_marginal_of_an_accepted_state_file_is_accepted(tmp_path, capsys):
         assert math.isfinite(float(out.splitlines()[-1].split(",")[1]))
 
 
+def test_marginal_of_a_hermitian_edge_state_file_is_accepted(tmp_path, capsys):
+    # each coherence of the 2x4 state is 9e-11 from Hermitian, which the
+    # state check accepts; Tr_B sums four of them
+    m = np.eye(8) / 8
+    m[range(4), range(4, 8)] = 0.01 + 9e-11
+    m[range(4, 8), range(4)] = 0.01
+    doc = {
+        "parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 4}],
+        "matrix": [[float(x), 0.0] for x in m.reshape(-1)],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    for quantity in ("entropy", "mutual-info", "cond-entropy", "cmi", "ed-interval"):
+        code, out, err = _run(
+            ["compute", quantity, "--state", str(path), "--format", "csv"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert math.isfinite(float(out.splitlines()[-1].split(",")[1]))
+
+
 def test_state_source_must_be_unique(capsys, tmp_path):
     code, _, err = _run(["compute", "entropy"], capsys)
     assert code == 2

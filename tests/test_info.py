@@ -215,6 +215,24 @@ def test_vn_entropy_reads_exactly_what_matrix_entropy_computes():
             assert vn_entropy(s) == matrix_entropy(s.matrix)
 
 
+def test_vn_entropy_sums_each_state_spectrum_once(monkeypatch):
+    parts = []
+    for rho in _entropy_panel():
+        parts += [rho] + [marginal(rho, rest_of(rho.layout, l)) for l in rho.layout.labels]
+    want = [matrix_entropy(s.matrix).hex() for s in parts]
+    calls = []
+    spectrum_h = info._spectrum_h
+
+    def counting(w):
+        calls.append(w)
+        return spectrum_h(w)
+
+    monkeypatch.setattr(info, "_spectrum_h", counting)
+    for _ in range(3):
+        assert [vn_entropy(s).hex() for s in parts] == want
+    assert len(calls) == len(parts)
+
+
 def test_marginals_are_built_once_across_calls(tmp_path, monkeypatch):
     rho = random_mixed_state(SystemLayout((("A", 2), ("B", 2))), 12)
     pairs = [[float(x.real), float(x.imag)] for x in rho.matrix.reshape(-1)]

@@ -712,6 +712,28 @@ def test_ed_interval_generic_bracket():
     assert np.isclose(band.upper, log_negativity(rho, Partition("A", "B")))
 
 
+def test_partial_transpose_trace_norm_is_taken_once_per_state_and_group(monkeypatch):
+    rho = random_mixed_state(TWO, 77)
+    cut = Partition("A", "B")
+    fresh = random_mixed_state(TWO, 77)
+    want = (log_negativity(fresh, cut), log_negativity(fresh, Partition("B", "A")))
+    norms = []
+    trace_norm = measures.trace_norm
+
+    def counting(m):
+        norms.append(m)
+        return trace_norm(m)
+
+    monkeypatch.setattr(measures, "trace_norm", counting)
+    assert ed_interval(rho, cut).upper == want[0]
+    assert log_negativity(rho, cut) == want[0]
+    assert log_negativity(rho, Partition("A", ("B",))) == want[0]
+    assert len(norms) == 1
+    # the other group is its own entry, with its own bits
+    assert log_negativity(rho, Partition("B", "A")) == want[1]
+    assert len(norms) == 2
+
+
 def test_regularized_eoa():
     ghz = preset("ghz")
     rho_ac = marginal(ghz, ("A", "C"))

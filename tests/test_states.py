@@ -320,6 +320,38 @@ def test_reduction_of_an_accepted_state_is_accepted():
         Mstate(SystemLayout((("A", 2),)), red.matrix)
 
 
+# 1/8 on the diagonal, coherence 0.01 between A=0 and A=1 at each B=j, and
+# 9e-11 more on the four upper entries: Hermitian within 1e-10 entry by
+# entry, while Tr_B sums four such deviations
+HERMITIAN_EDGE = np.eye(8, dtype=np.complex128) / 8
+HERMITIAN_EDGE[range(4), range(4, 8)] = 0.01 + EPS
+HERMITIAN_EDGE[range(4, 8), range(4)] = 0.01
+
+
+def test_reduction_allows_the_hermitian_deviation_it_sums():
+    rho = Mstate(SystemLayout((("A", 2), ("B", 4))), HERMITIAN_EDGE)
+    red = marginal(rho, "A")
+    assert abs(red.matrix[0, 1] - red.matrix[1, 0].conj()) == pytest.approx(4 * EPS, rel=1e-5)
+    assert np.array_equal(marginal(rho, "B").matrix, np.eye(4) / 4)
+    # a reduction of that reduction allows its parent's allowance, scaled
+    nested = Mstate(THREE, np.kron(HERMITIAN_EDGE[::2, ::2] * 2, np.eye(2) / 2))
+    step = marginal(marginal(nested, ("A", "B")), "A")
+    assert abs(step.matrix[0, 1] - step.matrix[1, 0].conj()) > VALIDATE
+    # a user-supplied matrix keeps the plain check
+    with pytest.raises(InvalidMatrix, match="not Hermitian within 1e-10$"):
+        Mstate(SystemLayout((("A", 2),)), red.matrix)
+
+
+def test_copies_allow_the_hermitian_deviation_they_multiply():
+    # Im rho_00 = 4.5e-11 is a deviation of 9e-11, and 1.6e-10 in the
+    # (00, 00) entry of rho (x) rho
+    rho = Mstate(SystemLayout((("A", 2),)), np.diag([0.9 + 4.5e-11j, 0.1]))
+    pair = states._relaid(rho, SystemLayout((("A", 2), ("A'", 2))), copies=2)
+    assert abs(pair.matrix[0, 0] - pair.matrix[0, 0].conj()) > VALIDATE
+    # a relabelled single copy keeps the plain allowance, and meets it
+    assert states._relaid(rho, SystemLayout((("X", 2),))).matrix[0, 0] == rho.matrix[0, 0]
+
+
 def test_spectrum_is_stored_in_kernel_form():
     generic = random_mixed_state(TWO, 8)
     assert np.array_equal(generic.spectrum, np.linalg.eigvalsh(generic.matrix))
@@ -711,6 +743,40 @@ def test_state_from_dict_error_messages_name_the_field():
     }
     with pytest.raises(StateFileError, match="vectors"):
         state_from_dict(bad_ens)
+
+
+# one bad entry at index 2 of a 2x2 matrix: the message the reader gives
+BAD_ENTRIES = {
+    "none": ([None, 0.0], "matrix[2]: entries must be numbers"),
+    "string": (["x", 0.0], "matrix[2]: entries must be numbers"),
+    "nested": ([[0.0], 0.0], "matrix[2]: entries must be numbers"),
+    "short": ([0.0], "matrix[2]: expected [re, im]"),
+    "long": ([0.0, 0.0, 0.0], "matrix[2]: expected [re, im]"),
+    "inf": ([math.inf, 0.0], "matrix[2]: entries must be finite, got [inf, 0.0]"),
+    "nan": ([0.0, math.nan], "matrix[2]: entries must be finite, got [0.0, nan]"),
+    "number": (0.0, "matrix[2]: expected [re, im]"),
+    "tuple": ((0.0, 0.0), "matrix[2]: expected [re, im]"),
+}
+
+
+@pytest.mark.parametrize("entry, message", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_state_from_dict_names_the_first_bad_entry(entry, message):
+    doc = _bell_matrix_doc()
+    doc["matrix"][2] = entry
+    doc["matrix"][5] = [math.nan, 0.0]
+    with pytest.raises(StateFileError) as info:
+        state_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_state_from_dict_reads_entries_as_the_entry_loop_does():
+    # signed zeros, integers, bools and numeric strings: float() of each,
+    # and re + 1j * im, bit for bit
+    values = [0.0, -0.0, 0.5, -0.25, 1, True, "0.125", "-0.0"]
+    raw = [[re, im] for re in values for im in values][:64]
+    got = states._file_complex_pairs(raw, "matrix", 64)
+    want = np.array([float(re) + 1j * float(im) for re, im in raw])
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
